@@ -5,35 +5,24 @@ of its input, so user profiles or item features can ride along as extra
 input coordinates.  Includes MovieLens data handling, two training
 pipelines (explicit rating prediction and binarized top-n ranking),
 metrics, a most-popular baseline and a benchmark-reproduction CLI.
+
+The package root exports the names of the README's library example and the
+dataclasses a caller builds inputs from; everything else is imported from
+its own module (``semiae.dataset``, ``semiae.model``, ``semiae.optim``,
+``semiae.trainer``, ``semiae.evaluation``).
 """
 
-from .dataset import (InteractionVectors, ParseError, PreparedData,
-                      RatingDataset, SideInfoMatrix, align_side_info,
-                      binarize, build_vectors, load_raw_directory,
-                      parse_item_features, parse_ratings, parse_user_profiles,
-                      read_prepared, split, write_prepared)
-from .evaluation import EvalReport, most_popular, recall_at_n, rmse
-from .model import (ACTIVATIONS, GradientSet, SemiAEParams, activation,
-                    backward, concat_input, forward, glorot_init,
-                    load_params, loss_and_gradients, masked_loss,
-                    reconstruction_target, save_params, subset_loss)
-from .optim import OptimizerState, make_optimizer, update
-from .trainer import (TrainConfig, TrainedModel, load_model, predict_ratings,
-                      ranking_scores, recommend_top_n, save_model,
-                      train_ranking, train_rating, write_training_log)
+from .dataset import (ParseError, PreparedData, RatingDataset, SideInfoMatrix,
+                      binarize, load_raw_directory, split)
+from .evaluation import most_popular, recall_at_n, rmse
+from .trainer import (TrainConfig, TrainedModel, predict_ratings,
+                      recommend_top_n, train_ranking, train_rating)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ACTIVATIONS", "EvalReport", "GradientSet", "InteractionVectors",
-    "OptimizerState", "ParseError", "PreparedData", "RatingDataset",
-    "SemiAEParams", "SideInfoMatrix", "TrainConfig", "TrainedModel",
-    "activation", "align_side_info", "backward", "binarize", "build_vectors",
-    "concat_input", "forward", "glorot_init", "load_model", "load_params",
-    "load_raw_directory", "loss_and_gradients", "make_optimizer",
-    "masked_loss", "most_popular", "parse_item_features", "parse_ratings",
-    "parse_user_profiles", "predict_ratings", "ranking_scores",
-    "read_prepared", "recall_at_n", "recommend_top_n", "rmse", "save_model",
-    "save_params", "split", "subset_loss", "train_ranking", "train_rating",
-    "update", "write_prepared", "write_training_log",
+    "ParseError", "PreparedData", "RatingDataset", "SideInfoMatrix",
+    "TrainConfig", "TrainedModel", "binarize", "load_raw_directory",
+    "most_popular", "predict_ratings", "recall_at_n", "recommend_top_n",
+    "rmse", "split", "train_ranking", "train_rating",
 ]

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
-import io
 import json
 import logging
 import os
@@ -22,10 +21,12 @@ from pathlib import Path
 import numpy as np
 
 from . import dataset as ds_mod
-from . import evaluation, trainer
-from .dataset import PreparedData, binarize, load_raw_directory, read_prepared, split, write_prepared
+from . import trainer
+from .dataset import (PreparedData, RatingDataset, binarize, load_raw_directory,
+                      read_prepared, split, write_prepared)
 from .evaluation import EvalReport, most_popular, num_users_with_test_items, recall_at_n, rmse
-from .trainer import TrainConfig, TrainedModel, load_model, predict_ratings, recommend_top_n, save_model, write_training_log
+from .trainer import (TrainConfig, TrainedModel, load_model, load_model_and_echo,
+                      predict_ratings, recommend_top_n, save_model, write_training_log)
 
 log = logging.getLogger(__name__)
 
@@ -34,15 +35,17 @@ PUBLISHED_RMSE = {
     "ml-100k": {0.8: 0.896, 0.5: 0.926},
     "ml-1m": {0.8: 0.858, 0.5: 0.882},
 }
-PUBLISHED_RECALL = {  # ml-100k, by train fraction / method / N
-    0.3: {"semi-autoencoder": {5: 9.487, 10: 14.836},
-          "most-popular": {5: 7.036, 10: 11.297}},
-    0.5: {"semi-autoencoder": {5: 9.543, 10: 15.909},
-          "most-popular": {5: 7.535, 10: 13.185}},
+PUBLISHED_RECALL = {  # ml-100k, by train fraction / method / metric
+    0.3: {"semi-autoencoder": {"recall@5": 9.487, "recall@10": 14.836},
+          "most-popular": {"recall@5": 7.036, "recall@10": 11.297}},
+    0.5: {"semi-autoencoder": {"recall@5": 9.543, "recall@10": 15.909},
+          "most-popular": {"recall@5": 7.535, "recall@10": 13.185}},
 }
 
-TABLE1_FRACTIONS = (0.8, 0.5)
-TABLE2_FRACTIONS = (0.3, 0.5)
+# table number -> (task, train fractions)
+TABLES = {1: ("rating", (0.8, 0.5)), 2: ("ranking", (0.3, 0.5))}
+TABLE_COLUMNS = ["dataset", "task", "train_fraction", "seed", "method",
+                 "metric", "value"]
 RECALL_NS = (5, 10)
 
 
@@ -79,11 +82,56 @@ def _load_config(config_path: str | None, task: str) -> TrainConfig:
     return TrainConfig.from_dict(doc, task)
 
 
-def _train_test(prepared: PreparedData, fraction: float | None, seed: int):
-    """Split the prepared ratings, or use everything as training data."""
+def _split(prepared: PreparedData, cfg: TrainConfig, fraction: float | None,
+           seed: int) -> tuple[RatingDataset, RatingDataset | None]:
+    """The seeded (train, test) halves in the task's form, binarized for
+    ranking.  Without a fraction below 1 every rating trains and there is no
+    test half."""
     if fraction is None or fraction >= 1.0:
-        return prepared.ratings, None
-    return split(prepared.ratings, fraction, seed)
+        train, test = prepared.ratings, None
+    else:
+        train, test = split(prepared.ratings, fraction, seed)
+    if cfg.task == "ranking":
+        train = binarize(train, cfg.binarize_threshold, cfg.binarize_comparison)
+        if test is not None:
+            test = binarize(test, cfg.binarize_threshold,
+                            cfg.binarize_comparison)
+    return train, test
+
+
+def _fit(prepared: PreparedData, cfg: TrainConfig,
+         train: RatingDataset) -> TrainedModel:
+    if cfg.task == "ranking":
+        return trainer.train_ranking(train, prepared.user_side, cfg)
+    return trainer.train_rating(train, prepared.item_side, cfg)
+
+
+def _score(model: TrainedModel, prepared: PreparedData, train: RatingDataset,
+           test: RatingDataset, recall_ns=RECALL_NS,
+           baseline: bool = False) -> dict[tuple[str, str], float]:
+    """Held-out metrics keyed by (method, metric): RMSE for a rating model,
+    Recall@N for a ranking model and, with ``baseline``, for the
+    most-popular baseline after it."""
+    if model.task == "rating":
+        preds = predict_ratings(model, train, prepared.item_side)
+        return {("semi-autoencoder", "rmse"): rmse(preds, test)}
+    top = max(recall_ns)
+    methods = {"semi-autoencoder": lambda u: recommend_top_n(
+        model, train, prepared.user_side, u, top)}
+    if baseline:
+        methods["most-popular"] = lambda u: most_popular(train, u, top)
+    return {(method, f"recall@{n}"): recall_at_n(rec, test, n)
+            for method, rec in methods.items() for n in sorted(set(recall_ns))}
+
+
+def run_cell(prepared: PreparedData, cfg: TrainConfig, fraction: float,
+             seed: int) -> dict[tuple[str, str], float]:
+    """One cell of a results table: split once with ``seed``, fit ``cfg``
+    on the training half and score the test half (with the most-popular
+    baseline for ranking)."""
+    train, test = _split(prepared, cfg, fraction, seed)
+    model = _fit(prepared, cfg, train)
+    return _score(model, prepared, train, test, baseline=True)
 
 
 def cmd_prepare(args) -> int:
@@ -100,21 +148,11 @@ def cmd_prepare(args) -> int:
     return 0
 
 
-def _fit(prepared: PreparedData, cfg: TrainConfig, train_fraction: float | None
-         ) -> tuple[TrainedModel, object]:
-    train, _ = _train_test(prepared, train_fraction, cfg.seed)
-    if cfg.task == "ranking":
-        train = binarize(train, cfg.binarize_threshold, cfg.binarize_comparison)
-        model = trainer.train_ranking(train, prepared.user_side, cfg)
-    else:
-        model = trainer.train_rating(train, prepared.item_side, cfg)
-    return model, train
-
-
 def cmd_train(args) -> int:
     prepared = read_prepared(args.data)
     cfg = _load_config(args.config, args.task)
-    model, _ = _fit(prepared, cfg, args.train_fraction)
+    train, _ = _split(prepared, cfg, args.train_fraction, cfg.seed)
+    model = _fit(prepared, cfg, train)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     save_model(out, model, {"train_fraction": args.train_fraction})
@@ -129,39 +167,10 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _evaluate_model(model: TrainedModel, prepared: PreparedData,
-                    train_fraction: float, seed: int,
-                    recall_ns: list[int] | None) -> EvalReport:
-    train, test = split(prepared.ratings, train_fraction, seed)
-    echo = {"train_fraction": train_fraction,
-            "config": model.config.to_dict() if model.config else None}
-    if model.task == "rating":
-        preds = predict_ratings(model, train, prepared.item_side)
-        return EvalReport(task="rating", rmse=rmse(preds, test),
-                          num_evaluated_users=len(np.unique(test.users)),
-                          config_echo=echo, seed=seed)
-    cfg = model.config or TrainConfig.defaults("ranking")
-    btrain = binarize(train, cfg.binarize_threshold, cfg.binarize_comparison)
-    btest = binarize(test, cfg.binarize_threshold, cfg.binarize_comparison)
-    ns = recall_ns or list(RECALL_NS)
-    top = max(ns)
-
-    def recommender(user: int) -> list[int]:
-        return recommend_top_n(model, btrain, prepared.user_side, user, top)
-
-    values = {n: recall_at_n(recommender, btest, n) for n in sorted(ns)}
-    return EvalReport(task="ranking", recall=values,
-                      num_evaluated_users=num_users_with_test_items(btest),
-                      config_echo=echo, seed=seed)
-
-
-def _warn_on_split_mismatch(model_path: str, model: TrainedModel,
+def _warn_on_split_mismatch(echo: dict, model: TrainedModel,
                             train_fraction: float, seed: int) -> None:
     """Held-out scores are only honest when evaluate reuses the training
-    split; flag diverging split parameters."""
-    from .model import load_params
-
-    _, echo = load_params(model_path)
+    split; flag diverging split parameters in the model file's echo."""
     if "train_fraction" in echo:
         trained = echo["train_fraction"]
         if trained is None:
@@ -177,19 +186,32 @@ def _warn_on_split_mismatch(model_path: str, model: TrainedModel,
 
 
 def cmd_evaluate(args) -> int:
-    model = load_model(args.model)
+    model, echo = load_model_and_echo(args.model)
     prepared = read_prepared(args.data)
-    _warn_on_split_mismatch(args.model, model, args.train_fraction, args.seed)
-    recall_ns = None
+    _warn_on_split_mismatch(echo, model, args.train_fraction, args.seed)
+    recall_ns = RECALL_NS
     if args.recall:
         recall_ns = _parse_ints(args.recall)
         if not recall_ns:
             raise ValueError("--recall needs at least one N value")
-    if recall_ns and model.task == "rating":
-        raise ValueError("--recall is a ranking metric; this model predicts "
-                         "ratings (use it without --recall)")
-    report = _evaluate_model(model, prepared, args.train_fraction, args.seed,
-                             recall_ns)
+        if model.task == "rating":
+            raise ValueError("--recall is a ranking metric; this model "
+                             "predicts ratings (use it without --recall)")
+    cfg = model.config or TrainConfig.defaults(model.task)
+    train, test = _split(prepared, cfg, args.train_fraction, args.seed)
+    if test is None:
+        raise ValueError(f"train_fraction {args.train_fraction} outside (0, 1)")
+    metrics = _score(model, prepared, train, test, recall_ns)
+    recall = None
+    if model.task == "ranking":
+        recall = {n: metrics["semi-autoencoder", f"recall@{n}"]
+                  for n in sorted(recall_ns)}
+    report = EvalReport(
+        task=model.task, rmse=metrics.get(("semi-autoencoder", "rmse")),
+        recall=recall, num_evaluated_users=num_users_with_test_items(test),
+        config_echo={"train_fraction": args.train_fraction,
+                     "config": model.config.to_dict() if model.config else None},
+        seed=args.seed)
     payload = json.dumps(report.to_dict(), sort_keys=True, indent=2)
     print(payload)
     if args.out:
@@ -215,132 +237,69 @@ def cmd_recommend(args) -> int:
     except ValueError:
         raise ValueError(f"user id {args.user} not in the dataset") from None
     cfg = model.config or TrainConfig.defaults("ranking")
-    train, _ = _train_test(prepared, args.train_fraction,
-                           args.seed if args.seed is not None else cfg.seed)
-    btrain = binarize(train, cfg.binarize_threshold, cfg.binarize_comparison)
-    items = recommend_top_n(model, btrain, prepared.user_side, user_index, args.n)
+    seed = args.seed if args.seed is not None else cfg.seed
+    train, _ = _split(prepared, cfg, args.train_fraction, seed)
+    items = recommend_top_n(model, train, prepared.user_side, user_index, args.n)
     for rank, item in enumerate(items, start=1):
         print(f"{rank}\t{ds.item_ids[item]}")
     return 0
 
 
-def _aggregate(values: list[float]) -> tuple[float, float]:
-    arr = np.asarray(values, np.float64)
-    return float(arr.mean()), float(arr.std(ddof=0))
-
-
-class _TableWriter:
-    """Accumulates benchmark rows and renders deterministic CSV bytes."""
-
-    COLUMNS = ["dataset", "task", "train_fraction", "seed", "method",
-               "metric", "value"]
-
-    def __init__(self) -> None:
-        self.rows: list[list] = []
-
-    def add(self, dataset: str, task: str, fraction: float, seed,
-            method: str, metric: str, value: float) -> None:
-        self.rows.append([dataset, task, repr(fraction), str(seed), method,
-                          metric, repr(float(value))])
-
-    def render(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(self.COLUMNS)
-        writer.writerows(self.rows)
-        return buf.getvalue()
-
-
-def _reproduce_rating(prepared: PreparedData, dataset_name: str,
-                      seeds: list[int], config_path: str | None,
-                      table: _TableWriter, summary: list[str]) -> None:
-    for fraction in TABLE1_FRACTIONS:
-        per_seed = []
-        for seed in seeds:
-            cfg = _load_config(config_path, "rating")
-            cfg = TrainConfig.from_dict({**cfg.to_dict(), "seed": seed})
-            model, train = _fit(prepared, cfg, fraction)
-            _, test = split(prepared.ratings, fraction, seed)
-            value = rmse(predict_ratings(model, train, prepared.item_side), test)
-            table.add(dataset_name, "rating", fraction, seed,
-                      "semi-autoencoder", "rmse", value)
-            per_seed.append(value)
-            log.info("rating %s fraction=%s seed=%d rmse=%.4f",
-                     dataset_name, fraction, seed, value)
-        mean, std = _aggregate(per_seed)
-        table.add(dataset_name, "rating", fraction, "mean",
-                  "semi-autoencoder", "rmse", mean)
-        table.add(dataset_name, "rating", fraction, "std",
-                  "semi-autoencoder", "rmse", std)
-        published = PUBLISHED_RMSE.get(dataset_name, {}).get(fraction)
-        ref = f" (published {published})" if published is not None else ""
-        summary.append(f"{dataset_name} rating {int(fraction * 100)}% train: "
-                       f"RMSE {mean:.4f} +- {std:.4f}{ref}")
-
-
-def _reproduce_ranking(prepared: PreparedData, dataset_name: str,
-                       seeds: list[int], config_path: str | None,
-                       table: _TableWriter, summary: list[str]) -> None:
-    for fraction in TABLE2_FRACTIONS:
-        per_seed: dict[tuple[str, int], list[float]] = {}
-        for seed in seeds:
-            cfg = _load_config(config_path, "ranking")
-            cfg = TrainConfig.from_dict({**cfg.to_dict(), "seed": seed})
-            model, btrain = _fit(prepared, cfg, fraction)
-            _, test = split(prepared.ratings, fraction, seed)
-            btest = binarize(test, cfg.binarize_threshold,
-                             cfg.binarize_comparison)
-            top = max(RECALL_NS)
-
-            def ours(user: int) -> list[int]:
-                return recommend_top_n(model, btrain, prepared.user_side,
-                                       user, top)
-
-            def baseline(user: int) -> list[int]:
-                return most_popular(btrain, user, top)
-
-            for method, rec in (("semi-autoencoder", ours),
-                                ("most-popular", baseline)):
-                for n in RECALL_NS:
-                    value = recall_at_n(rec, btest, n)
-                    table.add(dataset_name, "ranking", fraction, seed,
-                              method, f"recall@{n}", value)
-                    per_seed.setdefault((method, n), []).append(value)
-            log.info("ranking %s fraction=%s seed=%d done",
-                     dataset_name, fraction, seed)
-        for (method, n), values in sorted(per_seed.items()):
-            mean, std = _aggregate(values)
-            table.add(dataset_name, "ranking", fraction, "mean", method,
-                      f"recall@{n}", mean)
-            table.add(dataset_name, "ranking", fraction, "std", method,
-                      f"recall@{n}", std)
-            published = PUBLISHED_RECALL.get(fraction, {}).get(method, {}).get(n)
-            ref = f" (published {published})" if published is not None else ""
-            summary.append(f"{dataset_name} ranking {int(fraction * 100)}% "
-                           f"train, {method} Recall@{n}: {mean:.3f} +- "
-                           f"{std:.3f}{ref}")
+def _summary_line(dataset: str, task: str, fraction: float, method: str,
+                  metric: str, mean: float, std: float) -> str:
+    pct = int(fraction * 100)
+    if task == "rating":
+        text = f"{dataset} rating {pct}% train: RMSE {mean:.4f} +- {std:.4f}"
+        published = PUBLISHED_RMSE.get(dataset, {}).get(fraction)
+    else:
+        text = (f"{dataset} ranking {pct}% train, {method} "
+                f"{metric.capitalize()}: {mean:.3f} +- {std:.3f}")
+        published = PUBLISHED_RECALL.get(fraction, {}).get(method, {}).get(metric)
+    return text + (f" (published {published})" if published is not None else "")
 
 
 def cmd_reproduce(args) -> int:
     seeds = _parse_ints(args.seeds)
     if not seeds:
         raise ValueError("need at least one seed")
+    task, fractions = TABLES[args.table]
     prepared = load_raw_directory(args.raw, args.format)
+    base = _load_config(args.config, task).to_dict()
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    table = _TableWriter()
+    rows: list[list[str]] = []
     summary: list[str] = []
-    if args.table == 1:
-        _reproduce_rating(prepared, args.format, seeds, args.config,
-                          table, summary)
-    else:
-        _reproduce_ranking(prepared, args.format, seeds, args.config,
-                           table, summary)
+
+    def add(fraction: float, seed, method: str, metric: str, value: float):
+        rows.append([args.format, task, repr(fraction), str(seed), method,
+                     metric, repr(float(value))])
+
+    for fraction in fractions:
+        per_seed: dict[tuple[str, str], list[float]] = {}
+        for seed in seeds:
+            cfg = TrainConfig.from_dict({**base, "seed": seed})
+            metrics = run_cell(prepared, cfg, fraction, seed)
+            for (method, metric), value in metrics.items():
+                add(fraction, seed, method, metric, value)
+                per_seed.setdefault((method, metric), []).append(value)
+            log.info("%s %s fraction=%s seed=%d: %s", task, args.format,
+                     fraction, seed, metrics)
+        # methods in name order; each method's metrics in scoring order
+        for (method, metric), values in sorted(per_seed.items(),
+                                               key=lambda kv: kv[0][0]):
+            arr = np.asarray(values, np.float64)
+            mean, std = float(arr.mean()), float(arr.std(ddof=0))
+            add(fraction, "mean", method, metric, mean)
+            add(fraction, "std", method, metric, std)
+            summary.append(_summary_line(args.format, task, fraction, method,
+                                         metric, mean, std))
 
     csv_path = out_dir / f"table{args.table}.csv"
     with open(csv_path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(table.render())
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(TABLE_COLUMNS)
+        writer.writerows(rows)
     summary_path = out_dir / f"table{args.table}_summary.txt"
     with open(summary_path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(summary) + "\n")

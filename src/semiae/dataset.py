@@ -536,29 +536,33 @@ def write_prepared(path: str | Path, data: PreparedData) -> None:
 
 
 def read_prepared(path: str | Path) -> PreparedData:
-    """Load a prepared dataset written by :func:`write_prepared`."""
+    """Load a prepared dataset written by :func:`write_prepared`; a missing
+    entry raises ValueError naming the file and the entry."""
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
     version = doc.get("schema_version")
     if version != PREPARED_SCHEMA_VERSION:
         raise ValueError(f"unsupported prepared-data schema version {version}")
-    triples = doc["triples"]
-    ds = RatingDataset(
-        num_users=doc["num_users"],
-        num_items=doc["num_items"],
-        users=np.asarray([t[0] for t in triples], np.int32),
-        items=np.asarray([t[1] for t in triples], np.int32),
-        ratings=np.asarray([t[2] for t in triples], np.float64),
-        timestamps=np.asarray([t[3] for t in triples], np.int64),
-        rating_scale=tuple(doc["rating_scale"]),
-        user_ids=tuple(doc["id_maps"]["users"]),
-        item_ids=tuple(doc["id_maps"]["items"]),
-    )
-    return PreparedData(
-        ratings=ds,
-        user_side=_side_from_json(doc["user_side_info"], ds.user_ids),
-        item_side=_side_from_json(doc["item_side_info"], ds.item_ids),
-    )
+    try:
+        triples = doc["triples"]
+        ds = RatingDataset(
+            num_users=doc["num_users"],
+            num_items=doc["num_items"],
+            users=np.asarray([t[0] for t in triples], np.int32),
+            items=np.asarray([t[1] for t in triples], np.int32),
+            ratings=np.asarray([t[2] for t in triples], np.float64),
+            timestamps=np.asarray([t[3] for t in triples], np.int64),
+            rating_scale=tuple(doc["rating_scale"]),
+            user_ids=tuple(doc["id_maps"]["users"]),
+            item_ids=tuple(doc["id_maps"]["items"]),
+        )
+        return PreparedData(
+            ratings=ds,
+            user_side=_side_from_json(doc["user_side_info"], ds.user_ids),
+            item_side=_side_from_json(doc["item_side_info"], ds.item_ids),
+        )
+    except KeyError as exc:
+        raise ValueError(f"{path}: prepared data has no {exc} entry") from None
 
 
 RAW_FILES = {

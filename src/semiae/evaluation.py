@@ -51,17 +51,6 @@ class EvalReport:
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(self.to_dict(), fh, sort_keys=True, separators=(",", ":"))
 
-    def csv_rows(self, dataset: str, split: float) -> list[list]:
-        """Rows in the aggregation layout: dataset,task,split,seed,metric,value."""
-        rows = []
-        if self.rmse is not None:
-            rows.append([dataset, self.task, split, self.seed, "rmse", self.rmse])
-        if self.recall is not None:
-            for n in sorted(self.recall):
-                rows.append([dataset, self.task, split, self.seed,
-                             f"recall@{n}", self.recall[n]])
-        return rows
-
 
 def rmse(predictions: np.ndarray, test: RatingDataset) -> float:
     """Root mean square error over the held-out observed triples.
@@ -116,8 +105,14 @@ def most_popular(train: RatingDataset, user: int, n: int) -> list[int]:
     if n < 0:
         raise ValueError("n must be >= 0")
     counts = np.bincount(train.items, minlength=train.num_items)
+    return _rank_unconsumed(counts, train, user, n)
+
+
+def _rank_unconsumed(scores: np.ndarray, train: RatingDataset, user: int,
+                     n: int) -> list[int]:
+    """The ``n`` best-scoring items the user has no training triple for;
+    ties break toward the lower item index."""
     consumed = np.zeros(train.num_items, bool)
     consumed[train.items[train.users == user]] = True
-    order = np.lexsort((np.arange(train.num_items), -counts))
-    ranked = [int(i) for i in order if not consumed[i]]
-    return ranked[:n]
+    order = np.lexsort((np.arange(len(scores)), -scores))
+    return order[~consumed[order]][:n].tolist()

@@ -181,11 +181,6 @@ def concat_input(r: np.ndarray, c: np.ndarray) -> np.ndarray:
     return np.concatenate([r, c], axis=-1)
 
 
-def reconstruction_target(x: np.ndarray, output_dim: int) -> np.ndarray:
-    """The designated subset of the input the output must match: its prefix."""
-    return np.asarray(x)[..., :output_dim]
-
-
 def _as_batch(x: np.ndarray, dim: int, what: str) -> tuple[np.ndarray, bool]:
     x = np.asarray(x, np.float64)
     was_vector = x.ndim == 1
@@ -301,12 +296,6 @@ def loss_and_gradients(params: SemiAEParams, batch_x: np.ndarray,
     return loss, GradientSet(d_q, d_q1, d_p, d_p1)
 
 
-def backward(params: SemiAEParams, batch_x: np.ndarray, targets: np.ndarray,
-             mask: np.ndarray | None = None, reg: float = 0.0) -> GradientSet:
-    """Exact gradients of the corresponding loss w.r.t. Q, Q1, p, p1."""
-    return loss_and_gradients(params, batch_x, targets, mask, reg)[1]
-
-
 def params_to_dict(params: SemiAEParams, config_echo: dict | None = None) -> dict:
     """Versioned JSON-ready form; floats survive a round trip losslessly."""
     return {
@@ -327,15 +316,18 @@ def params_from_dict(doc: dict) -> tuple[SemiAEParams, dict]:
     version = doc.get("schema_version")
     if version != MODEL_SCHEMA_VERSION:
         raise ValueError(f"unsupported model schema version {version}")
-    dims = doc["dims"]
-    params = SemiAEParams(
-        Q=np.asarray(doc["Q"], np.float64).reshape(dims["S"], dims["H"]),
-        Q1=np.asarray(doc["Q1"], np.float64).reshape(dims["H"], dims["D"]),
-        p=np.asarray(doc["p"], np.float64).reshape(dims["H"]),
-        p1=np.asarray(doc["p1"], np.float64).reshape(dims["D"]),
-        g=doc["activations"]["g"],
-        f=doc["activations"]["f"],
-    )
+    try:
+        dims = doc["dims"]
+        params = SemiAEParams(
+            Q=np.asarray(doc["Q"], np.float64).reshape(dims["S"], dims["H"]),
+            Q1=np.asarray(doc["Q1"], np.float64).reshape(dims["H"], dims["D"]),
+            p=np.asarray(doc["p"], np.float64).reshape(dims["H"]),
+            p1=np.asarray(doc["p1"], np.float64).reshape(dims["D"]),
+            g=doc["activations"]["g"],
+            f=doc["activations"]["f"],
+        )
+    except KeyError as exc:
+        raise ValueError(f"model JSON has no {exc} entry") from None
     return params, doc.get("training_config_echo", {})
 
 
@@ -348,9 +340,14 @@ def save_params(path: str | Path, params: SemiAEParams,
 
 
 def load_params(path: str | Path) -> tuple[SemiAEParams, dict]:
-    """Read a model JSON written by :func:`save_params`."""
+    """Read a model JSON written by :func:`save_params`; a malformed file
+    raises ValueError naming it."""
     with open(path, encoding="utf-8") as fh:
-        return params_from_dict(json.load(fh))
+        doc = json.load(fh)
+    try:
+        return params_from_dict(doc)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def with_arrays(params: SemiAEParams, Q: np.ndarray, Q1: np.ndarray,

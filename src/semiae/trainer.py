@@ -22,6 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .dataset import RatingDataset, SideInfoMatrix, build_vectors
+from .evaluation import _rank_unconsumed
 from .model import (SemiAEParams, activation, concat_input, forward,
                     glorot_init, load_params, loss_and_gradients, save_params)
 from .optim import OPTIMIZER_KINDS, make_optimizer, update
@@ -237,11 +238,7 @@ def recommend_top_n(model: TrainedModel, train: RatingDataset,
     if n < 0:
         raise ValueError("n must be >= 0")
     scores = ranking_scores(model, train, profiles, user)
-    consumed = np.zeros(train.num_items, bool)
-    consumed[train.items[train.users == user]] = True
-    order = np.lexsort((np.arange(len(scores)), -scores))
-    ranked = [int(i) for i in order if not consumed[i]]
-    return ranked[:n]
+    return _rank_unconsumed(scores, train, user, n)
 
 
 def save_model(path: str | Path, model: TrainedModel,
@@ -263,12 +260,22 @@ def save_model(path: str | Path, model: TrainedModel,
     save_params(path, model.params, echo)
 
 
+def load_model_and_echo(path: str | Path) -> tuple[TrainedModel, dict]:
+    """Read a model written by :func:`save_model`, with the echo it carries
+    (the config, the loss history and the run context of ``extras``)."""
+    params, echo = load_params(path)
+    try:
+        cfg = TrainConfig(**echo["config"]) if echo.get("config") else None
+        model = TrainedModel(params, echo["task"], echo["orientation"],
+                             echo["side_dim"], tuple(echo["loss_history"]), cfg)
+    except KeyError as exc:
+        raise ValueError(f"{path}: model echo has no {exc} entry") from None
+    return model, echo
+
+
 def load_model(path: str | Path) -> TrainedModel:
     """Read a model written by :func:`save_model`."""
-    params, echo = load_params(path)
-    cfg = TrainConfig(**echo["config"]) if echo.get("config") else None
-    return TrainedModel(params, echo["task"], echo["orientation"],
-                        echo["side_dim"], tuple(echo["loss_history"]), cfg)
+    return load_model_and_echo(path)[0]
 
 
 def write_training_log(path: str | Path, loss_history) -> None:

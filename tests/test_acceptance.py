@@ -12,9 +12,9 @@ import itertools
 import numpy as np
 import pytest
 
-from semiae.cli import main as cli_main
+from semiae.cli import main as cli_main, run_cell
 from semiae.dataset import binarize, load_raw_directory, split
-from semiae.evaluation import most_popular, recall_at_n, rmse
+from semiae.evaluation import most_popular, recall_at_n
 from semiae.model import forward, glorot_init, loss_and_gradients, masked_loss
 from semiae.trainer import (TrainConfig, train_ranking, train_rating,
                             predict_ratings, recommend_top_n)
@@ -59,25 +59,18 @@ def ml1m_prepared():
 
 def rating_rmse(prepared, fraction: float, seed: int) -> float:
     cfg = TrainConfig.from_dict({"seed": seed}, task="rating")
-    train, test = split(prepared.ratings, fraction, seed)
-    model = train_rating(train, prepared.item_side, cfg)
-    return rmse(predict_ratings(model, train, prepared.item_side), test)
+    return run_cell(prepared, cfg, fraction, seed)["semi-autoencoder", "rmse"]
 
 
 def ranking_recalls(prepared, fraction: float, seed: int):
     """(ours, most-popular) recall maps for one seeded split."""
     cfg = TrainConfig.from_dict({"seed": seed}, task="ranking")
-    train, test = split(prepared.ratings, fraction, seed)
-    btrain = binarize(train, cfg.binarize_threshold, cfg.binarize_comparison)
-    btest = binarize(test, cfg.binarize_threshold, cfg.binarize_comparison)
-    model = train_ranking(btrain, prepared.user_side, cfg)
-    top = max(RECALL_NS)
-    ours = {n: recall_at_n(
-        lambda u: recommend_top_n(model, btrain, prepared.user_side, u, top),
-        btest, n) for n in RECALL_NS}
-    pop = {n: recall_at_n(lambda u: most_popular(btrain, u, top), btest, n)
-           for n in RECALL_NS}
-    return ours, pop
+    metrics = run_cell(prepared, cfg, fraction, seed)
+
+    def recalls(method: str) -> dict:
+        return {n: metrics[method, f"recall@{n}"] for n in RECALL_NS}
+
+    return recalls("semi-autoencoder"), recalls("most-popular")
 
 
 @pytest.fixture(scope="module")

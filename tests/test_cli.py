@@ -3,7 +3,10 @@ import json
 
 import pytest
 
-from semiae.cli import main
+from semiae import (TrainConfig, binarize, load_raw_directory, most_popular,
+                    predict_ratings, recall_at_n, recommend_top_n, rmse,
+                    split, train_ranking, train_rating)
+from semiae.cli import main, run_cell
 
 pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
 
@@ -213,6 +216,23 @@ class TestEvaluate:
         assert caplog.text == ""
 
 
+    def test_full_dataset_model_is_flagged(self, prepared_path, tmp_path,
+                                           capsys, caplog):
+        import logging
+        cfg = write_config(tmp_path, "fcfg.json", epochs=2, hidden_dim=3,
+                           seed=3)
+        model = tmp_path / "full_model.json"
+        code, _, err = run(capsys, "train", "--data", prepared_path,
+                           "--task", "rating", "--config", cfg, "--out", model)
+        assert code == 0, err
+        with caplog.at_level(logging.WARNING, logger="semiae.cli"):
+            code, _, _ = run(capsys, "evaluate", "--model", model,
+                             "--data", prepared_path,
+                             "--train-fraction", "0.8", "--seed", "3")
+        assert code == 0
+        assert "full dataset" in caplog.text
+        assert "overlaps" not in caplog.text and "seed" not in caplog.text
+
 class TestRecommend:
     def test_prints_ranked_raw_item_ids(self, prepared_path, tmp_path, capsys):
         cfg = write_config(tmp_path, epochs=5, binarize_threshold=3.0)
@@ -288,3 +308,90 @@ class TestReproduce:
         summary = (out_dir / "table1_summary.txt").read_text()
         assert "ml-1m" in summary
         assert "0.858" in summary  # published reference rendered alongside
+
+
+class TestMalformedArtifacts:
+    """A model or prepared-data file with a missing entry is a one-line
+    error naming the file and the entry, not a traceback."""
+
+    @pytest.fixture()
+    def ranking_model(self, prepared_path, tmp_path, capsys):
+        cfg = write_config(tmp_path, epochs=2, binarize_threshold=3.0)
+        out = tmp_path / "model.json"
+        code, _, err = run(capsys, "train", "--data", prepared_path,
+                           "--task", "ranking", "--config", cfg, "--out", out,
+                           "--train-fraction", "0.8")
+        assert code == 0, err
+        return out
+
+    def assert_one_line_error(self, code, err, *names):
+        assert code == 1
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), err
+        for name in names:
+            assert name in lines[0]
+
+    @pytest.mark.parametrize("keys", [("Q",), ("dims",),
+                                      ("training_config_echo", "task")],
+                             ids=["Q", "dims", "echo-task"])
+    def test_model_missing_key(self, ranking_model, prepared_path, tmp_path,
+                               capsys, keys):
+        doc = json.loads(ranking_model.read_text())
+        target = doc
+        for key in keys[:-1]:
+            target = target[key]
+        del target[keys[-1]]
+        broken = tmp_path / "broken.json"
+        broken.write_text(json.dumps(doc))
+        for argv in (["evaluate", "--model", broken, "--data", prepared_path,
+                      "--train-fraction", "0.8", "--seed", "0"],
+                     ["recommend", "--model", broken, "--data", prepared_path,
+                      "--user", "1", "--n", "3"]):
+            code, _, err = run(capsys, *argv)
+            self.assert_one_line_error(code, err, "broken.json",
+                                       repr(keys[-1]))
+
+    def test_prepared_missing_key(self, ranking_model, prepared_path,
+                                  tmp_path, capsys):
+        doc = json.loads(prepared_path.read_text())
+        del doc["triples"]
+        broken = tmp_path / "broken_prepared.json"
+        broken.write_text(json.dumps(doc))
+        for argv in (["train", "--data", broken, "--task", "rating",
+                      "--out", tmp_path / "never.json"],
+                     ["evaluate", "--model", ranking_model, "--data", broken,
+                      "--train-fraction", "0.8", "--seed", "0"]):
+            code, _, err = run(capsys, *argv)
+            self.assert_one_line_error(code, err, "broken_prepared.json",
+                                       "'triples'")
+
+
+class TestRunCell:
+    """run_cell, the path reproduce and the acceptance suite share, equals
+    the library pipeline composed by hand on one seeded split."""
+
+    def test_rating_cell(self, ml100k_dir):
+        prepared = load_raw_directory(ml100k_dir, "ml-100k")
+        cfg = TrainConfig.from_dict({"epochs": 3, "hidden_dim": 4, "seed": 2},
+                                    task="rating")
+        train, test = split(prepared.ratings, 0.8, 2)
+        model = train_rating(train, prepared.item_side, cfg)
+        expected = rmse(predict_ratings(model, train, prepared.item_side), test)
+        assert run_cell(prepared, cfg, 0.8, 2) == \
+            {("semi-autoencoder", "rmse"): expected}
+
+    def test_ranking_cell_scores_model_and_baseline(self, ml100k_dir):
+        prepared = load_raw_directory(ml100k_dir, "ml-100k")
+        cfg = TrainConfig.from_dict({"epochs": 3, "seed": 2,
+                                     "binarize_threshold": 3.0},
+                                    task="ranking")
+        train, test = (binarize(half, 3.0)
+                       for half in split(prepared.ratings, 0.3, 2))
+        model = train_ranking(train, prepared.user_side, cfg)
+        recommenders = {
+            "semi-autoencoder": lambda u: recommend_top_n(
+                model, train, prepared.user_side, u, 10),
+            "most-popular": lambda u: most_popular(train, u, 10)}
+        expected = {(method, f"recall@{n}"): recall_at_n(rec, test, n)
+                    for method, rec in recommenders.items() for n in (5, 10)}
+        assert run_cell(prepared, cfg, 0.3, 2) == expected

@@ -184,13 +184,11 @@ class TestEvalReport:
         with pytest.raises(ValueError, match="100"):
             EvalReport(task="ranking", recall={5: 120.0})
 
-    def test_json_and_csv_layouts(self, tmp_path):
+    def test_json_layout(self, tmp_path):
         report = EvalReport(task="ranking", recall={5: 9.5, 10: 14.8},
                             num_evaluated_users=42, seed=3)
         doc = report.to_dict()
         assert doc["recall"] == {"5": 9.5, "10": 14.8}
-        rows = report.csv_rows("ml-100k", 0.3)
-        assert rows[0] == ["ml-100k", "ranking", 0.3, 3, "recall@5", 9.5]
         path = tmp_path / "report.json"
         report.save(path)
         assert path.read_text().startswith("{")
