@@ -35,11 +35,13 @@ PUBLISHED_RMSE = {
     "ml-100k": {0.8: 0.896, 0.5: 0.926},
     "ml-1m": {0.8: 0.858, 0.5: 0.882},
 }
-PUBLISHED_RECALL = {  # ml-100k, by train fraction / method / metric
-    0.3: {"semi-autoencoder": {"recall@5": 9.487, "recall@10": 14.836},
-          "most-popular": {"recall@5": 7.036, "recall@10": 11.297}},
-    0.5: {"semi-autoencoder": {"recall@5": 9.543, "recall@10": 15.909},
-          "most-popular": {"recall@5": 7.535, "recall@10": 13.185}},
+PUBLISHED_RECALL = {  # by dataset / train fraction / method / metric
+    "ml-100k": {
+        0.3: {"semi-autoencoder": {"recall@5": 9.487, "recall@10": 14.836},
+              "most-popular": {"recall@5": 7.036, "recall@10": 11.297}},
+        0.5: {"semi-autoencoder": {"recall@5": 9.543, "recall@10": 15.909},
+              "most-popular": {"recall@5": 7.535, "recall@10": 13.185}},
+    },
 }
 
 # table number -> (task, train fractions)
@@ -254,7 +256,8 @@ def _summary_line(dataset: str, task: str, fraction: float, method: str,
     else:
         text = (f"{dataset} ranking {pct}% train, {method} "
                 f"{metric.capitalize()}: {mean:.3f} +- {std:.3f}")
-        published = PUBLISHED_RECALL.get(fraction, {}).get(method, {}).get(metric)
+        published = (PUBLISHED_RECALL.get(dataset, {}).get(fraction, {})
+                     .get(method, {}).get(metric))
     return text + (f" (published {published})" if published is not None else "")
 
 

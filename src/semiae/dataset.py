@@ -76,9 +76,13 @@ def _check_format(fmt: str) -> None:
         raise ValueError(f"unknown format {fmt!r}; expected one of {FORMATS}")
 
 
-def _freeze(arr: np.ndarray) -> np.ndarray:
-    arr.flags.writeable = False
-    return arr
+def store_read_only(obj, *names: str) -> None:
+    """Replace each named array field of a frozen dataclass by a read-only
+    view of it; the caller's array stays writable."""
+    for name in names:
+        view = getattr(obj, name).view()
+        view.flags.writeable = False
+        object.__setattr__(obj, name, view)
 
 
 @dataclass(frozen=True)
@@ -112,8 +116,7 @@ class RatingDataset:
             keys = self.users.astype(np.int64) * self.num_items + self.items
             if len(np.unique(keys)) != n:
                 raise ValueError("duplicate (user, item) pair in triples")
-        for arr in (self.users, self.items, self.ratings, self.timestamps):
-            _freeze(arr)
+        store_read_only(self, "users", "items", "ratings", "timestamps")
 
     def __len__(self) -> int:
         return len(self.ratings)
@@ -146,7 +149,7 @@ class SideInfoMatrix:
             raise ValueError("entity_ids length must match row count")
         if self.rows.size and not np.all(np.isfinite(self.rows)):
             raise ValueError("side information entries must be finite")
-        _freeze(self.rows)
+        store_read_only(self, "rows")
 
     @property
     def num_entities(self) -> int:
@@ -176,8 +179,7 @@ class InteractionVectors:
             raise ValueError("vectors and mask shapes must match")
         if np.any((self.vectors != 0) & ~self.mask):
             raise ValueError("nonzero value at an unobserved position")
-        _freeze(self.vectors)
-        _freeze(self.mask)
+        store_read_only(self, "vectors", "mask")
 
 
 def _iter_data_lines(path: Path, encoding: str):
@@ -482,14 +484,16 @@ def build_vectors(ds: RatingDataset, orientation: str = "user") -> InteractionVe
     User orientation gives an M x N matrix of user rows; item orientation the
     N x M transpose.  Unobserved positions hold 0.
     """
-    if orientation not in ("user", "item"):
+    if orientation == "user":
+        rows, cols, shape = ds.users, ds.items, (ds.num_users, ds.num_items)
+    elif orientation == "item":
+        rows, cols, shape = ds.items, ds.users, (ds.num_items, ds.num_users)
+    else:
         raise ValueError("orientation must be 'user' or 'item'")
-    vectors = np.zeros((ds.num_users, ds.num_items))
-    mask = np.zeros((ds.num_users, ds.num_items), bool)
-    vectors[ds.users, ds.items] = ds.ratings
-    mask[ds.users, ds.items] = True
-    if orientation == "item":
-        vectors, mask = vectors.T.copy(), mask.T.copy()
+    vectors = np.zeros(shape)
+    mask = np.zeros(shape, bool)
+    vectors[rows, cols] = ds.ratings
+    mask[rows, cols] = True
     return InteractionVectors(orientation, vectors, mask)
 
 

@@ -28,6 +28,8 @@ from typing import Callable
 
 import numpy as np
 
+from .dataset import store_read_only
+
 MODEL_SCHEMA_VERSION = 1
 
 
@@ -123,7 +125,7 @@ class SemiAEParams:
         for arr in (self.Q, self.Q1, self.p, self.p1):
             if not np.all(np.isfinite(arr)):
                 raise ValueError("parameters must be finite")
-            arr.flags.writeable = False
+        store_read_only(self, "Q", "Q1", "p", "p1")
 
     @property
     def input_dim(self) -> int:
@@ -146,12 +148,6 @@ class GradientSet:
     dQ1: np.ndarray
     dp: np.ndarray
     dp1: np.ndarray
-
-    def check_shapes(self, params: SemiAEParams) -> None:
-        if (self.dQ.shape != params.Q.shape or self.dQ1.shape != params.Q1.shape
-                or self.dp.shape != params.p.shape
-                or self.dp1.shape != params.p1.shape):
-            raise ValueError("gradient shapes do not match parameters")
 
 
 def glorot_init(input_dim: int, hidden_dim: int, output_dim: int,
@@ -191,9 +187,11 @@ def _as_batch(x: np.ndarray, dim: int, what: str) -> tuple[np.ndarray, bool]:
 
 
 def _forward_cache(params: SemiAEParams, batch_x: np.ndarray):
-    z1 = batch_x @ params.Q + params.p
+    z1 = batch_x @ params.Q
+    z1 += params.p
     hid = activation(params.g).fn(z1)
-    z2 = hid @ params.Q1 + params.p1
+    z2 = hid @ params.Q1
+    z2 += params.p1
     out = activation(params.f).fn(z2)
     return z1, hid, z2, out
 
@@ -276,23 +274,28 @@ def loss_and_gradients(params: SemiAEParams, batch_x: np.ndarray,
     b = batch.shape[0]
     z1, hid, z2, out = _forward_cache(params, batch)
 
-    diff = out - tgt
+    # the output buffer becomes the difference, then dLoss/dz2; it is z2
+    # itself when f is the identity, whose derivative is then not needed
+    diff = np.subtract(out, tgt, out=out)
     if m is not None:
-        diff = diff * m
+        diff *= m
     loss = float(np.sum(diff * diff)) / b + _weight_penalty(params, reg,
                                                             exact=False)
 
-    d_out = (2.0 / b) * diff
-    d_z2 = d_out * activation(params.f).deriv(z2)
+    d_z2 = diff
+    d_z2 *= 2.0 / b
+    if params.f != "identity":
+        d_z2 *= activation(params.f).deriv(z2)
     d_q1 = hid.T @ d_z2
     d_p1 = d_z2.sum(axis=0)
-    d_hid = d_z2 @ params.Q1.T
-    d_z1 = d_hid * activation(params.g).deriv(z1)
+    d_z1 = d_z2 @ params.Q1.T
+    if params.g != "identity":
+        d_z1 *= activation(params.g).deriv(z1)
     d_q = batch.T @ d_z1
     d_p = d_z1.sum(axis=0)
     if reg != 0.0:
-        d_q = d_q + reg * params.Q
-        d_q1 = d_q1 + reg * params.Q1
+        d_q += reg * params.Q
+        d_q1 += reg * params.Q1
     return loss, GradientSet(d_q, d_q1, d_p, d_p1)
 
 
@@ -313,6 +316,8 @@ def params_to_dict(params: SemiAEParams, config_echo: dict | None = None) -> dic
 
 def params_from_dict(doc: dict) -> tuple[SemiAEParams, dict]:
     """Inverse of :func:`params_to_dict`; returns (params, config echo)."""
+    if not isinstance(doc, dict):
+        raise ValueError("model JSON is not an object")
     version = doc.get("schema_version")
     if version != MODEL_SCHEMA_VERSION:
         raise ValueError(f"unsupported model schema version {version}")

@@ -1,26 +1,30 @@
 """Parameter-update rules: plain gradient descent, RMSProp and Adam.
 
-Updates are functional: ``update`` returns a new state and new parameters,
-leaving its inputs untouched, so a training loop stays a pure fold and two
-runs from the same seed are bit-identical.
+An :class:`Optimizer` is bound to the parameter buffers it trains (Q, Q1, p,
+p1 in that order).  It allocates its accumulators and two scratch buffers
+once, and ``update`` overwrites the parameters and accumulators in place.
+Each update performs the floating-point operations of the textbook formulas
+in a fixed order, so two runs from the same seed are bit-identical.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import GradientSet, SemiAEParams, with_arrays
+from .model import GradientSet
 
 OPTIMIZER_KINDS = ("sgd", "rmsprop", "adam")
 
 _SLOT_NAMES = ("Q", "Q1", "p", "p1")
+_ACCUMULATORS = {"sgd": (), "rmsprop": ("acc",), "adam": ("m", "v")}
 
 
-@dataclass(frozen=True)
-class OptimizerState:
-    """Optimizer kind, hyperparameters and per-parameter accumulators.
+@dataclass(eq=False)
+class Optimizer:
+    """Optimizer kind, hyperparameters, the parameters it updates and its
+    per-parameter accumulators.
 
     ``slots`` maps parameter name -> accumulator dict ("m"/"v" for adam,
     "acc" for rmsprop); sgd keeps none.  ``t`` counts completed updates.
@@ -28,12 +32,14 @@ class OptimizerState:
 
     kind: str
     learning_rate: float
-    t: int = 0
+    params: tuple[np.ndarray, ...]
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
     rho: float = 0.9
-    slots: dict = field(default_factory=dict)
+    t: int = 0
+    slots: dict = field(init=False)
+    _work: list = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.kind not in OPTIMIZER_KINDS:
@@ -41,80 +47,74 @@ class OptimizerState:
                              f"valid: {OPTIMIZER_KINDS}")
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
+        self.params = tuple(self.params)
+        self.slots = {name: {acc: np.zeros_like(theta)
+                             for acc in _ACCUMULATORS[self.kind]}
+                      for name, theta in zip(_SLOT_NAMES, self.params)}
+        # two scratch buffers sized for the largest parameter, viewed in the
+        # shape of each one
+        size = max(theta.size for theta in self.params)
+        scratch = np.empty(size), np.empty(size)
+        self._work = [tuple(s[:theta.size].reshape(theta.shape)
+                            for s in scratch) for theta in self.params]
 
 
-def make_optimizer(kind: str, learning_rate: float, **hyper) -> OptimizerState:
-    """Fresh optimizer state with canonical default hyperparameters."""
-    return OptimizerState(kind=kind, learning_rate=learning_rate, **hyper)
+def make_optimizer(kind: str, learning_rate: float, params, **hyper) -> Optimizer:
+    """An optimizer over the writable arrays ``params`` (Q, Q1, p, p1), with
+    canonical default hyperparameters."""
+    return Optimizer(kind=kind, learning_rate=learning_rate, params=params,
+                     **hyper)
 
 
-def _grad_items(grads: GradientSet):
-    return zip(_SLOT_NAMES, (grads.dQ, grads.dQ1, grads.dp, grads.dp1))
-
-
-def _param_arrays(params: SemiAEParams):
-    return params.Q, params.Q1, params.p, params.p1
-
-
-def update(state: OptimizerState, params: SemiAEParams,
-           grads: GradientSet) -> tuple[OptimizerState, SemiAEParams]:
-    """Apply one optimizer step; returns (new state, new parameters)."""
-    grads.check_shapes(params)
-    for name, g in _grad_items(grads):
-        if not np.all(np.isfinite(g)):
-            raise ValueError(f"non-finite gradient for parameter {name}")
+def update(state: Optimizer, grads: GradientSet) -> None:
+    """Apply one optimizer step to ``state.params`` in place."""
+    all_grads = (grads.dQ, grads.dQ1, grads.dp, grads.dp1)
+    for name, g, theta in zip(_SLOT_NAMES, all_grads, state.params):
+        if g.shape != theta.shape:
+            raise ValueError(f"gradient shape {g.shape} does not match "
+                             f"parameter {name} shape {theta.shape}")
 
     eta = state.learning_rate
-    t = state.t + 1
-    new_slots: dict = {}
-    new_arrays = []
-    # accumulators and steps are built with explicit buffers: parameters can
-    # hold millions of entries and temporary churn dominates the update cost
-    for (name, g), theta in zip(_grad_items(grads), _param_arrays(params)):
+    state.t += 1
+    first = state.t == 1
+    for name, g, theta, (step, tmp) in zip(_SLOT_NAMES, all_grads,
+                                           state.params, state._work):
+        slot = state.slots[name]
         if state.kind == "sgd":
-            step = np.multiply(g, eta)
-            np.subtract(theta, step, out=step)
-            new_arrays.append(step)
+            np.multiply(g, eta, out=step)
         elif state.kind == "rmsprop":
-            acc_prev = state.slots.get(name, {}).get("acc")
-            # acc = rho * acc_prev + (1 - rho) * g * g
-            scaled = np.multiply(g, 1.0 - state.rho)
-            scaled *= g
-            if acc_prev is None:
-                acc = scaled
-            else:
-                acc = np.multiply(acc_prev, state.rho)
-                acc += scaled
-            # theta - eta * g / sqrt(acc + eps)
-            denom = np.add(acc, state.eps)
-            np.sqrt(denom, out=denom)
-            step = np.multiply(g, eta)
-            step /= denom
-            np.subtract(theta, step, out=step)
-            new_arrays.append(step)
-            new_slots[name] = {"acc": acc}
+            acc = slot["acc"]
+            np.multiply(g, 1.0 - state.rho, out=tmp)
+            tmp *= g
+            _decay_add(acc, state.rho, tmp, first)
+            # eta * g / sqrt(acc + eps)
+            np.add(acc, state.eps, out=tmp)
+            np.sqrt(tmp, out=tmp)
+            np.multiply(g, eta, out=step)
+            step /= tmp
         else:  # adam
-            slot = state.slots.get(name, {})
-            m_prev, v_prev = slot.get("m"), slot.get("v")
-            # m = beta1 * m_prev + (1 - beta1) * g
-            m = np.multiply(g, 1.0 - state.beta1)
-            if m_prev is not None:
-                m += state.beta1 * m_prev
-            # v = beta2 * v_prev + (1 - beta2) * g * g
-            v = np.multiply(g, 1.0 - state.beta2)
-            v *= g
-            if v_prev is not None:
-                v += state.beta2 * v_prev
-            # theta - eta * (m / (1-beta1^t)) / (sqrt(v / (1-beta2^t)) + eps)
-            step = np.divide(m, 1.0 - state.beta1 ** t)
+            m, v = slot["m"], slot["v"]
+            np.multiply(g, 1.0 - state.beta1, out=tmp)
+            _decay_add(m, state.beta1, tmp, first)
+            np.multiply(g, 1.0 - state.beta2, out=tmp)
+            tmp *= g
+            _decay_add(v, state.beta2, tmp, first)
+            # eta * (m / (1-beta1^t)) / (sqrt(v / (1-beta2^t)) + eps)
+            np.divide(m, 1.0 - state.beta1 ** state.t, out=step)
             step *= eta
-            denom = np.divide(v, 1.0 - state.beta2 ** t)
-            np.sqrt(denom, out=denom)
-            denom += state.eps
-            step /= denom
-            np.subtract(theta, step, out=step)
-            new_arrays.append(step)
-            new_slots[name] = {"m": m, "v": v}
+            np.divide(v, 1.0 - state.beta2 ** state.t, out=tmp)
+            np.sqrt(tmp, out=tmp)
+            tmp += state.eps
+            step /= tmp
+        np.subtract(theta, step, out=theta)
 
-    new_state = replace(state, t=t, slots=new_slots)
-    return new_state, with_arrays(params, *new_arrays)
+
+def _decay_add(acc: np.ndarray, decay: float, term: np.ndarray,
+               first: bool) -> None:
+    """acc = decay * acc + term in place; the first step is term alone, not
+    0 + term, whose zeros would lose their sign."""
+    if first:
+        np.copyto(acc, term)
+    else:
+        acc *= decay
+        acc += term

@@ -9,13 +9,18 @@ the explicit rating vector but measuring the loss only at observed user
 positions.
 
 Both loops are seed-deterministic: weight init and the per-epoch row
-shuffles are drawn from one generator seeded by the config.
+shuffles are drawn from one generator seeded by the config.  The loop owns
+the parameter buffers; the optimizer updates them in place after each
+batch, and the :class:`SemiAEParams` built once over them sees every
+update.  A non-finite batch loss stops training with a ValueError naming
+the epoch, the batch, the last finite loss and the learning rate.
 """
 
 from __future__ import annotations
 
 import csv
 import logging
+import math
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
@@ -24,7 +29,8 @@ import numpy as np
 from .dataset import RatingDataset, SideInfoMatrix, build_vectors
 from .evaluation import _rank_unconsumed
 from .model import (SemiAEParams, activation, concat_input, forward,
-                    glorot_init, load_params, loss_and_gradients, save_params)
+                    glorot_init, load_params, loss_and_gradients, save_params,
+                    with_arrays)
 from .optim import OPTIMIZER_KINDS, make_optimizer, update
 
 log = logging.getLogger(__name__)
@@ -119,30 +125,48 @@ class TrainedModel:
             raise ValueError(f"{self.task} task must be {expected}-oriented")
 
 
-def _run_epochs(x: np.ndarray, targets: np.ndarray, mask: np.ndarray | None,
+def _run_epochs(x: np.ndarray, output_dim: int, mask: np.ndarray | None,
                 cfg: TrainConfig, rng: np.random.Generator
                 ) -> tuple[SemiAEParams, list[float]]:
+    # the targets are the first output_dim columns of each input row
     n, input_dim = x.shape
-    output_dim = targets.shape[1]
-    params = glorot_init(input_dim, cfg.hidden_dim, output_dim,
-                         cfg.g, cfg.f, rng)
-    state = make_optimizer(cfg.optimizer, cfg.learning_rate)
+    init = glorot_init(input_dim, cfg.hidden_dim, output_dim,
+                       cfg.g, cfg.f, rng)
+    # the optimizer updates these buffers in place; params views them
+    theta = [np.array(a) for a in (init.Q, init.Q1, init.p, init.p1)]
+    params = with_arrays(init, *theta)
+    state = make_optimizer(cfg.optimizer, cfg.learning_rate, theta)
+    num_batches = -(-n // cfg.batch_size)
     history: list[float] = []
+    last_finite = None
     for epoch in range(cfg.epochs):
         perm = rng.permutation(n)
         weighted = 0.0
-        for start in range(0, n, cfg.batch_size):
+        for batch, start in enumerate(range(0, n, cfg.batch_size)):
             idx = perm[start:start + cfg.batch_size]
+            batch_x = x[idx]
             batch_mask = mask[idx] if mask is not None else None
             loss, grads = loss_and_gradients(
-                params, x[idx], targets[idx], batch_mask, cfg.regularization)
-            state, params = update(state, params, grads)
+                params, batch_x, batch_x[:, :output_dim], batch_mask,
+                cfg.regularization)
+            if not math.isfinite(loss):
+                raise ValueError(
+                    f"training diverged at epoch {epoch + 1}/{cfg.epochs}, "
+                    f"batch {batch + 1}/{num_batches}: loss {loss}, last "
+                    f"finite loss {last_finite}, learning rate "
+                    f"{cfg.learning_rate}")
+            last_finite = loss
+            update(state, grads)
             weighted += loss * len(idx)
         history.append(weighted / n)
         if (epoch + 1) % 100 == 0 or epoch == 0:
             log.info("epoch %d/%d: loss %.6f", epoch + 1, cfg.epochs, history[-1])
         else:
             log.debug("epoch %d/%d: loss %.6f", epoch + 1, cfg.epochs, history[-1])
+    for name, arr in zip(("Q", "Q1", "p", "p1"), theta):
+        if not np.all(np.isfinite(arr)):
+            raise ValueError(f"training diverged: parameter {name} is not "
+                             f"finite after the last update")
     return params, history
 
 
@@ -165,7 +189,7 @@ def train_ranking(train: RatingDataset, profiles: SideInfoMatrix,
     x = concat_input(iv.vectors, profiles.rows)
     mask = iv.mask if cfg.mask_ranking_loss else None
     rng = np.random.default_rng(cfg.seed)
-    params, history = _run_epochs(x, iv.vectors, mask, cfg, rng)
+    params, history = _run_epochs(x, train.num_items, mask, cfg, rng)
     return TrainedModel(params, "ranking", "user", profiles.dim,
                         tuple(history), cfg)
 
@@ -185,7 +209,7 @@ def train_rating(train: RatingDataset, features: SideInfoMatrix,
     iv = build_vectors(train, "item")
     x = concat_input(iv.vectors, features.rows)
     rng = np.random.default_rng(cfg.seed)
-    params, history = _run_epochs(x, iv.vectors, iv.mask, cfg, rng)
+    params, history = _run_epochs(x, train.num_users, iv.mask, cfg, rng)
     return TrainedModel(params, "rating", "item", features.dim,
                         tuple(history), cfg)
 
@@ -265,11 +289,14 @@ def load_model_and_echo(path: str | Path) -> tuple[TrainedModel, dict]:
     (the config, the loss history and the run context of ``extras``)."""
     params, echo = load_params(path)
     try:
-        cfg = TrainConfig(**echo["config"]) if echo.get("config") else None
+        cfg = (TrainConfig.from_dict(echo["config"]) if echo.get("config")
+               else None)
         model = TrainedModel(params, echo["task"], echo["orientation"],
                              echo["side_dim"], tuple(echo["loss_history"]), cfg)
     except KeyError as exc:
         raise ValueError(f"{path}: model echo has no {exc} entry") from None
+    except ValueError as exc:
+        raise ValueError(f"{path}: model echo: {exc}") from None
     return model, echo
 
 

@@ -309,6 +309,22 @@ class TestReproduce:
         assert "ml-1m" in summary
         assert "0.858" in summary  # published reference rendered alongside
 
+    def test_table2_published_figures_only_for_ml100k(self, ml100k_dir,
+                                                      ml1m_dir, tmp_path,
+                                                      capsys):
+        cfg = write_config(tmp_path, epochs=2, binarize_threshold=3.0)
+        summaries = {}
+        for fmt, raw in (("ml-100k", ml100k_dir), ("ml-1m", ml1m_dir)):
+            out_dir = tmp_path / fmt
+            code, _, err = run(capsys, "reproduce", "--table", "2",
+                               "--raw", raw, "--format", fmt, "--seeds", "1",
+                               "--config", cfg, "--out-dir", out_dir)
+            assert code == 0, err
+            summaries[fmt] = (out_dir / "table2_summary.txt").read_text()
+        assert "(published 9.487)" in summaries["ml-100k"]
+        assert "ml-1m ranking" in summaries["ml-1m"]
+        assert "published" not in summaries["ml-1m"]
+
 
 class TestMalformedArtifacts:
     """A model or prepared-data file with a missing entry is a one-line
@@ -350,6 +366,24 @@ class TestMalformedArtifacts:
             code, _, err = run(capsys, *argv)
             self.assert_one_line_error(code, err, "broken.json",
                                        repr(keys[-1]))
+
+    @pytest.mark.parametrize("edit", ["top-level-list", "unknown-config-key"])
+    def test_malformed_model_document(self, ranking_model, prepared_path,
+                                      tmp_path, capsys, edit):
+        doc = json.loads(ranking_model.read_text())
+        if edit == "top-level-list":
+            doc, expected = [doc], "not an object"
+        else:
+            doc["training_config_echo"]["config"]["momentum"] = 0.9
+            expected = "momentum"
+        broken = tmp_path / "broken.json"
+        broken.write_text(json.dumps(doc))
+        for argv in (["evaluate", "--model", broken, "--data", prepared_path,
+                      "--train-fraction", "0.8", "--seed", "0"],
+                     ["recommend", "--model", broken, "--data", prepared_path,
+                      "--user", "1", "--n", "3"]):
+            code, _, err = run(capsys, *argv)
+            self.assert_one_line_error(code, err, "broken.json", expected)
 
     def test_prepared_missing_key(self, ranking_model, prepared_path,
                                   tmp_path, capsys):

@@ -3,8 +3,9 @@ import hashlib
 import numpy as np
 import pytest
 
-from semiae.dataset import (ML100K_GENRES, ML100K_OCCUPATIONS, ParseError,
-                            PreparedData, RatingDataset, align_side_info,
+from semiae.dataset import (ML100K_GENRES, ML100K_OCCUPATIONS,
+                            InteractionVectors, ParseError, PreparedData,
+                            RatingDataset, SideInfoMatrix, align_side_info,
                             binarize, build_vectors, load_raw_directory,
                             parse_item_features, parse_ratings,
                             parse_user_profiles, read_prepared, split,
@@ -316,6 +317,21 @@ class TestBuildVectors:
             InteractionVectors("user", np.array([[1.0, 0.0]]),
                                np.array([[False, False]]))
 
+    @pytest.mark.parametrize("orientation", ["user", "item"])
+    def test_equals_dense_user_matrix_construction(self, orientation):
+        ds = make_random_dataset(RNG(4), 9, 13, 50)
+        vectors = np.zeros((9, 13))
+        mask = np.zeros((9, 13), bool)
+        vectors[ds.users, ds.items] = ds.ratings
+        mask[ds.users, ds.items] = True
+        if orientation == "item":
+            vectors, mask = vectors.T.copy(), mask.T.copy()
+        iv = build_vectors(ds, orientation)
+        assert iv.vectors.tobytes() == vectors.tobytes()
+        assert iv.mask.tobytes() == mask.tobytes()
+        assert iv.vectors.shape == vectors.shape
+        assert iv.vectors.flags.c_contiguous and iv.mask.flags.c_contiguous
+
     def test_vectors_are_immutable(self):
         ds = make_random_dataset(RNG(3), 3, 4, 6)
         iv = build_vectors(ds, "user")
@@ -348,3 +364,31 @@ class TestPreparedRoundTrip:
     def test_missing_file_names_the_expectation(self, tmp_path):
         with pytest.raises(FileNotFoundError, match="u.data"):
             load_raw_directory(tmp_path, "ml-100k")
+
+
+class TestCallersArraysStayWritable:
+    """The containers store read-only views; the arrays passed in stay
+    writable."""
+
+    def test_rating_dataset(self):
+        arrays = (np.array([0, 1], np.int32), np.array([1, 0], np.int32),
+                  np.array([4.0, 2.0]), np.array([0, 1], np.int64))
+        ds = RatingDataset(2, 2, *arrays)
+        for arr, stored in zip(arrays, (ds.users, ds.items, ds.ratings,
+                                        ds.timestamps)):
+            assert arr.flags.writeable
+            assert not stored.flags.writeable
+            np.testing.assert_array_equal(stored, arr)
+
+    def test_side_info_matrix(self):
+        rows = np.ones((2, 1))
+        side = SideInfoMatrix(rows, ("a",), (1, 2))
+        assert rows.flags.writeable
+        assert not side.rows.flags.writeable
+
+    def test_interaction_vectors(self):
+        vectors, mask = np.array([[1.0, 0.0]]), np.array([[True, False]])
+        iv = InteractionVectors("user", vectors, mask)
+        assert vectors.flags.writeable and mask.flags.writeable
+        assert not iv.vectors.flags.writeable
+        assert not iv.mask.flags.writeable

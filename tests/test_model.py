@@ -326,3 +326,14 @@ class TestParamValidation:
         assert np.abs(params.Q1).max() <= lim_q1
         np.testing.assert_array_equal(params.p, 0.0)
         np.testing.assert_array_equal(params.p1, 0.0)
+
+
+def test_params_store_read_only_views_of_callers_arrays():
+    arrays = dict(Q=np.zeros((3, 2)), Q1=np.zeros((2, 3)), p=np.zeros(2),
+                  p1=np.zeros(3))
+    params = SemiAEParams(**arrays)
+    for name, arr in arrays.items():
+        assert arr.flags.writeable
+        assert not getattr(params, name).flags.writeable
+    arrays["p1"][0] = 7.0  # the caller's buffer backs the stored view
+    assert params.p1[0] == 7.0

@@ -1,9 +1,12 @@
+import importlib
+import importlib.util
 import re
 from pathlib import Path
 
 import semiae
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 
 
 def test_every_exported_name_resolves():
@@ -19,3 +22,17 @@ def test_readme_library_import_line_works():
     exec(match.group(0), namespace)
     imported = set(namespace) - {"__builtins__"}
     assert imported and imported <= set(semiae.__all__)
+
+
+def test_every_traced_function_exists():
+    # perfbench/spans.py wraps these by name; a rename would silently drop
+    # its span from a traced benchmark run
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_spans", ROOT / "perfbench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    missing = [f"{home}.{name}" for home, names in spans.SPANS.values()
+               for name in names
+               if not callable(getattr(importlib.import_module(home), name,
+                                       None))]
+    assert missing == []

@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
-from semiae.dataset import RatingDataset, SideInfoMatrix, binarize, split
-from semiae.model import SemiAEParams
+from semiae.dataset import (RatingDataset, SideInfoMatrix, binarize,
+                            build_vectors, split)
+from semiae.model import SemiAEParams, concat_input
 from semiae.trainer import (TrainConfig, TrainedModel, load_model,
                             predict_ratings, ranking_scores, recommend_top_n,
                             save_model, train_ranking, train_rating,
                             write_training_log)
-from util import make_random_dataset
+from util import make_random_dataset, reference_fit
 
 RNG = np.random.default_rng
 
@@ -175,6 +176,74 @@ class TestTrainRating:
                           f="identity", epochs=40, batch_size=4, seed=0)
         model = train_rating(ds, features, cfg)
         assert np.all(np.isfinite(model.loss_history))
+
+
+def _param_bytes(model):
+    p = model.params
+    return [a.tobytes() for a in (p.Q, p.Q1, p.p, p.p1)]
+
+
+def _random_task_data():
+    ds = make_random_dataset(RNG(5), 14, 11, 70)
+    profiles = SideInfoMatrix(RNG(6).normal(size=(14, 2)), ("a", "b"),
+                              tuple(range(14)))
+    features = SideInfoMatrix(RNG(7).random((11, 3)), ("a", "b", "c"),
+                              tuple(range(11)))
+    return ds, profiles, features
+
+
+class TestSameBits:
+    @pytest.mark.parametrize("optimizer", ["sgd", "rmsprop", "adam"])
+    def test_one_seed_gives_the_same_bits_twice(self, optimizer):
+        ds, profiles, features = _random_task_data()
+        kw = dict(optimizer=optimizer, learning_rate=0.01,
+                  regularization=0.1, g="sigmoid", epochs=4, batch_size=4,
+                  seed=3)
+        for train, side, cfg, fit in (
+                (binarize(ds), profiles, ranking_cfg(**kw), train_ranking),
+                (ds, features, rating_cfg(**kw), train_rating)):
+            a, b = fit(train, side, cfg), fit(train, side, cfg)
+            assert _param_bytes(a) == _param_bytes(b)
+            assert a.loss_history == b.loss_history
+
+    @pytest.mark.parametrize("optimizer", ["sgd", "rmsprop", "adam"])
+    @pytest.mark.parametrize("g,f", [("sigmoid", "identity"),
+                                     ("tanh", "sigmoid")])
+    def test_training_equals_the_functional_reference_fold(self, optimizer,
+                                                          g, f):
+        ds, profiles, features = _random_task_data()
+        kw = dict(optimizer=optimizer, learning_rate=0.01,
+                  regularization=0.1, g=g, f=f, epochs=3, batch_size=4,
+                  seed=2)
+        liked = binarize(ds)
+        cases = (
+            (liked, profiles, ranking_cfg(**kw), train_ranking, "user", False),
+            (liked, profiles, ranking_cfg(mask_ranking_loss=True, **kw),
+             train_ranking, "user", True),
+            (ds, features, rating_cfg(**kw), train_rating, "item", True),
+        )
+        for train, side, cfg, fit, orientation, masked in cases:
+            iv = build_vectors(train, orientation)
+            x = concat_input(iv.vectors, side.rows)
+            theta, history = reference_fit(x, iv.vectors,
+                                           iv.mask if masked else None, cfg)
+            model = fit(train, side, cfg)
+            assert _param_bytes(model) == [a.tobytes() for a in theta]
+            assert list(model.loss_history) == history
+
+
+class TestDivergence:
+    def test_non_finite_loss_names_epoch_batch_loss_and_rate(self):
+        train, profiles = toy_ranking_data()
+        cfg = ranking_cfg(learning_rate=1e12, epochs=50, batch_size=1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError) as info:
+                train_ranking(train, profiles, cfg)
+        message = str(info.value)
+        assert "diverged at epoch " in message
+        assert "batch " in message
+        assert "last finite loss " in message
+        assert "learning rate 1000000000000.0" in message
 
 
 class TestPredictRatings:

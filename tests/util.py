@@ -169,3 +169,96 @@ def brute_force_masked_loss(out, targets, mask, Q, Q1, reg):
         sq1 = math.fsum(float(v) * float(v) for row in Q1 for v in row)
         penalty = 0.5 * reg * (sq + sq1)
     return math.fsum(terms) / n_rows + penalty
+
+
+def reference_update(kind, eta, theta, slots, grads, t, beta1=0.9,
+                     beta2=0.999, eps=1e-8, rho=0.9):
+    """One optimizer step as plain expressions that return new arrays.
+
+    ``theta`` and ``grads`` are (Q, Q1, p, p1); ``slots`` is the per-tensor
+    accumulator list of the previous step, or None before the first.
+    Returns ``(new theta, new slots)`` and mutates nothing.
+    """
+    new_theta, new_slots = [], []
+    for k, (th, g) in enumerate(zip(theta, grads)):
+        prev = slots[k] if slots is not None else {}
+        if kind == "sgd":
+            new_theta.append(th - g * eta)
+            new_slots.append({})
+        elif kind == "rmsprop":
+            acc = g * (1.0 - rho) * g
+            if "acc" in prev:
+                acc = prev["acc"] * rho + acc
+            new_theta.append(th - g * eta / np.sqrt(acc + eps))
+            new_slots.append({"acc": acc})
+        else:
+            m = g * (1.0 - beta1)
+            v = g * (1.0 - beta2) * g
+            if "m" in prev:
+                m = m + beta1 * prev["m"]
+                v = v + beta2 * prev["v"]
+            step = m / (1.0 - beta1 ** t) * eta
+            new_theta.append(th - step / (np.sqrt(v / (1.0 - beta2 ** t))
+                                          + eps))
+            new_slots.append({"m": m, "v": v})
+    return tuple(new_theta), new_slots
+
+
+def reference_loss_and_gradients(params, batch_x, targets, mask, reg):
+    """The loss and its gradients as plain expressions, one new array per
+    intermediate, multiplying by every activation derivative."""
+    from semiae.model import activation
+
+    g, f = activation(params.g), activation(params.f)
+    b = batch_x.shape[0]
+    z1 = batch_x @ params.Q + params.p
+    hid = g.fn(z1)
+    z2 = hid @ params.Q1 + params.p1
+    diff = f.fn(z2) - targets
+    if mask is not None:
+        diff = diff * mask
+    loss = float(np.sum(diff * diff)) / b
+    if reg != 0.0:
+        loss += 0.5 * reg * (float(np.sum(params.Q * params.Q))
+                             + float(np.sum(params.Q1 * params.Q1)))
+    d_z2 = (2.0 / b) * diff * f.deriv(z2)
+    d_z1 = (d_z2 @ params.Q1.T) * g.deriv(z1)
+    d_q = batch_x.T @ d_z1
+    d_q1 = hid.T @ d_z2
+    if reg != 0.0:
+        d_q = d_q + reg * params.Q
+        d_q1 = d_q1 + reg * params.Q1
+    return loss, (d_q, d_q1, d_z1.sum(axis=0), d_z2.sum(axis=0))
+
+
+def reference_fit(x, targets, mask, cfg):
+    """Seeded mini-batch training as a functional fold of
+    :func:`reference_loss_and_gradients` and :func:`reference_update`:
+    the same generator draws, batches and arithmetic as the trainer.
+    Returns ``((Q, Q1, p, p1), loss history)``."""
+    from dataclasses import replace
+
+    from semiae.model import glorot_init
+
+    rng = np.random.default_rng(cfg.seed)
+    n, input_dim = x.shape
+    params = glorot_init(input_dim, cfg.hidden_dim, targets.shape[1],
+                         cfg.g, cfg.f, rng)
+    theta, slots, t = (params.Q, params.Q1, params.p, params.p1), None, 0
+    history = []
+    for _ in range(cfg.epochs):
+        perm = rng.permutation(n)
+        weighted = 0.0
+        for start in range(0, n, cfg.batch_size):
+            idx = perm[start:start + cfg.batch_size]
+            current = replace(params, Q=theta[0], Q1=theta[1], p=theta[2],
+                              p1=theta[3])
+            loss, grads = reference_loss_and_gradients(
+                current, x[idx], targets[idx],
+                mask[idx] if mask is not None else None, cfg.regularization)
+            t += 1
+            theta, slots = reference_update(cfg.optimizer, cfg.learning_rate,
+                                            theta, slots, grads, t)
+            weighted += loss * len(idx)
+        history.append(weighted / n)
+    return theta, history
