@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import json
 import logging
@@ -117,11 +118,13 @@ def _score(model: TrainedModel, prepared: PreparedData, train: RatingDataset,
     if model.task == "rating":
         preds = predict_ratings(model, train, prepared.item_side)
         return {("semi-autoencoder", "rmse"): rmse(preds, test)}
+    # each method ranks a user's top max(N) once; every N reads that list
     top = max(recall_ns)
-    methods = {"semi-autoencoder": lambda u: recommend_top_n(
-        model, train, prepared.user_side, u, top)}
+    methods = {"semi-autoencoder": functools.cache(lambda u: recommend_top_n(
+        model, train, prepared.user_side, u, top))}
     if baseline:
-        methods["most-popular"] = lambda u: most_popular(train, u, top)
+        methods["most-popular"] = functools.cache(
+            lambda u: most_popular(train, u, top))
     return {(method, f"recall@{n}"): recall_at_n(rec, test, n)
             for method, rec in methods.items() for n in sorted(set(recall_ns))}
 
@@ -199,6 +202,8 @@ def cmd_evaluate(args) -> int:
         if model.task == "rating":
             raise ValueError("--recall is a ranking metric; this model "
                              "predicts ratings (use it without --recall)")
+        if min(recall_ns) < 0:
+            raise ValueError(f"--recall values must be >= 0, got {args.recall}")
     cfg = model.config or TrainConfig.defaults(model.task)
     train, test = _split(prepared, cfg, args.train_fraction, args.seed)
     if test is None:

@@ -19,6 +19,7 @@ from __future__ import annotations
 import json
 import logging
 from dataclasses import dataclass, replace
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -120,6 +121,34 @@ class RatingDataset:
 
     def __len__(self) -> int:
         return len(self.ratings)
+
+    @cached_property
+    def by_user(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per-user index of the triples, built on first use: ``(indptr,
+        items, ratings)``, user ``u``'s items and ratings at
+        ``indptr[u]:indptr[u + 1]`` in triple order; read-only, so it
+        cannot go stale on this frozen object."""
+        order = np.argsort(self.users, kind="stable")
+        indptr = np.zeros(self.num_users + 1, np.int64)
+        np.cumsum(np.bincount(self.users, minlength=self.num_users),
+                  out=indptr[1:])
+        index = (indptr, self.items[order], self.ratings[order])
+        for arr in index:
+            arr.flags.writeable = False
+        return index
+
+    def user_slice(self, user: int) -> tuple[np.ndarray, np.ndarray]:
+        """The items and ratings of ``user``'s triples, from :attr:`by_user`."""
+        indptr, items, ratings = self.by_user
+        lo, hi = indptr[user], indptr[user + 1]
+        return items[lo:hi], ratings[lo:hi]
+
+    @cached_property
+    def item_counts(self) -> np.ndarray:
+        """Triples per item, ``(num_items,)``, built on first use; read-only."""
+        counts = np.bincount(self.items, minlength=self.num_items)
+        counts.flags.writeable = False
+        return counts
 
     def triples(self) -> list[tuple[int, int, float, int]]:
         """The observed set as a list of (user, item, rating, timestamp)."""

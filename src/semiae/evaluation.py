@@ -73,20 +73,23 @@ def recall_at_n(recommender: Callable[[int], Iterable[int]],
     """Mean per-user Recall@N as a percentage, over users with test items.
 
     ``recommender(user)`` must yield ranked item indices (at least ``n`` of
-    them, when that many candidates exist).  Users with no relevant test
-    item are excluded from the mean; if no user qualifies that is an error.
+    them, when that many candidates exist); it is called once per user, in
+    ascending user order.  Users with no relevant test item are excluded
+    from the mean; if no user qualifies that is an error.
     """
-    relevant: dict[int, set[int]] = {}
-    for u, i in zip(test.users.tolist(), test.items.tolist()):
-        relevant.setdefault(u, set()).add(i)
-    if not relevant:
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    indptr, items, _ = test.by_user
+    users = np.flatnonzero(np.diff(indptr)).tolist()
+    if not users:
         raise ValueError("no user has a relevant test item")
     total = 0.0
-    for u in sorted(relevant):
+    for u in users:
+        relevant = set(items[indptr[u]:indptr[u + 1]].tolist())
         top = list(recommender(u))[:n]
-        hits = sum(1 for i in top if i in relevant[u])
-        total += hits / len(relevant[u])
-    return 100.0 * total / len(relevant)
+        hits = sum(1 for i in top if i in relevant)
+        total += hits / len(relevant)
+    return 100.0 * total / len(users)
 
 
 def num_users_with_test_items(test: RatingDataset) -> int:
@@ -104,15 +107,25 @@ def most_popular(train: RatingDataset, user: int, n: int) -> list[int]:
         raise ValueError(f"user index {user} out of range")
     if n < 0:
         raise ValueError("n must be >= 0")
-    counts = np.bincount(train.items, minlength=train.num_items)
-    return _rank_unconsumed(counts, train, user, n)
+    return _rank_unconsumed(train.item_counts, train, user, n)
 
 
 def _rank_unconsumed(scores: np.ndarray, train: RatingDataset, user: int,
                      n: int) -> list[int]:
-    """The ``n`` best-scoring items the user has no training triple for;
-    ties break toward the lower item index."""
-    consumed = np.zeros(train.num_items, bool)
-    consumed[train.items[train.users == user]] = True
-    order = np.lexsort((np.arange(len(scores)), -scores))
-    return order[~consumed[order]][:n].tolist()
+    """The ``n`` best-scoring items the user has no training triple for, in
+    descending score order; ties break toward the lower item index and NaN
+    scores rank last.
+
+    Only the candidates at or above the ``n``-th best score are sorted.
+    """
+    candidate = np.ones(len(scores), bool)
+    candidate[train.user_slice(user)[0]] = False
+    items = np.flatnonzero(candidate)
+    neg = -scores[items]
+    if 0 < n < len(items):
+        cut = np.partition(neg, n - 1)[n - 1]
+        if not np.isnan(cut):  # a NaN cut-off: fewer than n numbers, sort all
+            survive = neg <= cut
+            items, neg = items[survive], neg[survive]
+    # a stable sort keeps equal scores in ascending item order
+    return items[np.argsort(neg, kind="stable")][:n].tolist()

@@ -37,10 +37,6 @@ def _identity(z: np.ndarray) -> np.ndarray:
     return z
 
 
-def _identity_deriv(z: np.ndarray) -> np.ndarray:
-    return np.ones_like(z)
-
-
 def _sigmoid(z: np.ndarray) -> np.ndarray:
     # two-branch form: never exponentiates a large positive argument
     out = np.empty_like(z, dtype=np.float64)
@@ -51,38 +47,30 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _sigmoid_deriv(z: np.ndarray) -> np.ndarray:
-    s = _sigmoid(z)
-    return s * (1.0 - s)
-
-
 def _relu(z: np.ndarray) -> np.ndarray:
     return np.maximum(z, 0.0)
 
 
-def _relu_deriv(z: np.ndarray) -> np.ndarray:
-    return np.where(z > 0, 1.0, 0.0)
-
-
-def _tanh_deriv(z: np.ndarray) -> np.ndarray:
-    t = np.tanh(z)
-    return 1.0 - t * t
-
-
 @dataclass(frozen=True)
 class Activation:
-    """An elementwise activation with its derivative (both at pre-activation)."""
+    """An elementwise activation ``a = fn(z)`` with its derivative written
+    in terms of the activation's value: ``fn'(z) = deriv_at_value(a)``, so a
+    backward pass reuses the forward pass's output."""
 
     name: str
     fn: Callable[[np.ndarray], np.ndarray]
-    deriv: Callable[[np.ndarray], np.ndarray]
+    deriv_at_value: Callable[[np.ndarray], np.ndarray]
+
+    def deriv(self, z: np.ndarray) -> np.ndarray:
+        """The derivative at pre-activation ``z``."""
+        return self.deriv_at_value(self.fn(z))
 
 
 ACTIVATIONS = {
-    "identity": Activation("identity", _identity, _identity_deriv),
-    "sigmoid": Activation("sigmoid", _sigmoid, _sigmoid_deriv),
-    "relu": Activation("relu", _relu, _relu_deriv),
-    "tanh": Activation("tanh", np.tanh, _tanh_deriv),
+    "identity": Activation("identity", _identity, np.ones_like),
+    "sigmoid": Activation("sigmoid", _sigmoid, lambda s: s * (1.0 - s)),
+    "relu": Activation("relu", _relu, lambda h: h > 0),
+    "tanh": Activation("tanh", np.tanh, lambda t: 1.0 - t * t),
 }
 
 
@@ -193,7 +181,7 @@ def _forward_cache(params: SemiAEParams, batch_x: np.ndarray):
     z2 = hid @ params.Q1
     z2 += params.p1
     out = activation(params.f).fn(z2)
-    return z1, hid, z2, out
+    return hid, out
 
 
 def forward(params: SemiAEParams, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -202,7 +190,7 @@ def forward(params: SemiAEParams, x: np.ndarray) -> tuple[np.ndarray, np.ndarray
     Returns ``(h, out)`` with the same leading shape as ``x``.
     """
     batch, was_vector = _as_batch(x, params.input_dim, "input")
-    _, hid, _, out = _forward_cache(params, batch)
+    hid, out = _forward_cache(params, batch)
     if was_vector:
         return hid[0], out[0]
     return hid, out
@@ -224,7 +212,7 @@ def _weight_penalty(params: SemiAEParams, reg: float, exact: bool) -> float:
 def _loss_value(params, batch_x, targets, mask, reg) -> float:
     # public losses use exactly rounded sums so that the value is a function
     # of the terms alone, comparable against any independent accumulation
-    _, _, _, out = _forward_cache(params, batch_x)
+    _, out = _forward_cache(params, batch_x)
     diff = out - targets
     if mask is not None:
         diff = diff * mask
@@ -272,10 +260,13 @@ def loss_and_gradients(params: SemiAEParams, batch_x: np.ndarray,
     """Compute the (masked or full) loss and its exact analytic gradients."""
     batch, tgt, m = _check_loss_args(params, batch_x, targets, mask)
     b = batch.shape[0]
-    z1, hid, z2, out = _forward_cache(params, batch)
+    hid, out = _forward_cache(params, batch)
+    # both derivatives come from the activations' values; the identity's
+    # is 1 and its multiply is skipped
+    if params.f != "identity":
+        f_prime = activation(params.f).deriv_at_value(out)
 
-    # the output buffer becomes the difference, then dLoss/dz2; it is z2
-    # itself when f is the identity, whose derivative is then not needed
+    # the output buffer becomes the difference, then dLoss/dz2
     diff = np.subtract(out, tgt, out=out)
     if m is not None:
         diff *= m
@@ -285,12 +276,12 @@ def loss_and_gradients(params: SemiAEParams, batch_x: np.ndarray,
     d_z2 = diff
     d_z2 *= 2.0 / b
     if params.f != "identity":
-        d_z2 *= activation(params.f).deriv(z2)
+        d_z2 *= f_prime
     d_q1 = hid.T @ d_z2
     d_p1 = d_z2.sum(axis=0)
     d_z1 = d_z2 @ params.Q1.T
     if params.g != "identity":
-        d_z1 *= activation(params.g).deriv(z1)
+        d_z1 *= activation(params.g).deriv_at_value(hid)
     d_q = batch.T @ d_z1
     d_p = d_z1.sum(axis=0)
     if reg != 0.0:

@@ -244,8 +244,8 @@ def ranking_scores(model: TrainedModel, train: RatingDataset,
     if not 0 <= user < train.num_users:
         raise ValueError(f"user index {user} out of range")
     row = np.zeros(train.num_items)
-    owned = train.users == user
-    row[train.items[owned]] = train.ratings[owned]
+    items, ratings = train.user_slice(user)
+    row[items] = ratings
     x = concat_input(row, profiles.rows[user])
     _, out = forward(model.params, x)
     return out

@@ -197,6 +197,16 @@ class TestEvaluate:
         assert code == 1
         assert "ranking" in err
 
+    def test_negative_recall_n_is_an_error(self, ranking_model,
+                                           prepared_path, capsys):
+        code, stdout, err = run(capsys, "evaluate", "--model", ranking_model,
+                                "--data", prepared_path,
+                                "--train-fraction", "0.8", "--seed", "3",
+                                "--recall", "10,-1")
+        assert code == 1
+        assert stdout == ""
+        assert err == "error: --recall values must be >= 0, got 10,-1\n"
+
     def test_split_mismatch_is_flagged(self, rating_model, prepared_path,
                                        capsys, caplog):
         import logging
@@ -429,3 +439,26 @@ class TestRunCell:
         expected = {(method, f"recall@{n}"): recall_at_n(rec, test, n)
                     for method, rec in recommenders.items() for n in (5, 10)}
         assert run_cell(prepared, cfg, 0.3, 2) == expected
+
+    def test_each_recommender_runs_once_per_user(self, ml100k_dir,
+                                                 monkeypatch):
+        import semiae.cli as cli
+        calls = []
+        for name in ("recommend_top_n", "most_popular"):
+            original = getattr(cli, name)
+
+            def counted(*args, _name=name, _original=original):
+                calls.append((_name, args[-2], args[-1]))
+                return _original(*args)
+            monkeypatch.setattr(cli, name, counted)
+        prepared = load_raw_directory(ml100k_dir, "ml-100k")
+        cfg = TrainConfig.from_dict({"epochs": 2, "seed": 2,
+                                     "binarize_threshold": 3.0},
+                                    task="ranking")
+        metrics = run_cell(prepared, cfg, 0.3, 2)
+        assert set(metrics) == {(m, f"recall@{n}") for n in (5, 10)
+                                for m in ("semi-autoencoder", "most-popular")}
+        test = binarize(split(prepared.ratings, 0.3, 2)[1], 3.0)
+        assert calls == [(name, u, 10) for name in ("recommend_top_n",
+                                                   "most_popular")
+                         for u in sorted(set(test.users.tolist()))]

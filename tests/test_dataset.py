@@ -339,6 +339,61 @@ class TestBuildVectors:
             iv.vectors[0, 0] = 9.0
 
 
+class TestPerUserIndex:
+    """Each dataset object indexes its own triples: split halves and
+    binarized sets get their own index and item counts, read-only."""
+
+    def assert_indexes_own_triples(self, ds):
+        indptr, items, ratings = ds.by_user
+        assert indptr.tolist()[0] == 0 and indptr.tolist()[-1] == len(ds)
+        assert len(indptr) == ds.num_users + 1
+        for u in range(ds.num_users):
+            owned = [(i, r) for uu, i, r, _ in ds.triples() if uu == u]
+            lo, hi = indptr[u], indptr[u + 1]
+            assert list(zip(items[lo:hi].tolist(),
+                            ratings[lo:hi].tolist())) == owned
+            got_items, got_ratings = ds.user_slice(u)
+            assert got_items.tolist() == [i for i, _ in owned]
+            assert got_ratings.tolist() == [r for _, r in owned]
+        counts = [0] * ds.num_items
+        for i in ds.items.tolist():
+            counts[i] += 1
+        assert ds.item_counts.tolist() == counts
+        for arr in (*ds.by_user, ds.item_counts):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[...] = 0
+        assert ds.by_user is ds.by_user
+        assert ds.item_counts is ds.item_counts
+
+    def test_split_and_binarized_sets(self, ml100k_dir):
+        ds = load_raw_directory(ml100k_dir, "ml-100k").ratings
+        self.assert_indexes_own_triples(ds)  # built before deriving others
+        train, test = split(ds, 0.3, 4)
+        derived = (train, test, binarize(train, 3.0), binarize(test, 3.0),
+                   binarize(ds, 5.0))
+        assert len(derived[-1]) == 0
+        for half in derived:
+            self.assert_indexes_own_triples(half)
+            assert half.by_user[0] is not ds.by_user[0]
+            assert half.item_counts is not ds.item_counts
+
+    def test_shuffled_triples_keep_their_order_within_a_user(self):
+        ds = make_random_dataset(RNG(6), 10, 40, 300)
+        perm = RNG(7).permutation(len(ds))
+        shuffled = RatingDataset(10, 40, ds.users[perm], ds.items[perm],
+                                 ds.ratings[perm], ds.timestamps[perm])
+        self.assert_indexes_own_triples(shuffled)
+
+    def test_users_and_items_without_triples(self):
+        ds = RatingDataset(4, 5, np.array([2, 0, 2], np.int32),
+                           np.array([4, 1, 0], np.int32),
+                           np.array([3.0, 5.0, 1.0]), np.zeros(3, np.int64))
+        self.assert_indexes_own_triples(ds)
+        assert ds.by_user[0].tolist() == [0, 1, 1, 3, 3]
+        assert ds.user_slice(2)[0].tolist() == [4, 0]
+
+
 class TestPreparedRoundTrip:
     def test_round_trip_and_deterministic_bytes(self, ml100k_dir, tmp_path):
         data = load_raw_directory(ml100k_dir, "ml-100k")

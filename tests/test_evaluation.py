@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from semiae.dataset import RatingDataset, binarize
-from semiae.evaluation import (EvalReport, most_popular,
+from semiae.evaluation import (EvalReport, _rank_unconsumed, most_popular,
                                num_users_with_test_items, recall_at_n, rmse)
 from util import make_random_dataset
 
@@ -77,6 +79,11 @@ class TestRecallAtN:
     def test_n_zero_gives_zero(self):
         test = self.binary(1, 3, [(0, 1)])
         assert recall_at_n(lambda u: [1, 2], test, 0) == 0.0
+
+    def test_negative_n_is_an_error(self):
+        test = self.binary(1, 3, [(0, 1)])
+        with pytest.raises(ValueError, match=">= 0"):
+            recall_at_n(lambda u: [1, 2], test, -1)
 
     def test_no_relevant_users_is_an_error(self):
         test = self.binary(2, 2, [])
@@ -169,6 +176,55 @@ class TestMostPopular:
                 per_user.append(len(set(ranked) & relevant) / len(relevant))
             slow = 100.0 * sum(per_user) / len(per_user)
             assert fast == pytest.approx(slow, abs=1e-9)
+
+
+def reference_rank(scores, consumed, n):
+    """Sort every item by descending score, ties to the lower index, then
+    drop the consumed ones."""
+    order = np.lexsort((np.arange(len(scores)), -scores))
+    return [i for i in order.tolist() if i not in consumed][:n]
+
+
+SCORE_VALUES = st.one_of(
+    st.floats(-1e3, 1e3, width=64),
+    st.sampled_from([0.0, -0.0, 1.0, np.inf, -np.inf, np.nan]))
+
+
+@st.composite
+def ranking_cases(draw):
+    """Scores drawn from a small pool, so that ties (also at the cut-off)
+    are common; float pools may hold +-inf and NaN, integer pools are
+    counts.  User 0 consumes a subset of the items, sometimes all of them;
+    user 1 holds triples that must not affect user 0's list."""
+    num_items = draw(st.integers(1, 25))
+    if draw(st.booleans()):
+        pool = draw(st.lists(st.integers(0, 6), min_size=1, max_size=4))
+    else:
+        pool = draw(st.lists(SCORE_VALUES, min_size=1, max_size=5))
+    scores = np.array(draw(st.lists(st.sampled_from(pool), min_size=num_items,
+                                    max_size=num_items)))
+    items = st.sets(st.integers(0, num_items - 1))
+    consumed = draw(st.one_of(st.just(set(range(num_items))), items))
+    other = draw(items)
+    n = draw(st.integers(0, num_items + 2))
+    return scores, consumed, other, n
+
+
+class TestRankUnconsumed:
+    @settings(max_examples=400, deadline=None)
+    @given(ranking_cases())
+    @example((np.array([2.0, 1.0, 1.0, 1.0, 0.0]), {3}, set(), 2))
+    @example((np.array([np.nan, 1.0, np.nan, 0.0]), set(), {0}, 3))
+    @example((np.array([-np.inf, np.inf, 0.0]), {1}, set(), 0))
+    def test_equals_full_sort_then_filter(self, case):
+        scores, consumed, other, n = case
+        pairs = [(0, i) for i in sorted(consumed)] + \
+            [(1, i) for i in sorted(other)]
+        train = dataset_from_triples(2, len(scores),
+                                     [(u, i, 1.0) for u, i in pairs],
+                                     scale=(0.0, 1.0))
+        assert _rank_unconsumed(scores, train, 0, n) == \
+            reference_rank(scores, consumed, n)
 
 
 class TestEvalReport:
