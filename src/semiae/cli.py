@@ -78,8 +78,7 @@ def _write_manifest(primary_out: Path, command: str, args: dict,
 def _load_config(config_path: str | None, task: str) -> TrainConfig:
     if config_path is None:
         return TrainConfig.defaults(task)
-    with open(config_path, encoding="utf-8") as fh:
-        doc = json.load(fh)
+    doc = ds_mod.read_json(config_path)
     if not isinstance(doc, dict):
         raise ValueError(f"{config_path}: config must be a flat JSON object")
     return TrainConfig.from_dict(doc, task)

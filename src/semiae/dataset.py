@@ -20,6 +20,7 @@ import json
 import logging
 from dataclasses import dataclass, replace
 from functools import cached_property
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -535,11 +536,56 @@ class PreparedData:
     item_side: SideInfoMatrix
 
 
+def _json_chunks(value):
+    """The text of ``json.dumps(value, sort_keys=True, separators=(",", ":"))``
+    in pieces, each made by the C encoder: a dict one entry at a time, an
+    array of two or more dimensions one row at a time, a 1-D array as its
+    list."""
+    if isinstance(value, dict):
+        yield "{"
+        for k, (key, item) in enumerate(sorted(value.items())):
+            # json turns a non-string key into its JSON text, as a string
+            yield ("," if k else "") + json.dumps(
+                key if isinstance(key, str) else json.dumps(key)) + ":"
+            yield from _json_chunks(item)
+        yield "}"
+    elif isinstance(value, np.ndarray) and value.ndim > 1:
+        yield "["
+        for k, row in enumerate(value):
+            yield "," if k else ""
+            yield from _json_chunks(row)
+        yield "]"
+    else:
+        if isinstance(value, np.ndarray):
+            value = value.tolist()
+        yield json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
+def write_json(path: str | Path, doc: dict) -> None:
+    """Write ``doc`` with exactly the bytes of ``json.dump(doc, fh,
+    sort_keys=True, separators=(",", ":"))``, where numpy arrays among the
+    dict values stand for their ``tolist()``.  The text is streamed to the
+    file in pieces, so neither the document nor an array as nested lists
+    is ever held whole."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(_json_chunks(doc))
+
+
+def read_json(path: str | Path):
+    """Load a JSON file; a file that is not valid UTF-8 JSON raises
+    ValueError naming it."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:
+            raise ValueError(f"{path}: not a valid JSON file: {exc}") from None
+
+
 def _side_to_json(side: SideInfoMatrix) -> dict:
     return {
         "dim": side.dim,
         "column_labels": list(side.column_labels),
-        "rows": side.rows.tolist(),
+        "rows": side.rows,
         "num_missing_year": side.num_missing_year,
     }
 
@@ -558,33 +604,46 @@ def write_prepared(path: str | Path, data: PreparedData) -> None:
         "num_users": ds.num_users,
         "num_items": ds.num_items,
         "rating_scale": list(ds.rating_scale),
-        "triples": [[int(u), int(i), r, int(t)] for u, i, r, t in
-                    zip(ds.users, ds.items, ds.ratings, ds.timestamps)],
+        "triples": ds.triples(),  # tuples encode as JSON lists
         "user_side_info": _side_to_json(data.user_side),
         "item_side_info": _side_to_json(data.item_side),
         "id_maps": {"users": list(ds.user_ids), "items": list(ds.item_ids)},
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True, separators=(",", ":"))
+    write_json(path, doc)
+
+
+def _triple_columns(triples) -> list[np.ndarray]:
+    """The users, items, ratings and timestamps of the prepared triples."""
+    if not (isinstance(triples, list) and set(map(type, triples)) <= {list}
+            and set(map(len, triples)) <= {4}):
+        raise ValueError("'triples' must be a list of [user, item, rating, "
+                         "timestamp] entries")
+    # one column's list at a time
+    return [np.asarray(list(map(itemgetter(k), triples)), dtype)
+            for k, dtype in enumerate((np.int32, np.int32, np.float64,
+                                       np.int64))]
 
 
 def read_prepared(path: str | Path) -> PreparedData:
-    """Load a prepared dataset written by :func:`write_prepared`; a missing
-    entry raises ValueError naming the file and the entry."""
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
+    """Load a prepared dataset written by :func:`write_prepared`; a malformed
+    file raises ValueError naming the file and, for a missing entry, the
+    entry."""
+    doc = read_json(path)
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: prepared data is not a JSON object")
     version = doc.get("schema_version")
     if version != PREPARED_SCHEMA_VERSION:
-        raise ValueError(f"unsupported prepared-data schema version {version}")
+        raise ValueError(
+            f"{path}: unsupported prepared-data schema version {version}")
     try:
-        triples = doc["triples"]
+        users, items, ratings, stamps = _triple_columns(doc["triples"])
         ds = RatingDataset(
             num_users=doc["num_users"],
             num_items=doc["num_items"],
-            users=np.asarray([t[0] for t in triples], np.int32),
-            items=np.asarray([t[1] for t in triples], np.int32),
-            ratings=np.asarray([t[2] for t in triples], np.float64),
-            timestamps=np.asarray([t[3] for t in triples], np.int64),
+            users=users,
+            items=items,
+            ratings=ratings,
+            timestamps=stamps,
             rating_scale=tuple(doc["rating_scale"]),
             user_ids=tuple(doc["id_maps"]["users"]),
             item_ids=tuple(doc["id_maps"]["items"]),
@@ -596,6 +655,8 @@ def read_prepared(path: str | Path) -> PreparedData:
         )
     except KeyError as exc:
         raise ValueError(f"{path}: prepared data has no {exc} entry") from None
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: prepared data: {exc}") from None
 
 
 RAW_FILES = {

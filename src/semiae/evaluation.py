@@ -2,14 +2,13 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable
 
 import numpy as np
 
-from .dataset import RatingDataset
+from .dataset import RatingDataset, write_json
 
 
 @dataclass(frozen=True)
@@ -48,8 +47,7 @@ class EvalReport:
         return doc
 
     def save(self, path: str | Path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, sort_keys=True, separators=(",", ":"))
+        write_json(path, self.to_dict())
 
 
 def rmse(predictions: np.ndarray, test: RatingDataset) -> float:

@@ -20,7 +20,6 @@ matrices (never the biases):
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -28,7 +27,7 @@ from typing import Callable
 
 import numpy as np
 
-from .dataset import store_read_only
+from .dataset import read_json, store_read_only, write_json
 
 MODEL_SCHEMA_VERSION = 1
 
@@ -291,16 +290,18 @@ def loss_and_gradients(params: SemiAEParams, batch_x: np.ndarray,
 
 
 def params_to_dict(params: SemiAEParams, config_echo: dict | None = None) -> dict:
-    """Versioned JSON-ready form; floats survive a round trip losslessly."""
+    """Versioned form for :func:`semiae.dataset.write_json`, which writes
+    the arrays, kept as they are, as nested lists; floats survive a round
+    trip losslessly."""
     return {
         "schema_version": MODEL_SCHEMA_VERSION,
         "dims": {"S": params.input_dim, "H": params.hidden_dim,
                  "D": params.output_dim},
         "activations": {"g": params.g, "f": params.f},
-        "Q": params.Q.tolist(),
-        "Q1": params.Q1.tolist(),
-        "p": params.p.tolist(),
-        "p1": params.p1.tolist(),
+        "Q": params.Q,
+        "Q1": params.Q1,
+        "p": params.p,
+        "p1": params.p1,
         "training_config_echo": config_echo or {},
     }
 
@@ -324,22 +325,24 @@ def params_from_dict(doc: dict) -> tuple[SemiAEParams, dict]:
         )
     except KeyError as exc:
         raise ValueError(f"model JSON has no {exc} entry") from None
-    return params, doc.get("training_config_echo", {})
+    except TypeError as exc:
+        raise ValueError(f"model JSON: {exc}") from None
+    echo = doc.get("training_config_echo", {})
+    if not isinstance(echo, dict):
+        raise ValueError("model JSON 'training_config_echo' is not an object")
+    return params, echo
 
 
 def save_params(path: str | Path, params: SemiAEParams,
                 config_echo: dict | None = None) -> None:
     """Write the model JSON with deterministic bytes."""
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(params_to_dict(params, config_echo), fh,
-                  sort_keys=True, separators=(",", ":"))
+    write_json(path, params_to_dict(params, config_echo))
 
 
 def load_params(path: str | Path) -> tuple[SemiAEParams, dict]:
     """Read a model JSON written by :func:`save_params`; a malformed file
     raises ValueError naming it."""
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
+    doc = read_json(path)
     try:
         return params_from_dict(doc)
     except ValueError as exc:

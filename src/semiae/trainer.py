@@ -224,16 +224,21 @@ def predict_ratings(model: TrainedModel, train: RatingDataset,
     """
     if model.task != "rating":
         raise ValueError("predict_ratings needs a rating-task model")
-    iv = build_vectors(train, "item")
-    x = concat_input(iv.vectors, features.rows)
+    if features.num_entities != train.num_items:
+        raise ValueError(f"features cover {features.num_entities} items, "
+                         f"dataset has {train.num_items}")
+    # the item rows of build_vectors and concat_input, built in one buffer
+    x = np.zeros((train.num_items, train.num_users + features.dim))
+    x[train.items, train.users] = train.ratings
+    x[:, train.num_users:] = features.rows
     _, out = forward(model.params, x)
-    empty = ~iv.mask.any(axis=1)
+    empty = train.item_counts == 0
     if empty.any():
         if len(train) == 0:
             raise ValueError("cannot predict from an empty training set")
         out[empty, :] = float(train.ratings.mean())
     lo, hi = train.rating_scale
-    return np.clip(out, lo, hi)
+    return np.clip(out, lo, hi, out=out)
 
 
 def ranking_scores(model: TrainedModel, train: RatingDataset,
@@ -295,7 +300,7 @@ def load_model_and_echo(path: str | Path) -> tuple[TrainedModel, dict]:
                              echo["side_dim"], tuple(echo["loss_history"]), cfg)
     except KeyError as exc:
         raise ValueError(f"{path}: model echo has no {exc} entry") from None
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ValueError(f"{path}: model echo: {exc}") from None
     return model, echo
 

@@ -337,8 +337,8 @@ class TestReproduce:
 
 
 class TestMalformedArtifacts:
-    """A model or prepared-data file with a missing entry is a one-line
-    error naming the file and the entry, not a traceback."""
+    """A malformed model, prepared-data or config file is a one-line error
+    naming the file (and a missing entry), not a traceback."""
 
     @pytest.fixture()
     def ranking_model(self, prepared_path, tmp_path, capsys):
@@ -408,6 +408,63 @@ class TestMalformedArtifacts:
             code, _, err = run(capsys, *argv)
             self.assert_one_line_error(code, err, "broken_prepared.json",
                                        "'triples'")
+
+    @pytest.mark.parametrize("edit", ["top-level-list", "short-triple",
+                                      "string-triple", "truncated"])
+    def test_malformed_prepared_document(self, ranking_model, prepared_path,
+                                         tmp_path, capsys, edit):
+        text = prepared_path.read_text()
+        doc = json.loads(text)
+        if edit == "top-level-list":
+            text, expected = "[]", "not a JSON object"
+        elif edit == "truncated":
+            text, expected = text[:1000], "not a valid JSON file"
+        else:
+            doc["triples"][5] = doc["triples"][5][:3] if edit == "short-triple" \
+                else "1234"
+            text, expected = json.dumps(doc), "'triples'"
+        broken = tmp_path / "broken_prepared.json"
+        broken.write_text(text)
+        for argv in (["train", "--data", broken, "--task", "rating",
+                      "--out", tmp_path / "never.json"],
+                     ["evaluate", "--model", ranking_model, "--data", broken,
+                      "--train-fraction", "0.8", "--seed", "0"]):
+            code, _, err = run(capsys, *argv)
+            self.assert_one_line_error(code, err, "broken_prepared.json",
+                                       expected)
+
+    @pytest.mark.parametrize("edit", ["truncated", "dims-list",
+                                      "echo-list"])
+    def test_malformed_model_file(self, ranking_model, prepared_path,
+                                  tmp_path, capsys, edit):
+        text = ranking_model.read_text()
+        doc = json.loads(text)
+        if edit == "truncated":
+            text, expected = text[:1000], "not a valid JSON file"
+        elif edit == "dims-list":
+            doc["dims"] = [1, 2, 3]
+            text, expected = json.dumps(doc), "model JSON"
+        else:
+            doc["training_config_echo"] = []
+            text, expected = json.dumps(doc), "'training_config_echo'"
+        broken = tmp_path / "broken.json"
+        broken.write_text(text)
+        for argv in (["evaluate", "--model", broken, "--data", prepared_path,
+                      "--train-fraction", "0.8", "--seed", "0"],
+                     ["recommend", "--model", broken, "--data", prepared_path,
+                      "--user", "1", "--n", "3"]):
+            code, _, err = run(capsys, *argv)
+            self.assert_one_line_error(code, err, "broken.json", expected)
+
+    def test_truncated_config_names_the_file(self, prepared_path, tmp_path,
+                                             capsys):
+        cfg = tmp_path / "cut.json"
+        cfg.write_text('{"epochs": 2,')
+        code, _, err = run(capsys, "train", "--data", prepared_path,
+                           "--task", "rating", "--config", cfg,
+                           "--out", tmp_path / "never.json")
+        self.assert_one_line_error(code, err, "cut.json",
+                                   "not a valid JSON file")
 
 
 class TestRunCell:

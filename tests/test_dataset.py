@@ -1,7 +1,13 @@
 import hashlib
+import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from semiae.dataset import (ML100K_GENRES, ML100K_OCCUPATIONS,
                             InteractionVectors, ParseError, PreparedData,
@@ -9,7 +15,7 @@ from semiae.dataset import (ML100K_GENRES, ML100K_OCCUPATIONS,
                             binarize, build_vectors, load_raw_directory,
                             parse_item_features, parse_ratings,
                             parse_user_profiles, read_prepared, split,
-                            write_prepared)
+                            write_json, write_prepared)
 from util import make_random_dataset
 
 RNG = np.random.default_rng
@@ -419,6 +425,63 @@ class TestPreparedRoundTrip:
     def test_missing_file_names_the_expectation(self, tmp_path):
         with pytest.raises(FileNotFoundError, match="u.data"):
             load_raw_directory(tmp_path, "ml-100k")
+
+
+def as_lists(value):
+    """``value`` with every array among the dict values as its tolist()."""
+    if isinstance(value, dict):
+        return {key: as_lists(item) for key, item in value.items()}
+    return value.tolist() if isinstance(value, np.ndarray) else value
+
+
+EDGE_FLOATS = (-0.0, 5e-324, 1e-05, 1e16, 0.1, -1.5e300)
+SCALARS = (st.none() | st.booleans()
+           | st.integers(-(2 ** 63), 2 ** 63 - 1)
+           | st.floats(allow_nan=False) | st.sampled_from(EDGE_FLOATS)
+           | st.text(max_size=8))
+PLAIN = st.recursive(SCALARS, lambda inner: (
+    st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=4)), max_leaves=12)
+ARRAYS = (hnp.arrays(np.float64,
+                     hnp.array_shapes(min_dims=1, max_dims=2, min_side=0,
+                                      max_side=5),
+                     elements=st.floats(allow_nan=False)
+                     | st.sampled_from(EDGE_FLOATS))
+          | hnp.arrays(np.int64, hnp.array_shapes(min_dims=1, max_dims=2,
+                                                  min_side=0, max_side=4)))
+DOCS = st.recursive(
+    st.dictionaries(st.text(max_size=6), PLAIN | ARRAYS, max_size=5),
+    lambda inner: st.dictionaries(st.text(max_size=6),
+                                  PLAIN | ARRAYS | inner, max_size=5),
+    max_leaves=6)
+
+
+class TestWriteJson:
+    """write_json writes the bytes of json.dump(sort_keys, compact) of the
+    document with every array as a list."""
+
+    @staticmethod
+    def written(doc) -> tuple[bytes, bytes]:
+        with tempfile.TemporaryDirectory() as tmp:
+            ours, ref = Path(tmp) / "ours.json", Path(tmp) / "ref.json"
+            write_json(ours, doc)
+            with open(ref, "w", encoding="utf-8") as fh:
+                json.dump(as_lists(doc), fh, sort_keys=True,
+                          separators=(",", ":"))
+            return ours.read_bytes(), ref.read_bytes()
+
+    @settings(max_examples=150, deadline=None)
+    @given(DOCS)
+    @example({})
+    @example({"b": {"z": np.zeros((0, 3)), "a": np.zeros((3, 0))},
+              "a\u00e9\"\\\n\u2603": [2 ** 63 - 1, -(2 ** 63)],
+              "\x00": {"": {}}, "v": np.array([-0.0, 5e-324, 1e-05, 1e16]),
+              "m": np.array([[0.1, -0.0], [1e16, 5e-324]]),
+              "e": np.zeros(0), "s": "caf\u00e9 \U0001f600"})
+    @example({10: [1], 2: {"b": np.arange(3)}, 1.5: None})
+    def test_same_bytes_as_json_dump(self, doc):
+        ours, ref = self.written(doc)
+        assert ours == ref
 
 
 class TestCallersArraysStayWritable:

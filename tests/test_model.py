@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -291,6 +293,21 @@ class TestSerialization:
             np.testing.assert_array_equal(getattr(loaded, name),
                                           getattr(params, name))
         assert (loaded.g, loaded.f) == ("tanh", "sigmoid")
+
+    def test_save_holds_no_whole_document_or_nested_lists(self, tmp_path):
+        # the weights stream row by row: no nested-list copy of a matrix and
+        # no string of the whole document is ever held
+        params = make_params(RNG(47), s=300, h=200, d=300)
+        path = tmp_path / "model.json"
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            save_params(path, params, {"loss_history": [0.5] * 10})
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.1 * path.stat().st_size
 
     def test_schema_fields_present(self):
         doc = params_to_dict(make_params(RNG(41)))

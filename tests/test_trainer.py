@@ -3,7 +3,8 @@ import pytest
 
 from semiae.dataset import (RatingDataset, SideInfoMatrix, binarize,
                             build_vectors, split)
-from semiae.model import SemiAEParams, concat_input
+from semiae.model import (SemiAEParams, concat_input, forward, glorot_init,
+                          with_arrays)
 from semiae.trainer import (TrainConfig, TrainedModel, load_model,
                             predict_ratings, ranking_scores, recommend_top_n,
                             save_model, train_ranking, train_rating,
@@ -294,6 +295,43 @@ class TestPredictRatings:
         model = train_ranking(train, profiles, ranking_cfg(epochs=5))
         with pytest.raises(ValueError, match="rating"):
             predict_ratings(model, train, profiles)
+
+    @pytest.mark.parametrize("g,f", [("sigmoid", "identity"),
+                                     ("tanh", "sigmoid"), ("relu", "tanh")])
+    def test_equals_densify_and_concat_construction(self, g, f):
+        # the one-buffer input of predict_ratings against the item rows of
+        # build_vectors + concat_input, with items that have no training
+        # rating (the global-mean fallback) and a non-identity f
+        ds = make_random_dataset(RNG(5), 40, 30, 300)
+        train, _ = split(ds, 0.5, seed=3)
+        keep = train.items >= 4  # items 0..3 lose every training rating
+        train = RatingDataset(train.num_users, train.num_items,
+                              train.users[keep], train.items[keep],
+                              train.ratings[keep], train.timestamps[keep],
+                              rating_scale=(-1.0, 4.0))  # clips some, not all
+        features = SideInfoMatrix(RNG(6).normal(size=(30, 3)),
+                                  ("a", "b", "c"), tuple(range(1, 31)))
+        params = glorot_init(40 + 3, 7, 40, g, f, RNG(7))
+        params = with_arrays(params, params.Q, params.Q1,
+                             RNG(8).normal(size=7), RNG(9).normal(size=40) + 3)
+        model = TrainedModel(params, "rating", "item", 3, (0.0,))
+
+        iv = build_vectors(train, "item")
+        _, out = forward(params, concat_input(iv.vectors, features.rows))
+        empty = ~iv.mask.any(axis=1)
+        assert empty[:4].all() and not empty[4:].all()
+        out[empty, :] = float(train.ratings.mean())
+        expected = np.clip(out, -1.0, 4.0)
+        assert len(np.unique(expected)) > 500
+        np.testing.assert_array_equal(
+            predict_ratings(model, train, features).view(np.uint64),
+            expected.view(np.uint64))
+
+    def test_features_must_cover_every_item(self):
+        model, train, features = self.trained()
+        short = SideInfoMatrix(features.rows[:1], ("f",), (1,))
+        with pytest.raises(ValueError, match="features cover 1 items"):
+            predict_ratings(model, train, short)
 
 
 class TestRecommendTopN:

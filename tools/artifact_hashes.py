@@ -1,0 +1,136 @@
+#!/usr/bin/env python3
+"""Hash every artifact and every command output of one pass over the CLI.
+
+In a temporary directory, on a ``semiae.synthetic`` layout, runs each
+command in its own process, as a user would:
+
+    prepare; train and evaluate (rating, then ranking); recommend;
+    reproduce --table 2
+
+and prints one ``sha256  name`` line for every file the commands wrote and
+for the stdout and stderr of every command.  Manifests are hashed without
+their ``created_unix`` and ``output_dir`` entries, and log lines on stderr
+without their time stamp; everything else is hashed as written.  Byte
+parity between two checkouts is then a diff:
+
+    python3 tools/artifact_hashes.py --format ml-1m > new.txt
+    python3 /path/to/other/checkout/tools/artifact_hashes.py --format ml-1m > old.txt
+    diff old.txt new.txt
+
+The CLI comes from the ``src/`` of the checkout that holds this script.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import re
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+sys.path.insert(0, str(SRC))
+
+from semiae.synthetic import write_ml100k_layout, write_ml1m_layout  # noqa: E402
+
+LAYOUTS = {"ml-100k": write_ml100k_layout, "ml-1m": write_ml1m_layout}
+CONFIGS = {
+    "rating": {"epochs": 3, "hidden_dim": 16, "seed": 1},
+    "ranking": {"epochs": 5, "seed": 1, "binarize_threshold": 3.0},
+}
+STAMP = re.compile(rb"^\d{4}-\d\d-\d\d \d\d:\d\d:\d\d,\d{3} ", re.MULTILINE)
+
+
+def commands(fmt: str) -> list[tuple[str, list[str]]]:
+    """(label, CLI arguments) of the pass, in order; raw user id 1 exists
+    in every synthetic layout."""
+    return [
+        ("prepare", ["prepare", "--raw", "raw", "--format", fmt,
+                     "--out", "out/prepared.json"]),
+        ("train-rating", ["train", "--data", "out/prepared.json", "--task",
+                          "rating", "--config", "rating.cfg.json",
+                          "--out", "out/rating.json",
+                          "--train-fraction", "0.8"]),
+        ("evaluate-rating", ["evaluate", "--model", "out/rating.json",
+                             "--data", "out/prepared.json",
+                             "--train-fraction", "0.8", "--seed", "1",
+                             "--out", "out/rating.eval.json"]),
+        ("train-ranking", ["train", "--data", "out/prepared.json", "--task",
+                           "ranking", "--config", "ranking.cfg.json",
+                           "--out", "out/ranking.json",
+                           "--train-fraction", "0.5"]),
+        ("evaluate-ranking", ["evaluate", "--model", "out/ranking.json",
+                              "--data", "out/prepared.json",
+                              "--train-fraction", "0.5", "--seed", "1",
+                              "--recall", "1,5,10",
+                              "--out", "out/ranking.eval.json"]),
+        ("recommend", ["recommend", "--model", "out/ranking.json",
+                       "--data", "out/prepared.json", "--user", "1",
+                       "--n", "10", "--train-fraction", "0.5",
+                       "--seed", "1"]),
+        ("reproduce", ["reproduce", "--table", "2", "--raw", "raw",
+                       "--format", fmt, "--seeds", "1,2",
+                       "--config", "ranking.cfg.json",
+                       "--out-dir", "out/table2"]),
+    ]
+
+
+def _digest(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _file_digest(path: Path) -> str:
+    if path.name.endswith(".manifest.json"):
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        doc.pop("created_unix", None)
+        doc.pop("output_dir", None)
+        return _digest(json.dumps(doc, sort_keys=True).encode())
+    return _digest(path.read_bytes())
+
+
+def artifact_hashes(fmt: str = "ml-100k", num_users: int = 120,
+                    num_items: int = 80, num_ratings: int = 2500,
+                    seed: int = 0) -> list[str]:
+    """The ``sha256  name`` lines of one pass over the CLI."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    env.pop("SEMIAE_LOG", None)
+    lines = []
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        LAYOUTS[fmt](work / "raw", num_users, num_items, num_ratings, seed)
+        for task, cfg in CONFIGS.items():
+            (work / f"{task}.cfg.json").write_text(json.dumps(cfg))
+        for label, argv in commands(fmt):
+            run = subprocess.run([sys.executable, "-m", "semiae.cli", *argv],
+                                 cwd=work, env=env, capture_output=True)
+            if run.returncode != 0:
+                raise RuntimeError(f"{label} exited {run.returncode}: "
+                                   f"{run.stderr.decode(errors='replace')}")
+            lines.append(f"{_digest(run.stdout)}  {label}.stdout")
+            lines.append(f"{_digest(STAMP.sub(b'', run.stderr))}  {label}.stderr")
+        out = work / "out"
+        for path in sorted(p for p in out.rglob("*") if p.is_file()):
+            lines.append(f"{_file_digest(path)}  {path.relative_to(out)}")
+    return lines
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--format", choices=sorted(LAYOUTS), default="ml-100k")
+    parser.add_argument("--users", type=int, default=120)
+    parser.add_argument("--items", type=int, default=80)
+    parser.add_argument("--ratings", type=int, default=2500)
+    parser.add_argument("--seed", type=int, default=0,
+                        help="seed of the synthetic layout")
+    args = parser.parse_args(argv)
+    print("\n".join(artifact_hashes(args.format, args.users, args.items,
+                                    args.ratings, args.seed)))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
