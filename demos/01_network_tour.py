@@ -5,18 +5,24 @@
 
 import numpy as np
 
-from semiae.model import (concat_input, forward, glorot_init,
-                          loss_and_gradients, masked_loss, subset_loss)
+from semiae.dataset import RatingDataset, SideInfoMatrix, build_vectors
+from semiae.model import (forward, glorot_init, loss_and_gradients,
+                          masked_loss, subset_loss)
 
 rng = np.random.default_rng(0)
 
-# A user has rated 6 items (their rating vector) and carries 3 profile
+# A user has rated 4 of 6 items (their rating vector) and carries 3 profile
 # values.  The network input is the concatenation, rating block first; the
 # output only reconstructs the rating block.
-rating_block = np.array([5.0, 0.0, 3.0, 0.0, 1.0, 4.0])
-profile = np.array([1.0, 0.0, 0.62])
-x = concat_input(rating_block, profile)
-print("input length:", len(x), "| output (target) length:", len(rating_block))
+user = RatingDataset(num_users=1, num_items=6, users=np.zeros(4, np.int32),
+                     items=np.array([0, 2, 4, 5], np.int32),
+                     ratings=np.array([5.0, 3.0, 1.0, 4.0]),
+                     timestamps=np.zeros(4, np.int64))
+profile = SideInfoMatrix(np.array([[1.0, 0.0, 0.62]]), ("F", "M", "age"),
+                         entity_ids=(1,))
+batch, observed = build_vectors(user, profile, "user")
+x = batch[0]
+print("input length:", len(x), "| output (target) length:", user.num_items)
 print("reconstruction target (the input's prefix):", x[:6])
 
 params = glorot_init(input_dim=9, hidden_dim=2, output_dim=6,
@@ -26,10 +32,8 @@ print("\nhidden code (bottleneck of 2):", np.round(h, 3))
 print("reconstruction:", np.round(out, 3))
 
 # The full loss measures every output coordinate; the masked loss only the
-# positions where a rating was actually observed.
-batch = x.reshape(1, -1)
-target = rating_block.reshape(1, -1)
-observed = (target != 0)
+# positions where a rating was actually observed (the builder's mask).
+target = batch[:, :6]
 print("\nfull loss:  ", round(subset_loss(params, batch, target), 4))
 print("masked loss:", round(masked_loss(params, batch, target, observed), 4))
 

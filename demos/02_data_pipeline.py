@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 # The data pipeline end to end on a generated MovieLens-layout directory:
 # parsing, side-information encoding, splitting, binarization and the dense
-# partial-observed vectors the trainers consume.
+# network input the trainers consume.
 
 import tempfile
 from pathlib import Path
@@ -42,9 +42,12 @@ btrain = binarize(train, threshold=4.0)
 print(f"binarized train: {len(btrain)} liked interactions "
       f"out of {len(train)} ratings")
 
-iv = build_vectors(btrain, "user")
-print("\nuser-based interaction matrix:", iv.vectors.shape,
-      "| observed cells:", int(iv.mask.sum()))
-item_view = build_vectors(btrain, "item")
-print("item-based view is its transpose:",
-      np.array_equal(iv.vectors.T, item_view.vectors))
+# The network input: each user's liked items over the whole catalogue, with
+# the user's profile appended; the mask marks the observed cells.
+x, mask = build_vectors(btrain, data.user_side, "user")
+print(f"\nuser-based input: {x.shape} ({btrain.num_items} items + "
+      f"{data.user_side.dim} profile columns) | observed cells:",
+      int(mask.sum()))
+item_x, item_mask = build_vectors(btrain, data.item_side, "item")
+print("item-based rating block is its transpose:",
+      np.array_equal(x[:, :btrain.num_items].T, item_x[:, :btrain.num_users]))

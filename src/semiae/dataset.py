@@ -1,4 +1,5 @@
-"""MovieLens loading, side-information encoding, splitting and binarization.
+"""MovieLens loading, side-information encoding, splitting, binarization
+and the dense network input.
 
 Handles the two raw layouts as distributed by GroupLens:
 
@@ -118,6 +119,11 @@ class RatingDataset:
             keys = self.users.astype(np.int64) * self.num_items + self.items
             if len(np.unique(keys)) != n:
                 raise ValueError("duplicate (user, item) pair in triples")
+        for kind, ids, count in (("user", self.user_ids, self.num_users),
+                                 ("item", self.item_ids, self.num_items)):
+            if ids and len(ids) != count:
+                raise ValueError(f"{kind}_ids has {len(ids)} entries for "
+                                 f"{count} {kind}s")
         store_read_only(self, "users", "items", "ratings", "timestamps")
 
     def __len__(self) -> int:
@@ -188,28 +194,6 @@ class SideInfoMatrix:
     @property
     def dim(self) -> int:
         return self.rows.shape[1]
-
-
-@dataclass(frozen=True)
-class InteractionVectors:
-    """Dense partial-observed vectors plus the observation mask.
-
-    ``orientation="user"`` gives one row per user (M x N); ``"item"`` gives
-    one row per item (N x M).  Unobserved positions hold exactly 0.
-    """
-
-    orientation: str
-    vectors: np.ndarray
-    mask: np.ndarray
-
-    def __post_init__(self) -> None:
-        if self.orientation not in ("user", "item"):
-            raise ValueError("orientation must be 'user' or 'item'")
-        if self.vectors.shape != self.mask.shape:
-            raise ValueError("vectors and mask shapes must match")
-        if np.any((self.vectors != 0) & ~self.mask):
-            raise ValueError("nonzero value at an unobserved position")
-        store_read_only(self, "vectors", "mask")
 
 
 def _iter_data_lines(path: Path, encoding: str):
@@ -508,23 +492,33 @@ def binarize(ds: RatingDataset, threshold: float = 4.0,
     )
 
 
-def build_vectors(ds: RatingDataset, orientation: str = "user") -> InteractionVectors:
-    """Densify the triples into partial-observed vectors plus mask.
+def build_vectors(ds: RatingDataset, side: SideInfoMatrix,
+                  orientation: str) -> tuple[np.ndarray, np.ndarray]:
+    """The network input ``cat(r; c)`` of every entity, and the mask of
+    its observed ratings.
 
-    User orientation gives an M x N matrix of user rows; item orientation the
-    N x M transpose.  Unobserved positions hold 0.
+    User orientation gives one row per user: its ratings over all items,
+    then its row of ``side``.  Item orientation gives one row per item, over
+    all users.  ``x`` is ``(n, width + K)``; the mask is ``(n, width)`` and
+    True exactly at the triples, so an observed rating of 0 stays observed.
     """
     if orientation == "user":
-        rows, cols, shape = ds.users, ds.items, (ds.num_users, ds.num_items)
+        what, rows, cols, n, width = ("profiles", ds.users, ds.items,
+                                      ds.num_users, ds.num_items)
     elif orientation == "item":
-        rows, cols, shape = ds.items, ds.users, (ds.num_items, ds.num_users)
+        what, rows, cols, n, width = ("features", ds.items, ds.users,
+                                      ds.num_items, ds.num_users)
     else:
         raise ValueError("orientation must be 'user' or 'item'")
-    vectors = np.zeros(shape)
-    mask = np.zeros(shape, bool)
-    vectors[rows, cols] = ds.ratings
+    if side.num_entities != n:
+        raise ValueError(f"{what} cover {side.num_entities} {orientation}s, "
+                         f"dataset has {n}")
+    x = np.zeros((n, width + side.dim))
+    x[rows, cols] = ds.ratings
+    x[:, width:] = side.rows
+    mask = np.zeros((n, width), bool)
     mask[rows, cols] = True
-    return InteractionVectors(orientation, vectors, mask)
+    return x, mask
 
 
 @dataclass(frozen=True)

@@ -60,10 +60,6 @@ class Activation:
     fn: Callable[[np.ndarray], np.ndarray]
     deriv_at_value: Callable[[np.ndarray], np.ndarray]
 
-    def deriv(self, z: np.ndarray) -> np.ndarray:
-        """The derivative at pre-activation ``z``."""
-        return self.deriv_at_value(self.fn(z))
-
 
 ACTIVATIONS = {
     "identity": Activation("identity", _identity, np.ones_like),
@@ -153,15 +149,6 @@ def glorot_init(input_dim: int, hidden_dim: int, output_dim: int,
         g=g,
         f=f,
     )
-
-
-def concat_input(r: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Concatenate rating block(s) and side-information block(s), rating first."""
-    r = np.asarray(r, np.float64)
-    c = np.asarray(c, np.float64)
-    if c.size == 0:
-        return r.copy()
-    return np.concatenate([r, c], axis=-1)
 
 
 def _as_batch(x: np.ndarray, dim: int, what: str) -> tuple[np.ndarray, bool]:

@@ -28,9 +28,8 @@ import numpy as np
 
 from .dataset import RatingDataset, SideInfoMatrix, build_vectors
 from .evaluation import _rank_unconsumed
-from .model import (SemiAEParams, activation, concat_input, forward,
-                    glorot_init, load_params, loss_and_gradients, save_params,
-                    with_arrays)
+from .model import (SemiAEParams, activation, forward, glorot_init,
+                    load_params, loss_and_gradients, save_params, with_arrays)
 from .optim import OPTIMIZER_KINDS, make_optimizer, update
 
 log = logging.getLogger(__name__)
@@ -179,15 +178,12 @@ def train_ranking(train: RatingDataset, profiles: SideInfoMatrix,
     """
     if cfg.task != "ranking":
         raise ValueError("config task must be 'ranking'")
-    if profiles.num_entities != train.num_users:
-        raise ValueError(f"profiles cover {profiles.num_entities} users, "
-                         f"dataset has {train.num_users}")
+    x, mask = build_vectors(train, profiles, "user")
+    if not cfg.mask_ranking_loss:
+        mask = None
     if train.rating_scale != (0.0, 1.0):
         log.warning("ranking training expects binarized ratings, "
                     "got scale %s", train.rating_scale)
-    iv = build_vectors(train, "user")
-    x = concat_input(iv.vectors, profiles.rows)
-    mask = iv.mask if cfg.mask_ranking_loss else None
     rng = np.random.default_rng(cfg.seed)
     params, history = _run_epochs(x, train.num_items, mask, cfg, rng)
     return TrainedModel(params, "ranking", "user", profiles.dim,
@@ -203,13 +199,9 @@ def train_rating(train: RatingDataset, features: SideInfoMatrix,
     """
     if cfg.task != "rating":
         raise ValueError("config task must be 'rating'")
-    if features.num_entities != train.num_items:
-        raise ValueError(f"features cover {features.num_entities} items, "
-                         f"dataset has {train.num_items}")
-    iv = build_vectors(train, "item")
-    x = concat_input(iv.vectors, features.rows)
+    x, mask = build_vectors(train, features, "item")
     rng = np.random.default_rng(cfg.seed)
-    params, history = _run_epochs(x, train.num_users, iv.mask, cfg, rng)
+    params, history = _run_epochs(x, train.num_users, mask, cfg, rng)
     return TrainedModel(params, "rating", "item", features.dim,
                         tuple(history), cfg)
 
@@ -224,13 +216,7 @@ def predict_ratings(model: TrainedModel, train: RatingDataset,
     """
     if model.task != "rating":
         raise ValueError("predict_ratings needs a rating-task model")
-    if features.num_entities != train.num_items:
-        raise ValueError(f"features cover {features.num_entities} items, "
-                         f"dataset has {train.num_items}")
-    # the item rows of build_vectors and concat_input, built in one buffer
-    x = np.zeros((train.num_items, train.num_users + features.dim))
-    x[train.items, train.users] = train.ratings
-    x[:, train.num_users:] = features.rows
+    x = build_vectors(train, features, "item")[0]
     _, out = forward(model.params, x)
     empty = train.item_counts == 0
     if empty.any():
@@ -248,10 +234,11 @@ def ranking_scores(model: TrainedModel, train: RatingDataset,
         raise ValueError("ranking_scores needs a ranking-task model")
     if not 0 <= user < train.num_users:
         raise ValueError(f"user index {user} out of range")
-    row = np.zeros(train.num_items)
+    # the user's row of build_vectors, alone
+    x = np.zeros(train.num_items + profiles.dim)
     items, ratings = train.user_slice(user)
-    row[items] = ratings
-    x = concat_input(row, profiles.rows[user])
+    x[items] = ratings
+    x[train.num_items:] = profiles.rows[user]
     _, out = forward(model.params, x)
     return out
 

@@ -410,7 +410,8 @@ class TestMalformedArtifacts:
                                        "'triples'")
 
     @pytest.mark.parametrize("edit", ["top-level-list", "short-triple",
-                                      "string-triple", "truncated"])
+                                      "string-triple", "truncated",
+                                      "short-item-map"])
     def test_malformed_prepared_document(self, ranking_model, prepared_path,
                                          tmp_path, capsys, edit):
         text = prepared_path.read_text()
@@ -419,6 +420,12 @@ class TestMalformedArtifacts:
             text, expected = "[]", "not a JSON object"
         elif edit == "truncated":
             text, expected = text[:1000], "not a valid JSON file"
+        elif edit == "short-item-map":
+            # the id map and the side rows agree but miss the last item
+            doc["id_maps"]["items"].pop()
+            doc["item_side_info"]["rows"].pop()
+            text = json.dumps(doc)
+            expected = "prepared data: item_ids has 24 entries for 25 items"
         else:
             doc["triples"][5] = doc["triples"][5][:3] if edit == "short-triple" \
                 else "1234"
@@ -428,7 +435,9 @@ class TestMalformedArtifacts:
         for argv in (["train", "--data", broken, "--task", "rating",
                       "--out", tmp_path / "never.json"],
                      ["evaluate", "--model", ranking_model, "--data", broken,
-                      "--train-fraction", "0.8", "--seed", "0"]):
+                      "--train-fraction", "0.8", "--seed", "0"],
+                     ["recommend", "--model", ranking_model, "--data", broken,
+                      "--user", "1", "--n", "30"]):
             code, _, err = run(capsys, *argv)
             self.assert_one_line_error(code, err, "broken_prepared.json",
                                        expected)

@@ -9,14 +9,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from semiae.dataset import (ML100K_GENRES, ML100K_OCCUPATIONS,
-                            InteractionVectors, ParseError, PreparedData,
-                            RatingDataset, SideInfoMatrix, align_side_info,
-                            binarize, build_vectors, load_raw_directory,
-                            parse_item_features, parse_ratings,
-                            parse_user_profiles, read_prepared, split,
-                            write_json, write_prepared)
-from util import make_random_dataset
+from semiae.dataset import (ML100K_GENRES, ML100K_OCCUPATIONS, ParseError,
+                            PreparedData, RatingDataset, SideInfoMatrix,
+                            align_side_info, binarize, build_vectors,
+                            load_raw_directory, parse_item_features,
+                            parse_ratings, parse_user_profiles, read_prepared,
+                            split, write_json, write_prepared)
+from util import make_random_dataset, reference_input
 
 RNG = np.random.default_rng
 
@@ -296,53 +295,102 @@ class TestBinarize:
         assert ds.ratings.tolist() == [5.0, 4.0, 2.0]
 
 
+def side_info(rng, num_entities, dim):
+    """Random side information for ``num_entities`` rows, ``dim`` wide."""
+    return SideInfoMatrix(rng.normal(size=(num_entities, dim)),
+                          tuple(f"c{k}" for k in range(dim)),
+                          tuple(range(1, num_entities + 1)))
+
+
+def assert_same_bits(actual, expected):
+    assert actual.dtype == expected.dtype and actual.shape == expected.shape
+    assert actual.flags.c_contiguous
+    assert actual.tobytes() == expected.tobytes()
+
+
 class TestBuildVectors:
+    """build_vectors against the plain construction of tests/util.py."""
+
+    def assert_equals_reference(self, ds, side, orientation):
+        x, mask = build_vectors(ds, side, orientation)
+        expected_x, expected_mask = reference_input(ds, side, orientation)
+        assert_same_bits(x, expected_x)
+        assert_same_bits(mask, expected_mask)
+        return x, mask
+
     def test_single_observation(self):
         ds = RatingDataset(2, 2, np.array([0], np.int32), np.array([0], np.int32),
                            np.array([5.0]), np.array([0], np.int64))
-        iv = build_vectors(ds, "user")
-        np.testing.assert_array_equal(iv.vectors, [[5, 0], [0, 0]])
-        np.testing.assert_array_equal(iv.mask, [[True, False], [False, False]])
+        x, mask = build_vectors(ds, side_info(RNG(0), 2, 0), "user")
+        np.testing.assert_array_equal(x, [[5, 0], [0, 0]])
+        np.testing.assert_array_equal(mask, [[True, False], [False, False]])
 
     def test_item_orientation_is_exact_transpose(self):
         rng = RNG(9)
         for _ in range(20):
             ds = make_random_dataset(rng, 5, 7, 15)
-            by_user = build_vectors(ds, "user")
-            by_item = build_vectors(ds, "item")
-            np.testing.assert_array_equal(by_user.vectors.T, by_item.vectors)
-            np.testing.assert_array_equal(by_user.mask.T, by_item.mask)
+            by_user = build_vectors(ds, side_info(rng, 5, 2), "user")
+            by_item = build_vectors(ds, side_info(rng, 7, 3), "item")
+            np.testing.assert_array_equal(by_user[0][:, :7].T,
+                                          by_item[0][:, :5])
+            np.testing.assert_array_equal(by_user[1].T, by_item[1])
 
     def test_fully_observed_mask_all_true(self):
         ds = make_random_dataset(RNG(2), 3, 3, 9)
-        assert build_vectors(ds, "user").mask.all()
-
-    def test_nonzero_value_outside_mask_rejected(self):
-        from semiae.dataset import InteractionVectors
-        with pytest.raises(ValueError, match="unobserved"):
-            InteractionVectors("user", np.array([[1.0, 0.0]]),
-                               np.array([[False, False]]))
+        assert build_vectors(ds, side_info(RNG(1), 3, 2), "user")[1].all()
 
     @pytest.mark.parametrize("orientation", ["user", "item"])
     def test_equals_dense_user_matrix_construction(self, orientation):
-        ds = make_random_dataset(RNG(4), 9, 13, 50)
-        vectors = np.zeros((9, 13))
-        mask = np.zeros((9, 13), bool)
-        vectors[ds.users, ds.items] = ds.ratings
-        mask[ds.users, ds.items] = True
-        if orientation == "item":
-            vectors, mask = vectors.T.copy(), mask.T.copy()
-        iv = build_vectors(ds, orientation)
-        assert iv.vectors.tobytes() == vectors.tobytes()
-        assert iv.mask.tobytes() == mask.tobytes()
-        assert iv.vectors.shape == vectors.shape
-        assert iv.vectors.flags.c_contiguous and iv.mask.flags.c_contiguous
+        ds = make_random_dataset(RNG(4), 9, 13, 50, integer_ratings=False)
+        n, width = (9, 13) if orientation == "user" else (13, 9)
+        for dim in (4, 0):
+            x, mask = self.assert_equals_reference(
+                ds, side_info(RNG(5), n, dim), orientation)
+            assert x.shape == (n, width + dim) and mask.shape == (n, width)
 
-    def test_vectors_are_immutable(self):
+    @pytest.mark.parametrize("orientation", ["user", "item"])
+    def test_entities_without_triples(self, orientation):
+        # users 0 and 3, items 1 and 4 have no triple; then no triple at all
+        ds = RatingDataset(5, 6, np.array([1, 2, 4, 4], np.int32),
+                           np.array([0, 5, 2, 3], np.int32),
+                           np.array([4.0, 1.0, 2.5, 5.0]),
+                           np.zeros(4, np.int64))
+        n = 5 if orientation == "user" else 6
+        x, mask = self.assert_equals_reference(ds, side_info(RNG(8), n, 3),
+                                               orientation)
+        empty = [0, 3] if orientation == "user" else [1, 4]
+        assert not mask[empty].any() and not x[empty, :-3].any()
+        none = RatingDataset(5, 6, *(np.empty(0, t) for t in
+                                     (np.int32, np.int32, np.float64,
+                                      np.int64)))
+        x, mask = self.assert_equals_reference(none, side_info(RNG(8), n, 3),
+                                               orientation)
+        assert not mask.any() and not x[:, :-3].any()
+
+    @pytest.mark.parametrize("orientation", ["user", "item"])
+    def test_observed_zero_rating_stays_observed(self, orientation):
+        ds = RatingDataset(2, 3, np.array([0, 0, 1], np.int32),
+                           np.array([0, 2, 1], np.int32),
+                           np.array([0.0, 1.0, 0.0]), np.zeros(3, np.int64),
+                           rating_scale=(0.0, 1.0))
+        n = 2 if orientation == "user" else 3
+        x, mask = self.assert_equals_reference(ds, side_info(RNG(9), n, 1),
+                                               orientation)
+        assert mask.sum() == 3
+        assert (x[:, :-1] != 0).sum() == 1
+
+    @pytest.mark.parametrize("orientation,expected", [
+        ("user", "profiles cover 2 users, dataset has 3"),
+        ("item", "features cover 2 items, dataset has 4")])
+    def test_side_must_cover_every_row_entity(self, orientation, expected):
         ds = make_random_dataset(RNG(3), 3, 4, 6)
-        iv = build_vectors(ds, "user")
-        with pytest.raises(ValueError):
-            iv.vectors[0, 0] = 9.0
+        with pytest.raises(ValueError, match=expected):
+            build_vectors(ds, side_info(RNG(3), 2, 1), orientation)
+
+    def test_unknown_orientation_rejected(self):
+        ds = make_random_dataset(RNG(3), 3, 4, 6)
+        with pytest.raises(ValueError, match="orientation"):
+            build_vectors(ds, side_info(RNG(3), 3, 1), "rating")
 
 
 class TestPerUserIndex:
@@ -421,6 +469,16 @@ class TestPreparedRoundTrip:
         assert data.user_side.dim == 30
         assert data.item_side.dim == 19
         assert len(data.ratings) == 400
+
+    def test_id_maps_are_empty_or_one_entry_per_index(self):
+        arrays = (np.array([0, 1], np.int32), np.array([2, 0], np.int32),
+                  np.array([4.0, 2.0]), np.zeros(2, np.int64))
+        RatingDataset(2, 3, *arrays)
+        RatingDataset(2, 3, *arrays, user_ids=(7, 9), item_ids=(1, 2, 5))
+        with pytest.raises(ValueError, match="item_ids has 2 entries for 3"):
+            RatingDataset(2, 3, *arrays, user_ids=(7, 9), item_ids=(1, 2))
+        with pytest.raises(ValueError, match="user_ids has 3 entries for 2"):
+            RatingDataset(2, 3, *arrays, user_ids=(7, 8, 9))
 
     def test_missing_file_names_the_expectation(self, tmp_path):
         with pytest.raises(FileNotFoundError, match="u.data"):
@@ -503,10 +561,3 @@ class TestCallersArraysStayWritable:
         side = SideInfoMatrix(rows, ("a",), (1, 2))
         assert rows.flags.writeable
         assert not side.rows.flags.writeable
-
-    def test_interaction_vectors(self):
-        vectors, mask = np.array([[1.0, 0.0]]), np.array([[True, False]])
-        iv = InteractionVectors("user", vectors, mask)
-        assert vectors.flags.writeable and mask.flags.writeable
-        assert not iv.vectors.flags.writeable
-        assert not iv.mask.flags.writeable

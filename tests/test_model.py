@@ -3,12 +3,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from semiae.model import (ACTIVATIONS, SemiAEParams, activation,
-                          concat_input, forward, glorot_init, load_params,
-                          loss_and_gradients, masked_loss, params_from_dict,
-                          params_to_dict, save_params, subset_loss)
+from semiae.dataset import RatingDataset, SideInfoMatrix, build_vectors
+from semiae.model import (ACTIVATIONS, SemiAEParams, activation, forward,
+                          glorot_init, load_params, loss_and_gradients,
+                          masked_loss, params_from_dict, params_to_dict,
+                          save_params, subset_loss)
 from util import (brute_force_masked_loss, classical_autoencoder,
-                  finite_difference_grads, gradcheck_error)
+                  finite_difference_grads, gradcheck_error,
+                  make_random_dataset)
 
 RNG = np.random.default_rng
 
@@ -48,35 +50,55 @@ class TestActivations:
             z = z[np.abs(z) > 1e-2]  # stay off the kink
         eps = 1e-6
         numeric = (act.fn(z + eps) - act.fn(z - eps)) / (2 * eps)
-        np.testing.assert_allclose(act.deriv(z), numeric, atol=1e-7)
+        np.testing.assert_allclose(act.deriv_at_value(act.fn(z)), numeric,
+                                   atol=1e-7)
 
     def test_unknown_kind_lists_valid_names(self):
         with pytest.raises(ValueError, match="sigmoid"):
             activation("softmax")
 
 
+def one_user_input(ratings, profile):
+    """The network input of one user who rated every nonzero position of
+    ``ratings``, with ``profile`` appended."""
+    items = np.flatnonzero(ratings).astype(np.int32)
+    ds = RatingDataset(1, len(ratings), np.zeros(len(items), np.int32), items,
+                       np.asarray(ratings, float)[items],
+                       np.zeros(len(items), np.int64))
+    side = SideInfoMatrix(np.array([profile], float).reshape(1, -1),
+                          tuple(map(str, range(len(profile)))), (1,))
+    return build_vectors(ds, side, "user")[0][0]
+
+
 class TestConcatAndTarget:
+    """The network input ``cat(r; c)`` that build_vectors lays out: the
+    rating block first, and the reconstruction target is its prefix."""
+
     def test_rating_block_comes_first(self):
         np.testing.assert_array_equal(
-            concat_input(np.array([1.0, 0.0, 5.0]), np.array([0.2, 0.8])),
-            [1, 0, 5, 0.2, 0.8])
+            one_user_input([1.0, 0.0, 5.0], [0.2, 0.8]), [1, 0, 5, 0.2, 0.8])
 
     def test_empty_side_block_is_identity(self):
-        r = np.array([1.0, 2.0])
-        np.testing.assert_array_equal(concat_input(r, np.array([])), r)
+        np.testing.assert_array_equal(one_user_input([1.0, 2.0], []),
+                                      [1, 2])
 
     def test_target_projection_recovers_rating_block(self):
         rng = RNG(0)
         for _ in range(20):
-            r = rng.normal(size=rng.integers(1, 8))
-            c = rng.normal(size=rng.integers(0, 5))
+            m, n, k = rng.integers(1, 8, 3)
+            ds = make_random_dataset(rng, m, n, rng.integers(0, m * n + 1))
+            side = SideInfoMatrix(rng.normal(size=(m, k - 1)),
+                                  tuple(map(str, range(k - 1))),
+                                  tuple(range(m)))
+            r = np.zeros((m, n))
+            r[ds.users, ds.items] = ds.ratings
             np.testing.assert_array_equal(
-                concat_input(r, c)[:len(r)], r)
+                build_vectors(ds, side, "user")[0][:, :n], r)
 
     def test_batched_concat(self):
-        r = np.arange(6.0).reshape(2, 3)
-        c = np.ones((2, 2))
-        assert concat_input(r, c).shape == (2, 5)
+        ds = make_random_dataset(RNG(1), 2, 3, 4)
+        side = SideInfoMatrix(np.ones((2, 2)), ("a", "b"), (1, 2))
+        assert build_vectors(ds, side, "user")[0].shape == (2, 5)
 
 
 class TestForward:

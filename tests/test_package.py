@@ -1,7 +1,12 @@
 import importlib
 import importlib.util
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import semiae
 
@@ -36,3 +41,16 @@ def test_every_traced_function_exists():
                if not callable(getattr(importlib.import_module(home), name,
                                        None))]
     assert missing == []
+
+
+@pytest.mark.parametrize("demo", sorted(p.name for p in
+                                        (ROOT / "demos").glob("*.py")))
+def test_demo_runs(demo, tmp_path):
+    # from a directory without data/, so the demos use generated stand-ins,
+    # and with their temporary directories under tmp_path
+    env = dict(os.environ, TMPDIR=str(tmp_path), PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, str(ROOT / "demos" / demo)],
+                          cwd=tmp_path, env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

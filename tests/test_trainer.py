@@ -1,15 +1,13 @@
 import numpy as np
 import pytest
 
-from semiae.dataset import (RatingDataset, SideInfoMatrix, binarize,
-                            build_vectors, split)
-from semiae.model import (SemiAEParams, concat_input, forward, glorot_init,
-                          with_arrays)
+from semiae.dataset import RatingDataset, SideInfoMatrix, binarize, split
+from semiae.model import SemiAEParams, forward, glorot_init, with_arrays
 from semiae.trainer import (TrainConfig, TrainedModel, load_model,
                             predict_ratings, ranking_scores, recommend_top_n,
                             save_model, train_ranking, train_rating,
                             write_training_log)
-from util import make_random_dataset, reference_fit
+from util import make_random_dataset, reference_fit, reference_input
 
 RNG = np.random.default_rng
 
@@ -224,10 +222,9 @@ class TestSameBits:
             (ds, features, rating_cfg(**kw), train_rating, "item", True),
         )
         for train, side, cfg, fit, orientation, masked in cases:
-            iv = build_vectors(train, orientation)
-            x = concat_input(iv.vectors, side.rows)
-            theta, history = reference_fit(x, iv.vectors,
-                                           iv.mask if masked else None, cfg)
+            x, mask = reference_input(train, side, orientation)
+            theta, history = reference_fit(x, x[:, :mask.shape[1]],
+                                           mask if masked else None, cfg)
             model = fit(train, side, cfg)
             assert _param_bytes(model) == [a.tobytes() for a in theta]
             assert list(model.loss_history) == history
@@ -299,9 +296,9 @@ class TestPredictRatings:
     @pytest.mark.parametrize("g,f", [("sigmoid", "identity"),
                                      ("tanh", "sigmoid"), ("relu", "tanh")])
     def test_equals_densify_and_concat_construction(self, g, f):
-        # the one-buffer input of predict_ratings against the item rows of
-        # build_vectors + concat_input, with items that have no training
-        # rating (the global-mean fallback) and a non-identity f
+        # predict_ratings against the forward pass over the plain input
+        # construction, with items that have no training rating (the
+        # global-mean fallback) and a non-identity f
         ds = make_random_dataset(RNG(5), 40, 30, 300)
         train, _ = split(ds, 0.5, seed=3)
         keep = train.items >= 4  # items 0..3 lose every training rating
@@ -316,9 +313,9 @@ class TestPredictRatings:
                              RNG(8).normal(size=7), RNG(9).normal(size=40) + 3)
         model = TrainedModel(params, "rating", "item", 3, (0.0,))
 
-        iv = build_vectors(train, "item")
-        _, out = forward(params, concat_input(iv.vectors, features.rows))
-        empty = ~iv.mask.any(axis=1)
+        x, mask = reference_input(train, features, "item")
+        _, out = forward(params, x)
+        empty = ~mask.any(axis=1)
         assert empty[:4].all() and not empty[4:].all()
         out[empty, :] = float(train.ratings.mean())
         expected = np.clip(out, -1.0, 4.0)
@@ -389,6 +386,16 @@ class TestRecommendTopN:
         scores = ranking_scores(model, empty, profiles, 0)
         assert scores.shape == (4,)
         assert np.all(np.isfinite(scores))
+
+    def test_scores_are_the_forward_pass_of_the_users_input_row(self):
+        ds, profiles, _ = _random_task_data()
+        liked = binarize(ds)
+        model = train_ranking(liked, profiles, ranking_cfg(epochs=3))
+        x, _ = reference_input(liked, profiles, "user")
+        for user in range(liked.num_users):
+            np.testing.assert_array_equal(
+                ranking_scores(model, liked, profiles, user).view(np.uint64),
+                forward(model.params, x[user])[1].view(np.uint64))
 
 
 class TestZeroSideInformation:

@@ -62,6 +62,24 @@ MISSING_DATA_MSG = (
 # gradient code paths so that agreement is evidence, not tautology.
 # --------------------------------------------------------------------------
 
+def reference_input(ds, side, orientation):
+    """The network input ``cat(r; c)`` of every user (or item) row and the
+    mask of its observed ratings, built as Python lists one triple at a
+    time, without the library's builder."""
+    by_user = orientation == "user"
+    n, width = ((ds.num_users, ds.num_items) if by_user
+                else (ds.num_items, ds.num_users))
+    ratings = [[0.0] * width for _ in range(n)]
+    observed = [[False] * width for _ in range(n)]
+    for user, item, rating, _ in ds.triples():
+        row, col = (user, item) if by_user else (item, user)
+        ratings[row][col] = rating
+        observed[row][col] = True
+    x = [r + c for r, c in zip(ratings, side.rows.tolist())]
+    return (np.array(x, np.float64).reshape(n, width + side.dim),
+            np.array(observed, bool).reshape(n, width))
+
+
 def finite_difference_grads(params, batch_x, targets, mask=None, reg=0.0,
                             eps=1e-5):
     """Central-difference gradients of the (masked) loss, coordinate by
@@ -221,8 +239,8 @@ def reference_loss_and_gradients(params, batch_x, targets, mask, reg):
     if reg != 0.0:
         loss += 0.5 * reg * (float(np.sum(params.Q * params.Q))
                              + float(np.sum(params.Q1 * params.Q1)))
-    d_z2 = (2.0 / b) * diff * f.deriv(z2)
-    d_z1 = (d_z2 @ params.Q1.T) * g.deriv(z1)
+    d_z2 = (2.0 / b) * diff * f.deriv_at_value(f.fn(z2))
+    d_z1 = (d_z2 @ params.Q1.T) * g.deriv_at_value(g.fn(z1))
     d_q = batch_x.T @ d_z1
     d_q1 = hid.T @ d_z2
     if reg != 0.0:
