@@ -1,24 +1,29 @@
 """MovieLens loading, side-information encoding, splitting, binarization
 and the dense network input.
 
-Handles the two raw layouts as distributed by GroupLens:
+Reads the two raw layouts as distributed by GroupLens; :data:`LAYOUTS`
+holds everything that differs between them:
 
 * ``ml-100k``: TAB-separated ``u.data`` (user, item, rating, timestamp),
   pipe-separated ``u.user`` (id|age|gender|occupation|zip) and ``u.item``
   (id|title|release_date|video_date|url|19 genre flags).
 * ``ml-1m``: ``::``-separated ``ratings.dat``, ``users.dat``
   (id::gender::age_code::occupation_code::zip) and ``movies.dat``
-  (id::title (year)::Genre|Genre|...), Latin-1 encoded.
+  (id::title (year)::Genre|Genre|...).
 
-Raw 1-based entity ids are remapped to contiguous 0-based indices in
-ascending raw-id order; the mapping is kept on the returned objects so that
-predictions can be reported against the original ids.
+Every raw file is read as Latin-1, a superset of ASCII.  Raw 1-based entity
+ids are remapped to contiguous 0-based indices in ascending raw-id order;
+the mapping is kept on the returned objects so that predictions can be
+reported against the original ids.
 """
 
 from __future__ import annotations
 
 import json
 import logging
+import re
+from bisect import bisect_right
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from functools import cached_property
 from operator import itemgetter
@@ -51,7 +56,7 @@ ML1M_OCCUPATIONS = (
 # Age groups shared by both datasets; these are the ml-1m native codes.
 AGE_BUCKETS = ("<18", "18-24", "25-34", "35-44", "45-49", "50-55", "56+")
 _AGE_LOWER_BOUNDS = (18, 25, 35, 45, 50, 56)  # bucket i+1 starts here
-_ML1M_AGE_CODES = {1: 0, 18: 1, 25: 2, 35: 3, 45: 4, 50: 5, 56: 6}
+_ML1M_AGE_CODES = (1, 18, 25, 35, 45, 50, 56)  # ml-1m code of each group
 
 # ml-100k genre flag order (contents of u.genre).
 ML100K_GENRES = (
@@ -67,16 +72,9 @@ ML1M_GENRES = (
     "Mystery", "Romance", "Sci-Fi", "Thriller", "War", "Western",
 )
 
-FORMATS = ("ml-100k", "ml-1m")
-
 
 class ParseError(ValueError):
     """Raised for malformed raw dataset files, with file and line context."""
-
-
-def _check_format(fmt: str) -> None:
-    if fmt not in FORMATS:
-        raise ValueError(f"unknown format {fmt!r}; expected one of {FORMATS}")
 
 
 def store_read_only(obj, *names: str) -> None:
@@ -196,56 +194,110 @@ class SideInfoMatrix:
         return self.rows.shape[1]
 
 
-def _iter_data_lines(path: Path, encoding: str):
-    with open(path, encoding=encoding) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n").rstrip("\r")
+def _pick(vocabulary, key, what: str) -> int:
+    """The index of ``key`` in ``vocabulary``; an unknown key is an error
+    listing the vocabulary."""
+    if key not in vocabulary:
+        raise ValueError(f"unknown {what} {key!r}; "
+                         f"valid: {', '.join(map(str, vocabulary))}")
+    return vocabulary.index(key)
+
+
+def _ml100k_profile(f: list[str]) -> tuple[str, int, int]:
+    age = int(f[1])
+    if age <= 0:
+        raise ValueError(f"age {age} must be positive")
+    return (f[2], bisect_right(_AGE_LOWER_BOUNDS, age),
+            _pick(ML100K_OCCUPATIONS, f[3], "occupation"))
+
+
+def _ml1m_profile(f: list[str]) -> tuple[str, int, int]:
+    return (f[1], _pick(_ML1M_AGE_CODES, int(f[2]), "age code"),
+            _pick(range(len(ML1M_OCCUPATIONS)), int(f[3]), "occupation code"))
+
+
+def _ml100k_item(f: list[str]) -> tuple[list[int], int | None]:
+    flags = [_pick(("0", "1"), flag, "genre flag") for flag in f[5:]]
+    year = f[2][-4:]  # the release date ends in it
+    return ([k for k, flag in enumerate(flags) if flag],
+            int(year) if year.isdigit() else None)
+
+
+def _ml1m_item(f: list[str]) -> tuple[list[int], int | None]:
+    year = re.search(r"\((\d{4})\)\s*$", f[1])  # title (year)
+    return ([_pick(ML1M_GENRES, name, "genre") for name in f[2].split("|")
+             if name and name != "(no genres listed)"],
+            int(year[1]) if year else None)
+
+
+# Everything that differs between the MovieLens releases (the field layouts
+# are in the module docstring): each raw file's (name, separator, field
+# count) by role, the occupation and genre vocabularies, and two decoders:
+# a profile line's fields -> (gender, age group, occupation index), and an
+# item line's fields -> (genre indices, release year or None).
+LAYOUTS = {
+    "ml-100k": {"ratings": ("u.data", "\t", 4), "users": ("u.user", "|", 5),
+                "items": ("u.item", "|", 5 + len(ML100K_GENRES)),
+                "occupations": ML100K_OCCUPATIONS, "genres": ML100K_GENRES,
+                "profile": _ml100k_profile, "item": _ml100k_item},
+    "ml-1m": {"ratings": ("ratings.dat", "::", 4),
+              "users": ("users.dat", "::", 5), "items": ("movies.dat", "::", 3),
+              "occupations": ML1M_OCCUPATIONS, "genres": ML1M_GENRES,
+              "profile": _ml1m_profile, "item": _ml1m_item},
+}
+FORMATS = tuple(LAYOUTS)
+
+
+def _layout(fmt: str) -> dict:
+    if fmt not in LAYOUTS:
+        raise ValueError(f"unknown format {fmt!r}; expected one of {FORMATS}")
+    return LAYOUTS[fmt]
+
+
+@contextmanager
+def _raw_fields(path: str | Path, spec: tuple[str, str, int]):
+    """Open a raw file as Latin-1 and give the fields of each non-blank
+    line, split on the separator and checked against the field count of
+    the layout ``spec``.  A ValueError raised in the ``with`` body, by the
+    reader or by the caller's decoding of a line, becomes a ParseError
+    naming the file and the line."""
+    _, sep, nfields = spec
+    at = [0]  # the line number, kept where the handler can read it
+
+    def lines(fh):
+        for at[0], line in enumerate(fh, start=1):
+            line = line.rstrip("\r\n")
             if line:
-                yield lineno, line
+                fields = line.split(sep)
+                if len(fields) != nfields:
+                    raise ValueError(f"expected {nfields} {sep!r}-separated "
+                                     f"fields, got {len(fields)}")
+                yield fields
 
-
-def _split_fields(path: Path, lineno: int, line: str, sep: str, nfields: int,
-                  minimum: bool = False) -> list[str]:
-    parts = line.split(sep)
-    if (len(parts) < nfields) if minimum else (len(parts) != nfields):
-        raise ParseError(
-            f"{path}:{lineno}: expected {nfields} {sep!r}-separated fields, "
-            f"got {len(parts)}")
-    return parts
+    with open(path, encoding="latin-1") as fh:
+        try:
+            yield lines(fh)
+        except ValueError as exc:
+            raise ParseError(f"{path}:{at[0]}: {exc}") from None
 
 
 def parse_ratings(path: str | Path, format: str = "ml-100k") -> RatingDataset:
     """Parse a raw ratings file into a :class:`RatingDataset`.
 
     Raw 1-based ids are remapped to contiguous 0-based indices in ascending
-    raw-id order.  Malformed lines, duplicate (user, item) pairs and ratings
-    outside [1, 5] raise :class:`ParseError`.
+    raw-id order.  Malformed lines and ratings outside [1, 5] raise
+    :class:`ParseError`, duplicate (user, item) pairs ValueError.
     """
-    _check_format(format)
-    path = Path(path)
-    sep, encoding = ("\t", "ascii") if format == "ml-100k" else ("::", "latin-1")
-
-    raw_users: list[int] = []
-    raw_items: list[int] = []
-    ratings: list[float] = []
-    stamps: list[int] = []
-    for lineno, line in _iter_data_lines(path, encoding):
-        f = _split_fields(path, lineno, line, sep, 4)
-        try:
-            u, i, t = int(f[0]), int(f[1]), int(f[3])
-            r = float(f[2])
-        except ValueError as exc:
-            raise ParseError(f"{path}:{lineno}: {exc}") from None
-        if not (1.0 <= r <= 5.0):
-            raise ParseError(f"{path}:{lineno}: rating {r} outside [1, 5]")
-        raw_users.append(u)
-        raw_items.append(i)
-        ratings.append(r)
-        stamps.append(t)
-
-    if not ratings:
-        return RatingDataset(0, 0, np.empty(0, np.int32), np.empty(0, np.int32),
-                             np.empty(0, np.float64), np.empty(0, np.int64))
+    raw_users, raw_items, ratings, stamps = [], [], [], []
+    with _raw_fields(path, _layout(format)["ratings"]) as lines:
+        for f in lines:
+            rating = float(f[2])
+            if not 1.0 <= rating <= 5.0:
+                raise ValueError(f"rating {rating} outside [1, 5]")
+            raw_users.append(int(f[0]))
+            raw_items.append(int(f[1]))
+            ratings.append(rating)
+            stamps.append(int(f[3]))
 
     uids, u_idx = np.unique(np.asarray(raw_users, np.int64), return_inverse=True)
     iids, i_idx = np.unique(np.asarray(raw_items, np.int64), return_inverse=True)
@@ -264,14 +316,26 @@ def parse_ratings(path: str | Path, format: str = "ml-100k") -> RatingDataset:
     return ds
 
 
-def _age_bucket(age: int) -> int:
-    return int(np.searchsorted(_AGE_LOWER_BOUNDS, age, side="right"))
-
-
-def _one_hot(size: int, hot: int) -> np.ndarray:
-    v = np.zeros(size)
-    v[hot] = 1.0
-    return v
+def _hot_rows(path: str | Path, spec: tuple[str, str, int], kind: str,
+              width: int, decode):
+    """One row of ``width`` per line of a side file, zero but for a one at
+    each column ``decode(fields)`` lists; also the raw ids, and the second
+    value ``decode`` gives for each line.  A repeated id is an error."""
+    ids: dict[int, None] = {}
+    hot: list[int] = []
+    extras = []
+    with _raw_fields(path, spec) as lines:
+        for f in lines:
+            raw_id, at = int(f[0]), len(ids) * width
+            if raw_id in ids:
+                raise ValueError(f"duplicate {kind} id {raw_id}")
+            ids[raw_id] = None
+            columns, extra = decode(f)
+            hot += [at + c for c in columns]
+            extras.append(extra)
+    matrix = np.zeros((len(ids), width))
+    matrix.flat[np.asarray(hot, np.intp)] = 1.0
+    return matrix, tuple(ids), extras
 
 
 def parse_user_profiles(path: str | Path, format: str = "ml-100k") -> SideInfoMatrix:
@@ -279,144 +343,43 @@ def parse_user_profiles(path: str | Path, format: str = "ml-100k") -> SideInfoMa
 
     Both layouts share the schema (K = 30): gender one-hot in (F, M) order,
     occupation one-hot over the dataset's 21-word vocabulary, and a one-hot
-    over the seven ml-1m native age groups.  Zip codes are discarded.
+    over the seven ml-1m native age groups.  Zip codes are discarded.  A
+    repeated user id is a :class:`ParseError`.
     """
-    _check_format(format)
-    path = Path(path)
-    occupations = ML100K_OCCUPATIONS if format == "ml-100k" else ML1M_OCCUPATIONS
-    occ_index = {name: k for k, name in enumerate(occupations)}
+    layout = _layout(format)
+    labels = (("gender=F", "gender=M")
+              + tuple(f"occupation={o}" for o in layout["occupations"])
+              + tuple(f"age={b}" for b in AGE_BUCKETS))
+    age_at = 2 + len(layout["occupations"])
 
-    ids: list[int] = []
-    rows: list[np.ndarray] = []
-    if format == "ml-100k":
-        for lineno, line in _iter_data_lines(path, "ascii"):
-            f = _split_fields(path, lineno, line, "|", 5)
-            try:
-                uid, age = int(f[0]), int(f[1])
-            except ValueError as exc:
-                raise ParseError(f"{path}:{lineno}: {exc}") from None
-            gender, occupation = f[2], f[3]
-            if age <= 0:
-                raise ParseError(f"{path}:{lineno}: age {age} must be positive")
-            if gender not in ("F", "M"):
-                raise ParseError(f"{path}:{lineno}: gender must be F or M")
-            if occupation not in occ_index:
-                raise ParseError(
-                    f"{path}:{lineno}: unknown occupation {occupation!r}; "
-                    f"valid: {', '.join(occupations)}")
-            row = np.concatenate([
-                _one_hot(2, 0 if gender == "F" else 1),
-                _one_hot(len(occupations), occ_index[occupation]),
-                _one_hot(len(AGE_BUCKETS), _age_bucket(age)),
-            ])
-            ids.append(uid)
-            rows.append(row)
-    else:
-        for lineno, line in _iter_data_lines(path, "latin-1"):
-            f = _split_fields(path, lineno, line, "::", 5)
-            try:
-                uid, age_code, occ_code = int(f[0]), int(f[2]), int(f[3])
-            except ValueError as exc:
-                raise ParseError(f"{path}:{lineno}: {exc}") from None
-            gender = f[1]
-            if age_code <= 0:
-                raise ParseError(f"{path}:{lineno}: age {age_code} must be positive")
-            if age_code not in _ML1M_AGE_CODES:
-                raise ParseError(
-                    f"{path}:{lineno}: unknown age code {age_code}; "
-                    f"valid: {sorted(_ML1M_AGE_CODES)}")
-            if gender not in ("F", "M"):
-                raise ParseError(f"{path}:{lineno}: gender must be F or M")
-            if not 0 <= occ_code < len(occupations):
-                raise ParseError(
-                    f"{path}:{lineno}: unknown occupation code {occ_code}; "
-                    f"valid: 0..{len(occupations) - 1} "
-                    f"({', '.join(occupations)})")
-            row = np.concatenate([
-                _one_hot(2, 0 if gender == "F" else 1),
-                _one_hot(len(occupations), occ_code),
-                _one_hot(len(AGE_BUCKETS), _ML1M_AGE_CODES[age_code]),
-            ])
-            ids.append(uid)
-            rows.append(row)
+    def columns(f):
+        gender, age, occupation = layout["profile"](f)
+        return (_pick(("F", "M"), gender, "gender"), 2 + occupation,
+                age_at + age), None
 
-    labels = (["gender=F", "gender=M"]
-              + [f"occupation={o}" for o in occupations]
-              + [f"age={b}" for b in AGE_BUCKETS])
-    matrix = np.vstack(rows) if rows else np.empty((0, len(labels)))
-    return SideInfoMatrix(matrix, tuple(labels), tuple(ids))
-
-
-def _year_scalar(year: int) -> float:
-    return float(np.clip((year - 1900) / 100.0, 0.0, 1.0))
+    matrix, ids, _ = _hot_rows(path, layout["users"], "user", len(labels),
+                               columns)
+    return SideInfoMatrix(matrix, labels, ids)
 
 
 def parse_item_features(path: str | Path, format: str = "ml-100k") -> SideInfoMatrix:
     """Encode item features as genre multi-hot ++ one normalized year scalar.
 
     The year scalar is (year - 1900)/100 clamped to [0, 1]; items without a
-    release year get scalar 0 and are counted in ``num_missing_year``.
+    release year get scalar 0 and are counted in ``num_missing_year``.  A
+    repeated item id is a :class:`ParseError`.
     """
-    _check_format(format)
-    path = Path(path)
-
-    ids: list[int] = []
-    rows: list[np.ndarray] = []
-    missing_year = 0
-    if format == "ml-100k":
-        genres = ML100K_GENRES
-        nfields = 5 + len(genres)
-        for lineno, line in _iter_data_lines(path, "latin-1"):
-            f = _split_fields(path, lineno, line, "|", nfields)
-            try:
-                iid = int(f[0])
-                flags = np.asarray([int(x) for x in f[5:]], np.float64)
-            except ValueError as exc:
-                raise ParseError(f"{path}:{lineno}: {exc}") from None
-            if np.any((flags != 0) & (flags != 1)):
-                raise ParseError(f"{path}:{lineno}: genre flags must be 0/1")
-            release = f[2]
-            if release and release[-4:].isdigit():
-                scalar = _year_scalar(int(release[-4:]))
-            else:
-                scalar = 0.0
-                missing_year += 1
-            ids.append(iid)
-            rows.append(np.concatenate([flags, [scalar]]))
-    else:
-        genres = ML1M_GENRES
-        genre_index = {name: k for k, name in enumerate(genres)}
-        for lineno, line in _iter_data_lines(path, "latin-1"):
-            f = _split_fields(path, lineno, line, "::", 3)
-            try:
-                iid = int(f[0])
-            except ValueError as exc:
-                raise ParseError(f"{path}:{lineno}: {exc}") from None
-            title, genre_field = f[1], f[2]
-            flags = np.zeros(len(genres))
-            for name in genre_field.split("|"):
-                if name == "(no genres listed)" or not name:
-                    continue
-                if name not in genre_index:
-                    raise ParseError(
-                        f"{path}:{lineno}: unknown genre {name!r}; "
-                        f"valid: {', '.join(genres)}")
-                flags[genre_index[name]] = 1.0
-            stripped = title.rstrip()
-            if len(stripped) >= 6 and stripped[-1] == ")" and stripped[-6] == "(" \
-                    and stripped[-5:-1].isdigit():
-                scalar = _year_scalar(int(stripped[-5:-1]))
-            else:
-                scalar = 0.0
-                missing_year += 1
-            ids.append(iid)
-            rows.append(np.concatenate([flags, [scalar]]))
-
+    layout = _layout(format)
+    labels = tuple(f"genre={g}" for g in layout["genres"]) + ("year",)
+    matrix, ids, years = _hot_rows(path, layout["items"], "item",
+                                   len(labels), layout["item"])
+    matrix[:, -1] = [0.0 if year is None else
+                     min(max((year - 1900) / 100.0, 0.0), 1.0)
+                     for year in years]
+    missing_year = years.count(None)
     if missing_year:
         log.warning("%s: %d items without a release year", path, missing_year)
-    labels = [f"genre={g}" for g in genres] + ["year"]
-    matrix = np.vstack(rows) if rows else np.empty((0, len(labels)))
-    return SideInfoMatrix(matrix, tuple(labels), tuple(ids), missing_year)
+    return SideInfoMatrix(matrix, labels, ids, missing_year)
 
 
 def align_side_info(side: SideInfoMatrix, raw_ids: tuple[int, ...]) -> SideInfoMatrix:
@@ -431,8 +394,7 @@ def align_side_info(side: SideInfoMatrix, raw_ids: tuple[int, ...]) -> SideInfoM
         raise ValueError(f"no side information for raw ids {missing[:10]}"
                          + (" ..." if len(missing) > 10 else ""))
     order = np.asarray([pos[raw] for raw in raw_ids], np.int64)
-    rows = side.rows[order].copy() if len(order) else np.empty((0, side.dim))
-    return SideInfoMatrix(rows, side.column_labels, tuple(raw_ids),
+    return SideInfoMatrix(side.rows[order], side.column_labels, tuple(raw_ids),
                           side.num_missing_year)
 
 
@@ -653,27 +615,25 @@ def read_prepared(path: str | Path) -> PreparedData:
         raise ValueError(f"{path}: prepared data: {exc}") from None
 
 
-RAW_FILES = {
-    "ml-100k": {"ratings": "u.data", "users": "u.user", "items": "u.item"},
-    "ml-1m": {"ratings": "ratings.dat", "users": "users.dat", "items": "movies.dat"},
-}
-
-
 def load_raw_directory(raw_dir: str | Path, format: str = "ml-100k") -> PreparedData:
-    """Parse a raw MovieLens directory and align side info to the ratings."""
-    _check_format(format)
-    raw_dir = Path(raw_dir)
-    names = RAW_FILES[format]
-    for role, name in names.items():
-        if not (raw_dir / name).exists():
+    """Parse a raw MovieLens directory and align side info to the ratings;
+    a rated user or item with no side row is an error naming the side
+    file."""
+    layout = _layout(format)
+    paths = {role: Path(raw_dir) / layout[role][0]
+             for role in ("ratings", "users", "items")}
+    for role, path in paths.items():
+        if not path.exists():
             raise FileNotFoundError(
-                f"missing {role} file {raw_dir / name} (expected the raw "
-                f"{format} layout: {', '.join(names.values())})")
-    ds = parse_ratings(raw_dir / names["ratings"], format)
-    users = parse_user_profiles(raw_dir / names["users"], format)
-    items = parse_item_features(raw_dir / names["items"], format)
-    return PreparedData(
-        ratings=ds,
-        user_side=align_side_info(users, ds.user_ids),
-        item_side=align_side_info(items, ds.item_ids),
-    )
+                f"missing {role} file {path} (expected the raw {format} layout: "
+                f"{', '.join(p.name for p in paths.values())})")
+    ds = parse_ratings(paths["ratings"], format)
+    sides = []
+    for role, parse, raw_ids in (("users", parse_user_profiles, ds.user_ids),
+                                 ("items", parse_item_features, ds.item_ids)):
+        side = parse(paths[role], format)
+        try:
+            sides.append(align_side_info(side, raw_ids))
+        except ValueError as exc:
+            raise ValueError(f"{paths[role]}: {exc}") from None
+    return PreparedData(ds, *sides)

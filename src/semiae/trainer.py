@@ -129,6 +129,8 @@ def _run_epochs(x: np.ndarray, output_dim: int, mask: np.ndarray | None,
                 ) -> tuple[SemiAEParams, list[float]]:
     # the targets are the first output_dim columns of each input row
     n, input_dim = x.shape
+    if not n:
+        raise ValueError("cannot train on an empty training set")
     init = glorot_init(input_dim, cfg.hidden_dim, output_dim,
                        cfg.g, cfg.f, rng)
     # the optimizer updates these buffers in place; params views them

@@ -63,6 +63,28 @@ class TestPrepare:
         assert code == 0
         assert "K_item=19" in stdout
 
+    @pytest.mark.parametrize("name, edit, expected", [
+        ("u.user", lambda b: b + b"1|37|M|writer|12345\n",
+         "u.user:31: duplicate user id 1"),
+        ("u.data", lambda b: b"\xef\xbb\xbf" + b, "u.data:1: "),
+        ("u.user", lambda b: b.split(b"\n", 1)[1],
+         "u.user: no side information for raw ids [1]"),
+    ], ids=["duplicate-id", "bom", "no-side-row"])
+    def test_bad_raw_file_is_a_one_line_error(self, ml100k_dir, tmp_path,
+                                              capsys, name, edit, expected):
+        raw = tmp_path / "raw"
+        raw.mkdir()
+        for path in ml100k_dir.iterdir():
+            data = path.read_bytes()
+            (raw / path.name).write_bytes(edit(data) if path.name == name
+                                          else data)
+        code, _, err = run(capsys, "prepare", "--raw", raw,
+                           "--out", tmp_path / "p.json")
+        assert code == 1
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), err
+        assert expected in lines[0]
+
 
 class TestTrain:
     def test_rating_defaults_echoed_in_model(self, prepared_path, tmp_path,
@@ -142,6 +164,26 @@ class TestTrain:
             "--config", cfg, "--out", part, "--train-fraction", "0.5")
         assert json.loads(full.read_text())["Q"] != \
             json.loads(part.read_text())["Q"]
+
+
+    @pytest.mark.parametrize("task", ["rating", "ranking"])
+    def test_empty_training_set_is_a_one_line_error(self, ml100k_dir,
+                                                    tmp_path, capsys, task):
+        raw = tmp_path / "raw"
+        raw.mkdir()
+        for path in ml100k_dir.iterdir():
+            (raw / path.name).write_bytes(
+                b"" if path.name == "u.data" else path.read_bytes())
+        prepared = tmp_path / "empty.json"
+        code, stdout, err = run(capsys, "prepare", "--raw", raw,
+                                "--out", prepared)
+        assert code == 0, err
+        assert "M=0 N=0 |Omega|=0" in stdout
+        code, _, err = run(capsys, "train", "--data", prepared, "--task",
+                           task, "--out", tmp_path / "never.json")
+        assert code == 1
+        assert err.strip() == "error: cannot train on an empty training set"
+        assert not (tmp_path / "never.json").exists()
 
 
 class TestEvaluate:

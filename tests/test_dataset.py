@@ -9,9 +9,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from semiae.dataset import (ML100K_GENRES, ML100K_OCCUPATIONS, ParseError,
-                            PreparedData, RatingDataset, SideInfoMatrix,
-                            align_side_info, binarize, build_vectors,
+from semiae.dataset import (FORMATS, LAYOUTS, ML100K_GENRES,
+                            ML100K_OCCUPATIONS, ParseError, PreparedData,
+                            RatingDataset, SideInfoMatrix, align_side_info, binarize, build_vectors,
                             load_raw_directory, parse_item_features,
                             parse_ratings, parse_user_profiles, read_prepared,
                             split, write_json, write_prepared)
@@ -197,6 +197,58 @@ class TestParseItemFeatures:
                           encoding="latin-1")
         with pytest.raises(ParseError, match="unknown genre"):
             parse_item_features(bad, "ml-1m")
+
+
+class TestSideFileFaults:
+    """A fault in a raw file is a ParseError naming the file and the line."""
+
+    @pytest.mark.parametrize("fmt, name, line", [
+        ("ml-100k", "u.user", "1|37|M|writer|12345"),
+        ("ml-100k", "u.item", "1|Copy (1995)|01-Jan-1995||http://x|"
+                              + "|".join("0" * 19)),
+        ("ml-1m", "users.dat", "1::M::25::3::12345"),
+        ("ml-1m", "movies.dat", "1::Copy (1995)::Drama"),
+    ])
+    def test_duplicate_side_id_names_file_line_and_id(self, fmt, name, line,
+                                                      ml100k_dir, ml1m_dir,
+                                                      tmp_path):
+        raw = ml100k_dir if fmt == "ml-100k" else ml1m_dir
+        text = (raw / name).read_text(encoding="latin-1")
+        path = tmp_path / name
+        path.write_text(text + line + "\n", encoding="latin-1")
+        kind = "user" if "user" in name else "item"
+        parse = parse_user_profiles if kind == "user" else parse_item_features
+        lineno = len(text.splitlines()) + 1
+        with pytest.raises(ParseError,
+                           match=rf"{name}:{lineno}: duplicate {kind} id 1$"):
+            parse(path, fmt)
+
+    @pytest.mark.parametrize("name", ["u.data", "u.user"])
+    def test_utf8_bom_names_the_file_and_line_one(self, name, ml100k_dir,
+                                                  tmp_path):
+        path = tmp_path / name
+        path.write_bytes(b"\xef\xbb\xbf" + (ml100k_dir / name).read_bytes())
+        parse = parse_ratings if name == "u.data" else parse_user_profiles
+        with pytest.raises(ParseError, match=rf"{name}:1: "):
+            parse(path, "ml-100k")
+
+    def test_latin1_bytes_outside_the_numeric_fields_are_read(self, tmp_path):
+        path = write_lines(tmp_path / "u.user", ["1|24|M|technician|8571\xe9"],
+                           encoding="latin-1")
+        assert parse_user_profiles(path, "ml-100k").entity_ids == (1,)
+
+    @pytest.mark.parametrize("name", ["u.user", "u.item"])
+    def test_rated_entity_without_side_row_names_the_side_file(
+            self, name, ml100k_dir, tmp_path):
+        raw = tmp_path / "raw"
+        raw.mkdir()
+        for path in ml100k_dir.iterdir():
+            lines = path.read_bytes().splitlines(keepends=True)
+            (raw / path.name).write_bytes(b"".join(
+                lines[1:] if path.name == name else lines))
+        with pytest.raises(ValueError,
+                           match=rf"{name}: no side information .*\[1\]"):
+            load_raw_directory(raw, "ml-100k")
 
 
 class TestAlignment:
@@ -483,6 +535,105 @@ class TestPreparedRoundTrip:
     def test_missing_file_names_the_expectation(self, tmp_path):
         with pytest.raises(FileNotFoundError, match="u.data"):
             load_raw_directory(tmp_path, "ml-100k")
+
+
+# mutation -> the roles of the raw files it applies to
+MUTATIONS = {
+    "crlf": ("ratings", "users", "items"),
+    "bom": ("ratings", "users", "items"),
+    "blank-line": ("ratings", "users", "items"),
+    "trailing-separator": ("ratings", "users", "items"),
+    "latin1-title": ("items",),
+    "duplicate-id": ("users", "items"),
+    "rated-id-removed": ("users", "items"),
+}
+
+
+def assert_same_load(got: PreparedData, want: PreparedData):
+    for name in ("users", "items", "ratings", "timestamps"):
+        assert_same_bits(getattr(got.ratings, name),
+                         getattr(want.ratings, name))
+    assert got.ratings.user_ids == want.ratings.user_ids
+    assert got.ratings.item_ids == want.ratings.item_ids
+    for side in ("user_side", "item_side"):
+        a, b = getattr(got, side), getattr(want, side)
+        assert_same_bits(a.rows, b.rows)
+        assert (a.column_labels, a.entity_ids, a.num_missing_year) == \
+            (b.column_labels, b.entity_ids, b.num_missing_year)
+
+
+class TestOneParserUnderMutation:
+    """A mutated raw directory of either layout loads exactly like the clean
+    one, or fails with a ValueError naming the mutated file; a ParseError
+    also names the line, the mutated one where there is one."""
+
+    @pytest.fixture(scope="class")
+    def clean(self, ml100k_dir, ml1m_dir):
+        return {fmt: (raw, load_raw_directory(raw, fmt))
+                for fmt, raw in (("ml-100k", ml100k_dir), ("ml-1m", ml1m_dir))}
+
+    @staticmethod
+    def mutate(lines: list[bytes], mutation: str, sep: bytes, raw_ids,
+               draw) -> tuple[list[bytes], int | None]:
+        """The mutated lines, and the 1-based line that must fail (0 for
+        an error with no line, None for a clean load)."""
+        pick = lambda: draw(st.integers(0, len(lines) - 1))  # noqa: E731
+        if mutation == "crlf":
+            return [line + b"\r" for line in lines], None
+        if mutation == "bom":
+            return [b"\xef\xbb\xbf" + lines[0]] + lines[1:], 1
+        if mutation == "blank-line":
+            k = draw(st.integers(0, len(lines)))
+            return lines[:k] + [b""] + lines[k:], None
+        if mutation == "trailing-separator":
+            k = pick()
+            return lines[:k] + [lines[k] + sep] + lines[k + 1:], k + 1
+        if mutation == "latin1-title":
+            k = pick()
+            fields = lines[k].split(sep)
+            fields[1] = b"Caf\xe9 \xabn\xbb " + fields[1]
+            return lines[:k] + [sep.join(fields)] + lines[k + 1:], None
+        if mutation == "duplicate-id":
+            k = pick()
+            j = draw(st.integers(k + 1, len(lines)))
+            return lines[:j] + [lines[k]] + lines[j:], j + 1
+        rated = [k for k, line in enumerate(lines)
+                 if int(line.split(sep)[0]) in raw_ids]
+        k = draw(st.sampled_from(rated))
+        return lines[:k] + lines[k + 1:], 0
+
+    @settings(max_examples=200, deadline=None)
+    @given(fmt=st.sampled_from(FORMATS), mutation=st.sampled_from(
+        sorted(MUTATIONS)), data=st.data())
+    def test_mutated_directory(self, clean, fmt, mutation, data):
+        raw, want = clean[fmt]
+        role = data.draw(st.sampled_from(MUTATIONS[mutation]), label="role")
+        name, sep, _ = LAYOUTS[fmt][role]
+        sep = sep.encode()
+        raw_ids = (want.ratings.user_ids if role == "users"
+                   else want.ratings.item_ids)
+        with tempfile.TemporaryDirectory() as tmp:
+            for path in raw.iterdir():
+                lines = path.read_bytes().splitlines()
+                if path.name == name:
+                    lines, fail_at = self.mutate(lines, mutation, sep,
+                                                 raw_ids, data.draw)
+                    mutated = lines
+                (Path(tmp) / path.name).write_bytes(
+                    b"".join(line + b"\n" for line in lines))
+            if fail_at is None:
+                assert_same_load(load_raw_directory(tmp, fmt), want)
+                return
+            with pytest.raises(ValueError) as err:
+                load_raw_directory(tmp, fmt)
+        message = str(err.value)
+        assert str(Path(tmp) / name) in message
+        assert isinstance(err.value, ParseError) == bool(fail_at)
+        if fail_at:
+            assert f"{name}:{fail_at}: " in message
+        if mutation == "duplicate-id":
+            raw_id = int(mutated[fail_at - 1].split(sep)[0])
+            assert message.endswith(f"duplicate {role[:-1]} id {raw_id}")
 
 
 def as_lists(value):
