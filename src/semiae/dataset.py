@@ -77,6 +77,19 @@ class ParseError(ValueError):
     """Raised for malformed raw dataset files, with file and line context."""
 
 
+class _RepeatedPair(ValueError):
+    """A (user, item) pair listed twice; ``first`` and ``again`` are the
+    indices of the earliest triple that repeats an earlier one and of that
+    earlier one."""
+
+    def __init__(self, keys: np.ndarray) -> None:
+        super().__init__("duplicate (user, item) pair in triples")
+        order = np.argsort(keys, kind="stable")
+        repeats = order[1:][keys[order[1:]] == keys[order[:-1]]]
+        self.again = int(repeats.min())
+        self.first = int(np.flatnonzero(keys == keys[self.again])[0])
+
+
 def store_read_only(obj, *names: str) -> None:
     """Replace each named array field of a frozen dataclass by a read-only
     view of it; the caller's array stays writable."""
@@ -115,8 +128,9 @@ class RatingDataset:
             if self.items.min() < 0 or self.items.max() >= self.num_items:
                 raise ValueError("item index out of range")
             keys = self.users.astype(np.int64) * self.num_items + self.items
-            if len(np.unique(keys)) != n:
-                raise ValueError("duplicate (user, item) pair in triples")
+            ordered = np.sort(keys)
+            if (ordered[1:] == ordered[:-1]).any():
+                raise _RepeatedPair(keys)
         for kind, ids, count in (("user", self.user_ids, self.num_users),
                                  ("item", self.item_ids, self.num_items)):
             if ids and len(ids) != count:
@@ -232,16 +246,22 @@ def _ml1m_item(f: list[str]) -> tuple[list[int], int | None]:
 
 # Everything that differs between the MovieLens releases (the field layouts
 # are in the module docstring): each raw file's (name, separator, field
-# count) by role, the occupation and genre vocabularies, and two decoders:
-# a profile line's fields -> (gender, age group, occupation index), and an
-# item line's fields -> (genre indices, release year or None).
+# count) by role, the positions of each file's numeric fields (ids, ages,
+# codes, ratings, timestamps), the occupation and genre vocabularies, and
+# two decoders: a profile line's fields -> (gender, age group, occupation
+# index), and an item line's fields -> (genre indices, release year or
+# None).
 LAYOUTS = {
     "ml-100k": {"ratings": ("u.data", "\t", 4), "users": ("u.user", "|", 5),
                 "items": ("u.item", "|", 5 + len(ML100K_GENRES)),
+                "numeric": {"ratings": (0, 1, 2, 3), "users": (0, 1),
+                            "items": (0,)},
                 "occupations": ML100K_OCCUPATIONS, "genres": ML100K_GENRES,
                 "profile": _ml100k_profile, "item": _ml100k_item},
     "ml-1m": {"ratings": ("ratings.dat", "::", 4),
               "users": ("users.dat", "::", 5), "items": ("movies.dat", "::", 3),
+              "numeric": {"ratings": (0, 1, 2, 3), "users": (0, 2, 3),
+                          "items": (0,)},
               "occupations": ML1M_OCCUPATIONS, "genres": ML1M_GENRES,
               "profile": _ml1m_profile, "item": _ml1m_item},
 }
@@ -254,42 +274,59 @@ def _layout(fmt: str) -> dict:
     return LAYOUTS[fmt]
 
 
-@contextmanager
-def _raw_fields(path: str | Path, spec: tuple[str, str, int]):
-    """Open a raw file as Latin-1 and give the fields of each non-blank
-    line, split on the separator and checked against the field count of
-    the layout ``spec``.  A ValueError raised in the ``with`` body, by the
-    reader or by the caller's decoding of a line, becomes a ParseError
-    naming the file and the line."""
-    _, sep, nfields = spec
-    at = [0]  # the line number, kept where the handler can read it
+class _Fields:
+    """The fields of each non-blank line of an open raw file, split on the
+    separator and checked against the field count; the fields at the
+    positions ``numeric`` must be ASCII, because ``int`` and ``float``
+    would skip a Latin-1 no-break space.  ``line`` is the number of the
+    line last read."""
 
-    def lines(fh):
-        for at[0], line in enumerate(fh, start=1):
-            line = line.rstrip("\r\n")
-            if line:
-                fields = line.split(sep)
+    def __init__(self, fh, sep: str, nfields: int, numeric) -> None:
+        self.fh, self.sep, self.nfields, self.numeric = fh, sep, nfields, numeric
+        self.line = 0
+
+    def __iter__(self):
+        sep, nfields = self.sep, self.nfields
+        for self.line, text in enumerate(self.fh, start=1):
+            text = text.rstrip("\r\n")
+            if text:
+                fields = text.split(sep)
                 if len(fields) != nfields:
                     raise ValueError(f"expected {nfields} {sep!r}-separated "
                                      f"fields, got {len(fields)}")
+                if not text.isascii():
+                    for k in self.numeric:
+                        if not fields[k].isascii():
+                            raise ValueError(f"non-ASCII character in numeric "
+                                             f"field {k + 1}: {fields[k]!r}")
                 yield fields
 
+
+@contextmanager
+def _raw_fields(path: str | Path, layout: dict, role: str):
+    """Open the raw ``role`` file of ``layout`` as Latin-1 and give the
+    :class:`_Fields` of its lines.  A ValueError raised in the ``with``
+    body, by the reader or by the caller's decoding of a line, becomes a
+    ParseError naming the file and the line."""
+    _, sep, nfields = layout[role]
     with open(path, encoding="latin-1") as fh:
+        lines = _Fields(fh, sep, nfields, layout["numeric"][role])
         try:
-            yield lines(fh)
+            yield lines
         except ValueError as exc:
-            raise ParseError(f"{path}:{at[0]}: {exc}") from None
+            raise ParseError(f"{path}:{lines.line}: {exc}") from None
 
 
 def parse_ratings(path: str | Path, format: str = "ml-100k") -> RatingDataset:
     """Parse a raw ratings file into a :class:`RatingDataset`.
 
     Raw 1-based ids are remapped to contiguous 0-based indices in ascending
-    raw-id order.  Malformed lines and ratings outside [1, 5] raise
-    :class:`ParseError`, duplicate (user, item) pairs ValueError.
+    raw-id order.  Malformed lines, ratings outside [1, 5] and a repeated
+    (user, item) pair raise :class:`ParseError`.
     """
+    layout = _layout(format)
     raw_users, raw_items, ratings, stamps = [], [], [], []
-    with _raw_fields(path, _layout(format)["ratings"]) as lines:
+    with _raw_fields(path, layout, "ratings") as lines:
         for f in lines:
             rating = float(f[2])
             if not 1.0 <= rating <= 5.0:
@@ -301,34 +338,47 @@ def parse_ratings(path: str | Path, format: str = "ml-100k") -> RatingDataset:
 
     uids, u_idx = np.unique(np.asarray(raw_users, np.int64), return_inverse=True)
     iids, i_idx = np.unique(np.asarray(raw_items, np.int64), return_inverse=True)
-    ds = RatingDataset(
-        num_users=len(uids),
-        num_items=len(iids),
-        users=u_idx.astype(np.int32),
-        items=i_idx.astype(np.int32),
-        ratings=np.asarray(ratings, np.float64),
-        timestamps=np.asarray(stamps, np.int64),
-        user_ids=tuple(uids.tolist()),
-        item_ids=tuple(iids.tolist()),
-    )
+    try:
+        ds = RatingDataset(
+            num_users=len(uids),
+            num_items=len(iids),
+            users=u_idx.astype(np.int32),
+            items=i_idx.astype(np.int32),
+            ratings=np.asarray(ratings, np.float64),
+            timestamps=np.asarray(stamps, np.int64),
+            user_ids=tuple(uids.tolist()),
+            item_ids=tuple(iids.tolist()),
+        )
+    except _RepeatedPair as exc:
+        # read the file again for the two lines' numbers
+        with _raw_fields(path, layout, "ratings") as lines:
+            for k, _ in enumerate(lines):
+                if k == exc.first:
+                    first_line = lines.line
+                elif k == exc.again:
+                    raise ValueError(
+                        f"duplicate (user, item) pair ({raw_users[k]}, "
+                        f"{raw_items[k]}), first on line {first_line}"
+                    ) from None
+        raise  # the file changed under the second reading
     log.info("parsed %s: %d users, %d items, %d ratings",
              path, ds.num_users, ds.num_items, len(ds))
     return ds
 
 
-def _hot_rows(path: str | Path, spec: tuple[str, str, int], kind: str,
-              width: int, decode):
-    """One row of ``width`` per line of a side file, zero but for a one at
-    each column ``decode(fields)`` lists; also the raw ids, and the second
-    value ``decode`` gives for each line.  A repeated id is an error."""
+def _hot_rows(path: str | Path, layout: dict, role: str, width: int, decode):
+    """One row of ``width`` per line of the ``role`` side file, zero but
+    for a one at each column ``decode(fields)`` lists; also the raw ids,
+    and the second value ``decode`` gives for each line.  A repeated id is
+    an error."""
     ids: dict[int, None] = {}
     hot: list[int] = []
     extras = []
-    with _raw_fields(path, spec) as lines:
+    with _raw_fields(path, layout, role) as lines:
         for f in lines:
             raw_id, at = int(f[0]), len(ids) * width
             if raw_id in ids:
-                raise ValueError(f"duplicate {kind} id {raw_id}")
+                raise ValueError(f"duplicate {role[:-1]} id {raw_id}")
             ids[raw_id] = None
             columns, extra = decode(f)
             hot += [at + c for c in columns]
@@ -357,8 +407,7 @@ def parse_user_profiles(path: str | Path, format: str = "ml-100k") -> SideInfoMa
         return (_pick(("F", "M"), gender, "gender"), 2 + occupation,
                 age_at + age), None
 
-    matrix, ids, _ = _hot_rows(path, layout["users"], "user", len(labels),
-                               columns)
+    matrix, ids, _ = _hot_rows(path, layout, "users", len(labels), columns)
     return SideInfoMatrix(matrix, labels, ids)
 
 
@@ -371,8 +420,8 @@ def parse_item_features(path: str | Path, format: str = "ml-100k") -> SideInfoMa
     """
     layout = _layout(format)
     labels = tuple(f"genre={g}" for g in layout["genres"]) + ("year",)
-    matrix, ids, years = _hot_rows(path, layout["items"], "item",
-                                   len(labels), layout["item"])
+    matrix, ids, years = _hot_rows(path, layout, "items", len(labels),
+                                   layout["item"])
     matrix[:, -1] = [0.0 if year is None else
                      min(max((year - 1900) / 100.0, 0.0), 1.0)
                      for year in years]

@@ -31,19 +31,26 @@ from .dataset import read_json, store_read_only, write_json
 
 MODEL_SCHEMA_VERSION = 1
 
+# elements per block of the training step's elementwise passes over the
+# parameters, so that the operands of one block stay in the L2 cache
+# (16k-64k elements measured the same)
+BLOCK = 32768
+
 
 def _identity(z: np.ndarray) -> np.ndarray:
     return z
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    # two-branch form: never exponentiates a large positive argument
-    out = np.empty_like(z, dtype=np.float64)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    # two-branch form, 1/(1+exp(-z)) for z >= 0 and exp(z)/(1+exp(z))
+    # below, in two buffers: exp only ever sees -|z|
+    e = np.abs(z, out=np.empty(np.shape(z)))
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    d = e + 1.0
+    e /= d
+    np.divide(1.0, d, out=e, where=z >= 0)
+    return e
 
 
 def _relu(z: np.ndarray) -> np.ndarray:
@@ -187,12 +194,11 @@ def _exact_sum(arr: np.ndarray) -> float:
     return math.fsum(arr.ravel().tolist())
 
 
-def _weight_penalty(params: SemiAEParams, reg: float, exact: bool) -> float:
+def _weight_penalty(params: SemiAEParams, reg: float) -> float:
     if reg == 0.0:
         return 0.0
-    reduce = _exact_sum if exact else lambda a: float(np.sum(a))
-    return 0.5 * reg * (reduce(params.Q * params.Q)
-                        + reduce(params.Q1 * params.Q1))
+    return 0.5 * reg * (_exact_sum(params.Q * params.Q)
+                        + _exact_sum(params.Q1 * params.Q1))
 
 
 def _loss_value(params, batch_x, targets, mask, reg) -> float:
@@ -203,7 +209,7 @@ def _loss_value(params, batch_x, targets, mask, reg) -> float:
     if mask is not None:
         diff = diff * mask
     return (_exact_sum(diff * diff) / batch_x.shape[0]
-            + _weight_penalty(params, reg, exact=True))
+            + _weight_penalty(params, reg))
 
 
 def _check_loss_args(params, batch_x, targets, mask):
@@ -240,40 +246,77 @@ def masked_loss(params: SemiAEParams, batch_x: np.ndarray, targets: np.ndarray,
     return _loss_value(params, batch, tgt, m, reg)
 
 
+def blocks(size: int) -> list[slice]:
+    """Consecutive slices of at most :data:`BLOCK` elements covering
+    ``range(size)``."""
+    return [slice(lo, min(lo + BLOCK, size)) for lo in range(0, size, BLOCK)]
+
+
+def _add_scaled(acc: np.ndarray, scale: float, a: np.ndarray) -> None:
+    """``acc += scale * a`` on contiguous arrays, one block at a time
+    through a block-sized scratch."""
+    acc, a = acc.reshape(-1), a.reshape(-1)
+    scratch = np.empty(min(BLOCK, a.size))
+    for part in blocks(a.size):
+        term = scratch[:part.stop - part.start]
+        np.multiply(a[part], scale, out=term)
+        acc[part] += term
+
+
 def loss_and_gradients(params: SemiAEParams, batch_x: np.ndarray,
                        targets: np.ndarray, mask: np.ndarray | None = None,
-                       reg: float = 0.0) -> tuple[float, GradientSet]:
-    """Compute the (masked or full) loss and its exact analytic gradients."""
+                       reg: float = 0.0, out: GradientSet | None = None
+                       ) -> tuple[float, GradientSet]:
+    """Compute the (masked or full) loss and its exact analytic gradients,
+    the L2 term included.
+
+    The gradients are written into ``out``, C-contiguous arrays of the
+    parameters' shapes that a training loop reuses for every batch, and
+    ``out`` is returned; without it they go to fresh arrays.
+    """
     batch, tgt, m = _check_loss_args(params, batch_x, targets, mask)
+    theta = (params.Q, params.Q1, params.p, params.p1)
+    if out is None:
+        out = GradientSet(*(np.empty(a.shape) for a in theta))
+    elif not all(buf.shape == a.shape and buf.flags.c_contiguous
+                 and buf.flags.writeable for buf, a in zip(
+                     (out.dQ, out.dQ1, out.dp, out.dp1), theta)):
+        raise ValueError("out must hold writable C-contiguous arrays of the "
+                         "parameters' shapes")
     b = batch.shape[0]
-    hid, out = _forward_cache(params, batch)
+    hid, pred = _forward_cache(params, batch)
     # both derivatives come from the activations' values; the identity's
     # is 1 and its multiply is skipped
     if params.f != "identity":
-        f_prime = activation(params.f).deriv_at_value(out)
+        f_prime = activation(params.f).deriv_at_value(pred)
 
     # the output buffer becomes the difference, then dLoss/dz2
-    diff = np.subtract(out, tgt, out=out)
+    diff = np.subtract(pred, tgt, out=pred)
     if m is not None:
         diff *= m
-    loss = float(np.sum(diff * diff)) / b + _weight_penalty(params, reg,
-                                                            exact=False)
+    loss = float(np.sum(diff * diff)) / b
+    if reg != 0.0:
+        # the penalty's squares fill the weight gradients' buffers before
+        # the backward matmuls overwrite them
+        np.multiply(params.Q, params.Q, out=out.dQ)
+        np.multiply(params.Q1, params.Q1, out=out.dQ1)
+        loss += 0.5 * reg * (float(np.sum(out.dQ)) + float(np.sum(out.dQ1)))
 
     d_z2 = diff
     d_z2 *= 2.0 / b
     if params.f != "identity":
         d_z2 *= f_prime
-    d_q1 = hid.T @ d_z2
-    d_p1 = d_z2.sum(axis=0)
+    np.matmul(hid.T, d_z2, out=out.dQ1)
+    np.sum(d_z2, axis=0, out=out.dp1)
     d_z1 = d_z2 @ params.Q1.T
     if params.g != "identity":
         d_z1 *= activation(params.g).deriv_at_value(hid)
-    d_q = batch.T @ d_z1
-    d_p = d_z1.sum(axis=0)
+    np.matmul(batch.T, d_z1, out=out.dQ)
+    np.sum(d_z1, axis=0, out=out.dp)
     if reg != 0.0:
-        d_q += reg * params.Q
-        d_q1 += reg * params.Q1
-    return loss, GradientSet(d_q, d_q1, d_p, d_p1)
+        _add_scaled(out.dQ, reg, params.Q)
+        _add_scaled(out.dQ1, reg, params.Q1)
+    return loss, out
 
 
 def params_to_dict(params: SemiAEParams, config_echo: dict | None = None) -> dict:

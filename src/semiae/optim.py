@@ -1,10 +1,13 @@
 """Parameter-update rules: plain gradient descent, RMSProp and Adam.
 
 An :class:`Optimizer` is bound to the parameter buffers it trains (Q, Q1, p,
-p1 in that order).  It allocates its accumulators and two scratch buffers
-once, and ``update`` overwrites the parameters and accumulators in place.
-Each update performs the floating-point operations of the textbook formulas
-in a fixed order, so two runs from the same seed are bit-identical.
+p1 in that order).  It allocates its accumulators and two block-sized
+scratch buffers once, and ``update`` overwrites the parameters and
+accumulators in place, one block of :data:`semiae.model.BLOCK` elements at
+a time, so that each block's operands stay in the L2 cache.  Each update
+performs the floating-point operations of the textbook formulas in a fixed
+order, elementwise, so blocking does not change a bit and two runs from the
+same seed are bit-identical.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import GradientSet
+from .model import BLOCK, GradientSet, blocks
 
 OPTIMIZER_KINDS = ("sgd", "rmsprop", "adam")
 
@@ -39,7 +42,7 @@ class Optimizer:
     rho: float = 0.9
     t: int = 0
     slots: dict = field(init=False)
-    _work: list = field(init=False, repr=False)
+    _blocks: list = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.kind not in OPTIMIZER_KINDS:
@@ -48,15 +51,23 @@ class Optimizer:
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
         self.params = tuple(self.params)
+        if not all(theta.flags.c_contiguous and theta.flags.writeable
+                   for theta in self.params):
+            raise ValueError("parameters must be writable C-contiguous arrays")
         self.slots = {name: {acc: np.zeros_like(theta)
                              for acc in _ACCUMULATORS[self.kind]}
                       for name, theta in zip(_SLOT_NAMES, self.params)}
-        # two scratch buffers sized for the largest parameter, viewed in the
-        # shape of each one
-        size = max(theta.size for theta in self.params)
-        scratch = np.empty(size), np.empty(size)
-        self._work = [tuple(s[:theta.size].reshape(theta.shape)
-                            for s in scratch) for theta in self.params]
+        # two scratch buffers of one block, or of the largest parameter if
+        # that is smaller; per parameter, each block's slice and its views
+        # of the parameter, the accumulators and the scratch, made once
+        size = min(BLOCK, max(theta.size for theta in self.params))
+        step, tmp = np.empty(size), np.empty(size)
+        self._blocks = [
+            [(part, theta.reshape(-1)[part],
+              [a.reshape(-1)[part] for a in self.slots[name].values()],
+              step[:part.stop - part.start], tmp[:part.stop - part.start])
+             for part in blocks(theta.size)]
+            for name, theta in zip(_SLOT_NAMES, self.params)]
 
 
 def make_optimizer(kind: str, learning_rate: float, params, **hyper) -> Optimizer:
@@ -74,39 +85,48 @@ def update(state: Optimizer, grads: GradientSet) -> None:
             raise ValueError(f"gradient shape {g.shape} does not match "
                              f"parameter {name} shape {theta.shape}")
 
-    eta = state.learning_rate
     state.t += 1
     first = state.t == 1
-    for name, g, theta, (step, tmp) in zip(_SLOT_NAMES, all_grads,
-                                           state.params, state._work):
-        slot = state.slots[name]
-        if state.kind == "sgd":
-            np.multiply(g, eta, out=step)
-        elif state.kind == "rmsprop":
-            acc = slot["acc"]
-            np.multiply(g, 1.0 - state.rho, out=tmp)
-            tmp *= g
-            _decay_add(acc, state.rho, tmp, first)
-            # eta * g / sqrt(acc + eps)
-            np.add(acc, state.eps, out=tmp)
-            np.sqrt(tmp, out=tmp)
-            np.multiply(g, eta, out=step)
-            step /= tmp
-        else:  # adam
-            m, v = slot["m"], slot["v"]
-            np.multiply(g, 1.0 - state.beta1, out=tmp)
-            _decay_add(m, state.beta1, tmp, first)
-            np.multiply(g, 1.0 - state.beta2, out=tmp)
-            tmp *= g
-            _decay_add(v, state.beta2, tmp, first)
-            # eta * (m / (1-beta1^t)) / (sqrt(v / (1-beta2^t)) + eps)
-            np.divide(m, 1.0 - state.beta1 ** state.t, out=step)
-            step *= eta
-            np.divide(v, 1.0 - state.beta2 ** state.t, out=tmp)
-            np.sqrt(tmp, out=tmp)
-            tmp += state.eps
-            step /= tmp
-        np.subtract(theta, step, out=theta)
+    for g, parts in zip(all_grads, state._blocks):
+        g = g.reshape(-1)
+        for part, theta, accs, step, tmp in parts:
+            _step(state, g[part], theta, accs, step, tmp, first)
+
+
+def _step(state: Optimizer, g: np.ndarray, theta: np.ndarray,
+          accs: list[np.ndarray], step: np.ndarray, tmp: np.ndarray,
+          first: bool) -> None:
+    """One update of the parameter block ``theta`` and its accumulators'
+    blocks ``accs`` from the gradient block ``g``, through the scratch
+    blocks ``step`` and ``tmp``."""
+    eta = state.learning_rate
+    if state.kind == "sgd":
+        np.multiply(g, eta, out=step)
+    elif state.kind == "rmsprop":
+        (acc,) = accs
+        np.multiply(g, 1.0 - state.rho, out=tmp)
+        tmp *= g
+        _decay_add(acc, state.rho, tmp, first)
+        # eta * g / sqrt(acc + eps)
+        np.add(acc, state.eps, out=tmp)
+        np.sqrt(tmp, out=tmp)
+        np.multiply(g, eta, out=step)
+        step /= tmp
+    else:  # adam
+        m, v = accs
+        np.multiply(g, 1.0 - state.beta1, out=tmp)
+        _decay_add(m, state.beta1, tmp, first)
+        np.multiply(g, 1.0 - state.beta2, out=tmp)
+        tmp *= g
+        _decay_add(v, state.beta2, tmp, first)
+        # eta * (m / (1-beta1^t)) / (sqrt(v / (1-beta2^t)) + eps)
+        np.divide(m, 1.0 - state.beta1 ** state.t, out=step)
+        step *= eta
+        np.divide(v, 1.0 - state.beta2 ** state.t, out=tmp)
+        np.sqrt(tmp, out=tmp)
+        tmp += state.eps
+        step /= tmp
+    np.subtract(theta, step, out=theta)
 
 
 def _decay_add(acc: np.ndarray, decay: float, term: np.ndarray,

@@ -10,10 +10,12 @@ positions.
 
 Both loops are seed-deterministic: weight init and the per-epoch row
 shuffles are drawn from one generator seeded by the config.  The loop owns
-the parameter buffers; the optimizer updates them in place after each
-batch, and the :class:`SemiAEParams` built once over them sees every
-update.  A non-finite batch loss stops training with a ValueError naming
-the epoch, the batch, the last finite loss and the learning rate.
+the parameter buffers and one set of gradient buffers: each batch's
+gradients are written into the same buffers, the optimizer updates the
+parameters in place from them, and the :class:`SemiAEParams` built once
+over the parameters sees every update.  A step allocates nothing the size
+of a parameter.  A non-finite batch loss stops training with a ValueError
+naming the epoch, the batch, the last finite loss and the learning rate.
 """
 
 from __future__ import annotations
@@ -28,8 +30,9 @@ import numpy as np
 
 from .dataset import RatingDataset, SideInfoMatrix, build_vectors
 from .evaluation import _rank_unconsumed
-from .model import (SemiAEParams, activation, forward, glorot_init,
-                    load_params, loss_and_gradients, save_params, with_arrays)
+from .model import (GradientSet, SemiAEParams, activation, forward,
+                    glorot_init, load_params, loss_and_gradients, save_params,
+                    with_arrays)
 from .optim import OPTIMIZER_KINDS, make_optimizer, update
 
 log = logging.getLogger(__name__)
@@ -137,6 +140,7 @@ def _run_epochs(x: np.ndarray, output_dim: int, mask: np.ndarray | None,
     theta = [np.array(a) for a in (init.Q, init.Q1, init.p, init.p1)]
     params = with_arrays(init, *theta)
     state = make_optimizer(cfg.optimizer, cfg.learning_rate, theta)
+    grads = GradientSet(*(np.empty_like(a) for a in theta))
     num_batches = -(-n // cfg.batch_size)
     history: list[float] = []
     last_finite = None
@@ -147,9 +151,9 @@ def _run_epochs(x: np.ndarray, output_dim: int, mask: np.ndarray | None,
             idx = perm[start:start + cfg.batch_size]
             batch_x = x[idx]
             batch_mask = mask[idx] if mask is not None else None
-            loss, grads = loss_and_gradients(
+            loss, _ = loss_and_gradients(
                 params, batch_x, batch_x[:, :output_dim], batch_mask,
-                cfg.regularization)
+                cfg.regularization, out=grads)
             if not math.isfinite(loss):
                 raise ValueError(
                     f"training diverged at epoch {epoch + 1}/{cfg.epochs}, "

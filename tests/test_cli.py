@@ -69,7 +69,9 @@ class TestPrepare:
         ("u.data", lambda b: b"\xef\xbb\xbf" + b, "u.data:1: "),
         ("u.user", lambda b: b.split(b"\n", 1)[1],
          "u.user: no side information for raw ids [1]"),
-    ], ids=["duplicate-id", "bom", "no-side-row"])
+        ("u.data", lambda b: b"\xa0" + b,
+         "u.data:1: non-ASCII character in numeric field 1: "),
+    ], ids=["duplicate-id", "bom", "no-side-row", "no-break-space"])
     def test_bad_raw_file_is_a_one_line_error(self, ml100k_dir, tmp_path,
                                               capsys, name, edit, expected):
         raw = tmp_path / "raw"
@@ -84,6 +86,24 @@ class TestPrepare:
         lines = err.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), err
         assert expected in lines[0]
+
+
+    def test_repeated_rating_line_names_both_lines(self, ml100k_dir,
+                                                   tmp_path, capsys):
+        raw = tmp_path / "raw"
+        raw.mkdir()
+        for path in ml100k_dir.iterdir():
+            (raw / path.name).write_bytes(path.read_bytes())
+        data = (raw / "u.data").read_bytes()
+        lines = data.splitlines(keepends=True)
+        (raw / "u.data").write_bytes(data + lines[1])
+        user, item = (int(v) for v in lines[1].split(b"\t")[:2])
+        code, _, err = run(capsys, "prepare", "--raw", raw,
+                           "--out", tmp_path / "p.json")
+        assert code == 1
+        assert err == (f"error: {raw / 'u.data'}:{len(lines) + 1}: duplicate "
+                       f"(user, item) pair ({user}, {item}), first on line "
+                       f"2\n")
 
 
 class TestTrain:

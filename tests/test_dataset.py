@@ -86,6 +86,42 @@ class TestParseRatings:
         with pytest.raises(ValueError, match="duplicate"):
             parse_ratings(path, "ml-100k")
 
+    @settings(max_examples=150, deadline=None)
+    @given(pairs=st.lists(st.tuples(st.integers(1, 4), st.integers(1, 4)),
+                          min_size=1, max_size=12),
+           blanks=st.sets(st.integers(0, 12)))
+    def test_first_repeated_pair_names_both_lines(self, pairs, blanks):
+        lines, where = [], []  # where: each triple's line number
+        for k, (user, item) in enumerate(pairs):
+            if k in blanks:
+                lines.append("")
+            lines.append(f"{user}\t{item}\t3\t{100 + k}")
+            where.append(len(lines))
+        seen, expected = {}, None
+        for k, pair in enumerate(pairs):
+            if pair in seen:
+                expected = (where[k], pair, where[seen[pair]])
+                break
+            seen[pair] = k
+        with tempfile.TemporaryDirectory() as tmp:
+            path = write_lines(Path(tmp) / "u.data", lines)
+            if expected is None:
+                assert len(parse_ratings(path, "ml-100k")) == len(pairs)
+                return
+            with pytest.raises(ParseError) as err:
+                parse_ratings(path, "ml-100k")
+        line, (user, item), first = expected
+        assert str(err.value) == (f"{path}:{line}: duplicate (user, item) "
+                                  f"pair ({user}, {item}), first on line "
+                                  f"{first}")
+
+    def test_dataset_with_a_repeated_pair_rejected(self):
+        with pytest.raises(ValueError,
+                           match=r"^duplicate \(user, item\) pair in triples$"):
+            RatingDataset(2, 3, np.array([1, 0, 1], np.int32),
+                          np.array([2, 2, 2], np.int32), np.ones(3),
+                          np.zeros(3, np.int64))
+
     def test_rating_outside_scale_rejected(self, tmp_path):
         path = write_lines(tmp_path / "u.data", ["1\t1\t6\t100"])
         with pytest.raises(ParseError, match=r"\[1, 5\]"):
@@ -231,6 +267,31 @@ class TestSideFileFaults:
         parse = parse_ratings if name == "u.data" else parse_user_profiles
         with pytest.raises(ParseError, match=rf"{name}:1: "):
             parse(path, "ml-100k")
+
+    # the 1-based numeric fields of each raw file: ids, ages, codes,
+    # ratings and timestamps
+    @pytest.mark.parametrize("fmt, role, field", [
+        *(("ml-100k", "ratings", k) for k in (1, 2, 3, 4)),
+        ("ml-100k", "users", 1), ("ml-100k", "users", 2),
+        ("ml-100k", "items", 1),
+        *(("ml-1m", "ratings", k) for k in (1, 2, 3, 4)),
+        ("ml-1m", "users", 1), ("ml-1m", "users", 3), ("ml-1m", "users", 4),
+        ("ml-1m", "items", 1),
+    ])
+    def test_non_ascii_numeric_field_names_file_line_and_field(
+            self, fmt, role, field, ml100k_dir, ml1m_dir, tmp_path):
+        raw = ml100k_dir if fmt == "ml-100k" else ml1m_dir
+        name, sep, _ = LAYOUTS[fmt][role]
+        lines = (raw / name).read_text(encoding="latin-1").splitlines()
+        fields = lines[2].split(sep)
+        fields[field - 1] = "\xa0" + fields[field - 1]  # a no-break space
+        lines[2] = sep.join(fields)
+        path = write_lines(tmp_path / name, lines, encoding="latin-1")
+        parse = {"ratings": parse_ratings, "users": parse_user_profiles,
+                 "items": parse_item_features}[role]
+        with pytest.raises(ParseError, match=rf"{name}:3: non-ASCII "
+                           rf"character in numeric field {field}: "):
+            parse(path, fmt)
 
     def test_latin1_bytes_outside_the_numeric_fields_are_read(self, tmp_path):
         path = write_lines(tmp_path / "u.user", ["1|24|M|technician|8571\xe9"],

@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from semiae.dataset import RatingDataset, SideInfoMatrix, build_vectors
-from semiae.model import (ACTIVATIONS, SemiAEParams, activation, forward,
-                          glorot_init, load_params, loss_and_gradients,
-                          masked_loss, params_from_dict, params_to_dict,
-                          save_params, subset_loss)
+from semiae.model import (ACTIVATIONS, BLOCK, GradientSet, SemiAEParams,
+                          activation, forward, glorot_init, load_params,
+                          loss_and_gradients, masked_loss, params_from_dict,
+                          params_to_dict, save_params, subset_loss)
 from util import (brute_force_masked_loss, classical_autoencoder,
                   finite_difference_grads, gradcheck_error,
-                  make_random_dataset)
+                  make_random_dataset, reference_loss_and_gradients,
+                  reference_sigmoid)
 
 RNG = np.random.default_rng
 
@@ -40,6 +41,20 @@ class TestActivations:
         s = ACTIVATIONS["sigmoid"].fn(z)
         assert np.all(np.isfinite(s))
         assert s[0] == 0.0 and s[1] == 1.0
+
+    def test_sigmoid_equals_the_two_branch_form_bit_for_bit(self):
+        rng = RNG(5)
+        edges = [0.0, -0.0, 800.0, -800.0, 5e-324, -5e-324, 1e-300, -1e-300,
+                 36.7, -36.7, 709.8, -745.2, np.inf, -np.inf]
+        z = np.concatenate([edges, rng.normal(0, 1, 2000),
+                            rng.normal(0, 40, 2002)]).reshape(-1, 8)
+        before = z.copy()
+        s = ACTIVATIONS["sigmoid"].fn(z)
+        assert s.tobytes() == reference_sigmoid(z).tobytes()
+        assert z.tobytes() == before.tobytes()
+        for scalar in (-2.0, 0.0, 3.5):
+            assert ACTIVATIONS["sigmoid"].fn(scalar) == \
+                reference_sigmoid(scalar)
 
     @pytest.mark.parametrize("name", sorted(ACTIVATIONS))
     def test_derivative_matches_finite_difference(self, name):
@@ -233,6 +248,63 @@ class TestBackward:
         np.testing.assert_allclose(grads.dQ, 0.7 * params.Q, rtol=1e-12)
         np.testing.assert_allclose(grads.dQ1, 0.7 * params.Q1, rtol=1e-12)
         np.testing.assert_array_equal(grads.dp1, 0.0)
+
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_into_reused_buffers_equals_the_reference(self, masked):
+        # Q and Q1 span more than two blocks and end in a partial one, so
+        # the L2 term is added over several blocks
+        rng = RNG(23)
+        params = make_params(rng, s=300, h=230, d=290, g="tanh", f="sigmoid")
+        assert all(2 * BLOCK < a.size and a.size % BLOCK
+                   for a in (params.Q, params.Q1))
+        x = rng.normal(size=(5, 300))
+        t = rng.normal(size=(5, 290))
+        mask = rng.random((5, 290)) < 0.3 if masked else None
+        want_loss, want = reference_loss_and_gradients(params, x, t, mask,
+                                                       0.3)
+        out = GradientSet(*(np.full(a.shape, np.nan) for a in (
+            params.Q, params.Q1, params.p, params.p1)))
+        for _ in range(2):  # the second call writes over the first's
+            loss, got = loss_and_gradients(params, x, t, mask, 0.3, out=out)
+            assert got is out
+            assert loss == want_loss
+            for ours, ref in zip((got.dQ, got.dQ1, got.dp, got.dp1), want):
+                assert ours.tobytes() == ref.tobytes()
+        fresh_loss, fresh = loss_and_gradients(params, x, t, mask, 0.3)
+        assert fresh_loss == want_loss
+        assert fresh.dQ.tobytes() == want[0].tobytes()
+
+    def test_into_out_allocates_less_than_one_q(self):
+        rng = RNG(29)
+        params = make_params(rng, s=600, h=200, d=500)
+        x = rng.normal(size=(8, 600))
+        out = GradientSet(*(np.empty_like(a) for a in (
+            params.Q, params.Q1, params.p, params.p1)))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            loss_and_gradients(params, x, x[:, :500], x[:, :500] > 0, 0.1,
+                               out=out)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < params.Q.nbytes
+
+    @pytest.mark.parametrize("bad", ["shape", "order", "read-only"])
+    def test_unfit_out_buffers_rejected(self, bad):
+        params = make_params(RNG(31))
+        bufs = [np.empty_like(a) for a in (params.Q, params.Q1, params.p,
+                                           params.p1)]
+        if bad == "shape":
+            bufs[1] = np.empty((3, 3))
+        elif bad == "order":
+            bufs[0] = np.empty((3, 4)).T
+        else:
+            bufs[2].flags.writeable = False
+        with pytest.raises(ValueError, match="out must"):
+            loss_and_gradients(params, np.ones((2, 4)), np.ones((2, 2)),
+                               out=GradientSet(*bufs))
 
     @pytest.mark.parametrize("g", ["identity", "sigmoid", "tanh"])
     @pytest.mark.parametrize("f", ["identity", "sigmoid"])

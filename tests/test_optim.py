@@ -1,7 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from semiae.model import GradientSet
+from semiae.model import BLOCK, GradientSet
 from semiae.optim import make_optimizer, update
 
 RNG = np.random.default_rng
@@ -118,25 +120,64 @@ class TestAdam:
             assert state.t == expected_t
 
 
+# Q and Q1 of the multi-block set span more than two blocks and end in a
+# partial one; p and p1 fit one
+SHAPES = {"one-block": ((4, 3), (3, 5), (3,), (5,)),
+          "multi-block": ((300, 257), (257, 301), (257,), (301,))}
+
+
 class TestUpdateContract:
     @pytest.mark.parametrize("kind", ["sgd", "rmsprop", "adam"])
     def test_updates_in_place_against_reference_fold(self, kind):
         from util import reference_update
 
         rng = RNG(2)
+        assert all(2 * BLOCK < np.prod(shape) and np.prod(shape) % BLOCK
+                   for shape in SHAPES["multi-block"][:2])
+        for shapes in SHAPES.values():
+            params = tuple(rng.normal(size=shape) for shape in shapes)
+            state = make_optimizer(kind, 0.02, params)
+            theta, slots = params, None
+            for t in range(1, 6):
+                grads = random_grads(rng, params)
+                theta, slots = reference_update(kind, 0.02, theta, slots,
+                                                (grads.dQ, grads.dQ1,
+                                                 grads.dp, grads.dp1), t)
+                update(state, grads)
+                assert state.t == t
+            for ours, ref in zip(params, theta):
+                assert ours.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("kind", ["sgd", "rmsprop", "adam"])
+    def test_allocates_its_accumulators_and_two_blocks(self, kind):
+        rng = RNG(4)
         params = tuple(rng.normal(size=shape)
-                       for shape in ((4, 3), (3, 5), (3,), (5,)))
-        state = make_optimizer(kind, 0.02, params)
-        theta, slots = params, None
-        for t in range(1, 6):
-            grads = random_grads(rng, params)
-            theta, slots = reference_update(kind, 0.02, theta, slots,
-                                            (grads.dQ, grads.dQ1, grads.dp,
-                                             grads.dp1), t)
+                       for shape in SHAPES["multi-block"])
+        accumulators = {"sgd": 0, "rmsprop": 1, "adam": 2}[kind]
+        allowed = (accumulators * sum(a.nbytes for a in params)
+                   + 2 * BLOCK * 8)
+        grads = random_grads(rng, params)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            state = make_optimizer(kind, 0.01, params)
+            built = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
             update(state, grads)
-            assert state.t == t
-        for ours, ref in zip(params, theta):
-            assert ours.tobytes() == ref.tobytes()
+            stepped_peak = tracemalloc.get_traced_memory()[1] - built[0]
+        finally:
+            tracemalloc.stop()
+        # a few kB of Python objects on top of the arrays
+        assert built[1] - before < allowed + 16_384
+        # an update allocates no array at all
+        assert stepped_peak < 16_384
+
+    def test_non_contiguous_parameter_rejected(self):
+        params = list(scalarish_params())
+        params[0] = np.zeros((3, 2)).T
+        with pytest.raises(ValueError, match="C-contiguous"):
+            make_optimizer("adam", 0.1, params)
 
     def test_shape_mismatch_rejected(self):
         state = make_optimizer("sgd", 0.1, scalarish_params(1.0))

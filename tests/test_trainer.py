@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from semiae.dataset import RatingDataset, SideInfoMatrix, binarize, split
-from semiae.model import SemiAEParams, forward, glorot_init, with_arrays
+from semiae.model import (BLOCK, SemiAEParams, forward, glorot_init,
+                          with_arrays)
 from semiae.trainer import (TrainConfig, TrainedModel, load_model,
                             predict_ratings, ranking_scores, recommend_top_n,
                             save_model, train_ranking, train_rating,
@@ -228,6 +229,25 @@ class TestSameBits:
             model = fit(train, side, cfg)
             assert _param_bytes(model) == [a.tobytes() for a in theta]
             assert list(model.loss_history) == history
+
+
+    @pytest.mark.parametrize("optimizer", ["sgd", "rmsprop", "adam"])
+    def test_multi_block_training_equals_the_reference_fold(self, optimizer):
+        # at H=500 the 153x500 Q and 500x150 Q1 span more than two blocks
+        # of the step's elementwise passes and end in a partial one
+        ds = make_random_dataset(RNG(8), 150, 30, 600)
+        features = SideInfoMatrix(RNG(9).random((30, 3)), ("a", "b", "c"),
+                                  tuple(range(30)))
+        cfg = rating_cfg(optimizer=optimizer, learning_rate=0.01,
+                         regularization=0.1, g="sigmoid", hidden_dim=500,
+                         epochs=2, batch_size=8, seed=4)
+        x, mask = reference_input(ds, features, "item")
+        for size in (x.shape[1] * 500, 500 * mask.shape[1]):
+            assert 2 * BLOCK < size and size % BLOCK
+        theta, history = reference_fit(x, x[:, :mask.shape[1]], mask, cfg)
+        model = train_rating(ds, features, cfg)
+        assert _param_bytes(model) == [a.tobytes() for a in theta]
+        assert list(model.loss_history) == history
 
 
 class TestDivergence:

@@ -121,6 +121,17 @@ def gradcheck_error(analytic, numeric):
     return worst
 
 
+def reference_sigmoid(z):
+    """The logistic function in its two-branch form, one element at a time:
+    1/(1+exp(-z)) for z >= 0 and exp(z)/(1+exp(z)) below, so exp never
+    overflows.  numpy's exp gives an element the same bits alone as in an
+    array."""
+    z = np.asarray(z, np.float64)
+    flat = [1.0 / (1.0 + np.exp(-v)) if v >= 0
+            else np.exp(v) / (1.0 + np.exp(v)) for v in z.ravel()]
+    return np.array(flat, np.float64).reshape(z.shape)
+
+
 _NAIVE_ACTS = {
     "identity": (lambda z: z, lambda z: np.ones_like(z)),
     "sigmoid": (lambda z: 1.0 / (1.0 + np.exp(-z)),

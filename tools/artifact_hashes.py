@@ -39,7 +39,9 @@ from semiae.synthetic import write_ml100k_layout, write_ml1m_layout  # noqa: E40
 
 LAYOUTS = {"ml-100k": write_ml100k_layout, "ml-1m": write_ml1m_layout}
 CONFIGS = {
-    "rating": {"epochs": 3, "hidden_dim": 16, "seed": 1},
+    # the default H=500, so the rating model's weight matrices span several
+    # blocks of the training step's elementwise passes
+    "rating": {"epochs": 3, "seed": 1},
     "ranking": {"epochs": 5, "seed": 1, "binarize_threshold": 3.0},
 }
 STAMP = re.compile(rb"^\d{4}-\d\d-\d\d \d\d:\d\d:\d\d,\d{3} ", re.MULTILINE)
