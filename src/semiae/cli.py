@@ -25,7 +25,7 @@ from . import dataset as ds_mod
 from . import trainer
 from .dataset import (PreparedData, RatingDataset, binarize, load_raw_directory,
                       read_prepared, split, write_prepared)
-from .evaluation import EvalReport, most_popular, num_users_with_test_items, recall_at_n, rmse
+from .evaluation import most_popular, recall_at_n, rmse
 from .trainer import (TrainConfig, TrainedModel, load_model, load_model_and_echo,
                       predict_ratings, recommend_top_n, save_model, write_training_log)
 
@@ -184,7 +184,7 @@ def _warn_on_split_mismatch(echo: dict, model: TrainedModel,
             log.warning("model was trained on a %s split but evaluating with "
                         "--train-fraction %s; the test half overlaps the "
                         "training data", trained, train_fraction)
-    if model.config is not None and model.config.seed != seed:
+    if model.config.seed != seed:
         log.warning("model was trained with seed %d but evaluating with "
                     "--seed %d; the splits differ", model.config.seed, seed)
 
@@ -203,27 +203,25 @@ def cmd_evaluate(args) -> int:
                              "predicts ratings (use it without --recall)")
         if min(recall_ns) < 0:
             raise ValueError(f"--recall values must be >= 0, got {args.recall}")
-    cfg = model.config or TrainConfig.defaults(model.task)
-    train, test = _split(prepared, cfg, args.train_fraction, args.seed)
+    train, test = _split(prepared, model.config, args.train_fraction, args.seed)
     if test is None:
         raise ValueError(f"train_fraction {args.train_fraction} outside (0, 1)")
     metrics = _score(model, prepared, train, test, recall_ns)
-    recall = None
-    if model.task == "ranking":
-        recall = {n: metrics["semi-autoencoder", f"recall@{n}"]
-                  for n in sorted(recall_ns)}
-    report = EvalReport(
-        task=model.task, rmse=metrics.get(("semi-autoencoder", "rmse")),
-        recall=recall, num_evaluated_users=num_users_with_test_items(test),
-        config_echo={"train_fraction": args.train_fraction,
-                     "config": model.config.to_dict() if model.config else None},
-        seed=args.seed)
-    payload = json.dumps(report.to_dict(), sort_keys=True, indent=2)
-    print(payload)
+    report = {"task": model.task,
+              "num_evaluated_users": len(np.unique(test.users)),
+              "config_echo": {"train_fraction": args.train_fraction,
+                              "config": model.config.to_dict()},
+              "seed": args.seed}
+    if model.task == "rating":
+        report["rmse"] = metrics["semi-autoencoder", "rmse"]
+    else:
+        report["recall"] = {str(n): metrics["semi-autoencoder", f"recall@{n}"]
+                            for n in sorted(recall_ns)}
+    print(json.dumps(report, sort_keys=True, indent=2))
     if args.out:
         out = Path(args.out)
         out.parent.mkdir(parents=True, exist_ok=True)
-        report.save(out)
+        ds_mod.write_json(out, report)
         _write_manifest(out, "evaluate",
                         {"model": args.model, "data": args.data,
                          "train_fraction": args.train_fraction,
@@ -242,9 +240,8 @@ def cmd_recommend(args) -> int:
         user_index = ds.user_ids.index(args.user)
     except ValueError:
         raise ValueError(f"user id {args.user} not in the dataset") from None
-    cfg = model.config or TrainConfig.defaults("ranking")
-    seed = args.seed if args.seed is not None else cfg.seed
-    train, _ = _split(prepared, cfg, args.train_fraction, seed)
+    seed = args.seed if args.seed is not None else model.config.seed
+    train, _ = _split(prepared, model.config, args.train_fraction, seed)
     items = recommend_top_n(model, train, prepared.user_side, user_index, args.n)
     for rank, item in enumerate(items, start=1):
         print(f"{rank}\t{ds.item_ids[item]}")

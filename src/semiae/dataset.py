@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import re
 from bisect import bisect_right
 from contextlib import contextmanager
@@ -119,6 +120,18 @@ class RatingDataset:
     item_ids: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
+        for name in ("num_users", "num_items"):
+            count = getattr(self, name)
+            if (isinstance(count, bool) or not isinstance(count, (int, np.integer))
+                    or count < 0):
+                raise ValueError(f"{name} must be an integer >= 0, got {count!r}")
+        scale = self.rating_scale
+        if not (len(scale) == 2 and all(
+                isinstance(v, (int, float, np.integer, np.floating))
+                and not isinstance(v, bool) and math.isfinite(v) for v in scale)
+                and scale[0] < scale[1]):
+            raise ValueError(f"rating_scale must be two finite numbers, the "
+                             f"lower first, got {list(scale)!r}")
         n = len(self.ratings)
         if not (len(self.users) == len(self.items) == len(self.timestamps) == n):
             raise ValueError("triple arrays must have equal length")
@@ -596,7 +609,8 @@ def _side_to_json(side: SideInfoMatrix) -> dict:
 
 
 def _side_from_json(obj: dict, entity_ids: tuple[int, ...]) -> SideInfoMatrix:
-    rows = np.asarray(obj["rows"], np.float64).reshape(-1, obj["dim"])
+    rows = np.asarray(obj["rows"], np.float64).reshape(len(entity_ids),
+                                                       obj["dim"])
     return SideInfoMatrix(rows, tuple(obj["column_labels"]), entity_ids,
                           obj.get("num_missing_year", 0))
 

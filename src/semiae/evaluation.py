@@ -2,52 +2,11 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Callable, Iterable
 
 import numpy as np
 
-from .dataset import RatingDataset, write_json
-
-
-@dataclass(frozen=True)
-class EvalReport:
-    """Task metrics with run metadata.
-
-    ``rmse`` is set for the rating task; ``recall`` (a map N -> percentage)
-    for the ranking task.
-    """
-
-    task: str
-    rmse: float | None = None
-    recall: dict[int, float] | None = None
-    num_evaluated_users: int = 0
-    config_echo: dict = field(default_factory=dict)
-    seed: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.task == "rating" and self.rmse is None:
-            raise ValueError("rating report needs an rmse value")
-        if self.task == "ranking" and self.recall is None:
-            raise ValueError("ranking report needs recall values")
-        if self.recall is not None:
-            for n, value in self.recall.items():
-                if not 0.0 <= value <= 100.0:
-                    raise ValueError(f"recall@{n}={value} outside [0, 100]")
-
-    def to_dict(self) -> dict:
-        doc: dict = {"task": self.task,
-                     "num_evaluated_users": self.num_evaluated_users,
-                     "config_echo": self.config_echo, "seed": self.seed}
-        if self.rmse is not None:
-            doc["rmse"] = self.rmse
-        if self.recall is not None:
-            doc["recall"] = {str(n): v for n, v in self.recall.items()}
-        return doc
-
-    def save(self, path: str | Path) -> None:
-        write_json(path, self.to_dict())
+from .dataset import RatingDataset
 
 
 def rmse(predictions: np.ndarray, test: RatingDataset) -> float:
@@ -88,11 +47,6 @@ def recall_at_n(recommender: Callable[[int], Iterable[int]],
         hits = sum(1 for i in top if i in relevant)
         total += hits / len(relevant)
     return 100.0 * total / len(users)
-
-
-def num_users_with_test_items(test: RatingDataset) -> int:
-    """How many users hold at least one held-out (relevant) item."""
-    return len(np.unique(test.users))
 
 
 def most_popular(train: RatingDataset, user: int, n: int) -> list[int]:

@@ -21,7 +21,7 @@ matrices (never the biases):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
@@ -319,11 +319,11 @@ def loss_and_gradients(params: SemiAEParams, batch_x: np.ndarray,
     return loss, out
 
 
-def params_to_dict(params: SemiAEParams, config_echo: dict | None = None) -> dict:
-    """Versioned form for :func:`semiae.dataset.write_json`, which writes
-    the arrays, kept as they are, as nested lists; floats survive a round
-    trip losslessly."""
-    return {
+def save_params(path: str | Path, params: SemiAEParams,
+                config_echo: dict | None = None) -> None:
+    """Write the versioned model JSON with deterministic bytes; the arrays
+    go out as nested lists, and floats survive a round trip losslessly."""
+    write_json(path, {
         "schema_version": MODEL_SCHEMA_VERSION,
         "dims": {"S": params.input_dim, "H": params.hidden_dim,
                  "D": params.output_dim},
@@ -333,16 +333,18 @@ def params_to_dict(params: SemiAEParams, config_echo: dict | None = None) -> dic
         "p": params.p,
         "p1": params.p1,
         "training_config_echo": config_echo or {},
-    }
+    })
 
 
-def params_from_dict(doc: dict) -> tuple[SemiAEParams, dict]:
-    """Inverse of :func:`params_to_dict`; returns (params, config echo)."""
+def load_params(path: str | Path) -> tuple[SemiAEParams, dict]:
+    """Read a model JSON written by :func:`save_params`; returns (params,
+    config echo).  A malformed file raises ValueError naming it."""
+    doc = read_json(path)
     if not isinstance(doc, dict):
-        raise ValueError("model JSON is not an object")
+        raise ValueError(f"{path}: model JSON is not an object")
     version = doc.get("schema_version")
     if version != MODEL_SCHEMA_VERSION:
-        raise ValueError(f"unsupported model schema version {version}")
+        raise ValueError(f"{path}: unsupported model schema version {version}")
     try:
         dims = doc["dims"]
         params = SemiAEParams(
@@ -354,32 +356,13 @@ def params_from_dict(doc: dict) -> tuple[SemiAEParams, dict]:
             f=doc["activations"]["f"],
         )
     except KeyError as exc:
-        raise ValueError(f"model JSON has no {exc} entry") from None
+        raise ValueError(f"{path}: model JSON has no {exc} entry") from None
     except TypeError as exc:
-        raise ValueError(f"model JSON: {exc}") from None
-    echo = doc.get("training_config_echo", {})
-    if not isinstance(echo, dict):
-        raise ValueError("model JSON 'training_config_echo' is not an object")
-    return params, echo
-
-
-def save_params(path: str | Path, params: SemiAEParams,
-                config_echo: dict | None = None) -> None:
-    """Write the model JSON with deterministic bytes."""
-    write_json(path, params_to_dict(params, config_echo))
-
-
-def load_params(path: str | Path) -> tuple[SemiAEParams, dict]:
-    """Read a model JSON written by :func:`save_params`; a malformed file
-    raises ValueError naming it."""
-    doc = read_json(path)
-    try:
-        return params_from_dict(doc)
+        raise ValueError(f"{path}: model JSON: {exc}") from None
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
-
-
-def with_arrays(params: SemiAEParams, Q: np.ndarray, Q1: np.ndarray,
-                p: np.ndarray, p1: np.ndarray) -> SemiAEParams:
-    """A copy of ``params`` with replaced arrays (activations unchanged)."""
-    return replace(params, Q=Q, Q1=Q1, p=p, p1=p1)
+    echo = doc.get("training_config_echo", {})
+    if not isinstance(echo, dict):
+        raise ValueError(f"{path}: model JSON 'training_config_echo' is not "
+                         f"an object")
+    return params, echo

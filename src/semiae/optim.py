@@ -20,28 +20,24 @@ from .model import BLOCK, GradientSet, blocks
 
 OPTIMIZER_KINDS = ("sgd", "rmsprop", "adam")
 
-_SLOT_NAMES = ("Q", "Q1", "p", "p1")
-_ACCUMULATORS = {"sgd": (), "rmsprop": ("acc",), "adam": ("m", "v")}
+# the textbook hyperparameters: Adam's decays and epsilon, RMSProp's decay
+BETA1, BETA2, EPS, RHO = 0.9, 0.999, 1e-8, 0.9
+
+_NAMES = ("Q", "Q1", "p", "p1")
+_NUM_ACCUMULATORS = {"sgd": 0, "rmsprop": 1, "adam": 2}
 
 
 @dataclass(eq=False)
 class Optimizer:
-    """Optimizer kind, hyperparameters, the parameters it updates and its
-    per-parameter accumulators.
-
-    ``slots`` maps parameter name -> accumulator dict ("m"/"v" for adam,
-    "acc" for rmsprop); sgd keeps none.  ``t`` counts completed updates.
+    """Optimizer kind and learning rate, the parameters (Q, Q1, p, p1) it
+    updates and their accumulators ("acc" for rmsprop, "m" and "v" for
+    adam; sgd keeps none).  ``t`` counts completed updates.
     """
 
     kind: str
     learning_rate: float
     params: tuple[np.ndarray, ...]
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    rho: float = 0.9
-    t: int = 0
-    slots: dict = field(init=False)
+    t: int = field(default=0, init=False)
     _blocks: list = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -54,33 +50,25 @@ class Optimizer:
         if not all(theta.flags.c_contiguous and theta.flags.writeable
                    for theta in self.params):
             raise ValueError("parameters must be writable C-contiguous arrays")
-        self.slots = {name: {acc: np.zeros_like(theta)
-                             for acc in _ACCUMULATORS[self.kind]}
-                      for name, theta in zip(_SLOT_NAMES, self.params)}
         # two scratch buffers of one block, or of the largest parameter if
         # that is smaller; per parameter, each block's slice and its views
         # of the parameter, the accumulators and the scratch, made once
         size = min(BLOCK, max(theta.size for theta in self.params))
         step, tmp = np.empty(size), np.empty(size)
-        self._blocks = [
-            [(part, theta.reshape(-1)[part],
-              [a.reshape(-1)[part] for a in self.slots[name].values()],
-              step[:part.stop - part.start], tmp[:part.stop - part.start])
-             for part in blocks(theta.size)]
-            for name, theta in zip(_SLOT_NAMES, self.params)]
-
-
-def make_optimizer(kind: str, learning_rate: float, params, **hyper) -> Optimizer:
-    """An optimizer over the writable arrays ``params`` (Q, Q1, p, p1), with
-    canonical default hyperparameters."""
-    return Optimizer(kind=kind, learning_rate=learning_rate, params=params,
-                     **hyper)
+        self._blocks = []
+        for theta in self.params:
+            accs = [np.zeros(theta.size)
+                    for _ in range(_NUM_ACCUMULATORS[self.kind])]
+            self._blocks.append(
+                [(part, theta.reshape(-1)[part], [a[part] for a in accs],
+                  step[:part.stop - part.start], tmp[:part.stop - part.start])
+                 for part in blocks(theta.size)])
 
 
 def update(state: Optimizer, grads: GradientSet) -> None:
     """Apply one optimizer step to ``state.params`` in place."""
     all_grads = (grads.dQ, grads.dQ1, grads.dp, grads.dp1)
-    for name, g, theta in zip(_SLOT_NAMES, all_grads, state.params):
+    for name, g, theta in zip(_NAMES, all_grads, state.params):
         if g.shape != theta.shape:
             raise ValueError(f"gradient shape {g.shape} does not match "
                              f"parameter {name} shape {theta.shape}")
@@ -104,27 +92,27 @@ def _step(state: Optimizer, g: np.ndarray, theta: np.ndarray,
         np.multiply(g, eta, out=step)
     elif state.kind == "rmsprop":
         (acc,) = accs
-        np.multiply(g, 1.0 - state.rho, out=tmp)
+        np.multiply(g, 1.0 - RHO, out=tmp)
         tmp *= g
-        _decay_add(acc, state.rho, tmp, first)
+        _decay_add(acc, RHO, tmp, first)
         # eta * g / sqrt(acc + eps)
-        np.add(acc, state.eps, out=tmp)
+        np.add(acc, EPS, out=tmp)
         np.sqrt(tmp, out=tmp)
         np.multiply(g, eta, out=step)
         step /= tmp
     else:  # adam
         m, v = accs
-        np.multiply(g, 1.0 - state.beta1, out=tmp)
-        _decay_add(m, state.beta1, tmp, first)
-        np.multiply(g, 1.0 - state.beta2, out=tmp)
+        np.multiply(g, 1.0 - BETA1, out=tmp)
+        _decay_add(m, BETA1, tmp, first)
+        np.multiply(g, 1.0 - BETA2, out=tmp)
         tmp *= g
-        _decay_add(v, state.beta2, tmp, first)
+        _decay_add(v, BETA2, tmp, first)
         # eta * (m / (1-beta1^t)) / (sqrt(v / (1-beta2^t)) + eps)
-        np.divide(m, 1.0 - state.beta1 ** state.t, out=step)
+        np.divide(m, 1.0 - BETA1 ** state.t, out=step)
         step *= eta
-        np.divide(v, 1.0 - state.beta2 ** state.t, out=tmp)
+        np.divide(v, 1.0 - BETA2 ** state.t, out=tmp)
         np.sqrt(tmp, out=tmp)
-        tmp += state.eps
+        tmp += EPS
         step /= tmp
     np.subtract(theta, step, out=theta)
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 import csv
 import logging
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -31,9 +31,8 @@ import numpy as np
 from .dataset import RatingDataset, SideInfoMatrix, build_vectors
 from .evaluation import _rank_unconsumed
 from .model import (GradientSet, SemiAEParams, activation, forward,
-                    glorot_init, load_params, loss_and_gradients, save_params,
-                    with_arrays)
-from .optim import OPTIMIZER_KINDS, make_optimizer, update
+                    glorot_init, load_params, loss_and_gradients, save_params)
+from .optim import OPTIMIZER_KINDS, Optimizer, update
 
 log = logging.getLogger(__name__)
 
@@ -112,34 +111,39 @@ class TrainConfig:
 
 @dataclass(frozen=True)
 class TrainedModel:
-    """A trained network plus the metadata needed to use and audit it."""
+    """A trained network, its per-epoch losses and its config, which give
+    the task, the input rows' orientation and the side-information width."""
 
     params: SemiAEParams
-    task: str
-    orientation: str
-    side_dim: int
     loss_history: tuple[float, ...]
-    config: TrainConfig | None = None
+    config: TrainConfig
 
-    def __post_init__(self) -> None:
-        expected = "user" if self.task == "ranking" else "item"
-        if self.orientation != expected:
-            raise ValueError(f"{self.task} task must be {expected}-oriented")
+    @property
+    def task(self) -> str:
+        return self.config.task
+
+    @property
+    def orientation(self) -> str:
+        return "user" if self.task == "ranking" else "item"
+
+    @property
+    def side_dim(self) -> int:
+        return self.params.input_dim - self.params.output_dim
 
 
 def _run_epochs(x: np.ndarray, output_dim: int, mask: np.ndarray | None,
-                cfg: TrainConfig, rng: np.random.Generator
-                ) -> tuple[SemiAEParams, list[float]]:
+                cfg: TrainConfig) -> TrainedModel:
     # the targets are the first output_dim columns of each input row
     n, input_dim = x.shape
     if not n:
         raise ValueError("cannot train on an empty training set")
+    rng = np.random.default_rng(cfg.seed)
     init = glorot_init(input_dim, cfg.hidden_dim, output_dim,
                        cfg.g, cfg.f, rng)
     # the optimizer updates these buffers in place; params views them
     theta = [np.array(a) for a in (init.Q, init.Q1, init.p, init.p1)]
-    params = with_arrays(init, *theta)
-    state = make_optimizer(cfg.optimizer, cfg.learning_rate, theta)
+    params = replace(init, Q=theta[0], Q1=theta[1], p=theta[2], p1=theta[3])
+    state = Optimizer(cfg.optimizer, cfg.learning_rate, theta)
     grads = GradientSet(*(np.empty_like(a) for a in theta))
     num_batches = -(-n // cfg.batch_size)
     history: list[float] = []
@@ -172,7 +176,7 @@ def _run_epochs(x: np.ndarray, output_dim: int, mask: np.ndarray | None,
         if not np.all(np.isfinite(arr)):
             raise ValueError(f"training diverged: parameter {name} is not "
                              f"finite after the last update")
-    return params, history
+    return TrainedModel(params, tuple(history), cfg)
 
 
 def train_ranking(train: RatingDataset, profiles: SideInfoMatrix,
@@ -190,10 +194,7 @@ def train_ranking(train: RatingDataset, profiles: SideInfoMatrix,
     if train.rating_scale != (0.0, 1.0):
         log.warning("ranking training expects binarized ratings, "
                     "got scale %s", train.rating_scale)
-    rng = np.random.default_rng(cfg.seed)
-    params, history = _run_epochs(x, train.num_items, mask, cfg, rng)
-    return TrainedModel(params, "ranking", "user", profiles.dim,
-                        tuple(history), cfg)
+    return _run_epochs(x, train.num_items, mask, cfg)
 
 
 def train_rating(train: RatingDataset, features: SideInfoMatrix,
@@ -206,10 +207,7 @@ def train_rating(train: RatingDataset, features: SideInfoMatrix,
     if cfg.task != "rating":
         raise ValueError("config task must be 'rating'")
     x, mask = build_vectors(train, features, "item")
-    rng = np.random.default_rng(cfg.seed)
-    params, history = _run_epochs(x, train.num_users, mask, cfg, rng)
-    return TrainedModel(params, "rating", "item", features.dim,
-                        tuple(history), cfg)
+    return _run_epochs(x, train.num_users, mask, cfg)
 
 
 def predict_ratings(model: TrainedModel, train: RatingDataset,
@@ -275,7 +273,7 @@ def save_model(path: str | Path, model: TrainedModel,
         "orientation": model.orientation,
         "side_dim": model.side_dim,
         "loss_history": list(model.loss_history),
-        "config": model.config.to_dict() if model.config else None,
+        "config": model.config.to_dict(),
     }
     if extras:
         echo.update(extras)
@@ -284,13 +282,19 @@ def save_model(path: str | Path, model: TrainedModel,
 
 def load_model_and_echo(path: str | Path) -> tuple[TrainedModel, dict]:
     """Read a model written by :func:`save_model`, with the echo it carries
-    (the config, the loss history and the run context of ``extras``)."""
+    (the config, the loss history and the run context of ``extras``); the
+    echo's task, orientation and side width must match the model's."""
     params, echo = load_params(path)
     try:
-        cfg = (TrainConfig.from_dict(echo["config"]) if echo.get("config")
-               else None)
-        model = TrainedModel(params, echo["task"], echo["orientation"],
-                             echo["side_dim"], tuple(echo["loss_history"]), cfg)
+        if not isinstance(echo["config"], dict):
+            raise ValueError("'config' is not an object")
+        model = TrainedModel(params, tuple(echo["loss_history"]),
+                             TrainConfig.from_dict(echo["config"]))
+        for key in ("task", "orientation", "side_dim"):
+            if echo[key] != getattr(model, key):
+                raise ValueError(f"{key} {echo[key]!r} is not the "
+                                 f"{getattr(model, key)!r} that the config "
+                                 f"and weights give")
     except KeyError as exc:
         raise ValueError(f"{path}: model echo has no {exc} entry") from None
     except (TypeError, ValueError) as exc:

@@ -286,7 +286,7 @@ def test_criterion_10c_exclusion_soundness():
         params = SemiAEParams(Q=np.zeros((n + 1, 1)), Q1=np.zeros((1, n)),
                               p=np.zeros(1), p1=scores,
                               g="identity", f="identity")
-        model = TrainedModel(params, "ranking", "user", 1, (0.0,))
+        model = TrainedModel(params, (0.0,), TrainConfig.defaults("ranking"))
         profiles = SideInfoMatrix(rng.random((m, 1)), ("c",), tuple(range(m)))
         user = int(rng.integers(0, m))
         consumed = set(btrain.items[btrain.users == user].tolist())

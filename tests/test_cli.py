@@ -7,6 +7,7 @@ from semiae import (TrainConfig, binarize, load_raw_directory, most_popular,
                     predict_ratings, recall_at_n, recommend_top_n, rmse,
                     split, train_ranking, train_rating)
 from semiae.cli import main, run_cell
+from semiae.dataset import read_prepared
 
 pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
 
@@ -239,7 +240,9 @@ class TestEvaluate:
         assert code == 0, err
         doc = json.loads(report_path.read_text())
         assert "rmse" in doc and doc["rmse"] > 0
-        assert "rmse" in stdout
+        assert json.loads(stdout) == doc
+        test = split(read_prepared(prepared_path).ratings, 0.8, 3)[1]
+        assert doc["num_evaluated_users"] == len(set(test.users.tolist()))
 
     def test_ranking_report_has_requested_recall_keys(self, ranking_model,
                                                       prepared_path, capsys):
@@ -250,6 +253,10 @@ class TestEvaluate:
         assert code == 0, err
         doc = json.loads(stdout)
         assert set(doc["recall"]) == {"5", "10"}
+        # only users with a liked held-out item count
+        test = binarize(split(read_prepared(prepared_path).ratings, 0.8, 3)[1],
+                        3.0)
+        assert doc["num_evaluated_users"] == len(set(test.users.tolist()))
 
     def test_recall_flag_on_rating_model_is_an_error(self, rating_model,
                                                      prepared_path, capsys):
@@ -473,7 +480,8 @@ class TestMalformedArtifacts:
 
     @pytest.mark.parametrize("edit", ["top-level-list", "short-triple",
                                       "string-triple", "truncated",
-                                      "short-item-map"])
+                                      "short-item-map", "float-user-count",
+                                      "three-entry-scale"])
     def test_malformed_prepared_document(self, ranking_model, prepared_path,
                                          tmp_path, capsys, edit):
         text = prepared_path.read_text()
@@ -488,6 +496,14 @@ class TestMalformedArtifacts:
             doc["item_side_info"]["rows"].pop()
             text = json.dumps(doc)
             expected = "prepared data: item_ids has 24 entries for 25 items"
+        elif edit == "float-user-count":
+            doc["num_users"] = float(doc["num_users"])
+            text = json.dumps(doc)
+            expected = "prepared data: num_users must be an integer >= 0"
+        elif edit == "three-entry-scale":
+            doc["rating_scale"] = [1, 5, 9]
+            text = json.dumps(doc)
+            expected = "prepared data: rating_scale must be two finite numbers"
         else:
             doc["triples"][5] = doc["triples"][5][:3] if edit == "short-triple" \
                 else "1234"
@@ -504,8 +520,9 @@ class TestMalformedArtifacts:
             self.assert_one_line_error(code, err, "broken_prepared.json",
                                        expected)
 
-    @pytest.mark.parametrize("edit", ["truncated", "dims-list",
-                                      "echo-list"])
+    @pytest.mark.parametrize("edit", ["truncated", "dims-list", "echo-list",
+                                      "echo-orientation", "echo-side-width",
+                                      "null-config"])
     def test_malformed_model_file(self, ranking_model, prepared_path,
                                   tmp_path, capsys, edit):
         text = ranking_model.read_text()
@@ -515,9 +532,21 @@ class TestMalformedArtifacts:
         elif edit == "dims-list":
             doc["dims"] = [1, 2, 3]
             text, expected = json.dumps(doc), "model JSON"
-        else:
+        elif edit == "echo-list":
             doc["training_config_echo"] = []
             text, expected = json.dumps(doc), "'training_config_echo'"
+        else:
+            # the task, orientation and side width the echo repeats must be
+            # the ones its config and weights give
+            echo = doc["training_config_echo"]
+            if edit == "echo-orientation":
+                echo["orientation"], expected = "item", "orientation 'item'"
+            elif edit == "echo-side-width":
+                echo["side_dim"] += 1
+                expected = f"side_dim {echo['side_dim']}"
+            else:
+                echo["config"], expected = None, "'config' is not an object"
+            text, expected = json.dumps(doc), f"model echo: {expected}"
         broken = tmp_path / "broken.json"
         broken.write_text(text)
         for argv in (["evaluate", "--model", broken, "--data", prepared_path,

@@ -563,19 +563,28 @@ class TestPerUserIndex:
 
 class TestPreparedRoundTrip:
     def test_round_trip_and_deterministic_bytes(self, ml100k_dir, tmp_path):
-        data = load_raw_directory(ml100k_dir, "ml-100k")
-        p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
-        write_prepared(p1, data)
-        write_prepared(p2, data)
-        assert hashlib.sha256(p1.read_bytes()).hexdigest() == \
-            hashlib.sha256(p2.read_bytes()).hexdigest()
-        back = read_prepared(p1)
-        ds, orig = back.ratings, data.ratings
-        np.testing.assert_array_equal(ds.users, orig.users)
-        np.testing.assert_array_equal(ds.ratings, orig.ratings)
-        assert ds.user_ids == orig.user_ids
-        np.testing.assert_array_equal(back.user_side.rows, data.user_side.rows)
-        np.testing.assert_array_equal(back.item_side.rows, data.item_side.rows)
+        raw = load_raw_directory(ml100k_dir, "ml-100k")
+        side = raw.user_side
+        # and K=0: no profile columns at all
+        no_profiles = PreparedData(raw.ratings, SideInfoMatrix(
+            np.empty((side.num_entities, 0)), (), side.entity_ids),
+            raw.item_side)
+        for data in (raw, no_profiles):
+            p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
+            write_prepared(p1, data)
+            write_prepared(p2, data)
+            assert hashlib.sha256(p1.read_bytes()).hexdigest() == \
+                hashlib.sha256(p2.read_bytes()).hexdigest()
+            back = read_prepared(p1)
+            ds, orig = back.ratings, data.ratings
+            np.testing.assert_array_equal(ds.users, orig.users)
+            np.testing.assert_array_equal(ds.ratings, orig.ratings)
+            assert ds.user_ids == orig.user_ids
+            assert back.user_side.rows.shape == data.user_side.rows.shape
+            np.testing.assert_array_equal(back.user_side.rows,
+                                          data.user_side.rows)
+            np.testing.assert_array_equal(back.item_side.rows,
+                                          data.item_side.rows)
 
     def test_ml1m_directory_loads(self, ml1m_dir):
         data = load_raw_directory(ml1m_dir, "ml-1m")

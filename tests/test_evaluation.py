@@ -4,8 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from semiae.dataset import RatingDataset, binarize
-from semiae.evaluation import (EvalReport, _rank_unconsumed, most_popular,
-                               num_users_with_test_items, recall_at_n, rmse)
+from semiae.evaluation import _rank_unconsumed, most_popular, recall_at_n, rmse
 from util import make_random_dataset
 
 RNG = np.random.default_rng
@@ -94,7 +93,6 @@ class TestRecallAtN:
         # user 1 has no test items; only user 0 enters the average
         test = self.binary(2, 4, [(0, 0)])
         assert recall_at_n(lambda u: [0], test, 1) == pytest.approx(100.0)
-        assert num_users_with_test_items(test) == 1
 
     def test_monotone_in_n(self):
         rng = RNG(5)
@@ -225,26 +223,3 @@ class TestRankUnconsumed:
                                      scale=(0.0, 1.0))
         assert _rank_unconsumed(scores, train, 0, n) == \
             reference_rank(scores, consumed, n)
-
-
-class TestEvalReport:
-    def test_rating_report_needs_rmse(self):
-        with pytest.raises(ValueError, match="rmse"):
-            EvalReport(task="rating")
-
-    def test_ranking_report_needs_recall(self):
-        with pytest.raises(ValueError, match="recall"):
-            EvalReport(task="ranking")
-
-    def test_recall_range_validated(self):
-        with pytest.raises(ValueError, match="100"):
-            EvalReport(task="ranking", recall={5: 120.0})
-
-    def test_json_layout(self, tmp_path):
-        report = EvalReport(task="ranking", recall={5: 9.5, 10: 14.8},
-                            num_evaluated_users=42, seed=3)
-        doc = report.to_dict()
-        assert doc["recall"] == {"5": 9.5, "10": 14.8}
-        path = tmp_path / "report.json"
-        report.save(path)
-        assert path.read_text().startswith("{")

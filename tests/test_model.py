@@ -3,11 +3,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from semiae.dataset import RatingDataset, SideInfoMatrix, build_vectors
+from semiae.dataset import (RatingDataset, SideInfoMatrix, build_vectors,
+                            read_json, write_json)
 from semiae.model import (ACTIVATIONS, BLOCK, GradientSet, SemiAEParams,
                           activation, forward, glorot_init, load_params,
-                          loss_and_gradients, masked_loss, params_from_dict,
-                          params_to_dict, save_params, subset_loss)
+                          loss_and_gradients, masked_loss, save_params,
+                          subset_loss)
 from util import (brute_force_masked_loss, classical_autoencoder,
                   finite_difference_grads, gradcheck_error,
                   make_random_dataset, reference_loss_and_gradients,
@@ -403,17 +404,22 @@ class TestSerialization:
             tracemalloc.stop()
         assert peak < 0.1 * path.stat().st_size
 
-    def test_schema_fields_present(self):
-        doc = params_to_dict(make_params(RNG(41)))
+    def test_schema_fields_present(self, tmp_path):
+        path = tmp_path / "model.json"
+        save_params(path, make_params(RNG(41)))
+        doc = read_json(path)
         assert doc["schema_version"] == 1
         assert doc["dims"] == {"S": 4, "H": 3, "D": 2}
         assert set(doc["activations"]) == {"g", "f"}
 
-    def test_wrong_schema_version_rejected(self):
-        doc = params_to_dict(make_params(RNG(43)))
+    def test_wrong_schema_version_rejected(self, tmp_path):
+        path = tmp_path / "model.json"
+        save_params(path, make_params(RNG(43)))
+        doc = read_json(path)
         doc["schema_version"] = 99
+        write_json(path, doc)
         with pytest.raises(ValueError, match="schema"):
-            params_from_dict(doc)
+            load_params(path)
 
 
 class TestParamValidation:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from semiae.model import BLOCK, GradientSet
-from semiae.optim import make_optimizer, update
+from semiae.optim import Optimizer, update
 
 RNG = np.random.default_rng
 
@@ -28,7 +28,7 @@ def random_grads(rng, params, scale=1.0):
 
 def stepped(kind, learning_rate, params, *grads):
     """Fresh optimizer over ``params``, stepped once per gradient set."""
-    state = make_optimizer(kind, learning_rate, params)
+    state = Optimizer(kind, learning_rate, params)
     for g in grads:
         update(state, g)
     return params
@@ -107,14 +107,14 @@ class TestAdam:
     def test_step_size_stays_bounded(self):
         rng = RNG(1)
         params = scalarish_params(0.0)
-        state = make_optimizer("adam", 0.01, params)
+        state = Optimizer("adam", 0.01, params)
         for _ in range(200):
             before = params[0][0, 0]
             update(state, random_grads(rng, params, scale=10.0))
             assert abs(params[0][0, 0] - before) <= 10 * 0.01
 
     def test_step_counter_increments_by_one(self):
-        state = make_optimizer("adam", 0.1, scalarish_params(1.0))
+        state = Optimizer("adam", 0.1, scalarish_params(1.0))
         for expected_t in (1, 2, 3):
             update(state, constant_grads(1.0))
             assert state.t == expected_t
@@ -136,7 +136,7 @@ class TestUpdateContract:
                    for shape in SHAPES["multi-block"][:2])
         for shapes in SHAPES.values():
             params = tuple(rng.normal(size=shape) for shape in shapes)
-            state = make_optimizer(kind, 0.02, params)
+            state = Optimizer(kind, 0.02, params)
             theta, slots = params, None
             for t in range(1, 6):
                 grads = random_grads(rng, params)
@@ -161,7 +161,7 @@ class TestUpdateContract:
         try:
             before = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            state = make_optimizer(kind, 0.01, params)
+            state = Optimizer(kind, 0.01, params)
             built = tracemalloc.get_traced_memory()
             tracemalloc.reset_peak()
             update(state, grads)
@@ -177,10 +177,10 @@ class TestUpdateContract:
         params = list(scalarish_params())
         params[0] = np.zeros((3, 2)).T
         with pytest.raises(ValueError, match="C-contiguous"):
-            make_optimizer("adam", 0.1, params)
+            Optimizer("adam", 0.1, params)
 
     def test_shape_mismatch_rejected(self):
-        state = make_optimizer("sgd", 0.1, scalarish_params(1.0))
+        state = Optimizer("sgd", 0.1, scalarish_params(1.0))
         grads = GradientSet(dQ=np.zeros((2, 2)), dQ1=np.zeros((1, 1)),
                             dp=np.zeros(1), dp1=np.zeros(1))
         with pytest.raises(ValueError, match="shape"):
@@ -188,8 +188,8 @@ class TestUpdateContract:
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="optimizer"):
-            make_optimizer("adamw", 0.1, scalarish_params())
+            Optimizer("adamw", 0.1, scalarish_params())
 
     def test_nonpositive_learning_rate_rejected(self):
         with pytest.raises(ValueError, match="learning_rate"):
-            make_optimizer("sgd", 0.0, scalarish_params())
+            Optimizer("sgd", 0.0, scalarish_params())

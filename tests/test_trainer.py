@@ -1,9 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from semiae.dataset import RatingDataset, SideInfoMatrix, binarize, split
-from semiae.model import (BLOCK, SemiAEParams, forward, glorot_init,
-                          with_arrays)
+from semiae.model import BLOCK, SemiAEParams, forward, glorot_init
 from semiae.trainer import (TrainConfig, TrainedModel, load_model,
                             predict_ratings, ranking_scores, recommend_top_n,
                             save_model, train_ranking, train_rating,
@@ -57,7 +58,7 @@ def fixed_score_model(scores, side_dim=2, num_items=None):
     s = d + side_dim
     params = SemiAEParams(Q=np.zeros((s, 1)), Q1=np.zeros((1, d)),
                           p=np.zeros(1), p1=scores, g="identity", f="identity")
-    return TrainedModel(params, "ranking", "user", side_dim, (0.0,))
+    return TrainedModel(params, (0.0,), TrainConfig.defaults("ranking"))
 
 
 class TestTrainConfig:
@@ -97,12 +98,6 @@ class TestTrainConfig:
         cfg = TrainConfig.from_dict({"epochs": 7}, task="rating")
         assert cfg.epochs == 7
         assert cfg.hidden_dim == 500
-
-    def test_orientation_tied_to_task(self):
-        params = SemiAEParams(Q=np.zeros((2, 1)), Q1=np.zeros((1, 2)),
-                              p=np.zeros(1), p1=np.zeros(2))
-        with pytest.raises(ValueError, match="orient"):
-            TrainedModel(params, "ranking", "item", 0, (0.0,))
 
 
 class TestTrainRanking:
@@ -281,8 +276,7 @@ class TestPredictRatings:
                            p=model.params.p,
                            p1=model.params.p1 + 100.0,
                            g=model.params.g, f=model.params.f)
-        loud = TrainedModel(big, "rating", "item", model.side_dim,
-                            model.loss_history)
+        loud = TrainedModel(big, model.loss_history, model.config)
         preds = predict_ratings(loud, train, features)
         assert preds.max() <= 5.0
         assert preds.min() >= 1.0
@@ -292,7 +286,7 @@ class TestPredictRatings:
         params = SemiAEParams(Q=np.zeros((3, 2)), Q1=np.zeros((2, 2)),
                               p=np.zeros(2), p1=np.array([3.0, 2.0]),
                               g="identity", f="identity")
-        model = TrainedModel(params, "rating", "item", 1, (0.0,))
+        model = TrainedModel(params, (0.0,), TrainConfig.defaults("rating"))
         preds = predict_ratings(model, train, features)
         np.testing.assert_array_equal(preds,
                                       np.tile([3.0, 2.0], (2, 1)))
@@ -329,9 +323,9 @@ class TestPredictRatings:
         features = SideInfoMatrix(RNG(6).normal(size=(30, 3)),
                                   ("a", "b", "c"), tuple(range(1, 31)))
         params = glorot_init(40 + 3, 7, 40, g, f, RNG(7))
-        params = with_arrays(params, params.Q, params.Q1,
-                             RNG(8).normal(size=7), RNG(9).normal(size=40) + 3)
-        model = TrainedModel(params, "rating", "item", 3, (0.0,))
+        params = replace(params, p=RNG(8).normal(size=7),
+                         p1=RNG(9).normal(size=40) + 3)
+        model = TrainedModel(params, (0.0,), TrainConfig.defaults("rating"))
 
         x, mask = reference_input(train, features, "item")
         _, out = forward(params, x)

@@ -43,6 +43,11 @@ CONFIGS = {
     # blocks of the training step's elementwise passes
     "rating": {"epochs": 3, "seed": 1},
     "ranking": {"epochs": 5, "seed": 1, "binarize_threshold": 3.0},
+    # rating trains with adam and ranking with sgd; reproduce takes the
+    # third optimizer, a tanh hidden layer and the masked ranking loss
+    "reproduce": {"epochs": 5, "seed": 1, "binarize_threshold": 3.0,
+                  "optimizer": "rmsprop", "g": "tanh",
+                  "mask_ranking_loss": True},
 }
 STAMP = re.compile(rb"^\d{4}-\d\d-\d\d \d\d:\d\d:\d\d,\d{3} ", re.MULTILINE)
 
@@ -76,7 +81,7 @@ def commands(fmt: str) -> list[tuple[str, list[str]]]:
                        "--seed", "1"]),
         ("reproduce", ["reproduce", "--table", "2", "--raw", "raw",
                        "--format", fmt, "--seeds", "1,2",
-                       "--config", "ranking.cfg.json",
+                       "--config", "reproduce.cfg.json",
                        "--out-dir", "out/table2"]),
     ]
 
