@@ -79,20 +79,19 @@ def _load_config(config_path: str | None, task: str) -> TrainConfig:
     if config_path is None:
         return TrainConfig.defaults(task)
     doc = ds_mod.read_json(config_path)
-    if not isinstance(doc, dict):
-        raise ValueError(f"{config_path}: config must be a flat JSON object")
-    return TrainConfig.from_dict(doc, task)
+    with ds_mod.located(config_path, "config"):
+        if not isinstance(doc, dict):
+            raise ValueError("not a flat JSON object")
+        return TrainConfig.from_dict(doc, task)
 
 
 def _split(prepared: PreparedData, cfg: TrainConfig, fraction: float | None,
            seed: int) -> tuple[RatingDataset, RatingDataset | None]:
     """The seeded (train, test) halves in the task's form, binarized for
-    ranking.  Without a fraction below 1 every rating trains and there is no
-    test half."""
-    if fraction is None or fraction >= 1.0:
-        train, test = prepared.ratings, None
-    else:
-        train, test = split(prepared.ratings, fraction, seed)
+    ranking.  Without a fraction every rating trains and there is no test
+    half."""
+    train, test = ((prepared.ratings, None) if fraction is None
+                   else split(prepared.ratings, fraction, seed))
     if cfg.task == "ranking":
         train = binarize(train, cfg.binarize_threshold, cfg.binarize_comparison)
         if test is not None:
@@ -180,7 +179,7 @@ def _warn_on_split_mismatch(echo: dict, model: TrainedModel,
         if trained is None:
             log.warning("model was trained on the full dataset; every "
                         "held-out rating was part of its training input")
-        elif float(trained) != train_fraction:
+        elif trained != train_fraction:
             log.warning("model was trained on a %s split but evaluating with "
                         "--train-fraction %s; the test half overlaps the "
                         "training data", trained, train_fraction)
@@ -204,8 +203,6 @@ def cmd_evaluate(args) -> int:
         if min(recall_ns) < 0:
             raise ValueError(f"--recall values must be >= 0, got {args.recall}")
     train, test = _split(prepared, model.config, args.train_fraction, args.seed)
-    if test is None:
-        raise ValueError(f"train_fraction {args.train_fraction} outside (0, 1)")
     metrics = _score(model, prepared, train, test, recall_ns)
     report = {"task": model.task,
               "num_evaluated_users": len(np.unique(test.users)),
@@ -344,7 +341,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--log", help="training-log CSV path "
                                  "(default: <out>.losses.csv)")
     p.add_argument("--train-fraction", type=float,
-                   help="train on a seeded split instead of all ratings")
+                   help="train on a seeded split with this fraction, in (0, 1); "
+                        "omit it to train on every rating")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("evaluate", help="score a model on a held-out split")
@@ -362,7 +360,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--user", type=int, required=True, help="raw user id")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--train-fraction", type=float,
-                   help="restrict the input interactions to a seeded split")
+                   help="restrict the input interactions to the seeded split "
+                        "train made with this fraction, in (0, 1); omit it to "
+                        "train on every rating")
     p.add_argument("--seed", type=int)
     p.set_defaults(func=cmd_recommend)
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+import operator
 import re
 from bisect import bisect_right
 from contextlib import contextmanager
@@ -56,8 +57,8 @@ ML1M_OCCUPATIONS = (
 
 # Age groups shared by both datasets; these are the ml-1m native codes.
 AGE_BUCKETS = ("<18", "18-24", "25-34", "35-44", "45-49", "50-55", "56+")
-_AGE_LOWER_BOUNDS = (18, 25, 35, 45, 50, 56)  # bucket i+1 starts here
-_ML1M_AGE_CODES = (1, 18, 25, 35, 45, 50, 56)  # ml-1m code of each group
+# the ml-1m code of each group, which is also the least age in it
+ML1M_AGE_CODES = (1, 18, 25, 35, 45, 50, 56)
 
 # ml-100k genre flag order (contents of u.genre).
 ML100K_GENRES = (
@@ -67,11 +68,10 @@ ML100K_GENRES = (
 )
 
 # ml-1m genre name vocabulary (no "unknown" slot).
-ML1M_GENRES = (
-    "Action", "Adventure", "Animation", "Children's", "Comedy", "Crime",
-    "Documentary", "Drama", "Fantasy", "Film-Noir", "Horror", "Musical",
-    "Mystery", "Romance", "Sci-Fi", "Thriller", "War", "Western",
-)
+ML1M_GENRES = ML100K_GENRES[1:]
+
+# binarize's comparisons of a rating with the threshold
+COMPARISONS = {">": operator.gt, ">=": operator.ge}
 
 
 class ParseError(ValueError):
@@ -234,12 +234,12 @@ def _ml100k_profile(f: list[str]) -> tuple[str, int, int]:
     age = int(f[1])
     if age <= 0:
         raise ValueError(f"age {age} must be positive")
-    return (f[2], bisect_right(_AGE_LOWER_BOUNDS, age),
+    return (f[2], bisect_right(ML1M_AGE_CODES, age) - 1,
             _pick(ML100K_OCCUPATIONS, f[3], "occupation"))
 
 
 def _ml1m_profile(f: list[str]) -> tuple[str, int, int]:
-    return (f[1], _pick(_ML1M_AGE_CODES, int(f[2]), "age code"),
+    return (f[1], _pick(ML1M_AGE_CODES, int(f[2]), "age code"),
             _pick(range(len(ML1M_OCCUPATIONS)), int(f[3]), "occupation code"))
 
 
@@ -460,10 +460,6 @@ def align_side_info(side: SideInfoMatrix, raw_ids: tuple[int, ...]) -> SideInfoM
                           side.num_missing_year)
 
 
-def _round_half_up(x: float) -> int:
-    return int(np.floor(x + 0.5))
-
-
 def split(ds: RatingDataset, train_fraction: float, seed: int
           ) -> tuple[RatingDataset, RatingDataset]:
     """Partition the observed set into train/test by a seeded shuffle.
@@ -476,20 +472,11 @@ def split(ds: RatingDataset, train_fraction: float, seed: int
     n = len(ds)
     if n < 2:
         raise ValueError(f"need at least 2 ratings to split, have {n}")
-    rng = np.random.default_rng(seed)
-    perm = rng.permutation(n)
-    n_train = _round_half_up(train_fraction * n)
-    picks = (np.sort(perm[:n_train]), np.sort(perm[n_train:]))
-    halves = []
-    for idx in picks:
-        halves.append(replace(
-            ds,
-            users=ds.users[idx].copy(),
-            items=ds.items[idx].copy(),
-            ratings=ds.ratings[idx].copy(),
-            timestamps=ds.timestamps[idx].copy(),
-        ))
-    return halves[0], halves[1]
+    perm = np.random.default_rng(seed).permutation(n)
+    n_train = int(np.floor(train_fraction * n + 0.5))
+    return tuple(replace(ds, users=ds.users[idx], items=ds.items[idx],
+                         ratings=ds.ratings[idx], timestamps=ds.timestamps[idx])
+                 for idx in (np.sort(perm[:n_train]), np.sort(perm[n_train:])))
 
 
 def binarize(ds: RatingDataset, threshold: float = 4.0,
@@ -500,20 +487,11 @@ def binarize(ds: RatingDataset, threshold: float = 4.0,
     rating 1 and stay observed; all other triples are dropped from the
     observed set.  The rating scale becomes (0, 1).
     """
-    if comparison == ">":
-        keep = ds.ratings > threshold
-    elif comparison == ">=":
-        keep = ds.ratings >= threshold
-    else:
-        raise ValueError("comparison must be '>' or '>='")
-    return replace(
-        ds,
-        users=ds.users[keep].copy(),
-        items=ds.items[keep].copy(),
-        ratings=np.ones(int(keep.sum())),
-        timestamps=ds.timestamps[keep].copy(),
-        rating_scale=(0.0, 1.0),
-    )
+    _pick(tuple(COMPARISONS), comparison, "comparison")
+    keep = COMPARISONS[comparison](ds.ratings, threshold)
+    return replace(ds, users=ds.users[keep], items=ds.items[keep],
+                   ratings=np.ones(int(keep.sum())),
+                   timestamps=ds.timestamps[keep], rating_scale=(0.0, 1.0))
 
 
 def build_vectors(ds: RatingDataset, side: SideInfoMatrix,
@@ -599,6 +577,20 @@ def read_json(path: str | Path):
             raise ValueError(f"{path}: not a valid JSON file: {exc}") from None
 
 
+@contextmanager
+def located(path: str | Path, what: str):
+    """Turn a KeyError, TypeError or ValueError raised in the ``with`` body,
+    while reading the ``what`` part of the document at ``path``, into
+    ``ValueError("<path>: <what>: <cause>")``; a missing key reads ``<what>
+    has no '<key>' entry``."""
+    try:
+        yield
+    except KeyError as exc:
+        raise ValueError(f"{path}: {what} has no {exc} entry") from None
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: {what}: {exc}") from None
+
+
 def _side_to_json(side: SideInfoMatrix) -> dict:
     return {
         "dim": side.dim,
@@ -648,13 +640,12 @@ def read_prepared(path: str | Path) -> PreparedData:
     file raises ValueError naming the file and, for a missing entry, the
     entry."""
     doc = read_json(path)
-    if not isinstance(doc, dict):
-        raise ValueError(f"{path}: prepared data is not a JSON object")
-    version = doc.get("schema_version")
-    if version != PREPARED_SCHEMA_VERSION:
-        raise ValueError(
-            f"{path}: unsupported prepared-data schema version {version}")
-    try:
+    with located(path, "prepared data"):
+        if not isinstance(doc, dict):
+            raise ValueError("not a JSON object")
+        if doc.get("schema_version") != PREPARED_SCHEMA_VERSION:
+            raise ValueError(f"unsupported schema version "
+                             f"{doc.get('schema_version')}")
         users, items, ratings, stamps = _triple_columns(doc["triples"])
         ds = RatingDataset(
             num_users=doc["num_users"],
@@ -672,10 +663,6 @@ def read_prepared(path: str | Path) -> PreparedData:
             user_side=_side_from_json(doc["user_side_info"], ds.user_ids),
             item_side=_side_from_json(doc["item_side_info"], ds.item_ids),
         )
-    except KeyError as exc:
-        raise ValueError(f"{path}: prepared data has no {exc} entry") from None
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"{path}: prepared data: {exc}") from None
 
 
 def load_raw_directory(raw_dir: str | Path, format: str = "ml-100k") -> PreparedData:

@@ -27,7 +27,7 @@ from typing import Callable
 
 import numpy as np
 
-from .dataset import read_json, store_read_only, write_json
+from .dataset import located, read_json, store_read_only, write_json
 
 MODEL_SCHEMA_VERSION = 1
 
@@ -340,12 +340,12 @@ def load_params(path: str | Path) -> tuple[SemiAEParams, dict]:
     """Read a model JSON written by :func:`save_params`; returns (params,
     config echo).  A malformed file raises ValueError naming it."""
     doc = read_json(path)
-    if not isinstance(doc, dict):
-        raise ValueError(f"{path}: model JSON is not an object")
-    version = doc.get("schema_version")
-    if version != MODEL_SCHEMA_VERSION:
-        raise ValueError(f"{path}: unsupported model schema version {version}")
-    try:
+    with located(path, "model JSON"):
+        if not isinstance(doc, dict):
+            raise ValueError("not an object")
+        if doc.get("schema_version") != MODEL_SCHEMA_VERSION:
+            raise ValueError(f"unsupported schema version "
+                             f"{doc.get('schema_version')}")
         dims = doc["dims"]
         params = SemiAEParams(
             Q=np.asarray(doc["Q"], np.float64).reshape(dims["S"], dims["H"]),
@@ -355,14 +355,7 @@ def load_params(path: str | Path) -> tuple[SemiAEParams, dict]:
             g=doc["activations"]["g"],
             f=doc["activations"]["f"],
         )
-    except KeyError as exc:
-        raise ValueError(f"{path}: model JSON has no {exc} entry") from None
-    except TypeError as exc:
-        raise ValueError(f"{path}: model JSON: {exc}") from None
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
-    echo = doc.get("training_config_echo", {})
-    if not isinstance(echo, dict):
-        raise ValueError(f"{path}: model JSON 'training_config_echo' is not "
-                         f"an object")
+        echo = doc.get("training_config_echo", {})
+        if not isinstance(echo, dict):
+            raise ValueError("'training_config_echo' is not an object")
     return params, echo

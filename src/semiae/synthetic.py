@@ -11,9 +11,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import AGE_BUCKETS, ML100K_GENRES, ML100K_OCCUPATIONS, ML1M_GENRES
-
-_ML1M_AGE_CODE_LIST = (1, 18, 25, 35, 45, 50, 56)
+from .dataset import (ML100K_GENRES, ML100K_OCCUPATIONS, ML1M_AGE_CODES,
+                      ML1M_GENRES)
 
 
 def _sample_interactions(num_users: int, num_items: int, num_ratings: int,
@@ -81,7 +80,7 @@ def write_ml1m_layout(out_dir: str | Path, num_users: int = 30,
     with open(out_dir / "users.dat", "w", encoding="latin-1") as fh:
         for u in range(1, num_users + 1):
             gender = "MF"[int(rng.integers(0, 2))]
-            age = _ML1M_AGE_CODE_LIST[int(rng.integers(0, len(_ML1M_AGE_CODE_LIST)))]
+            age = ML1M_AGE_CODES[int(rng.integers(0, len(ML1M_AGE_CODES)))]
             occ = int(rng.integers(0, 21))
             fh.write(f"{u}::{gender}::{age}::{occ}::{int(rng.integers(10000, 99999))}\n")
 

@@ -14,8 +14,10 @@ the parameter buffers and one set of gradient buffers: each batch's
 gradients are written into the same buffers, the optimizer updates the
 parameters in place from them, and the :class:`SemiAEParams` built once
 over the parameters sees every update.  A step allocates nothing the size
-of a parameter.  A non-finite batch loss stops training with a ValueError
-naming the epoch, the batch, the last finite loss and the learning rate.
+of a parameter.  A non-finite batch loss, or a parameter left non-finite by
+the last update, stops training with a ValueError naming the epoch, the
+batch, the loss (and the last finite one) or the parameter, and the
+learning rate.
 """
 
 from __future__ import annotations
@@ -28,15 +30,31 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import RatingDataset, SideInfoMatrix, build_vectors
+from .dataset import (COMPARISONS, RatingDataset, SideInfoMatrix,
+                      build_vectors, located)
 from .evaluation import _rank_unconsumed
-from .model import (GradientSet, SemiAEParams, activation, forward,
+from .model import (ACTIVATIONS, GradientSet, SemiAEParams, forward,
                     glorot_init, load_params, loss_and_gradients, save_params)
 from .optim import OPTIMIZER_KINDS, Optimizer, update
 
 log = logging.getLogger(__name__)
 
 TASKS = ("ranking", "rating")
+
+# the values each TrainConfig annotation admits; a bool is no int and no
+# float, although Python makes it an int
+_TYPES = {"str": str, "bool": bool, "int": (int, np.integer),
+          "float": (int, float, np.integer)}
+# what a field's value must satisfy beyond its type: a vocabulary or a bound
+_RULES = {"task": ("one of", TASKS), "optimizer": ("one of", OPTIMIZER_KINDS),
+          "g": ("one of", tuple(ACTIVATIONS)),
+          "f": ("one of", tuple(ACTIVATIONS)),
+          "binarize_comparison": ("one of", tuple(COMPARISONS)),
+          "hidden_dim": (">=", 1), "epochs": (">=", 1), "batch_size": (">=", 1),
+          "seed": (">=", 0), "regularization": (">=", 0),
+          "learning_rate": (">", 0)}
+_PASSES = {"one of": lambda value, vocabulary: value in vocabulary,
+           **COMPARISONS}
 
 
 @dataclass(frozen=True)
@@ -58,23 +76,17 @@ class TrainConfig:
     mask_ranking_loss: bool = False
 
     def __post_init__(self) -> None:
-        if self.task not in TASKS:
-            raise ValueError(f"task must be one of {TASKS}")
-        if self.hidden_dim < 1:
-            raise ValueError("hidden_dim must be >= 1")
-        if self.regularization < 0:
-            raise ValueError("regularization must be >= 0")
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
-        if self.optimizer not in OPTIMIZER_KINDS:
-            raise ValueError(f"unknown optimizer {self.optimizer!r}; "
-                             f"valid: {OPTIMIZER_KINDS}")
-        activation(self.g)
-        activation(self.f)
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if (isinstance(value, bool) != (field.type == "bool")
+                    or not isinstance(value, _TYPES[field.type])):
+                raise ValueError(f"{field.name} must be of type {field.type}, "
+                                 f"got {value!r}")
+            if field.name in _RULES:
+                rule, operand = _RULES[field.name]
+                if not _PASSES[rule](value, operand):
+                    raise ValueError(f"{field.name} must be {rule} {operand}, "
+                                     f"got {value!r}")
 
     @classmethod
     def defaults(cls, task: str) -> "TrainConfig":
@@ -101,9 +113,7 @@ class TrainConfig:
         if task is not None and cfg_task != task:
             raise ValueError(f"config task {cfg_task!r} conflicts with "
                              f"requested task {task!r}")
-        base = asdict(cls.defaults(cfg_task))
-        base.update(doc)
-        return cls(**base)
+        return replace(cls.defaults(cfg_task), **doc)
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -148,6 +158,12 @@ def _run_epochs(x: np.ndarray, output_dim: int, mask: np.ndarray | None,
     num_batches = -(-n // cfg.batch_size)
     history: list[float] = []
     last_finite = None
+
+    def diverged(what: str) -> ValueError:
+        return ValueError(f"training diverged at epoch {epoch + 1}/"
+                          f"{cfg.epochs}, batch {batch + 1}/{num_batches}: "
+                          f"{what}, learning rate {cfg.learning_rate}")
+
     for epoch in range(cfg.epochs):
         perm = rng.permutation(n)
         weighted = 0.0
@@ -159,11 +175,7 @@ def _run_epochs(x: np.ndarray, output_dim: int, mask: np.ndarray | None,
                 params, batch_x, batch_x[:, :output_dim], batch_mask,
                 cfg.regularization, out=grads)
             if not math.isfinite(loss):
-                raise ValueError(
-                    f"training diverged at epoch {epoch + 1}/{cfg.epochs}, "
-                    f"batch {batch + 1}/{num_batches}: loss {loss}, last "
-                    f"finite loss {last_finite}, learning rate "
-                    f"{cfg.learning_rate}")
+                raise diverged(f"loss {loss}, last finite loss {last_finite}")
             last_finite = loss
             update(state, grads)
             weighted += loss * len(idx)
@@ -174,8 +186,8 @@ def _run_epochs(x: np.ndarray, output_dim: int, mask: np.ndarray | None,
             log.debug("epoch %d/%d: loss %.6f", epoch + 1, cfg.epochs, history[-1])
     for name, arr in zip(("Q", "Q1", "p", "p1"), theta):
         if not np.all(np.isfinite(arr)):
-            raise ValueError(f"training diverged: parameter {name} is not "
-                             f"finite after the last update")
+            raise diverged(f"parameter {name} is not finite after the last "
+                           f"update")
     return TrainedModel(params, tuple(history), cfg)
 
 
@@ -282,23 +294,29 @@ def save_model(path: str | Path, model: TrainedModel,
 
 def load_model_and_echo(path: str | Path) -> tuple[TrainedModel, dict]:
     """Read a model written by :func:`save_model`, with the echo it carries
-    (the config, the loss history and the run context of ``extras``); the
-    echo's task, orientation and side width must match the model's."""
+    (the config, the loss history and the run context of ``extras``).  The
+    echo's task, orientation and side width must match the model's, its
+    config's activations and hidden width the weights', and its training
+    fraction, if any, must be null or a number."""
     params, echo = load_params(path)
-    try:
+    with located(path, "model echo"):
         if not isinstance(echo["config"], dict):
             raise ValueError("'config' is not an object")
         model = TrainedModel(params, tuple(echo["loss_history"]),
                              TrainConfig.from_dict(echo["config"]))
-        for key in ("task", "orientation", "side_dim"):
-            if echo[key] != getattr(model, key):
-                raise ValueError(f"{key} {echo[key]!r} is not the "
-                                 f"{getattr(model, key)!r} that the config "
-                                 f"and weights give")
-    except KeyError as exc:
-        raise ValueError(f"{path}: model echo has no {exc} entry") from None
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"{path}: model echo: {exc}") from None
+        copies = [(key, echo[key], getattr(model, key))
+                  for key in ("task", "orientation", "side_dim")]
+        copies += [(f"config {key}", getattr(model.config, key),
+                    getattr(params, key)) for key in ("g", "f", "hidden_dim")]
+        for what, copy, value in copies:
+            if copy != value:
+                raise ValueError(f"{what} {copy!r} disagrees with the "
+                                 f"model's {value!r}")
+        fraction = echo.get("train_fraction")
+        if isinstance(fraction, bool) or not isinstance(
+                fraction, (int, float, type(None))):
+            raise ValueError(f"train_fraction must be null or a number, got "
+                             f"{fraction!r}")
     return model, echo
 
 

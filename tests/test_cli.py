@@ -186,6 +186,30 @@ class TestTrain:
         assert json.loads(full.read_text())["Q"] != \
             json.loads(part.read_text())["Q"]
 
+    @pytest.mark.parametrize("fraction", ["1.5", "1.0"])
+    def test_train_fraction_outside_the_open_interval_rejected(
+            self, prepared_path, tmp_path, capsys, fraction):
+        cfg = write_config(tmp_path, epochs=2, hidden_dim=4)
+        out = tmp_path / "never.json"
+        code, _, err = run(capsys, "train", "--data", prepared_path,
+                           "--task", "rating", "--config", cfg, "--out", out,
+                           "--train-fraction", fraction)
+        assert code == 1
+        assert err == f"error: train_fraction {float(fraction)} outside (0, 1)\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key, value", [("learning_rate", 1),
+                                            ("binarize_threshold", 3)])
+    def test_ints_for_float_fields_train(self, prepared_path, tmp_path,
+                                         capsys, key, value):
+        cfg = write_config(tmp_path, epochs=2, **{key: value})
+        out = tmp_path / "m.json"
+        code, _, err = run(capsys, "train", "--data", prepared_path,
+                           "--task", "ranking", "--config", cfg, "--out", out)
+        assert code == 0, err
+        echo = json.loads(out.read_text())["training_config_echo"]["config"]
+        assert echo[key] == value
+
 
     @pytest.mark.parametrize("task", ["rating", "ranking"])
     def test_empty_training_set_is_a_one_line_error(self, ml100k_dir,
@@ -522,7 +546,9 @@ class TestMalformedArtifacts:
 
     @pytest.mark.parametrize("edit", ["truncated", "dims-list", "echo-list",
                                       "echo-orientation", "echo-side-width",
-                                      "null-config"])
+                                      "echo-activation", "echo-hidden-dim",
+                                      "echo-fraction-list",
+                                      "echo-fraction-text", "null-config"])
     def test_malformed_model_file(self, ranking_model, prepared_path,
                                   tmp_path, capsys, edit):
         text = ranking_model.read_text()
@@ -537,13 +563,25 @@ class TestMalformedArtifacts:
             text, expected = json.dumps(doc), "'training_config_echo'"
         else:
             # the task, orientation and side width the echo repeats must be
-            # the ones its config and weights give
+            # the ones its config and weights give, and the config's
+            # activations and width the weights'
             echo = doc["training_config_echo"]
             if edit == "echo-orientation":
                 echo["orientation"], expected = "item", "orientation 'item'"
             elif edit == "echo-side-width":
                 echo["side_dim"] += 1
                 expected = f"side_dim {echo['side_dim']}"
+            elif edit == "echo-activation":
+                # sigmoid H=10 weights
+                echo["config"].update(g="tanh", hidden_dim=500)
+                expected = "config g 'tanh' disagrees with the model's 'sigmoid'"
+            elif edit == "echo-hidden-dim":
+                echo["config"]["hidden_dim"] = 500
+                expected = "config hidden_dim 500 disagrees with the model's 10"
+            elif edit.startswith("echo-fraction"):
+                echo["train_fraction"] = [1] if edit.endswith("list") else "abc"
+                expected = (f"train_fraction must be null or a number, got "
+                            f"{echo['train_fraction']!r}")
             else:
                 echo["config"], expected = None, "'config' is not an object"
             text, expected = json.dumps(doc), f"model echo: {expected}"
@@ -565,6 +603,37 @@ class TestMalformedArtifacts:
                            "--out", tmp_path / "never.json")
         self.assert_one_line_error(code, err, "cut.json",
                                    "not a valid JSON file")
+
+    @pytest.mark.parametrize("doc, expected", [
+        ({"epochs": 2.5}, "epochs must be of type int, got 2.5"),
+        ({"hidden_dim": 4.0}, "hidden_dim must be of type int, got 4.0"),
+        ({"batch_size": 8.0}, "batch_size must be of type int, got 8.0"),
+        ({"seed": 1.5}, "seed must be of type int, got 1.5"),
+        ({"seed": -1}, "seed must be >= 0, got -1"),
+        ({"learning_rate": "0.1"},
+         "learning_rate must be of type float, got '0.1'"),
+        ({"binarize_threshold": "4"},
+         "binarize_threshold must be of type float, got '4'"),
+        ({"mask_ranking_loss": "no"},
+         "mask_ranking_loss must be of type bool, got 'no'"),
+        ({"g": ["tanh"]}, "g must be of type str, got ['tanh']"),
+        ({"binarize_comparison": "=="},
+         "binarize_comparison must be one of ('>', '>='), got '=='"),
+        ([1], "not a flat JSON object")],
+        ids=["epochs", "hidden_dim", "batch_size", "seed-float", "seed-negative",
+             "learning_rate", "binarize_threshold", "mask_ranking_loss", "g",
+             "binarize_comparison", "top-level-list"])
+    def test_malformed_config(self, ml100k_dir, prepared_path, tmp_path,
+                              capsys, doc, expected):
+        cfg = tmp_path / "bad_cfg.json"
+        cfg.write_text(json.dumps(doc))
+        for argv in (["train", "--data", prepared_path, "--task", "rating",
+                      "--config", cfg, "--out", tmp_path / "never.json"],
+                     ["reproduce", "--table", "2", "--raw", ml100k_dir,
+                      "--seeds", "1", "--config", cfg,
+                      "--out-dir", tmp_path / "never"]):
+            code, _, err = run(capsys, *argv)
+            assert (code, err) == (1, f"error: {cfg}: config: {expected}\n")
 
 
 class TestRunCell:

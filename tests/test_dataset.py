@@ -12,7 +12,7 @@ from hypothesis.extra import numpy as hnp
 from semiae.dataset import (FORMATS, LAYOUTS, ML100K_GENRES,
                             ML100K_OCCUPATIONS, ParseError, PreparedData,
                             RatingDataset, SideInfoMatrix, align_side_info, binarize, build_vectors,
-                            load_raw_directory, parse_item_features,
+                            load_raw_directory, located, parse_item_features,
                             parse_ratings, parse_user_profiles, read_prepared,
                             split, write_json, write_prepared)
 from util import make_random_dataset, reference_input
@@ -761,6 +761,23 @@ class TestWriteJson:
     def test_same_bytes_as_json_dump(self, doc):
         ours, ref = self.written(doc)
         assert ours == ref
+
+
+class TestLocated:
+    @pytest.mark.parametrize("exc, message", [
+        (KeyError("dims"), "m.json: model JSON has no 'dims' entry"),
+        (TypeError("bad type"), "m.json: model JSON: bad type"),
+        (ParseError("bad value"), "m.json: model JSON: bad value")])
+    def test_names_the_file_and_the_part(self, exc, message):
+        with pytest.raises(ValueError) as info:
+            with located("m.json", "model JSON"):
+                raise exc
+        assert type(info.value) is ValueError and str(info.value) == message
+
+    def test_other_errors_pass_through(self):
+        with pytest.raises(FileNotFoundError):
+            with located("m.json", "model JSON"):
+                raise FileNotFoundError("m.json")
 
 
 class TestCallersArraysStayWritable:

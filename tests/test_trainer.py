@@ -68,10 +68,24 @@ class TestTrainConfig:
 
     @pytest.mark.parametrize("kw", [dict(hidden_dim=0), dict(batch_size=0),
                                     dict(regularization=-1.0),
-                                    dict(learning_rate=0.0)])
+                                    dict(learning_rate=0.0),
+                                    dict(epochs=2.5), dict(hidden_dim=4.0),
+                                    dict(batch_size=8.0), dict(seed=1.5),
+                                    dict(seed=-1), dict(learning_rate="0.1"),
+                                    dict(learning_rate=float("nan")),
+                                    dict(binarize_threshold="4"),
+                                    dict(mask_ranking_loss="no"),
+                                    dict(mask_ranking_loss=1),
+                                    dict(epochs=True), dict(g=["tanh"]),
+                                    dict(binarize_comparison="==")])
     def test_bounds_enforced(self, kw):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=f"^{next(iter(kw))} must be "):
             ranking_cfg(**kw)
+
+    def test_ints_count_as_floats_and_numpy_ints_as_ints(self):
+        cfg = ranking_cfg(learning_rate=1, binarize_threshold=3,
+                          epochs=np.int64(2), seed=np.uint8(3))
+        assert (cfg.learning_rate, cfg.epochs, cfg.seed) == (1, 2, 3)
 
     def test_task_defaults(self):
         rating = TrainConfig.defaults("rating")
@@ -257,6 +271,24 @@ class TestDivergence:
         assert "batch " in message
         assert "last finite loss " in message
         assert "learning rate 1000000000000.0" in message
+
+    def test_non_finite_parameter_after_the_last_update_names_where(self):
+        users = np.array([0, 0, 1, 1, 2, 2, 2, 3], np.int32)
+        items = np.array([0, 1, 1, 2, 0, 2, 3, 3], np.int32)
+        ratings = np.array([5, 2, 5, 5, 3, 5, 5, 5], np.float64)
+        train = binarize(RatingDataset(4, 4, users, items, ratings,
+                                       np.arange(8, dtype=np.int64)), 4.0)
+        profiles = SideInfoMatrix(RNG(0).normal(size=(4, 2)), ("a", "b"),
+                                  (1, 2, 3, 4))
+        # one batch of every user, whose update alone overflows
+        cfg = replace(TrainConfig.defaults("ranking"), learning_rate=1e308,
+                      epochs=1, batch_size=8)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError) as info:
+                train_ranking(train, profiles, cfg)
+        assert str(info.value) == (
+            "training diverged at epoch 1/1, batch 1/1: parameter Q1 is not "
+            "finite after the last update, learning rate 1e+308")
 
 
 class TestPredictRatings:
