@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 # The data pipeline end to end on a generated MovieLens-layout directory:
 # parsing, side-information encoding, splitting, binarization and the dense
-# network input the trainers consume.
+# network input, which the trainers build one batch of rows at a time.
 
 import tempfile
 from pathlib import Path
@@ -43,11 +43,22 @@ print(f"binarized train: {len(btrain)} liked interactions "
       f"out of {len(train)} ratings")
 
 # The network input: each user's liked items over the whole catalogue, with
-# the user's profile appended; the mask marks the observed cells.
-x, mask = build_vectors(btrain, data.user_side, "user")
+# the user's profile appended; the mask marks the observed cells.  The
+# builder writes the rows it is given into buffers the caller owns: the
+# trainers pass one batch of rows at a time, here every row at once.
+users = np.arange(btrain.num_users)
+x = np.empty((btrain.num_users, btrain.num_items + data.user_side.dim))
+mask = np.empty((btrain.num_users, btrain.num_items), bool)
+build_vectors(btrain, data.user_side, "user", users, x, mask)
 print(f"\nuser-based input: {x.shape} ({btrain.num_items} items + "
       f"{data.user_side.dim} profile columns) | observed cells:",
       int(mask.sum()))
-item_x, item_mask = build_vectors(btrain, data.item_side, "item")
+batch = np.empty((3, x.shape[1]))
+build_vectors(btrain, data.user_side, "user", [5, 0, 7], batch)
+print("a batch of users 5, 0 and 7 holds their rows of it:",
+      np.array_equal(batch, x[[5, 0, 7]]))
+item_x = np.empty((btrain.num_items, btrain.num_users + data.item_side.dim))
+build_vectors(btrain, data.item_side, "item", np.arange(btrain.num_items),
+              item_x)
 print("item-based rating block is its transpose:",
       np.array_equal(x[:, :btrain.num_items].T, item_x[:, :btrain.num_users]))

@@ -16,6 +16,13 @@ matrices (never the biases):
 
 * ``subset_loss``  -- squared error over all D outputs, averaged over rows;
 * ``masked_loss``  -- squared error only at observed target positions.
+
+:func:`loss_and_gradients` gives both with their gradients.  A training
+loop hands it one :class:`Workspace`, made once for its batch size, that
+holds the batch input the loop writes and every batch-sized intermediate of
+the step (pre-activations, activations, differences, their squares and the
+hidden layer's gradient), with the block scratch of the L2 term, so that a
+step allocates nothing of the batch's size.
 """
 
 from __future__ import annotations
@@ -37,42 +44,65 @@ MODEL_SCHEMA_VERSION = 1
 BLOCK = 32768
 
 
-def _identity(z: np.ndarray) -> np.ndarray:
+def _identity(z: np.ndarray, out=None, scratch=None) -> np.ndarray:
     return z
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
+def _ones(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    if out is None:
+        return np.ones_like(a)
+    out.fill(1.0)
+    return out
+
+
+def _sigmoid(z: np.ndarray, out: np.ndarray | None = None,
+             scratch: tuple[np.ndarray, np.ndarray] | None = None
+             ) -> np.ndarray:
     # two-branch form, 1/(1+exp(-z)) for z >= 0 and exp(z)/(1+exp(z))
-    # below, in two buffers: exp only ever sees -|z|
-    e = np.abs(z, out=np.empty(np.shape(z)))
+    # below, through a float and a bool scratch: exp only ever sees -|z|
+    d, nonneg = scratch or (np.empty(np.shape(z)), np.empty(np.shape(z), bool))
+    np.greater_equal(z, 0.0, out=nonneg)
+    e = np.abs(z, out=np.empty(np.shape(z)) if out is None else out)
     np.negative(e, out=e)
     np.exp(e, out=e)
-    d = e + 1.0
+    np.add(e, 1.0, out=d)
     e /= d
-    np.divide(1.0, d, out=e, where=z >= 0)
+    np.divide(1.0, d, out=e, where=nonneg)
     return e
 
 
-def _relu(z: np.ndarray) -> np.ndarray:
-    return np.maximum(z, 0.0)
+def _relu(z: np.ndarray, out=None, scratch=None) -> np.ndarray:
+    return np.maximum(z, 0.0, out=out)
+
+
+def _tanh(z: np.ndarray, out=None, scratch=None) -> np.ndarray:
+    return np.tanh(z, out=out)
 
 
 @dataclass(frozen=True)
 class Activation:
     """An elementwise activation ``a = fn(z)`` with its derivative written
     in terms of the activation's value: ``fn'(z) = deriv_at_value(a)``, so a
-    backward pass reuses the forward pass's output."""
+    backward pass reuses the forward pass's output.
+
+    Both give a new array (the identity gives ``z`` itself), or write into
+    ``out``: ``fn(z, z, scratch)`` overwrites ``z``, with the sigmoid's
+    ``scratch`` a float and a bool array of its shape (new ones if None),
+    and ``deriv_at_value(a, out)`` fills a float array ``out``."""
 
     name: str
-    fn: Callable[[np.ndarray], np.ndarray]
-    deriv_at_value: Callable[[np.ndarray], np.ndarray]
+    fn: Callable[..., np.ndarray]
+    deriv_at_value: Callable[..., np.ndarray]
 
 
 ACTIVATIONS = {
-    "identity": Activation("identity", _identity, np.ones_like),
-    "sigmoid": Activation("sigmoid", _sigmoid, lambda s: s * (1.0 - s)),
-    "relu": Activation("relu", _relu, lambda h: h > 0),
-    "tanh": Activation("tanh", np.tanh, lambda t: 1.0 - t * t),
+    "identity": Activation("identity", _identity, _ones),
+    "sigmoid": Activation("sigmoid", _sigmoid, lambda s, out=None: np.multiply(
+        s, np.subtract(1.0, s, out=out), out=out)),
+    "relu": Activation("relu", _relu,
+                       lambda h, out=None: np.greater(h, 0, out=out)),
+    "tanh": Activation("tanh", _tanh, lambda t, out=None: np.subtract(
+        1.0, np.multiply(t, t, out=out), out=out)),
 }
 
 
@@ -140,6 +170,34 @@ class GradientSet:
     dp1: np.ndarray
 
 
+@dataclass(frozen=True)
+class Workspace:
+    """The buffers of a training step, for batches of up to B rows: the
+    batch input and mask that a training loop writes, and the intermediates
+    that :func:`loss_and_gradients` writes.  A loop makes one with
+    :meth:`for_params` and every step reuses it; a batch of b rows uses the
+    leading b rows of each buffer."""
+
+    x: np.ndarray         # (B, S) the batch input
+    mask: np.ndarray      # (B, D) bool, the observed targets
+    hidden: np.ndarray    # (B, H) z1, then the hidden activations
+    output: np.ndarray    # (B, D) z2, then the output, then dLoss/dz2
+    squares: np.ndarray   # (B, D) the squared differences
+    d_hidden: np.ndarray  # (B, H) dLoss/dz1
+    slope: np.ndarray     # (B, H) the sigmoid's scratch, then g'
+    signs: np.ndarray     # (B, H) bool, the sigmoid's branch
+    block: np.ndarray     # one block, the scratch of the L2 term's passes
+
+    @classmethod
+    def for_params(cls, params: SemiAEParams, rows: int) -> Workspace:
+        (s, h), d = params.Q.shape, params.output_dim
+        return cls(np.empty((rows, s)), np.empty((rows, d), bool),
+                   np.empty((rows, h)), np.empty((rows, d)),
+                   np.empty((rows, d)), np.empty((rows, h)),
+                   np.empty((rows, h)), np.empty((rows, h), bool),
+                   np.empty(min(BLOCK, max(params.Q.size, params.Q1.size))))
+
+
 def glorot_init(input_dim: int, hidden_dim: int, output_dim: int,
                 g: str = "sigmoid", f: str = "identity",
                 rng: np.random.Generator | None = None) -> SemiAEParams:
@@ -167,14 +225,19 @@ def _as_batch(x: np.ndarray, dim: int, what: str) -> tuple[np.ndarray, bool]:
     return batch, was_vector
 
 
-def _forward_cache(params: SemiAEParams, batch_x: np.ndarray):
-    z1 = batch_x @ params.Q
+def forward_from(params: SemiAEParams, z1: np.ndarray,
+                 z2: np.ndarray | None = None, scratch=None
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """The forward pass of a batch from ``z1 = x @ Q`` on, so that a caller
+    can let the input go once that product is formed.  ``z1`` becomes the
+    hidden activations in place (``scratch`` as for :class:`Activation`);
+    the output is written into ``z2``, or a new array.  Returns ``(h,
+    out)``."""
     z1 += params.p
-    hid = activation(params.g).fn(z1)
-    z2 = hid @ params.Q1
+    hid = activation(params.g).fn(z1, z1, scratch)
+    z2 = np.matmul(hid, params.Q1, out=z2)
     z2 += params.p1
-    out = activation(params.f).fn(z2)
-    return hid, out
+    return hid, activation(params.f).fn(z2, z2)
 
 
 def forward(params: SemiAEParams, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -183,7 +246,7 @@ def forward(params: SemiAEParams, x: np.ndarray) -> tuple[np.ndarray, np.ndarray
     Returns ``(h, out)`` with the same leading shape as ``x``.
     """
     batch, was_vector = _as_batch(x, params.input_dim, "input")
-    hid, out = _forward_cache(params, batch)
+    hid, out = forward_from(params, batch @ params.Q)
     if was_vector:
         return hid[0], out[0]
     return hid, out
@@ -204,7 +267,7 @@ def _weight_penalty(params: SemiAEParams, reg: float) -> float:
 def _loss_value(params, batch_x, targets, mask, reg) -> float:
     # public losses use exactly rounded sums so that the value is a function
     # of the terms alone, comparable against any independent accumulation
-    _, out = _forward_cache(params, batch_x)
+    _, out = forward_from(params, batch_x @ params.Q)
     diff = out - targets
     if mask is not None:
         diff = diff * mask
@@ -252,11 +315,11 @@ def blocks(size: int) -> list[slice]:
     return [slice(lo, min(lo + BLOCK, size)) for lo in range(0, size, BLOCK)]
 
 
-def _add_scaled(acc: np.ndarray, scale: float, a: np.ndarray) -> None:
+def _add_scaled(acc: np.ndarray, scale: float, a: np.ndarray,
+                scratch: np.ndarray) -> None:
     """``acc += scale * a`` on contiguous arrays, one block at a time
-    through a block-sized scratch."""
+    through ``scratch``, of at least one block or ``a.size`` elements."""
     acc, a = acc.reshape(-1), a.reshape(-1)
-    scratch = np.empty(min(BLOCK, a.size))
     for part in blocks(a.size):
         term = scratch[:part.stop - part.start]
         np.multiply(a[part], scale, out=term)
@@ -265,14 +328,19 @@ def _add_scaled(acc: np.ndarray, scale: float, a: np.ndarray) -> None:
 
 def loss_and_gradients(params: SemiAEParams, batch_x: np.ndarray,
                        targets: np.ndarray, mask: np.ndarray | None = None,
-                       reg: float = 0.0, out: GradientSet | None = None
+                       reg: float = 0.0, out: GradientSet | None = None,
+                       work: Workspace | None = None
                        ) -> tuple[float, GradientSet]:
     """Compute the (masked or full) loss and its exact analytic gradients,
     the L2 term included.
 
     The gradients are written into ``out``, C-contiguous arrays of the
     parameters' shapes that a training loop reuses for every batch, and
-    ``out`` is returned; without it they go to fresh arrays.
+    ``out`` is returned; without it they go to fresh arrays.  The batch's
+    intermediates are written into ``work``, a :class:`Workspace` of at
+    least the batch's rows, or a fresh one; with both given, a call
+    allocates nothing of the batch's size (a non-identity ``f`` still makes
+    its B x D intermediates).
     """
     batch, tgt, m = _check_loss_args(params, batch_x, targets, mask)
     theta = (params.Q, params.Q1, params.p, params.p1)
@@ -284,7 +352,11 @@ def loss_and_gradients(params: SemiAEParams, batch_x: np.ndarray,
         raise ValueError("out must hold writable C-contiguous arrays of the "
                          "parameters' shapes")
     b = batch.shape[0]
-    hid, pred = _forward_cache(params, batch)
+    if work is None:
+        work = Workspace.for_params(params, b)
+    hid, pred = forward_from(
+        params, np.matmul(batch, params.Q, out=work.hidden[:b]),
+        work.output[:b], (work.slope[:b], work.signs[:b]))
     # both derivatives come from the activations' values; the identity's
     # is 1 and its multiply is skipped
     if params.f != "identity":
@@ -294,7 +366,7 @@ def loss_and_gradients(params: SemiAEParams, batch_x: np.ndarray,
     diff = np.subtract(pred, tgt, out=pred)
     if m is not None:
         diff *= m
-    loss = float(np.sum(diff * diff)) / b
+    loss = float(np.sum(np.multiply(diff, diff, out=work.squares[:b]))) / b
     if reg != 0.0:
         # the penalty's squares fill the weight gradients' buffers before
         # the backward matmuls overwrite them
@@ -308,14 +380,14 @@ def loss_and_gradients(params: SemiAEParams, batch_x: np.ndarray,
         d_z2 *= f_prime
     np.matmul(hid.T, d_z2, out=out.dQ1)
     np.sum(d_z2, axis=0, out=out.dp1)
-    d_z1 = d_z2 @ params.Q1.T
+    d_z1 = np.matmul(d_z2, params.Q1.T, out=work.d_hidden[:b])
     if params.g != "identity":
-        d_z1 *= activation(params.g).deriv_at_value(hid)
+        d_z1 *= activation(params.g).deriv_at_value(hid, work.slope[:b])
     np.matmul(batch.T, d_z1, out=out.dQ)
     np.sum(d_z1, axis=0, out=out.dp)
     if reg != 0.0:
-        _add_scaled(out.dQ, reg, params.Q)
-        _add_scaled(out.dQ1, reg, params.Q1)
+        _add_scaled(out.dQ, reg, params.Q, work.block)
+        _add_scaled(out.dQ1, reg, params.Q1, work.block)
     return loss, out
 
 

@@ -10,14 +10,19 @@ positions.
 
 Both loops are seed-deterministic: weight init and the per-epoch row
 shuffles are drawn from one generator seeded by the config.  The loop owns
-the parameter buffers and one set of gradient buffers: each batch's
-gradients are written into the same buffers, the optimizer updates the
-parameters in place from them, and the :class:`SemiAEParams` built once
-over the parameters sees every update.  A step allocates nothing the size
-of a parameter.  A non-finite batch loss, or a parameter left non-finite by
-the last update, stops training with a ValueError naming the epoch, the
-batch, the loss (and the last finite one) or the parameter, and the
-learning rate.
+the parameter buffers, one set of gradient buffers and one
+:class:`~semiae.model.Workspace` of batch-sized buffers.  The dense input is
+never built whole: each batch's input rows and mask are written into the
+workspace by :func:`~semiae.dataset.build_vectors`, from the dataset's
+per-user (or per-item) index, and ``loss_and_gradients`` writes the batch's
+intermediates into it too.  Each batch's gradients are written into the
+same buffers, the optimizer updates the parameters in place from them, and
+the :class:`SemiAEParams` built once over the parameters sees every update.
+A step allocates nothing the size of a parameter or of a dense batch.  A
+non-finite batch loss, or a parameter left non-finite by the last update,
+stops training with a ValueError naming the epoch, the batch, the loss (and
+the last finite one) or the parameter, and the learning rate; numpy's
+floating-point warnings stay quiet meanwhile.
 """
 
 from __future__ import annotations
@@ -33,8 +38,9 @@ import numpy as np
 from .dataset import (COMPARISONS, RatingDataset, SideInfoMatrix,
                       build_vectors, located)
 from .evaluation import _rank_unconsumed
-from .model import (ACTIVATIONS, GradientSet, SemiAEParams, forward,
-                    glorot_init, load_params, loss_and_gradients, save_params)
+from .model import (ACTIVATIONS, GradientSet, SemiAEParams, Workspace,
+                    forward, forward_from, glorot_init, load_params,
+                    loss_and_gradients, save_params)
 from .optim import OPTIMIZER_KINDS, Optimizer, update
 
 log = logging.getLogger(__name__)
@@ -82,6 +88,12 @@ class TrainConfig:
                     or not isinstance(value, _TYPES[field.type])):
                 raise ValueError(f"{field.name} must be of type {field.type}, "
                                  f"got {value!r}")
+            if isinstance(value, np.integer):
+                # a Python int, which JSON writes
+                value = int(value)
+                object.__setattr__(self, field.name, value)
+            if field.type == "float" and not math.isfinite(value):
+                raise ValueError(f"{field.name} must be finite, got {value!r}")
             if field.name in _RULES:
                 rule, operand = _RULES[field.name]
                 if not _PASSES[rule](value, operand):
@@ -141,20 +153,26 @@ class TrainedModel:
         return self.params.input_dim - self.params.output_dim
 
 
-def _run_epochs(x: np.ndarray, output_dim: int, mask: np.ndarray | None,
-                cfg: TrainConfig) -> TrainedModel:
-    # the targets are the first output_dim columns of each input row
-    n, input_dim = x.shape
+# the loop checks finiteness itself, so numpy's warnings stay quiet
+@np.errstate(all="ignore")
+def _run_epochs(train: RatingDataset, side: SideInfoMatrix, orientation: str,
+                masked: bool, cfg: TrainConfig) -> TrainedModel:
+    # one input row per user (or item): its ratings over every item (or
+    # user), which are also its targets, then its side row
+    n, output_dim = ((train.num_users, train.num_items)
+                     if orientation == "user" else
+                     (train.num_items, train.num_users))
     if not n:
         raise ValueError("cannot train on an empty training set")
     rng = np.random.default_rng(cfg.seed)
-    init = glorot_init(input_dim, cfg.hidden_dim, output_dim,
-                       cfg.g, cfg.f, rng)
-    # the optimizer updates these buffers in place; params views them
-    theta = [np.array(a) for a in (init.Q, init.Q1, init.p, init.p1)]
-    params = replace(init, Q=theta[0], Q1=theta[1], p=theta[2], p1=theta[3])
+    params = glorot_init(output_dim + side.dim, cfg.hidden_dim, output_dim,
+                         cfg.g, cfg.f, rng)
+    # the writable arrays under params' read-only views: the optimizer
+    # updates them in place, and params sees every update
+    theta = [a.base for a in (params.Q, params.Q1, params.p, params.p1)]
     state = Optimizer(cfg.optimizer, cfg.learning_rate, theta)
     grads = GradientSet(*(np.empty_like(a) for a in theta))
+    work = Workspace.for_params(params, min(cfg.batch_size, n))
     num_batches = -(-n // cfg.batch_size)
     history: list[float] = []
     last_finite = None
@@ -169,11 +187,12 @@ def _run_epochs(x: np.ndarray, output_dim: int, mask: np.ndarray | None,
         weighted = 0.0
         for batch, start in enumerate(range(0, n, cfg.batch_size)):
             idx = perm[start:start + cfg.batch_size]
-            batch_x = x[idx]
-            batch_mask = mask[idx] if mask is not None else None
+            batch_x = work.x[:len(idx)]
+            batch_mask = work.mask[:len(idx)] if masked else None
+            build_vectors(train, side, orientation, idx, batch_x, batch_mask)
             loss, _ = loss_and_gradients(
                 params, batch_x, batch_x[:, :output_dim], batch_mask,
-                cfg.regularization, out=grads)
+                cfg.regularization, out=grads, work=work)
             if not math.isfinite(loss):
                 raise diverged(f"loss {loss}, last finite loss {last_finite}")
             last_finite = loss
@@ -200,13 +219,10 @@ def train_ranking(train: RatingDataset, profiles: SideInfoMatrix,
     """
     if cfg.task != "ranking":
         raise ValueError("config task must be 'ranking'")
-    x, mask = build_vectors(train, profiles, "user")
-    if not cfg.mask_ranking_loss:
-        mask = None
     if train.rating_scale != (0.0, 1.0):
         log.warning("ranking training expects binarized ratings, "
                     "got scale %s", train.rating_scale)
-    return _run_epochs(x, train.num_items, mask, cfg)
+    return _run_epochs(train, profiles, "user", cfg.mask_ranking_loss, cfg)
 
 
 def train_rating(train: RatingDataset, features: SideInfoMatrix,
@@ -218,8 +234,7 @@ def train_rating(train: RatingDataset, features: SideInfoMatrix,
     """
     if cfg.task != "rating":
         raise ValueError("config task must be 'rating'")
-    x, mask = build_vectors(train, features, "item")
-    return _run_epochs(x, train.num_users, mask, cfg)
+    return _run_epochs(train, features, "item", True, cfg)
 
 
 def predict_ratings(model: TrainedModel, train: RatingDataset,
@@ -228,12 +243,17 @@ def predict_ratings(model: TrainedModel, train: RatingDataset,
 
     Inputs are built from the training triples only.  Items that are
     unobserved in training fall back to the global training mean; all
-    predictions are clipped to the rating scale.
+    predictions are clipped to the rating scale.  The whole input goes as
+    soon as its product with ``Q`` is formed, before the activation and the
+    output layer.
     """
     if model.task != "rating":
         raise ValueError("predict_ratings needs a rating-task model")
-    x = build_vectors(train, features, "item")[0]
-    _, out = forward(model.params, x)
+    x = np.empty((train.num_items, train.num_users + features.dim))
+    build_vectors(train, features, "item", np.arange(train.num_items), x)
+    z1 = x @ model.params.Q
+    del x
+    _, out = forward_from(model.params, z1)
     empty = train.item_counts == 0
     if empty.any():
         if len(train) == 0:

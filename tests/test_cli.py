@@ -1,5 +1,9 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -210,6 +214,30 @@ class TestTrain:
         echo = json.loads(out.read_text())["training_config_echo"]["config"]
         assert echo[key] == value
 
+
+    @pytest.mark.parametrize("task", ["rating", "ranking"])
+    def test_divergence_is_one_stderr_line(self, prepared_path, tmp_path,
+                                           task):
+        # in a process of its own, where numpy's warnings would reach
+        # stderr; an sgd step this large overflows every parameter
+        cfg = write_config(tmp_path, optimizer="sgd", learning_rate=1e300,
+                           epochs=2)
+        out = tmp_path / "never.json"
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONWARNINGS="default",
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-m", "semiae.cli", "train", "--data",
+             str(prepared_path), "--task", task, "--config", str(cfg),
+             "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: training diverged at epoch 2/2, "
+                                      "batch 1/1: loss inf, last finite loss ")
+        assert proc.stderr.endswith(", learning rate 1e+300\n")
+        assert proc.stderr.count("\n") == 1
+        assert not out.exists()
 
     @pytest.mark.parametrize("task", ["rating", "ranking"])
     def test_empty_training_set_is_a_one_line_error(self, ml100k_dir,
@@ -619,10 +647,17 @@ class TestMalformedArtifacts:
         ({"g": ["tanh"]}, "g must be of type str, got ['tanh']"),
         ({"binarize_comparison": "=="},
          "binarize_comparison must be one of ('>', '>='), got '=='"),
+        ({"binarize_threshold": float("nan"), "epochs": 2},
+         "binarize_threshold must be finite, got nan"),
+        ({"learning_rate": float("inf")}, "learning_rate must be finite, got inf"),
+        ({"regularization": float("-inf")},
+         "regularization must be finite, got -inf"),
         ([1], "not a flat JSON object")],
         ids=["epochs", "hidden_dim", "batch_size", "seed-float", "seed-negative",
              "learning_rate", "binarize_threshold", "mask_ranking_loss", "g",
-             "binarize_comparison", "top-level-list"])
+             "binarize_comparison", "binarize_threshold-nan",
+             "learning_rate-inf", "regularization-minus-inf",
+             "top-level-list"])
     def test_malformed_config(self, ml100k_dir, prepared_path, tmp_path,
                               capsys, doc, expected):
         cfg = tmp_path / "bad_cfg.json"

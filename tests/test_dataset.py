@@ -15,7 +15,7 @@ from semiae.dataset import (FORMATS, LAYOUTS, ML100K_GENRES,
                             load_raw_directory, located, parse_item_features,
                             parse_ratings, parse_user_profiles, read_prepared,
                             split, write_json, write_prepared)
-from util import make_random_dataset, reference_input
+from util import built_input, make_random_dataset, reference_input
 
 RNG = np.random.default_rng
 
@@ -424,9 +424,11 @@ def assert_same_bits(actual, expected):
 class TestBuildVectors:
     """build_vectors against the plain construction of tests/util.py."""
 
-    def assert_equals_reference(self, ds, side, orientation):
-        x, mask = build_vectors(ds, side, orientation)
+    def assert_equals_reference(self, ds, side, orientation, rows=None):
+        x, mask = built_input(ds, side, orientation, rows)
         expected_x, expected_mask = reference_input(ds, side, orientation)
+        if rows is not None:
+            expected_x, expected_mask = expected_x[rows], expected_mask[rows]
         assert_same_bits(x, expected_x)
         assert_same_bits(mask, expected_mask)
         return x, mask
@@ -434,7 +436,7 @@ class TestBuildVectors:
     def test_single_observation(self):
         ds = RatingDataset(2, 2, np.array([0], np.int32), np.array([0], np.int32),
                            np.array([5.0]), np.array([0], np.int64))
-        x, mask = build_vectors(ds, side_info(RNG(0), 2, 0), "user")
+        x, mask = built_input(ds, side_info(RNG(0), 2, 0), "user")
         np.testing.assert_array_equal(x, [[5, 0], [0, 0]])
         np.testing.assert_array_equal(mask, [[True, False], [False, False]])
 
@@ -442,15 +444,15 @@ class TestBuildVectors:
         rng = RNG(9)
         for _ in range(20):
             ds = make_random_dataset(rng, 5, 7, 15)
-            by_user = build_vectors(ds, side_info(rng, 5, 2), "user")
-            by_item = build_vectors(ds, side_info(rng, 7, 3), "item")
+            by_user = built_input(ds, side_info(rng, 5, 2), "user")
+            by_item = built_input(ds, side_info(rng, 7, 3), "item")
             np.testing.assert_array_equal(by_user[0][:, :7].T,
                                           by_item[0][:, :5])
             np.testing.assert_array_equal(by_user[1].T, by_item[1])
 
     def test_fully_observed_mask_all_true(self):
         ds = make_random_dataset(RNG(2), 3, 3, 9)
-        assert build_vectors(ds, side_info(RNG(1), 3, 2), "user")[1].all()
+        assert built_input(ds, side_info(RNG(1), 3, 2), "user")[1].all()
 
     @pytest.mark.parametrize("orientation", ["user", "item"])
     def test_equals_dense_user_matrix_construction(self, orientation):
@@ -460,6 +462,34 @@ class TestBuildVectors:
             x, mask = self.assert_equals_reference(
                 ds, side_info(RNG(5), n, dim), orientation)
             assert x.shape == (n, width + dim) and mask.shape == (n, width)
+
+    @pytest.mark.parametrize("orientation", ["user", "item"])
+    def test_row_subsets_equal_the_reference_rows(self, orientation):
+        # a training batch: any rows, in any order, repeated or none
+        ds = make_random_dataset(RNG(14), 9, 13, 50, integer_ratings=False)
+        n = 9 if orientation == "user" else 13
+        rng = RNG(15)
+        subsets = [[], [3], [n - 1, 0], [2, 2, 5], rng.permutation(n),
+                   rng.choice(n, 4, replace=False)]
+        for rows in subsets:
+            for dim in (4, 0):
+                self.assert_equals_reference(ds, side_info(RNG(5), n, dim),
+                                             orientation, rows)
+
+    def test_without_a_mask_writes_the_input_alone(self):
+        ds = make_random_dataset(RNG(16), 6, 5, 12)
+        side = side_info(RNG(17), 6, 2)
+        x = np.full((3, 7), np.nan)
+        build_vectors(ds, side, "user", [4, 0, 4], x)
+        assert_same_bits(x, built_input(ds, side, "user", [4, 0, 4])[0])
+
+    @pytest.mark.parametrize("x_shape, mask_shape", [
+        ((2, 7), (3, 5)), ((3, 6), (3, 5)), ((3, 7), (3, 4))])
+    def test_buffers_must_fit_the_rows(self, x_shape, mask_shape):
+        ds = make_random_dataset(RNG(18), 6, 5, 12)
+        with pytest.raises(ValueError, match="do not fit 3 rows of 5 \\+ 2"):
+            build_vectors(ds, side_info(RNG(19), 6, 2), "user", [0, 1, 2],
+                          np.empty(x_shape), np.empty(mask_shape, bool))
 
     @pytest.mark.parametrize("orientation", ["user", "item"])
     def test_entities_without_triples(self, orientation):
@@ -498,17 +528,19 @@ class TestBuildVectors:
     def test_side_must_cover_every_row_entity(self, orientation, expected):
         ds = make_random_dataset(RNG(3), 3, 4, 6)
         with pytest.raises(ValueError, match=expected):
-            build_vectors(ds, side_info(RNG(3), 2, 1), orientation)
+            built_input(ds, side_info(RNG(3), 2, 1), orientation)
 
     def test_unknown_orientation_rejected(self):
         ds = make_random_dataset(RNG(3), 3, 4, 6)
         with pytest.raises(ValueError, match="orientation"):
-            build_vectors(ds, side_info(RNG(3), 3, 1), "rating")
+            build_vectors(ds, side_info(RNG(3), 3, 1), "rating", [0],
+                          np.empty((1, 5)))
 
 
 class TestPerUserIndex:
-    """Each dataset object indexes its own triples: split halves and
-    binarized sets get their own index and item counts, read-only."""
+    """Each dataset object indexes its own triples by user and by item:
+    split halves and binarized sets get their own indexes and item counts,
+    read-only."""
 
     def assert_indexes_own_triples(self, ds):
         indptr, items, ratings = ds.by_user
@@ -522,15 +554,23 @@ class TestPerUserIndex:
             got_items, got_ratings = ds.user_slice(u)
             assert got_items.tolist() == [i for i, _ in owned]
             assert got_ratings.tolist() == [r for _, r in owned]
+        # and its item-major twin
+        indptr, users, ratings = ds.by_item
+        assert len(indptr) == ds.num_items + 1
+        for i in range(ds.num_items):
+            owned = [(u, r) for u, ii, r, _ in ds.triples() if ii == i]
+            lo, hi = indptr[i], indptr[i + 1]
+            assert list(zip(users[lo:hi].tolist(),
+                            ratings[lo:hi].tolist())) == owned
         counts = [0] * ds.num_items
         for i in ds.items.tolist():
             counts[i] += 1
         assert ds.item_counts.tolist() == counts
-        for arr in (*ds.by_user, ds.item_counts):
+        for arr in (*ds.by_user, *ds.by_item, ds.item_counts):
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
                 arr[...] = 0
-        assert ds.by_user is ds.by_user
+        assert ds.by_user is ds.by_user and ds.by_item is ds.by_item
         assert ds.item_counts is ds.item_counts
 
     def test_split_and_binarized_sets(self, ml100k_dir):

@@ -3,16 +3,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from semiae.dataset import (RatingDataset, SideInfoMatrix, build_vectors,
-                            read_json, write_json)
+from semiae.dataset import RatingDataset, SideInfoMatrix, read_json, write_json
 from semiae.model import (ACTIVATIONS, BLOCK, GradientSet, SemiAEParams,
-                          activation, forward, glorot_init, load_params,
-                          loss_and_gradients, masked_loss, save_params,
-                          subset_loss)
-from util import (brute_force_masked_loss, classical_autoencoder,
+                          Workspace, activation, forward, glorot_init,
+                          load_params, loss_and_gradients, masked_loss,
+                          save_params, subset_loss)
+from util import (brute_force_masked_loss, built_input, classical_autoencoder,
                   finite_difference_grads, gradcheck_error,
                   make_random_dataset, reference_loss_and_gradients,
-                  reference_sigmoid)
+                  reference_sigmoid, traced_peak)
 
 RNG = np.random.default_rng
 
@@ -83,7 +82,7 @@ def one_user_input(ratings, profile):
                        np.zeros(len(items), np.int64))
     side = SideInfoMatrix(np.array([profile], float).reshape(1, -1),
                           tuple(map(str, range(len(profile)))), (1,))
-    return build_vectors(ds, side, "user")[0][0]
+    return built_input(ds, side, "user")[0][0]
 
 
 class TestConcatAndTarget:
@@ -109,12 +108,12 @@ class TestConcatAndTarget:
             r = np.zeros((m, n))
             r[ds.users, ds.items] = ds.ratings
             np.testing.assert_array_equal(
-                build_vectors(ds, side, "user")[0][:, :n], r)
+                built_input(ds, side, "user")[0][:, :n], r)
 
     def test_batched_concat(self):
         ds = make_random_dataset(RNG(1), 2, 3, 4)
         side = SideInfoMatrix(np.ones((2, 2)), ("a", "b"), (1, 2))
-        assert build_vectors(ds, side, "user")[0].shape == (2, 5)
+        assert built_input(ds, side, "user")[0].shape == (2, 5)
 
 
 class TestForward:
@@ -291,6 +290,47 @@ class TestBackward:
         finally:
             tracemalloc.stop()
         assert peak < params.Q.nbytes
+
+    @pytest.mark.parametrize("masked", [False, True])
+    @pytest.mark.parametrize("g", ["sigmoid", "tanh", "relu"])
+    def test_into_a_workspace_equals_the_reference(self, g, masked):
+        # a 5-row batch in the leading rows of a 7-row workspace that
+        # starts as NaN, so that a read before a write shows
+        rng = RNG(37)
+        params = make_params(rng, s=30, h=6, d=25, g=g)
+        x = rng.normal(size=(5, 30))
+        t = rng.normal(size=(5, 25))
+        mask = rng.random((5, 25)) < 0.3 if masked else None
+        want_loss, want = reference_loss_and_gradients(params, x, t, mask,
+                                                       0.3)
+        work = Workspace.for_params(params, 7)
+        for buf in vars(work).values():
+            buf.fill(np.nan if buf.dtype == np.float64 else True)
+        out = GradientSet(*(np.empty_like(a) for a in (
+            params.Q, params.Q1, params.p, params.p1)))
+        for _ in range(2):
+            loss, got = loss_and_gradients(params, x, t, mask, 0.3, out=out,
+                                           work=work)
+            assert loss == want_loss
+            for ours, ref in zip((got.dQ, got.dQ1, got.dp, got.dp1), want):
+                assert ours.tobytes() == ref.tobytes()
+
+    def test_a_step_into_its_workspace_allocates_nothing_of_batch_size(self):
+        # the ranking shape: B=64 users, S=1712 inputs, H=10, D=1682 items
+        rng = RNG(41)
+        params = make_params(rng, s=1712, h=10, d=1682)
+        x = (rng.random((64, 1712)) < 0.05).astype(float)
+        work = Workspace.for_params(params, 64)
+        out = GradientSet(*(np.empty_like(a) for a in (
+            params.Q, params.Q1, params.p, params.p1)))
+
+        def step():
+            return loss_and_gradients(params, x, x[:, :1682], None, 0.1,
+                                      out=out, work=work)
+
+        step()
+        _, peak = traced_peak(step)
+        assert peak < 64 * 1682 * 8 / 4
 
     @pytest.mark.parametrize("bad", ["shape", "order", "read-only"])
     def test_unfit_out_buffers_rejected(self, bad):

@@ -9,7 +9,8 @@ from semiae.trainer import (TrainConfig, TrainedModel, load_model,
                             predict_ratings, ranking_scores, recommend_top_n,
                             save_model, train_ranking, train_rating,
                             write_training_log)
-from util import make_random_dataset, reference_fit, reference_input
+from util import (make_random_dataset, reference_fit, reference_input,
+                  traced_peak)
 
 RNG = np.random.default_rng
 
@@ -73,6 +74,10 @@ class TestTrainConfig:
                                     dict(batch_size=8.0), dict(seed=1.5),
                                     dict(seed=-1), dict(learning_rate="0.1"),
                                     dict(learning_rate=float("nan")),
+                                    dict(learning_rate=float("inf")),
+                                    dict(regularization=float("inf")),
+                                    dict(binarize_threshold=float("nan")),
+                                    dict(binarize_threshold=float("-inf")),
                                     dict(binarize_threshold="4"),
                                     dict(mask_ranking_loss="no"),
                                     dict(mask_ranking_loss=1),
@@ -86,6 +91,16 @@ class TestTrainConfig:
         cfg = ranking_cfg(learning_rate=1, binarize_threshold=3,
                           epochs=np.int64(2), seed=np.uint8(3))
         assert (cfg.learning_rate, cfg.epochs, cfg.seed) == (1, 2, 3)
+
+    def test_numpy_ints_survive_a_model_file(self, tmp_path):
+        cfg = TrainConfig.from_dict({"seed": np.int64(3),
+                                     "epochs": np.uint8(2)}, "ranking")
+        assert {type(v) for v in cfg.to_dict().values()} <= {str, int, float,
+                                                              bool}
+        train, profiles = toy_ranking_data()
+        model = train_ranking(train, profiles, cfg)
+        save_model(tmp_path / "m.json", model)
+        assert load_model(tmp_path / "m.json").config == model.config
 
     def test_task_defaults(self):
         rating = TrainConfig.defaults("rating")
@@ -375,6 +390,32 @@ class TestPredictRatings:
         short = SideInfoMatrix(features.rows[:1], ("f",), (1,))
         with pytest.raises(ValueError, match="features cover 1 items"):
             predict_ratings(model, train, short)
+
+
+class TestPeakMemory:
+    """Training holds one batch of the input, and prediction lets the whole
+    input go before its output layer; tracemalloc sees numpy's arrays."""
+
+    def data(self):
+        # the dense input, 1500 items x 1002, dwarfs a 2-wide network
+        ds = make_random_dataset(RNG(11), 1000, 1500, 20000)
+        features = SideInfoMatrix(RNG(12).random((1500, 2)), ("a", "b"),
+                                  tuple(range(1500)))
+        return ds, features, 1500 * 1002 * 8
+
+    def test_training_holds_less_than_the_input(self):
+        ds, features, input_bytes = self.data()
+        cfg = rating_cfg(hidden_dim=2, epochs=1, batch_size=64)
+        model, peak = traced_peak(train_rating, ds, features, cfg)
+        assert len(model.loss_history) == 1
+        assert peak < input_bytes
+
+    def test_prediction_holds_less_than_the_input_and_output(self):
+        ds, features, input_bytes = self.data()
+        params = glorot_init(1002, 5, 1000, rng=RNG(13))
+        model = TrainedModel(params, (0.0,), TrainConfig.defaults("rating"))
+        preds, peak = traced_peak(predict_ratings, model, ds, features)
+        assert peak < input_bytes + preds.nbytes
 
 
 class TestRecommendTopN:

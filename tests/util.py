@@ -32,6 +32,37 @@ def make_random_dataset(rng: np.random.Generator, num_users: int,
     )
 
 
+def built_input(ds, side, orientation, rows=None):
+    """``build_vectors`` of ``rows`` (every row by default) into new input
+    and mask buffers that start as NaN and True, so that every entry it
+    leaves unwritten shows."""
+    from semiae.dataset import build_vectors
+
+    n, width = ((ds.num_users, ds.num_items) if orientation == "user"
+                else (ds.num_items, ds.num_users))
+    rows = np.arange(n) if rows is None else np.asarray(rows, np.intp)
+    x = np.full((len(rows), width + side.dim), np.nan)
+    mask = np.ones((len(rows), width), bool)
+    build_vectors(ds, side, orientation, rows, x, mask)
+    return x, mask
+
+
+def traced_peak(fn, *args):
+    """``fn(*args)`` and the peak of the memory traced while it ran, above
+    what was traced before."""
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = fn(*args)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
 def find_real_data(name: str) -> Path | None:
     """Locate a real MovieLens directory (ml-100k or ml-1m), if present.
 
