@@ -1,9 +1,11 @@
 """Command-line driver: prepare, train, evaluate, recommend, reproduce.
 
-Every command that writes an artifact also writes a ``*.manifest.json``
-recording the command, its inputs, the seed and a sha256 of each output, so
-that re-runs can be checked for bit-identical artifacts.  ``SEMIAE_LOG``
-(debug/info/warning/error) controls log verbosity.
+A command returns the files it wrote and its seed.  :func:`main` first makes
+the directory of each output flag (so ``train --log logs/k.csv`` makes
+``logs/``), then writes ``<first output>.manifest.json``: the command, its
+``args`` (every parsed flag with a value, defaults included, as strings), the
+seed and each output's sha256, so re-runs can be checked for identical bytes.
+``SEMIAE_LOG`` (debug/info/warning/error) controls log verbosity.
 """
 
 from __future__ import annotations
@@ -50,6 +52,8 @@ TABLES = {1: ("rating", (0.8, 0.5)), 2: ("ranking", (0.3, 0.5))}
 TABLE_COLUMNS = ["dataset", "task", "train_fraction", "seed", "method",
                  "metric", "value"]
 RECALL_NS = (5, 10)
+# the flags naming what a command writes: a file, or (out_dir) a directory
+OUTPUT_FLAGS = ("out", "log", "out_dir")
 
 
 def _sha256(path: Path) -> str:
@@ -60,18 +64,18 @@ def _sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
-def _write_manifest(primary_out: Path, command: str, args: dict,
-                    outputs: list[Path], seed=None) -> None:
+def _write_manifest(args: argparse.Namespace, outputs: list[Path],
+                    seed: int | None) -> None:
     doc = {
-        "command": command,
-        "args": {k: str(v) for k, v in args.items() if v is not None},
+        "command": args.command,
+        "args": {k: str(v) for k, v in vars(args).items()
+                 if v is not None and k not in ("command", "func")},
         "seed": seed,
-        "output_dir": str(primary_out.parent.resolve()),
+        "output_dir": str(outputs[0].parent.resolve()),
         "outputs": {str(p): _sha256(p) for p in outputs},
         "created_unix": time.time(),
     }
-    with open(primary_out.with_suffix(primary_out.suffix + ".manifest.json"),
-              "w", encoding="utf-8") as fh:
+    with open(f"{outputs[0]}.manifest.json", "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
 
 
@@ -137,37 +141,31 @@ def run_cell(prepared: PreparedData, cfg: TrainConfig, fraction: float,
     return _score(model, prepared, train, test, baseline=True)
 
 
-def cmd_prepare(args) -> int:
+Written = tuple[list[Path], int | None] | None  # (files written, seed)
+
+
+def cmd_prepare(args) -> Written:
     data = load_raw_directory(args.raw, args.format)
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
     write_prepared(out, data)
     ds = data.ratings
     print(f"M={ds.num_users} N={ds.num_items} |Omega|={len(ds)} "
           f"K_user={data.user_side.dim} K_item={data.item_side.dim}")
-    _write_manifest(out, "prepare",
-                    {"raw": args.raw, "format": args.format, "out": args.out},
-                    [out])
-    return 0
+    return [out], None
 
 
-def cmd_train(args) -> int:
+def cmd_train(args) -> Written:
     prepared = read_prepared(args.data)
     cfg = _load_config(args.config, args.task)
     train, _ = _split(prepared, cfg, args.train_fraction, cfg.seed)
     model = _fit(prepared, cfg, train)
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
     save_model(out, model, {"train_fraction": args.train_fraction})
     log_path = Path(args.log) if args.log else out.with_suffix(".losses.csv")
     write_training_log(log_path, model.loss_history)
     print(f"trained {cfg.task} model: hidden={cfg.hidden_dim} "
           f"epochs={cfg.epochs} final_loss={model.loss_history[-1]:.6f}")
-    _write_manifest(out, "train",
-                    {"data": args.data, "task": args.task, "config": args.config,
-                     "train_fraction": args.train_fraction, "out": args.out},
-                    [out, log_path], seed=cfg.seed)
-    return 0
+    return [out, log_path], cfg.seed
 
 
 def _warn_on_split_mismatch(echo: dict, model: TrainedModel,
@@ -188,7 +186,7 @@ def _warn_on_split_mismatch(echo: dict, model: TrainedModel,
                     "--seed %d; the splits differ", model.config.seed, seed)
 
 
-def cmd_evaluate(args) -> int:
+def cmd_evaluate(args) -> Written:
     model, echo = load_model_and_echo(args.model)
     prepared = read_prepared(args.data)
     _warn_on_split_mismatch(echo, model, args.train_fraction, args.seed)
@@ -216,18 +214,11 @@ def cmd_evaluate(args) -> int:
                             for n in sorted(recall_ns)}
     print(json.dumps(report, sort_keys=True, indent=2))
     if args.out:
-        out = Path(args.out)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        ds_mod.write_json(out, report)
-        _write_manifest(out, "evaluate",
-                        {"model": args.model, "data": args.data,
-                         "train_fraction": args.train_fraction,
-                         "recall": args.recall, "out": args.out},
-                        [out], seed=args.seed)
-    return 0
+        ds_mod.write_json(args.out, report)
+        return [Path(args.out)], args.seed
 
 
-def cmd_recommend(args) -> int:
+def cmd_recommend(args) -> Written:
     model = load_model(args.model)
     if model.task != "ranking":
         raise ValueError("recommend needs a ranking-task model")
@@ -242,7 +233,6 @@ def cmd_recommend(args) -> int:
     items = recommend_top_n(model, train, prepared.user_side, user_index, args.n)
     for rank, item in enumerate(items, start=1):
         print(f"{rank}\t{ds.item_ids[item]}")
-    return 0
 
 
 def _summary_line(dataset: str, task: str, fraction: float, method: str,
@@ -259,7 +249,7 @@ def _summary_line(dataset: str, task: str, fraction: float, method: str,
     return text + (f" (published {published})" if published is not None else "")
 
 
-def cmd_reproduce(args) -> int:
+def cmd_reproduce(args) -> Written:
     seeds = _parse_ints(args.seeds)
     if not seeds:
         raise ValueError("need at least one seed")
@@ -267,8 +257,6 @@ def cmd_reproduce(args) -> int:
     prepared = load_raw_directory(args.raw, args.format)
     base = _load_config(args.config, task).to_dict()
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
     rows: list[list[str]] = []
     summary: list[str] = []
 
@@ -306,12 +294,7 @@ def cmd_reproduce(args) -> int:
         fh.write("\n".join(summary) + "\n")
     print("\n".join(summary))
     print(f"wrote {csv_path}")
-    _write_manifest(csv_path, "reproduce",
-                    {"table": args.table, "raw": args.raw,
-                     "format": args.format, "seeds": args.seeds,
-                     "config": args.config, "out_dir": args.out_dir},
-                    [csv_path, summary_path])
-    return 0
+    return [csv_path, summary_path], None
 
 
 def _parse_ints(text: str) -> list[int]:
@@ -391,7 +374,14 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        for flag in OUTPUT_FLAGS:
+            if (value := getattr(args, flag, None)) is not None:
+                path = Path(value)
+                (path if flag == "out_dir" else path.parent).mkdir(
+                    parents=True, exist_ok=True)
+        if written := args.func(args):
+            _write_manifest(args, *written)
+        return 0
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -136,6 +136,8 @@ class RatingDataset:
         if not (len(self.users) == len(self.items) == len(self.timestamps) == n):
             raise ValueError("triple arrays must have equal length")
         if n:
+            if not np.isfinite(self.ratings).all():
+                raise ValueError("ratings must be finite")
             if self.users.min() < 0 or self.users.max() >= self.num_users:
                 raise ValueError("user index out of range")
             if self.items.min() < 0 or self.items.max() >= self.num_items:
@@ -685,6 +687,11 @@ def read_prepared(path: str | Path) -> PreparedData:
             user_ids=tuple(doc["id_maps"]["users"]),
             item_ids=tuple(doc["id_maps"]["items"]),
         )
+        low, high = ds.rating_scale
+        outside = ds.ratings[(ds.ratings < low) | (ds.ratings > high)]
+        if len(outside):
+            raise ValueError(f"rating {outside[0]} outside the rating_scale "
+                             f"[{low}, {high}]")
         return PreparedData(
             ratings=ds,
             user_side=_side_from_json(doc["user_side_info"], ds.user_ids),

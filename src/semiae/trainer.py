@@ -119,12 +119,12 @@ class TrainConfig:
             raise ValueError(f"unknown config keys {unknown}; "
                              f"valid: {sorted(known)}")
         doc = dict(doc)
-        cfg_task = doc.pop("task", None) or task
-        if cfg_task is None:
-            raise ValueError("config must name a task (or pass one explicitly)")
+        cfg_task = doc.pop("task", task)
         if task is not None and cfg_task != task:
             raise ValueError(f"config task {cfg_task!r} conflicts with "
                              f"requested task {task!r}")
+        if cfg_task is None:
+            raise ValueError("config must name a task (or pass one explicitly)")
         return replace(cls.defaults(cfg_task), **doc)
 
     def to_dict(self) -> dict:
@@ -316,14 +316,21 @@ def load_model_and_echo(path: str | Path) -> tuple[TrainedModel, dict]:
     """Read a model written by :func:`save_model`, with the echo it carries
     (the config, the loss history and the run context of ``extras``).  The
     echo's task, orientation and side width must match the model's, its
-    config's activations and hidden width the weights', and its training
-    fraction, if any, must be null or a number."""
+    config's activations and hidden width the weights', its loss history
+    one finite number per epoch of its config, and its training fraction, if
+    any, null or a number."""
     params, echo = load_params(path)
     with located(path, "model echo"):
         if not isinstance(echo["config"], dict):
             raise ValueError("'config' is not an object")
-        model = TrainedModel(params, tuple(echo["loss_history"]),
-                             TrainConfig.from_dict(echo["config"]))
+        config = TrainConfig.from_dict(echo["config"])
+        history = echo["loss_history"]
+        if not (isinstance(history, list) and len(history) == config.epochs
+                and all(type(v) is int or type(v) is float and math.isfinite(v)
+                        for v in history)):
+            raise ValueError(f"loss_history must be a list of {config.epochs} "
+                             f"finite numbers, one per epoch")
+        model = TrainedModel(params, tuple(history), config)
         copies = [(key, echo[key], getattr(model, key))
                   for key in ("task", "orientation", "side_dim")]
         copies += [(f"config {key}", getattr(model.config, key),

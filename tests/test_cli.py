@@ -457,6 +457,74 @@ class TestReproduce:
         assert "published" not in summaries["ml-1m"]
 
 
+class TestManifests:
+    """main makes the directory of every output flag before the command
+    runs, and writes each manifest from the parsed flags after it."""
+
+    def test_each_manifest_holds_every_flag_and_hashes_every_output(
+            self, ml100k_dir, tmp_path, capsys):
+        cfg = write_config(tmp_path, epochs=2, seed=3, binarize_threshold=3.0)
+        out = tmp_path / "out"
+        prepared, model = out / "prepared.json", out / "model.json"
+        log, report = tmp_path / "logs" / "k.csv", out / "eval" / "report.json"
+        table = out / "table2" / "table2.csv"
+        runs = [  # (command, flags, the outputs its manifest lists)
+            ("prepare", {"raw": ml100k_dir, "format": "ml-100k",
+                         "out": prepared}, [prepared]),
+            ("train", {"data": prepared, "task": "ranking", "config": cfg,
+                       "out": model, "log": log, "train_fraction": 0.8},
+             [model, log]),
+            ("evaluate", {"model": model, "data": prepared,
+                          "train_fraction": 0.8, "seed": 3, "recall": "5,10",
+                          "out": report}, [report]),
+            ("reproduce", {"table": 2, "raw": ml100k_dir, "format": "ml-100k",
+                           "seeds": "1", "config": cfg,
+                           "out_dir": table.parent},
+             [table, table.with_name("table2_summary.txt")])]
+        for command, flags, outputs in runs:
+            argv = [command]
+            for flag, value in flags.items():
+                argv += ["--" + flag.replace("_", "-"), value]
+            code, _, err = run(capsys, *argv)
+            assert code == 0, err
+            manifest = json.loads(
+                Path(f"{outputs[0]}.manifest.json").read_text())
+            assert manifest["command"] == command
+            assert manifest["args"] == {k: str(v) for k, v in flags.items()}
+            assert manifest["outputs"] == {
+                str(path): hashlib.sha256(path.read_bytes()).hexdigest()
+                for path in outputs}
+
+    def test_commands_that_write_no_file_write_no_manifest(
+            self, prepared_path, tmp_path, capsys):
+        cfg = write_config(tmp_path, epochs=2, binarize_threshold=3.0)
+        model = tmp_path / "model.json"
+        code, _, err = run(capsys, "train", "--data", prepared_path,
+                           "--task", "ranking", "--config", cfg, "--out", model)
+        assert code == 0, err
+        before = set(tmp_path.rglob("*"))
+        for argv in (["evaluate", "--model", model, "--data", prepared_path,
+                      "--train-fraction", "0.8", "--seed", "0"],
+                     ["recommend", "--model", model, "--data", prepared_path,
+                      "--user", "1", "--n", "3"]):
+            code, _, err = run(capsys, *argv)
+            assert code == 0, err
+        assert set(tmp_path.rglob("*")) == before
+
+    def test_an_output_directory_that_cannot_be_made_fails_before_training(
+            self, prepared_path, tmp_path, capsys):
+        blocker = tmp_path / "logs"
+        blocker.write_text("a file where the log directory would go")
+        cfg = write_config(tmp_path, epochs=2, hidden_dim=4)
+        model = tmp_path / "model.json"
+        code, _, err = run(capsys, "train", "--data", prepared_path,
+                           "--task", "rating", "--config", cfg, "--out", model,
+                           "--log", blocker / "k.csv")
+        assert code == 1
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not model.exists()
+
+
 class TestMalformedArtifacts:
     """A malformed model, prepared-data or config file is a one-line error
     naming the file (and a missing entry), not a traceback."""
@@ -498,15 +566,23 @@ class TestMalformedArtifacts:
             self.assert_one_line_error(code, err, "broken.json",
                                        repr(keys[-1]))
 
-    @pytest.mark.parametrize("edit", ["top-level-list", "unknown-config-key"])
+    @pytest.mark.parametrize("edit", ["top-level-list", "unknown-config-key",
+                                      "loss-history-text",
+                                      "loss-history-null-and-text"])
     def test_malformed_model_document(self, ranking_model, prepared_path,
                                       tmp_path, capsys, edit):
         doc = json.loads(ranking_model.read_text())
         if edit == "top-level-list":
             doc, expected = [doc], "not an object"
-        else:
+        elif edit == "unknown-config-key":
             doc["training_config_echo"]["config"]["momentum"] = 0.9
             expected = "momentum"
+        else:
+            # the fixture trains 2 epochs
+            doc["training_config_echo"]["loss_history"] = (
+                "abc" if edit == "loss-history-text" else [1.0, None, "x"])
+            expected = ("model echo: loss_history must be a list of 2 finite "
+                        "numbers, one per epoch")
         broken = tmp_path / "broken.json"
         broken.write_text(json.dumps(doc))
         for argv in (["evaluate", "--model", broken, "--data", prepared_path,
@@ -533,7 +609,9 @@ class TestMalformedArtifacts:
     @pytest.mark.parametrize("edit", ["top-level-list", "short-triple",
                                       "string-triple", "truncated",
                                       "short-item-map", "float-user-count",
-                                      "three-entry-scale"])
+                                      "three-entry-scale", "nan-rating",
+                                      "infinite-rating", "rating-above-scale",
+                                      "rating-below-scale"])
     def test_malformed_prepared_document(self, ranking_model, prepared_path,
                                          tmp_path, capsys, edit):
         text = prepared_path.read_text()
@@ -556,6 +634,17 @@ class TestMalformedArtifacts:
             doc["rating_scale"] = [1, 5, 9]
             text = json.dumps(doc)
             expected = "prepared data: rating_scale must be two finite numbers"
+        elif edit in ("nan-rating", "infinite-rating"):
+            # read_json takes the NaN and Infinity constants
+            doc["triples"][5][2] = float("nan" if edit == "nan-rating" else "inf")
+            text = json.dumps(doc)
+            expected = "prepared data: ratings must be finite"
+        elif edit in ("rating-above-scale", "rating-below-scale"):
+            rating = 9.0 if edit == "rating-above-scale" else 0.5
+            doc["triples"][5][2] = rating
+            text = json.dumps(doc)
+            expected = (f"prepared data: rating {rating} outside the "
+                        f"rating_scale [1.0, 5.0]")
         else:
             doc["triples"][5] = doc["triples"][5][:3] if edit == "short-triple" \
                 else "1234"
@@ -652,23 +741,30 @@ class TestMalformedArtifacts:
         ({"learning_rate": float("inf")}, "learning_rate must be finite, got inf"),
         ({"regularization": float("-inf")},
          "regularization must be finite, got -inf"),
-        ([1], "not a flat JSON object")],
+        ([1], "not a flat JSON object"),
+        # {task} is the task the command requests
+        *[({"task": task, "epochs": 2},
+           f"config task {task!r} conflicts with requested task {{task!r}}")
+          for task in (False, "", 0, None)]],
         ids=["epochs", "hidden_dim", "batch_size", "seed-float", "seed-negative",
              "learning_rate", "binarize_threshold", "mask_ranking_loss", "g",
              "binarize_comparison", "binarize_threshold-nan",
              "learning_rate-inf", "regularization-minus-inf",
-             "top-level-list"])
+             "top-level-list", "task-false", "task-empty", "task-zero",
+             "task-null"])
     def test_malformed_config(self, ml100k_dir, prepared_path, tmp_path,
                               capsys, doc, expected):
         cfg = tmp_path / "bad_cfg.json"
         cfg.write_text(json.dumps(doc))
-        for argv in (["train", "--data", prepared_path, "--task", "rating",
-                      "--config", cfg, "--out", tmp_path / "never.json"],
-                     ["reproduce", "--table", "2", "--raw", ml100k_dir,
-                      "--seeds", "1", "--config", cfg,
-                      "--out-dir", tmp_path / "never"]):
+        for task, argv in (
+                ("rating", ["train", "--data", prepared_path, "--task", "rating",
+                            "--config", cfg, "--out", tmp_path / "never.json"]),
+                ("ranking", ["reproduce", "--table", "2", "--raw", ml100k_dir,
+                             "--seeds", "1", "--config", cfg,
+                             "--out-dir", tmp_path / "never"])):
             code, _, err = run(capsys, *argv)
-            assert (code, err) == (1, f"error: {cfg}: config: {expected}\n")
+            assert (code, err) == (
+                1, f"error: {cfg}: config: {expected.format(task=task)}\n")
 
 
 class TestRunCell:
