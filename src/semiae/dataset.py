@@ -193,6 +193,15 @@ class RatingDataset:
         counts.flags.writeable = False
         return counts
 
+    @cached_property
+    def popularity(self) -> np.ndarray:
+        """Every item index, most triples first and ties to the lower index
+        (the stable ``argsort(-item_counts)``), built on first use;
+        read-only."""
+        order = np.argsort(-self.item_counts, kind="stable")
+        order.flags.writeable = False
+        return order
+
     def triples(self) -> list[tuple[int, int, float, int]]:
         """The observed set as a list of (user, item, rating, timestamp)."""
         return list(zip(self.users.tolist(), self.items.tolist(),

@@ -1,4 +1,13 @@
-"""Metrics (RMSE, Recall@N) and the deterministic most-popular baseline."""
+"""Metrics (RMSE, Recall@N) and the deterministic most-popular baseline.
+
+A top-n list is read from a short ranked head and drops the user's
+consumed items from it.  The most-popular list takes the first
+``n + |consumed|`` entries of the dataset's cached popularity order, so it
+makes no pass over the items and costs O(n + |consumed|) per user.  A list
+from scores (the semi-autoencoder's) partitions every score once at the
+``n + |consumed|``-th best and sorts only the items at or above that
+cut-off.
+"""
 
 from __future__ import annotations
 
@@ -59,7 +68,14 @@ def most_popular(train: RatingDataset, user: int, n: int) -> list[int]:
         raise ValueError(f"user index {user} out of range")
     if n < 0:
         raise ValueError("n must be >= 0")
-    return _rank_unconsumed(train.item_counts, train, user, n)
+    consumed = train.user_slice(user)[0]
+    return _unconsumed(train.popularity[:n + len(consumed)], consumed, n)
+
+
+def _unconsumed(ranked: np.ndarray, consumed: np.ndarray, n: int) -> list[int]:
+    """The first ``n`` items of ``ranked`` that are not in ``consumed``."""
+    drop = set(consumed.tolist())
+    return [i for i in ranked.tolist() if i not in drop][:n]
 
 
 def _rank_unconsumed(scores: np.ndarray, train: RatingDataset, user: int,
@@ -68,16 +84,17 @@ def _rank_unconsumed(scores: np.ndarray, train: RatingDataset, user: int,
     descending score order; ties break toward the lower item index and NaN
     scores rank last.
 
-    Only the candidates at or above the ``n``-th best score are sorted.
+    At most ``|consumed|`` of the ``n + |consumed|`` best items are the
+    user's own, so only the items at or above that cut-off are sorted.
     """
-    candidate = np.ones(len(scores), bool)
-    candidate[train.user_slice(user)[0]] = False
-    items = np.flatnonzero(candidate)
-    neg = -scores[items]
-    if 0 < n < len(items):
-        cut = np.partition(neg, n - 1)[n - 1]
-        if not np.isnan(cut):  # a NaN cut-off: fewer than n numbers, sort all
-            survive = neg <= cut
-            items, neg = items[survive], neg[survive]
+    consumed = train.user_slice(user)[0]
+    neg = -scores
+    k = n + len(consumed)
     # a stable sort keeps equal scores in ascending item order
-    return items[np.argsort(neg, kind="stable")][:n].tolist()
+    if 0 < k < len(neg):
+        cut = np.partition(neg, k - 1)[k - 1]
+        if not np.isnan(cut):  # a NaN cut-off: fewer than k numbers, sort all
+            head = np.flatnonzero(neg <= cut)
+            return _unconsumed(head[np.argsort(neg[head], kind="stable")],
+                               consumed, n)
+    return _unconsumed(np.argsort(neg, kind="stable"), consumed, n)

@@ -63,6 +63,15 @@ _PASSES = {"one of": lambda value, vocabulary: value in vocabulary,
            **COMPARISONS}
 
 
+def _finite(value) -> bool:
+    """Whether a number is finite as a float; an int past the largest float
+    is not."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     """Hyperparameters for one training run."""
@@ -92,7 +101,7 @@ class TrainConfig:
                 # a Python int, which JSON writes
                 value = int(value)
                 object.__setattr__(self, field.name, value)
-            if field.type == "float" and not math.isfinite(value):
+            if field.type == "float" and not _finite(value):
                 raise ValueError(f"{field.name} must be finite, got {value!r}")
             if field.name in _RULES:
                 rule, operand = _RULES[field.name]

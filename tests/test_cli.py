@@ -568,7 +568,8 @@ class TestMalformedArtifacts:
 
     @pytest.mark.parametrize("edit", ["top-level-list", "unknown-config-key",
                                       "loss-history-text",
-                                      "loss-history-null-and-text"])
+                                      "loss-history-null-and-text",
+                                      "huge-int-learning-rate"])
     def test_malformed_model_document(self, ranking_model, prepared_path,
                                       tmp_path, capsys, edit):
         doc = json.loads(ranking_model.read_text())
@@ -577,6 +578,10 @@ class TestMalformedArtifacts:
         elif edit == "unknown-config-key":
             doc["training_config_echo"]["config"]["momentum"] = 0.9
             expected = "momentum"
+        elif edit == "huge-int-learning-rate":
+            # an int past the largest float
+            doc["training_config_echo"]["config"]["learning_rate"] = 10 ** 400
+            expected = f"model echo: learning_rate must be finite, got {10 ** 400}"
         else:
             # the fixture trains 2 epochs
             doc["training_config_echo"]["loss_history"] = (
@@ -741,6 +746,11 @@ class TestMalformedArtifacts:
         ({"learning_rate": float("inf")}, "learning_rate must be finite, got inf"),
         ({"regularization": float("-inf")},
          "regularization must be finite, got -inf"),
+        # an int past the largest float, as JSON may hold one
+        ({"learning_rate": 10 ** 400},
+         f"learning_rate must be finite, got {10 ** 400}"),
+        ({"binarize_threshold": -10 ** 400},
+         f"binarize_threshold must be finite, got {-10 ** 400}"),
         ([1], "not a flat JSON object"),
         # {task} is the task the command requests
         *[({"task": task, "epochs": 2},
@@ -750,6 +760,7 @@ class TestMalformedArtifacts:
              "learning_rate", "binarize_threshold", "mask_ranking_loss", "g",
              "binarize_comparison", "binarize_threshold-nan",
              "learning_rate-inf", "regularization-minus-inf",
+             "learning_rate-huge-int", "binarize_threshold-minus-huge-int",
              "top-level-list", "task-false", "task-empty", "task-zero",
              "task-null"])
     def test_malformed_config(self, ml100k_dir, prepared_path, tmp_path,

@@ -539,8 +539,8 @@ class TestBuildVectors:
 
 class TestPerUserIndex:
     """Each dataset object indexes its own triples by user and by item:
-    split halves and binarized sets get their own indexes and item counts,
-    read-only."""
+    split halves and binarized sets get their own indexes, item counts and
+    popularity orders, read-only."""
 
     def assert_indexes_own_triples(self, ds):
         indptr, items, ratings = ds.by_user
@@ -566,12 +566,15 @@ class TestPerUserIndex:
         for i in ds.items.tolist():
             counts[i] += 1
         assert ds.item_counts.tolist() == counts
-        for arr in (*ds.by_user, *ds.by_item, ds.item_counts):
+        assert ds.popularity.tolist() == sorted(range(ds.num_items),
+                                                key=lambda i: (-counts[i], i))
+        for arr in (*ds.by_user, *ds.by_item, ds.item_counts, ds.popularity):
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
                 arr[...] = 0
         assert ds.by_user is ds.by_user and ds.by_item is ds.by_item
         assert ds.item_counts is ds.item_counts
+        assert ds.popularity is ds.popularity
 
     def test_split_and_binarized_sets(self, ml100k_dir):
         ds = load_raw_directory(ml100k_dir, "ml-100k").ratings
@@ -584,6 +587,7 @@ class TestPerUserIndex:
             self.assert_indexes_own_triples(half)
             assert half.by_user[0] is not ds.by_user[0]
             assert half.item_counts is not ds.item_counts
+            assert half.popularity is not ds.popularity
 
     def test_shuffled_triples_keep_their_order_within_a_user(self):
         ds = make_random_dataset(RNG(6), 10, 40, 300)

@@ -223,3 +223,37 @@ class TestRankUnconsumed:
                                      scale=(0.0, 1.0))
         assert _rank_unconsumed(scores, train, 0, n) == \
             reference_rank(scores, consumed, n)
+
+
+@st.composite
+def popularity_cases(draw):
+    """A few users' likes over up to 25 items, so that item counts tie
+    heavily; the ranked user holds some items, every item or none."""
+    num_items = draw(st.integers(1, 25))
+    num_users = draw(st.integers(1, 6))
+    user = draw(st.integers(0, num_users - 1))
+    pairs = draw(st.sets(st.tuples(st.integers(0, num_users - 1),
+                                   st.integers(0, num_items - 1))))
+    held = draw(st.sampled_from(["some", "every", "none"]))
+    if held != "some":
+        pairs = {(u, i) for u, i in pairs if u != user}
+    if held == "every":
+        pairs |= {(user, i) for i in range(num_items)}
+    n = draw(st.integers(0, num_items + 2))
+    return num_users, num_items, sorted(pairs), user, n
+
+
+class TestMostPopularOrder:
+    @settings(max_examples=400, deadline=None)
+    @given(popularity_cases())
+    @example((3, 4, [(0, 1), (1, 1), (2, 3)], 0, 6))
+    @example((2, 3, [(1, 0), (1, 1), (1, 2)], 1, 3))
+    @example((2, 3, [(0, 2)], 1, 0))
+    def test_equals_full_sort_then_filter(self, case):
+        num_users, num_items, pairs, user, n = case
+        train = dataset_from_triples(num_users, num_items,
+                                     [(u, i, 1.0) for u, i in pairs],
+                                     scale=(0.0, 1.0))
+        consumed = {i for u, i in pairs if u == user}
+        assert most_popular(train, user, n) == \
+            reference_rank(train.item_counts, consumed, n)

@@ -29,3 +29,43 @@ def test_artifact_hashes_repeat_and_cover_every_output():
                     "table2/table2.csv"):
         assert f"{written}.manifest.json" in names
     assert all(len(line.split("  ", 1)[0]) == 64 for line in first)
+
+
+def test_bench_pairs_summary_counts_pairs_won_per_metric():
+    tool = load_tool("bench_pairs")
+
+    def run(seed, side, eval_s, loss, correct=True):
+        metrics = {"eval_s": {"value": eval_s, "unit": "s"},
+                   "train_loss": {"value": loss, "unit": "loss"}}
+        return {"workload": "ranking-ml100k", "seed": seed, "side": side,
+                "ran_first_in_pair": "parent" if seed % 2 else "change",
+                "trace": 0, "environment": {},
+                "result": {"correct": correct, "attempted": 10, "failed": 0,
+                           "metrics": metrics}}
+
+    runs = [run(1, "parent", 0.20, 8.0), run(1, "change", 0.10, 8.0),
+            run(2, "change", 0.12, 7.5), run(2, "parent", 0.18, 7.5),
+            run(3, "parent", 0.16, 7.0), run(3, "change", 0.17, 7.0),
+            run(4, "parent", 0.30, 6.0),
+            {**run(4, "change", 0.0, 6.0), "result": None, "error": "boom"},
+            run(5, "parent", 0.01, 5.0, correct=False),
+            run(5, "change", 0.11, 5.0)]
+    lines = tool.summarize(runs, {"eval_s": "lower", "train_loss": "lower",
+                                  "total_s": "lower"})
+    assert lines[0] == ("ranking-ml100k: failed or incorrect runs parent 1, "
+                        "change 1")
+    # seed 4 has no change result and seed 5 no correct parent result, so
+    # three pairs; total_s has no values
+    assert len(lines) == 3
+    eval_line, loss_line = lines[1], lines[2]
+    assert eval_line.split()[:2] == ["eval_s", "parent"]
+    # parent 0.16, 0.18, 0.20, 0.30: median 0.19, inclusive quartiles
+    # 0.175 and 0.225; change 0.10, 0.11, 0.12, 0.17: median 0.115
+    assert "parent 0.19 (0.175-0.225)" in eval_line
+    assert "change 0.115 (0.1075-0.1325)" in eval_line
+    assert "-39.5%" in eval_line
+    assert "change better in 2/3 pairs, equal in 0" in eval_line
+    assert eval_line.endswith("beyond the parent's quartiles: yes")
+    assert "change better in 0/3 pairs, equal in 3" in loss_line
+    assert loss_line.endswith("beyond the parent's quartiles: no")
+    assert tool.seed_range("1501-1503,1507") == [1501, 1502, 1503, 1507]

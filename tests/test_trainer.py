@@ -9,8 +9,8 @@ from semiae.trainer import (TrainConfig, TrainedModel, load_model,
                             predict_ratings, ranking_scores, recommend_top_n,
                             save_model, train_ranking, train_rating,
                             write_training_log)
-from util import (make_random_dataset, reference_fit, reference_input,
-                  traced_peak)
+from util import (built_input, make_random_dataset, reference_fit,
+                  reference_input, traced_peak)
 
 RNG = np.random.default_rng
 
@@ -82,7 +82,11 @@ class TestTrainConfig:
                                     dict(mask_ranking_loss="no"),
                                     dict(mask_ranking_loss=1),
                                     dict(epochs=True), dict(g=["tanh"]),
-                                    dict(binarize_comparison="==")])
+                                    dict(binarize_comparison="=="),
+                                    # ints past the largest float
+                                    dict(learning_rate=10 ** 400),
+                                    dict(regularization=10 ** 400),
+                                    dict(binarize_threshold=-10 ** 400)])
     def test_bounds_enforced(self, kw):
         with pytest.raises(ValueError, match=f"^{next(iter(kw))} must be "):
             ranking_cfg(**kw)
@@ -480,9 +484,13 @@ class TestRecommendTopN:
         model = train_ranking(liked, profiles, ranking_cfg(epochs=3))
         x, _ = reference_input(liked, profiles, "user")
         for user in range(liked.num_users):
+            scores = ranking_scores(model, liked, profiles, user).view(np.uint64)
             np.testing.assert_array_equal(
-                ranking_scores(model, liked, profiles, user).view(np.uint64),
-                forward(model.params, x[user])[1].view(np.uint64))
+                scores, forward(model.params, x[user])[1].view(np.uint64))
+            # the same bits as the user's row built alone, as a one-row batch
+            row, _ = built_input(liked, profiles, "user", [user])
+            np.testing.assert_array_equal(
+                scores, forward(model.params, row)[1][0].view(np.uint64))
 
 
 class TestZeroSideInformation:

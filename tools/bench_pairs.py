@@ -1,0 +1,155 @@
+#!/usr/bin/env python3
+"""Paired benchmark runs of this checkout against a parent checkout.
+
+    python3 tools/bench_pairs.py run PARENT --seeds 1501-1510 \\
+        --out BENCH_13.json --description "what the change is"
+    python3 tools/bench_pairs.py summary BENCH_13.json
+
+``run`` runs ``perfbench/run.py --trace 0`` once per side (this checkout is
+the ``change``, the directory ``PARENT`` the ``parent``), for every seed and
+every workload of ``BENCHMARK.json``, each run as long as its
+``run_seconds``.  The two runs of a pair alternate which side goes first:
+odd seeds run the parent first, even seeds the change.
+After each run the result lines are written to ``--out`` as
+``{"description", "runs": [{workload, seed, side, ran_first_in_pair, trace,
+environment, result}]}``, so that an interrupted series keeps what it ran.
+A run that exits non-zero is recorded with ``result: null`` and its last
+line of standard error.
+
+``summary`` (and ``run``, when done) prints, for each workload and
+end-to-end metric, both sides' medians with their quartiles, the change of
+the median relative to the parent's, the pairs in which the change is
+better (and equal), and whether the medians lie further apart than the
+parent's quartiles.  Which direction is better comes from this checkout's
+``BENCHMARK.json``.  Only the standard library is used.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
+SIDES = ("parent", "change")
+
+
+def seed_range(text: str) -> list[int]:
+    """``"1501-1510"`` or ``"1501,1503"`` as a list of seeds."""
+    seeds = []
+    for part in text.split(","):
+        lo, _, hi = part.partition("-")
+        seeds.extend(range(int(lo), int(hi or lo) + 1))
+    return seeds
+
+
+def one_run(checkout: Path, workload: str, seed: int) -> dict:
+    """One ``perfbench/run.py --trace 0`` from the root of ``checkout``:
+    its environment and result lines, or a null result and the error."""
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload,
+         "--seed", str(seed), "--seconds", str(BENCHMARK["run_seconds"]),
+         "--trace", "0"],
+        cwd=checkout, capture_output=True, text=True)
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode != 0 or len(lines) < 2:
+        error = (proc.stderr.strip().splitlines() or ["no output"])[-1]
+        return {"environment": None, "result": None, "error": error}
+    return {"environment": json.loads(lines[-2])["environment"],
+            "result": json.loads(lines[-1])}
+
+
+def run_pairs(parent: Path, seeds: list[int], out: Path,
+              description: str) -> list[dict]:
+    checkouts = {"parent": parent, "change": ROOT}
+    runs: list[dict] = []
+    for seed in seeds:
+        order = SIDES if seed % 2 else SIDES[::-1]
+        for workload in (w["name"] for w in BENCHMARK["workloads"]):
+            for side in order:
+                print(f"{workload} seed {seed} {side}", file=sys.stderr, flush=True)
+                runs.append({"workload": workload, "seed": seed, "side": side,
+                             "ran_first_in_pair": order[0], "trace": 0,
+                             **one_run(checkouts[side], workload, seed)})
+                out.write_text(json.dumps({"description": description,
+                                           "runs": runs}, indent=1) + "\n")
+    return runs
+
+
+def _spread(values: list[float]) -> tuple[float, float, float]:
+    """Median and quartiles (inclusive method)."""
+    if len(values) < 2:
+        return values[0], values[0], values[0]
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return median, q1, q3
+
+
+def summarize(runs: list[dict], better: dict[str, str]) -> list[str]:
+    """One line per workload and metric; ``better`` maps each metric to
+    ``"lower"`` or ``"higher"``."""
+    lines = []
+    for workload in dict.fromkeys(r["workload"] for r in runs):
+        values: dict = {}  # (metric, side) -> {seed: value}
+        failed = {side: 0 for side in SIDES}
+        for r in runs:
+            if r["workload"] != workload:
+                continue
+            if r["result"] is None or not r["result"]["correct"]:
+                failed[r["side"]] += 1
+                continue
+            for metric, entry in r["result"]["metrics"].items():
+                values.setdefault((metric, r["side"]), {})[r["seed"]] = entry["value"]
+        lines.append(f"{workload}: failed or incorrect runs parent "
+                     f"{failed['parent']}, change {failed['change']}")
+        for metric, direction in better.items():
+            old = values.get((metric, "parent"), {})
+            new = values.get((metric, "change"), {})
+            seeds = sorted(set(old) & set(new))
+            if not seeds:
+                continue
+            sign = 1 if direction == "higher" else -1
+            won = sum(sign * (new[s] - old[s]) > 0 for s in seeds)
+            tied = sum(new[s] == old[s] for s in seeds)
+            (m0, a0, b0), (m1, a1, b1) = (_spread(list(side.values()))
+                                          for side in (old, new))
+            rel = f"{100 * (m1 - m0) / m0:+.1f}%" if m0 else "n/a"
+            apart = "yes" if abs(m1 - m0) > b0 - a0 else "no"
+            lines.append(
+                f"  {metric:18s} parent {m0:.6g} ({a0:.6g}-{b0:.6g})  change "
+                f"{m1:.6g} ({a1:.6g}-{b1:.6g})  {rel}  change better in "
+                f"{won}/{len(seeds)} pairs, equal in {tied}; medians apart "
+                f"beyond the parent's quartiles: {apart}")
+    return lines
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    sub = parser.add_subparsers(dest="command", required=True)
+    run = sub.add_parser("run", help="run the pairs, write and summarize them")
+    run.add_argument("parent", type=Path, help="root of the parent checkout")
+    run.add_argument("--seeds", type=seed_range, required=True,
+                     help="e.g. 1501-1510 or 1501,1503")
+    run.add_argument("--out", type=Path, required=True)
+    run.add_argument("--description", required=True)
+    summary = sub.add_parser("summary", help="summarize a written file")
+    summary.add_argument("file", type=Path)
+    args = parser.parse_args(argv)
+
+    if args.command == "run":
+        if not (args.parent / "perfbench" / "run.py").is_file():
+            parser.error(f"{args.parent} holds no perfbench/run.py")
+        runs = run_pairs(args.parent.resolve(), args.seeds, args.out,
+                         args.description)
+    else:
+        runs = json.loads(args.file.read_text())["runs"]
+    better = {m["name"]: m["better"] for m in BENCHMARK["end_to_end"]}
+    print("\n".join(summarize(runs, better)))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
