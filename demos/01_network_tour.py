@@ -1,13 +1,14 @@
 #!/usr/bin/env python3
 # A tour of the semi-autoencoder network itself, away from any dataset:
 # the asymmetric input/output shapes, the prefix reconstruction target,
-# the two losses, and a finite-difference check of the analytic gradients.
+# the loss with and without a mask, and a finite-difference check of the
+# analytic gradients.
 
 import numpy as np
 
 from semiae.dataset import RatingDataset, SideInfoMatrix, build_vectors
 from semiae.model import (forward, glorot_init, loss_and_gradients,
-                          masked_loss, subset_loss)
+                          reconstruction_loss)
 
 rng = np.random.default_rng(0)
 
@@ -37,15 +38,16 @@ print("reconstruction:", np.round(out, 3))
 # The full loss measures every output coordinate; the masked loss only the
 # positions where a rating was actually observed (the builder's mask).
 target = batch[:, :6]
-print("\nfull loss:  ", round(subset_loss(params, batch, target), 4))
-print("masked loss:", round(masked_loss(params, batch, target, observed), 4))
+print("\nfull loss:  ", round(reconstruction_loss(params, batch, target), 4))
+print("masked loss:",
+      round(reconstruction_loss(params, batch, target, observed), 4))
 
 # Perturbing the reconstruction at an unobserved position leaves the masked
 # loss untouched.
 bumped = target.copy()
 bumped[0, 1] = 99.0  # an unobserved coordinate
 print("masked loss with an unobserved target bumped to 99:",
-      round(masked_loss(params, batch, bumped, observed), 4))
+      round(reconstruction_loss(params, batch, bumped, observed), 4))
 
 # Gradient check: analytic gradients vs central finite differences.
 _, grads = loss_and_gradients(params, batch, target, observed, reg=0.1)
@@ -61,10 +63,10 @@ for name in ("Q", "Q1", "p", "p1"):
         plus, minus = base.copy(), base.copy()
         plus[idx] += eps
         minus[idx] -= eps
-        num = (masked_loss(replace(params, **{name: plus}), batch, target,
-                           observed, reg=0.1)
-               - masked_loss(replace(params, **{name: minus}), batch, target,
-                             observed, reg=0.1)) / (2 * eps)
+        num = (reconstruction_loss(replace(params, **{name: plus}), batch,
+                                   target, observed, reg=0.1)
+               - reconstruction_loss(replace(params, **{name: minus}), batch,
+                                     target, observed, reg=0.1)) / (2 * eps)
         worst = max(worst, abs(num - analytic[idx]) /
                     (abs(num) + abs(analytic[idx]) + 1e-3))
 print(f"\ngradient check over all {params.Q.size + params.Q1.size + len(params.p) + len(params.p1)}"

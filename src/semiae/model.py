@@ -11,13 +11,12 @@ coordinates of x, so auxiliary side information concatenated after the
 rating block conditions the reconstruction without being reconstructed
 itself.  With S = D this degenerates to a classical autoencoder.
 
-Two objectives are supported, both with an L2 penalty on the weight
-matrices (never the biases):
+One objective, :func:`reconstruction_loss`, is the squared error averaged
+over rows, with an L2 penalty on the weight matrices (never the biases).
+Without a mask it measures all D outputs (top-n ranking); with one, only the
+observed target positions (rating prediction).
 
-* ``subset_loss``  -- squared error over all D outputs, averaged over rows;
-* ``masked_loss``  -- squared error only at observed target positions.
-
-:func:`loss_and_gradients` gives both with their gradients.  A training
+:func:`loss_and_gradients` gives it with its gradients.  A training
 loop hands it one :class:`Workspace`, made once for its batch size, that
 holds the batch input the loop writes and every batch-sized intermediate of
 the step (pre-activations, activations, differences, their squares and the
@@ -90,18 +89,16 @@ class Activation:
     ``scratch`` a float and a bool array of its shape (new ones if None),
     and ``deriv_at_value(a, out)`` fills a float array ``out``."""
 
-    name: str
     fn: Callable[..., np.ndarray]
     deriv_at_value: Callable[..., np.ndarray]
 
 
 ACTIVATIONS = {
-    "identity": Activation("identity", _identity, _ones),
-    "sigmoid": Activation("sigmoid", _sigmoid, lambda s, out=None: np.multiply(
+    "identity": Activation(_identity, _ones),
+    "sigmoid": Activation(_sigmoid, lambda s, out=None: np.multiply(
         s, np.subtract(1.0, s, out=out), out=out)),
-    "relu": Activation("relu", _relu,
-                       lambda h, out=None: np.greater(h, 0, out=out)),
-    "tanh": Activation("tanh", _tanh, lambda t, out=None: np.subtract(
+    "relu": Activation(_relu, lambda h, out=None: np.greater(h, 0, out=out)),
+    "tanh": Activation(_tanh, lambda t, out=None: np.subtract(
         1.0, np.multiply(t, t, out=out), out=out)),
 }
 
@@ -264,17 +261,6 @@ def _weight_penalty(params: SemiAEParams, reg: float) -> float:
                         + _exact_sum(params.Q1 * params.Q1))
 
 
-def _loss_value(params, batch_x, targets, mask, reg) -> float:
-    # public losses use exactly rounded sums so that the value is a function
-    # of the terms alone, comparable against any independent accumulation
-    _, out = forward_from(params, batch_x @ params.Q)
-    diff = out - targets
-    if mask is not None:
-        diff = diff * mask
-    return (_exact_sum(diff * diff) / batch_x.shape[0]
-            + _weight_penalty(params, reg))
-
-
 def _check_loss_args(params, batch_x, targets, mask):
     batch, _ = _as_batch(batch_x, params.input_dim, "input batch")
     tgt, _ = _as_batch(targets, params.output_dim, "targets")
@@ -287,26 +273,26 @@ def _check_loss_args(params, batch_x, targets, mask):
     return batch, tgt, mask
 
 
-def subset_loss(params: SemiAEParams, batch_x: np.ndarray, targets: np.ndarray,
-                reg: float = 0.0) -> float:
-    """Mean per-row squared error over all outputs, plus the weight penalty.
-
-    ``(1/B) sum_rows ||target - out||^2 + (reg/2)(||Q||^2 + ||Q1||^2)``.
-    """
-    batch, tgt, _ = _check_loss_args(params, batch_x, targets, None)
-    return _loss_value(params, batch, tgt, None, reg)
-
-
-def masked_loss(params: SemiAEParams, batch_x: np.ndarray, targets: np.ndarray,
-                mask: np.ndarray, reg: float = 0.0) -> float:
-    """Like :func:`subset_loss` but measuring only mask-true target positions.
+def reconstruction_loss(params: SemiAEParams, batch_x: np.ndarray,
+                        targets: np.ndarray, mask: np.ndarray | None = None,
+                        reg: float = 0.0) -> float:
+    """Mean per-row squared error at the mask-true target positions (all of
+    them without ``mask``), plus the weight penalty:
+    ``(1/B) sum_rows ||mask * (target-out)||^2 + (reg/2)(||Q||^2 + ||Q1||^2)``.
 
     Rows with an all-false mask contribute nothing (they still count in the
     row average, mirroring an objective that sums over all rows but only
-    observed coordinates).
+    observed coordinates).  The sums are exactly rounded, so the value is a
+    function of the terms alone, comparable against any independent
+    accumulation.
     """
     batch, tgt, m = _check_loss_args(params, batch_x, targets, mask)
-    return _loss_value(params, batch, tgt, m, reg)
+    _, out = forward_from(params, batch @ params.Q)
+    diff = out - tgt
+    if m is not None:
+        diff *= m
+    return (_exact_sum(diff * diff) / batch.shape[0]
+            + _weight_penalty(params, reg))
 
 
 def blocks(size: int) -> list[slice]:
@@ -331,8 +317,8 @@ def loss_and_gradients(params: SemiAEParams, batch_x: np.ndarray,
                        reg: float = 0.0, out: GradientSet | None = None,
                        work: Workspace | None = None
                        ) -> tuple[float, GradientSet]:
-    """Compute the (masked or full) loss and its exact analytic gradients,
-    the L2 term included.
+    """Compute :func:`reconstruction_loss`, summed in floating point rather
+    than exactly rounded, and its exact analytic gradients, L2 term included.
 
     The gradients are written into ``out``, C-contiguous arrays of the
     parameters' shapes that a training loop reuses for every batch, and

@@ -15,7 +15,8 @@ import pytest
 from semiae.cli import main as cli_main, run_cell
 from semiae.dataset import binarize, load_raw_directory, split
 from semiae.evaluation import most_popular, recall_at_n
-from semiae.model import forward, glorot_init, loss_and_gradients, masked_loss
+from semiae.model import (forward, glorot_init, loss_and_gradients,
+                          reconstruction_loss)
 from semiae.trainer import (TrainConfig, train_ranking, train_rating,
                             predict_ratings, recommend_top_n)
 from util import (MISSING_DATA_MSG, brute_force_masked_loss,
@@ -211,7 +212,7 @@ def test_criterion_8_masked_loss_brute_force():
         mask = np.array([(bits >> k) & 1 for k in range(9)],
                         bool).reshape(3, 3)
         for reg in (0.0, 0.1):
-            ours = masked_loss(params, x, t, mask, reg)
+            ours = reconstruction_loss(params, x, t, mask, reg)
             brute = brute_force_masked_loss(out, t, mask, params.Q,
                                             params.Q1, reg)
             mismatches += ours != brute

@@ -12,6 +12,7 @@ from semiae import (TrainConfig, binarize, load_raw_directory, most_popular,
                     split, train_ranking, train_rating)
 from semiae.cli import main, run_cell
 from semiae.dataset import read_prepared
+from semiae.synthetic import write_ml100k_layout
 
 pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
 
@@ -328,6 +329,16 @@ class TestEvaluate:
         assert stdout == ""
         assert err == "error: --recall values must be >= 0, got 10,-1\n"
 
+    def test_empty_recall_list_is_an_error(self, ranking_model, prepared_path,
+                                           capsys):
+        code, stdout, err = run(capsys, "evaluate", "--model", ranking_model,
+                                "--data", prepared_path,
+                                "--train-fraction", "0.8", "--seed", "3",
+                                "--recall", ",")
+        assert code == 1
+        assert stdout == ""
+        assert err == "error: --recall needs at least one N value\n"
+
     def test_split_mismatch_is_flagged(self, rating_model, prepared_path,
                                        capsys, caplog):
         import logging
@@ -388,6 +399,64 @@ class TestRecommend:
         assert code == 1
         assert "9999" in err
 
+    def test_rating_model_rejected(self, prepared_path, tmp_path, capsys):
+        cfg = write_config(tmp_path, epochs=2)
+        model = tmp_path / "m.json"
+        run(capsys, "train", "--data", prepared_path, "--task", "rating",
+            "--config", cfg, "--out", model)
+        code, stdout, err = run(capsys, "recommend", "--model", model,
+                                "--data", prepared_path, "--user", "1",
+                                "--n", "2")
+        assert code == 1
+        assert stdout == ""
+        assert err == "error: recommend needs a ranking-task model\n"
+
+
+class TestModelDataMismatch:
+    """A model scored against data of another shape is a one-line error
+    naming both files and both row shapes, for either task."""
+
+    @pytest.mark.parametrize("task, command, layout", [
+        ("rating", "evaluate", "ml-100k"), ("ranking", "evaluate", "ml-100k"),
+        ("ranking", "recommend", "ml-100k"), ("rating", "evaluate", "ml-1m")])
+    def test_is_a_one_line_error(self, prepared_path, ml1m_dir, tmp_path,
+                                 capsys, task, command, layout):
+        cfg = write_config(tmp_path, epochs=2, hidden_dim=3)
+        model = tmp_path / "m.json"
+        code, _, err = run(capsys, "train", "--data", prepared_path,
+                           "--task", task, "--config", cfg, "--out", model)
+        assert code == 0, err
+        # ml-1m: the same counts with another item side width (its user
+        # side width is ml-100k's); ml-100k: the same side widths with other
+        # counts
+        raw = (ml1m_dir if layout == "ml-1m" else
+               write_ml100k_layout(tmp_path / "raw", num_users=40,
+                                   num_items=30, num_ratings=400, seed=5))
+        other = tmp_path / "other.json"
+        code, _, err = run(capsys, "prepare", "--raw", raw, "--format",
+                           layout, "--out", other)
+        assert code == 0, err
+        flags = (("--train-fraction", "0.8", "--seed", "3")
+                 if command == "evaluate" else ("--user", "1", "--n", "2"))
+        code, stdout, err = run(capsys, command, "--model", model,
+                                "--data", other, *flags)
+        assert code == 1
+        assert stdout == ""
+
+        def row(path):
+            data = read_prepared(path)
+            return ((data.ratings.num_items, data.user_side.dim)
+                    if task == "ranking" else
+                    (data.ratings.num_users, data.item_side.dim))
+
+        rows = "user" if task == "ranking" else "item"
+        (width, side), (width2, side2) = row(prepared_path), row(other)
+        assert (width, side) != (width2, side2)
+        assert err == (f"error: model {model} reads {rows} rows of {width} "
+                       f"ratings + {side} side values, but data {other} has "
+                       f"{rows} rows of {width2} ratings + {side2} side "
+                       f"values\n")
+
 
 class TestReproduce:
     def test_table2_csv_shape_and_determinism(self, ml100k_dir, tmp_path,
@@ -427,6 +496,13 @@ class TestReproduce:
                            "--out-dir", tmp_path / "x")
         assert code == 1
         assert "integer" in err
+
+    def test_empty_seed_list_rejected(self, ml100k_dir, tmp_path, capsys):
+        code, _, err = run(capsys, "reproduce", "--table", "1",
+                           "--raw", ml100k_dir, "--seeds", ",",
+                           "--out-dir", tmp_path / "x")
+        assert code == 1
+        assert err == "error: need at least one seed\n"
 
     def test_table1_on_ml1m_layout(self, ml1m_dir, tmp_path, capsys):
         cfg = write_config(tmp_path, epochs=2, hidden_dim=3)

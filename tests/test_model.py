@@ -6,8 +6,8 @@ import pytest
 from semiae.dataset import RatingDataset, SideInfoMatrix, read_json, write_json
 from semiae.model import (ACTIVATIONS, BLOCK, GradientSet, SemiAEParams,
                           Workspace, activation, forward, glorot_init,
-                          load_params, loss_and_gradients, masked_loss,
-                          save_params, subset_loss)
+                          load_params, loss_and_gradients,
+                          reconstruction_loss, save_params)
 from util import (brute_force_masked_loss, built_input, classical_autoencoder,
                   finite_difference_grads, gradcheck_error,
                   make_random_dataset, reference_loss_and_gradients,
@@ -167,46 +167,47 @@ class TestLosses:
     def test_perfect_reconstruction_is_zero(self):
         params = zero_params(2, 2, 2, p1=[3.0, 4.0])
         x = np.array([[1.0, 2.0]])
-        assert subset_loss(params, x, np.array([[3.0, 4.0]])) == 0.0
+        assert reconstruction_loss(params, x, np.array([[3.0, 4.0]])) == 0.0
 
     def test_unit_errors_sum_to_two(self):
         params = zero_params(2, 2, 2, p1=[1.0, 1.0])
-        loss = subset_loss(params, np.array([[0.0, 0.0]]),
-                           np.array([[0.0, 0.0]]))
+        loss = reconstruction_loss(params, np.array([[0.0, 0.0]]),
+                                   np.array([[0.0, 0.0]]))
         assert loss == 2.0
 
     def test_zero_weights_contribute_no_penalty(self):
         params = zero_params(2, 2, 2)
         x = np.array([[1.0, 2.0]])
-        assert subset_loss(params, x, x, reg=5.0) == \
-            subset_loss(params, x, x, reg=0.0)
+        assert reconstruction_loss(params, x, x, reg=5.0) == \
+            reconstruction_loss(params, x, x, reg=0.0)
 
     def test_penalty_value_is_half_reg_times_squared_norms(self):
         params = make_params(RNG(7))
         x = np.zeros((1, 4))
         t = forward(params, x)[1].reshape(1, -1)  # zero error
         expected = 0.5 * 0.3 * (np.sum(params.Q ** 2) + np.sum(params.Q1 ** 2))
-        assert subset_loss(params, x, t, reg=0.3) == pytest.approx(expected,
-                                                                   rel=1e-12)
+        assert reconstruction_loss(params, x, t, reg=0.3) == \
+            pytest.approx(expected, rel=1e-12)
 
     def test_masked_positions_are_the_only_ones_measured(self):
         params = zero_params(3, 2, 3, p1=[4.0, 9.0, 3.0])
         x = np.array([[0.0, 0.0, 0.0]])
         target = np.array([[5.0, 0.0, 3.0]])
         mask = np.array([[True, False, True]])
-        assert masked_loss(params, x, target, mask) == 1.0  # (5-4)^2 + 0
+        # (5-4)^2 + 0
+        assert reconstruction_loss(params, x, target, mask) == 1.0
         # changing the target at a mask-false position changes nothing
         target2 = np.array([[5.0, 77.0, 3.0]])
-        assert masked_loss(params, x, target2, mask) == 1.0
+        assert reconstruction_loss(params, x, target2, mask) == 1.0
 
-    def test_all_true_mask_equals_subset_loss(self):
+    def test_all_true_mask_equals_no_mask(self):
         rng = RNG(11)
         params = make_params(rng)
         x = rng.normal(size=(4, 4))
         t = rng.normal(size=(4, 2))
         mask = np.ones((4, 2), bool)
-        assert masked_loss(params, x, t, mask, reg=0.2) == \
-            subset_loss(params, x, t, reg=0.2)
+        assert reconstruction_loss(params, x, t, mask, reg=0.2) == \
+            reconstruction_loss(params, x, t, reg=0.2)
 
     def test_losses_are_nonnegative(self):
         rng = RNG(13)
@@ -215,8 +216,8 @@ class TestLosses:
             x = rng.normal(size=(3, 4))
             t = rng.normal(size=(3, 2))
             mask = rng.random((3, 2)) < 0.5
-            assert subset_loss(params, x, t, reg=0.1) >= 0.0
-            assert masked_loss(params, x, t, mask, reg=0.1) >= 0.0
+            assert reconstruction_loss(params, x, t, reg=0.1) >= 0.0
+            assert reconstruction_loss(params, x, t, mask, reg=0.1) >= 0.0
 
     def test_matches_brute_force_summation_exactly(self):
         rng = RNG(17)
@@ -228,7 +229,7 @@ class TestLosses:
         for reg in (0.0, 0.37):
             expected = brute_force_masked_loss(out, t, mask, params.Q,
                                                params.Q1, reg)
-            assert masked_loss(params, x, t, mask, reg) == expected
+            assert reconstruction_loss(params, x, t, mask, reg) == expected
 
 
 class TestBackward:

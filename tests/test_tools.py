@@ -35,8 +35,15 @@ def test_bench_pairs_summary_counts_pairs_won_per_metric():
     tool = load_tool("bench_pairs")
 
     def run(seed, side, eval_s, loss, correct=True):
+        # model_bytes is 3% larger and train_rows_per_s 20% lower in the
+        # change: beyond the first's 2% bound, within the second's 25%
+        worse = side == "change"
         metrics = {"eval_s": {"value": eval_s, "unit": "s"},
-                   "train_loss": {"value": loss, "unit": "loss"}}
+                   "train_loss": {"value": loss, "unit": "loss"},
+                   "model_bytes": {"value": 1030 if worse else 1000,
+                                   "unit": "bytes"},
+                   "train_rows_per_s": {"value": 80 if worse else 100,
+                                        "unit": "rows/s"}}
         return {"workload": "ranking-ml100k", "seed": seed, "side": side,
                 "ran_first_in_pair": "parent" if seed % 2 else "change",
                 "trace": 0, "environment": {},
@@ -50,14 +57,18 @@ def test_bench_pairs_summary_counts_pairs_won_per_metric():
             {**run(4, "change", 0.0, 6.0), "result": None, "error": "boom"},
             run(5, "parent", 0.01, 5.0, correct=False),
             run(5, "change", 0.11, 5.0)]
-    lines = tool.summarize(runs, {"eval_s": "lower", "train_loss": "lower",
-                                  "total_s": "lower"})
+    lines = tool.summarize(runs, [
+        {"name": name, "better": better, "bound": bound}
+        for name, better, bound in [
+            ("eval_s", "lower", 0.25), ("train_loss", "lower", 0.25),
+            ("total_s", "lower", 0.25), ("model_bytes", "lower", 0.02),
+            ("train_rows_per_s", "higher", 0.25)]])
     assert lines[0] == ("ranking-ml100k: failed or incorrect runs parent 1, "
                         "change 1")
     # seed 4 has no change result and seed 5 no correct parent result, so
     # three pairs; total_s has no values
-    assert len(lines) == 3
-    eval_line, loss_line = lines[1], lines[2]
+    assert len(lines) == 5
+    eval_line, loss_line, bytes_line, rows_line = lines[1:]
     assert eval_line.split()[:2] == ["eval_s", "parent"]
     # parent 0.16, 0.18, 0.20, 0.30: median 0.19, inclusive quartiles
     # 0.175 and 0.225; change 0.10, 0.11, 0.12, 0.17: median 0.115
@@ -65,7 +76,12 @@ def test_bench_pairs_summary_counts_pairs_won_per_metric():
     assert "change 0.115 (0.1075-0.1325)" in eval_line
     assert "-39.5%" in eval_line
     assert "change better in 2/3 pairs, equal in 0" in eval_line
-    assert eval_line.endswith("beyond the parent's quartiles: yes")
+    assert eval_line.endswith("beyond the parent's quartiles: yes; "
+                              "worse beyond the 25% bound: no")
     assert "change better in 0/3 pairs, equal in 3" in loss_line
-    assert loss_line.endswith("beyond the parent's quartiles: no")
+    assert loss_line.endswith("beyond the parent's quartiles: no; "
+                              "worse beyond the 25% bound: no")
+    assert bytes_line.endswith("worse beyond the 2% bound: yes")
+    assert "-20.0%" in rows_line
+    assert rows_line.endswith("worse beyond the 25% bound: no")
     assert tool.seed_range("1501-1503,1507") == [1501, 1502, 1503, 1507]

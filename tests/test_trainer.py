@@ -15,7 +15,7 @@ from util import (built_input, make_random_dataset, reference_fit,
 RNG = np.random.default_rng
 
 
-def toy_ranking_data():
+def toy_ranking_data(binarized=True):
     users = np.array([0, 0, 1, 1, 2, 2, 2], np.int32)
     items = np.array([0, 1, 1, 2, 0, 2, 3], np.int32)
     ratings = np.array([5, 2, 5, 5, 3, 5, 5], np.float64)
@@ -23,7 +23,7 @@ def toy_ranking_data():
                        np.arange(7, dtype=np.int64))
     profiles = SideInfoMatrix(RNG(0).normal(size=(3, 2)), ("a", "b"),
                               (1, 2, 3))
-    return binarize(ds, 4.0), profiles
+    return binarize(ds, 4.0) if binarized else ds, profiles
 
 
 def toy_rating_data():
@@ -174,6 +174,12 @@ class TestTrainRanking:
         masked = train_ranking(train, profiles,
                                ranking_cfg(epochs=30, mask_ranking_loss=True))
         assert full.loss_history != masked.loss_history
+
+    def test_ratings_not_binarized_are_warned_about(self, caplog):
+        raw, profiles = toy_ranking_data(binarized=False)
+        with caplog.at_level("WARNING", logger="semiae.trainer"):
+            train_ranking(raw, profiles, ranking_cfg(epochs=1))
+        assert "expects binarized ratings, got scale (1.0, 5.0)" in caplog.text
 
 
 class TestTrainRating:
@@ -388,6 +394,15 @@ class TestPredictRatings:
         np.testing.assert_array_equal(
             predict_ratings(model, train, features).view(np.uint64),
             expected.view(np.uint64))
+
+    def test_empty_training_set_rejected(self):
+        model, train, features = self.trained()
+        empty = RatingDataset(train.num_users, train.num_items,
+                              np.empty(0, np.int32), np.empty(0, np.int32),
+                              np.empty(0), np.empty(0, np.int64))
+        with pytest.raises(ValueError, match="^cannot predict from an empty "
+                                             "training set$"):
+            predict_ratings(model, empty, features)
 
     def test_features_must_cover_every_item(self):
         model, train, features = self.trained()

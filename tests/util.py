@@ -117,12 +117,10 @@ def finite_difference_grads(params, batch_x, targets, mask=None, reg=0.0,
     coordinate."""
     from dataclasses import replace
 
-    from semiae.model import masked_loss, subset_loss
+    from semiae.model import reconstruction_loss
 
     def loss_of(p):
-        if mask is not None:
-            return masked_loss(p, batch_x, targets, mask, reg)
-        return subset_loss(p, batch_x, targets, reg)
+        return reconstruction_loss(p, batch_x, targets, mask, reg)
 
     grads = {}
     for name in ("Q", "Q1", "p", "p1"):

@@ -19,9 +19,11 @@ line of standard error.
 ``summary`` (and ``run``, when done) prints, for each workload and
 end-to-end metric, both sides' medians with their quartiles, the change of
 the median relative to the parent's, the pairs in which the change is
-better (and equal), and whether the medians lie further apart than the
-parent's quartiles.  Which direction is better comes from this checkout's
-``BENCHMARK.json``.  Only the standard library is used.
+better (and equal), whether the medians lie further apart than the
+parent's quartiles, and the no-regression verdict: whether the change's
+median is worse than the parent's by more than the metric's relative
+``bound``.  Which direction is better, and each bound, come from this
+checkout's ``BENCHMARK.json``.  Only the standard library is used.
 """
 
 from __future__ import annotations
@@ -88,9 +90,10 @@ def _spread(values: list[float]) -> tuple[float, float, float]:
     return median, q1, q3
 
 
-def summarize(runs: list[dict], better: dict[str, str]) -> list[str]:
-    """One line per workload and metric; ``better`` maps each metric to
-    ``"lower"`` or ``"higher"``."""
+def summarize(runs: list[dict], metrics: list[dict]) -> list[str]:
+    """One line per workload and metric; ``metrics`` are the end-to-end
+    entries of ``BENCHMARK.json``, each with its ``name``, ``better``
+    (``"lower"`` or ``"higher"``) and relative ``bound``."""
     lines = []
     for workload in dict.fromkeys(r["workload"] for r in runs):
         values: dict = {}  # (metric, side) -> {seed: value}
@@ -105,24 +108,27 @@ def summarize(runs: list[dict], better: dict[str, str]) -> list[str]:
                 values.setdefault((metric, r["side"]), {})[r["seed"]] = entry["value"]
         lines.append(f"{workload}: failed or incorrect runs parent "
                      f"{failed['parent']}, change {failed['change']}")
-        for metric, direction in better.items():
+        for spec in metrics:
+            metric = spec["name"]
             old = values.get((metric, "parent"), {})
             new = values.get((metric, "change"), {})
             seeds = sorted(set(old) & set(new))
             if not seeds:
                 continue
-            sign = 1 if direction == "higher" else -1
+            sign = 1 if spec["better"] == "higher" else -1
             won = sum(sign * (new[s] - old[s]) > 0 for s in seeds)
             tied = sum(new[s] == old[s] for s in seeds)
             (m0, a0, b0), (m1, a1, b1) = (_spread(list(side.values()))
                                           for side in (old, new))
             rel = f"{100 * (m1 - m0) / m0:+.1f}%" if m0 else "n/a"
             apart = "yes" if abs(m1 - m0) > b0 - a0 else "no"
+            worse = sign * (m0 - m1) > spec["bound"] * abs(m0)
             lines.append(
                 f"  {metric:18s} parent {m0:.6g} ({a0:.6g}-{b0:.6g})  change "
                 f"{m1:.6g} ({a1:.6g}-{b1:.6g})  {rel}  change better in "
                 f"{won}/{len(seeds)} pairs, equal in {tied}; medians apart "
-                f"beyond the parent's quartiles: {apart}")
+                f"beyond the parent's quartiles: {apart}; worse beyond the "
+                f"{spec['bound']:.0%} bound: {'yes' if worse else 'no'}")
     return lines
 
 
@@ -146,8 +152,7 @@ def main(argv=None) -> int:
                          args.description)
     else:
         runs = json.loads(args.file.read_text())["runs"]
-    better = {m["name"]: m["better"] for m in BENCHMARK["end_to_end"]}
-    print("\n".join(summarize(runs, better)))
+    print("\n".join(summarize(runs, BENCHMARK["end_to_end"])))
     return 0
 
 
