@@ -11,14 +11,20 @@ holds everything that differs between them:
   (id::gender::age_code::occupation_code::zip) and ``movies.dat``
   (id::title (year)::Genre|Genre|...).
 
-Every raw file is read as Latin-1, a superset of ASCII.  Raw 1-based entity
-ids are remapped to contiguous 0-based indices in ascending raw-id order;
-the mapping is kept on the returned objects so that predictions can be
-reported against the original ids.
+Every raw file is read as Latin-1, a superset of ASCII, one line at a time
+by a line reader that names the file and line of a fault.  A ratings file
+is read in blocks of whole lines instead: a block whose every line is four
+fields of ASCII digits, with ratings from 1 to 5 and values below 10**18,
+is converted by one numpy call, and the line reader handles every block
+that is not plain, so both give the same arrays and the same errors.  Raw
+1-based entity ids are remapped to contiguous 0-based indices in ascending
+raw-id order; the mapping is kept on the returned objects so that
+predictions can be reported against the original ids.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import logging
 import math
@@ -319,8 +325,13 @@ class _Fields:
         self.line = 0
 
     def __iter__(self):
+        return self.of(self.fh)
+
+    def of(self, lines):
+        """The fields of ``lines``, some lines of the file, numbered on from
+        the line last read."""
         sep, nfields = self.sep, self.nfields
-        for self.line, text in enumerate(self.fh, start=1):
+        for self.line, text in enumerate(lines, start=self.line + 1):
             text = text.rstrip("\r\n")
             if text:
                 fields = text.split(sep)
@@ -350,35 +361,94 @@ def _raw_fields(path: str | Path, layout: dict, role: str):
             raise ParseError(f"{path}:{lines.line}: {exc}") from None
 
 
+# characters of a ratings file read at a time, then to the end of the line
+RATINGS_BLOCK = 1 << 20
+_NO_DIGITS = str.maketrans("", "", "0123456789")
+_INT64 = range(-2 ** 63, 2 ** 63)
+
+
+def _plain_columns(block: str, sep: str) -> tuple[np.ndarray, ...] | None:
+    """The user, item, rating and timestamp columns of ``block``, whole
+    ratings lines each ending in a newline, by one numpy conversion; None
+    unless every line is four fields of ASCII digits with ratings from 1 to
+    5 and values below 10**18 (numpy saturates an int64 that overflows).
+    Such a block reads exactly as the line reader would read it."""
+    lines = block.count("\n")
+    text = block.replace(sep, " ")
+    # digits, three separators and a newline on each line, so no blank line,
+    # no other byte and no space in the file that would pass for one
+    if " " in block or text.translate(_NO_DIGITS) != "   \n" * lines:
+        return None
+    table = np.fromstring(text, np.int64, sep=" ")
+    if table.size != 4 * lines:  # an empty field
+        return None
+    table = table.reshape(lines, 4)
+    ratings = table[:, 2]
+    if table.max() >= 10 ** 18 or ratings.min() < 1 or ratings.max() > 5:
+        return None
+    return table[:, 0], table[:, 1], ratings.astype(np.float64), table[:, 3]
+
+
+def _decoded_columns(lines) -> tuple[np.ndarray, ...]:
+    """The user, item, rating and timestamp columns of the ratings lines
+    ``lines`` (a :class:`_Fields` iteration), line by line; a rating
+    outside [1, 5] or an integer outside int64 is a ValueError."""
+    raw_users, raw_items, ratings, stamps = [], [], [], []
+    for f in lines:
+        rating = float(f[2])
+        if not 1.0 <= rating <= 5.0:
+            raise ValueError(f"rating {rating} outside [1, 5]")
+        user, item, stamp = int(f[0]), int(f[1]), int(f[3])
+        for what, value in (("user id", user), ("item id", item),
+                            ("timestamp", stamp)):
+            if value not in _INT64:
+                raise ValueError(f"{what} {value} does not fit in 64 bits")
+        raw_users.append(user)
+        raw_items.append(item)
+        ratings.append(rating)
+        stamps.append(stamp)
+    return (np.asarray(raw_users, np.int64), np.asarray(raw_items, np.int64),
+            np.asarray(ratings, np.float64), np.asarray(stamps, np.int64))
+
+
 def parse_ratings(path: str | Path, format: str = "ml-100k") -> RatingDataset:
     """Parse a raw ratings file into a :class:`RatingDataset`.
 
     Raw 1-based ids are remapped to contiguous 0-based indices in ascending
-    raw-id order.  Malformed lines, ratings outside [1, 5] and a repeated
-    (user, item) pair raise :class:`ParseError`.
+    raw-id order.  Malformed lines, ratings outside [1, 5], integers outside
+    int64 and a repeated (user, item) pair raise :class:`ParseError`.
+
+    The file is read in blocks of whole lines.  A block of plain lines is
+    converted by one numpy call; any other block goes through the line
+    reader, which finds the first fault and its line.
     """
     layout = _layout(format)
-    raw_users, raw_items, ratings, stamps = [], [], [], []
+    sep = layout["ratings"][1]
+    blocks = [_decoded_columns(())]  # empty columns, for a file of no lines
     with _raw_fields(path, layout, "ratings") as lines:
-        for f in lines:
-            rating = float(f[2])
-            if not 1.0 <= rating <= 5.0:
-                raise ValueError(f"rating {rating} outside [1, 5]")
-            raw_users.append(int(f[0]))
-            raw_items.append(int(f[1]))
-            ratings.append(rating)
-            stamps.append(int(f[3]))
+        while block := lines.fh.read(RATINGS_BLOCK):
+            block += lines.fh.readline()
+            # a last line without its newline would make the block not plain
+            block += "" if block.endswith("\n") else "\n"
+            columns = _plain_columns(block, sep)
+            if columns is None:
+                columns = _decoded_columns(lines.of(io.StringIO(block)))
+            else:
+                lines.line += block.count("\n")
+            blocks.append(columns)
+    # one contiguous array per column
+    raw_users, raw_items, ratings, stamps = map(np.concatenate, zip(*blocks))
 
-    uids, u_idx = np.unique(np.asarray(raw_users, np.int64), return_inverse=True)
-    iids, i_idx = np.unique(np.asarray(raw_items, np.int64), return_inverse=True)
+    uids, u_idx = np.unique(raw_users, return_inverse=True)
+    iids, i_idx = np.unique(raw_items, return_inverse=True)
     try:
         ds = RatingDataset(
             num_users=len(uids),
             num_items=len(iids),
             users=u_idx.astype(np.int32),
             items=i_idx.astype(np.int32),
-            ratings=np.asarray(ratings, np.float64),
-            timestamps=np.asarray(stamps, np.int64),
+            ratings=ratings,
+            timestamps=stamps,
             user_ids=tuple(uids.tolist()),
             item_ids=tuple(iids.tolist()),
         )

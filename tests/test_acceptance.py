@@ -11,14 +11,17 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from semiae.cli import main as cli_main, run_cell
-from semiae.dataset import binarize, load_raw_directory, split
+from semiae.dataset import SideInfoMatrix, binarize, load_raw_directory, split
 from semiae.evaluation import most_popular, recall_at_n
-from semiae.model import (forward, glorot_init, loss_and_gradients,
-                          reconstruction_loss)
-from semiae.trainer import (TrainConfig, train_ranking, train_rating,
-                            predict_ratings, recommend_top_n)
+from semiae.model import (SemiAEParams, forward, glorot_init,
+                          loss_and_gradients, reconstruction_loss)
+from semiae.trainer import (TrainConfig, TrainedModel, train_ranking,
+                            train_rating, predict_ratings, recommend_top_n)
 from util import (MISSING_DATA_MSG, brute_force_masked_loss,
                   classical_autoencoder, find_real_data,
                   finite_difference_grads, gradcheck_error,
@@ -243,87 +246,90 @@ def test_criterion_9_reproduce_determinism(tmp_path):
 # 10: randomized property suites, >= 200 instances each
 # --------------------------------------------------------------------------
 
-def test_criterion_10a_split_completeness():
-    rng = RNG(1001)
-    for _ in range(200):
-        m, n = rng.integers(2, 12, 2)
-        count = int(rng.integers(2, m * n + 1))
-        ds = make_random_dataset(rng, int(m), int(n), count)
-        frac = float(rng.uniform(0.05, 0.95))
-        train, test = split(ds, frac, seed=int(rng.integers(1 << 30)))
-        keys = lambda d: set(zip(d.users.tolist(), d.items.tolist()))
-        assert keys(train) | keys(test) == keys(ds)
-        assert not keys(train) & keys(test)
-        assert len(train) + len(test) == len(ds)
-    criterion(10, "split completeness property (200 instances)", True)
+def criterion_10(name: str, **strategies):
+    """The test that ``check`` holds on 200 hypothesis examples drawn from
+    ``strategies``, and prints criterion 10's ``name`` line."""
+    def wrap(check):
+        holds = settings(max_examples=200, deadline=None)(
+            given(**strategies)(check))
+
+        def test():
+            holds()
+            criterion(10, f"{name} property (200 instances)", True)
+        return test
+    return wrap
 
 
-def test_criterion_10b_recall_monotone_in_n():
-    rng = RNG(1002)
-    checked = 0
-    while checked < 200:
-        ds = make_random_dataset(rng, 6, 9, int(rng.integers(8, 40)))
-        test = binarize(ds, 3.0)
-        if len(test) == 0:
-            continue
-        ranking = {u: [int(i) for i in rng.permutation(9)] for u in range(6)}
-        values = [recall_at_n(lambda u: ranking[u], test, n)
-                  for n in range(0, 10)]
-        assert all(a <= b + 1e-12 for a, b in zip(values, values[1:]))
-        checked += 1
-    criterion(10, "recall monotonicity property (200 instances)", True)
+@st.composite
+def random_datasets(draw, users, items, least=1, most=None):
+    """``make_random_dataset`` of a user count from ``users``, an item count
+    from ``items`` and ``least`` to ``most`` (default all) ratings."""
+    m, n = draw(st.sampled_from(users)), draw(st.sampled_from(items))
+    count = draw(st.integers(least, m * n if most is None else most))
+    return make_random_dataset(RNG(draw(st.integers(0, 2 ** 32))), m, n, count)
 
 
-def test_criterion_10c_exclusion_soundness():
-    rng = RNG(1003)
-    from semiae.model import SemiAEParams
-    from semiae.trainer import TrainedModel
-    from semiae.dataset import SideInfoMatrix
-    for _ in range(200):
-        m, n = int(rng.integers(2, 8)), int(rng.integers(2, 10))
-        ds = make_random_dataset(rng, m, n, int(rng.integers(1, m * n + 1)))
-        btrain = binarize(ds, 2.0)
-        scores = rng.normal(size=n)
-        params = SemiAEParams(Q=np.zeros((n + 1, 1)), Q1=np.zeros((1, n)),
-                              p=np.zeros(1), p1=scores,
-                              g="identity", f="identity")
-        model = TrainedModel(params, (0.0,), TrainConfig.defaults("ranking"))
-        profiles = SideInfoMatrix(rng.random((m, 1)), ("c",), tuple(range(m)))
-        user = int(rng.integers(0, m))
-        consumed = set(btrain.items[btrain.users == user].tolist())
-        for rec in (recommend_top_n(model, btrain, profiles, user, n),
-                    most_popular(btrain, user, n)):
-            assert not set(rec) & consumed
-    criterion(10, "exclusion soundness property (200 instances)", True)
+@criterion_10("split completeness",
+              ds=random_datasets(range(2, 12), range(2, 12), least=2),
+              fraction=st.floats(0.05, 0.95), seed=st.integers(0, 2 ** 30))
+def test_criterion_10a_split_completeness(ds, fraction, seed):
+    train, test = split(ds, fraction, seed=seed)
+    keys = lambda d: set(zip(d.users.tolist(), d.items.tolist()))
+    assert keys(train) | keys(test) == keys(ds)
+    assert not keys(train) & keys(test)
+    assert len(train) + len(test) == len(ds)
 
 
-def test_criterion_10d_no_test_leakage():
-    rng = RNG(1004)
-    cfg_rating = TrainConfig(task="rating", hidden_dim=2, learning_rate=0.01,
-                             regularization=0.0, optimizer="sgd", g="identity",
-                             f="identity", epochs=2, batch_size=8, seed=9)
-    cfg_ranking = TrainConfig(task="ranking", hidden_dim=2, learning_rate=0.01,
-                              regularization=0.0, optimizer="sgd",
-                              g="identity", f="identity", epochs=2,
-                              batch_size=8, seed=9)
-    from semiae.dataset import SideInfoMatrix
-    for k in range(200):
-        m, n = int(rng.integers(3, 7)), int(rng.integers(3, 7))
-        ds = make_random_dataset(rng, m, n, int(rng.integers(4, m * n + 1)))
-        train, _ = split(ds, 0.6, seed=k)
-        features = SideInfoMatrix(rng.random((n, 1)), ("a",), tuple(range(n)))
-        profiles = SideInfoMatrix(rng.random((m, 1)), ("a",), tuple(range(m)))
-        if k % 2 == 0:
-            m1 = train_rating(train, features, cfg_rating)
-            m2 = train_rating(train, features, cfg_rating)
-            np.testing.assert_array_equal(
-                predict_ratings(m1, train, features),
-                predict_ratings(m2, train, features))
-        else:
-            btrain = binarize(train, 2.0)
-            r1 = train_ranking(btrain, profiles, cfg_ranking)
-            r2 = train_ranking(btrain, profiles, cfg_ranking)
-            user = int(rng.integers(0, m))
-            assert recommend_top_n(r1, btrain, profiles, user, 3) == \
-                recommend_top_n(r2, btrain, profiles, user, 3)
-    criterion(10, "no-test-leakage property (200 instances)", True)
+@criterion_10("recall monotonicity",
+              ds=random_datasets([6], [9], least=8, most=39),
+              ranking=st.lists(st.permutations(range(9)), min_size=6,
+                               max_size=6))
+def test_criterion_10b_recall_monotone_in_n(ds, ranking):
+    test = binarize(ds, 3.0)
+    assume(len(test))
+    values = [recall_at_n(lambda u: ranking[u], test, n) for n in range(0, 10)]
+    assert all(a <= b + 1e-12 for a, b in zip(values, values[1:]))
+
+
+@criterion_10("exclusion soundness",
+              ds=random_datasets(range(2, 8), range(2, 10)), data=st.data())
+def test_criterion_10c_exclusion_soundness(ds, data):
+    m, n = ds.num_users, ds.num_items
+    btrain = binarize(ds, 2.0)
+    # scores from a small set, so that ties are common
+    scores = data.draw(hnp.arrays(np.float64, n, elements=st.sampled_from(
+        (-1.0, 0.0, 0.5, 2.0))))
+    params = SemiAEParams(Q=np.zeros((n + 1, 1)), Q1=np.zeros((1, n)),
+                          p=np.zeros(1), p1=scores, g="identity", f="identity")
+    model = TrainedModel(params, (0.0,), TrainConfig.defaults("ranking"))
+    profiles = SideInfoMatrix(np.ones((m, 1)), ("c",), tuple(range(m)))
+    user = data.draw(st.integers(0, m - 1))
+    consumed = set(btrain.items[btrain.users == user].tolist())
+    for rec in (recommend_top_n(model, btrain, profiles, user, n),
+                most_popular(btrain, user, n)):
+        assert not set(rec) & consumed
+
+
+@criterion_10("no-test-leakage",
+              ds=random_datasets(range(3, 7), range(3, 7), least=4),
+              task=st.sampled_from(("rating", "ranking")), data=st.data())
+def test_criterion_10d_no_test_leakage(ds, task, data):
+    m, n = ds.num_users, ds.num_items
+    train, _ = split(ds, 0.6, seed=data.draw(st.integers(0, 199)))
+    cfg = TrainConfig(task=task, hidden_dim=2, learning_rate=0.01,
+                      regularization=0.0, optimizer="sgd", g="identity",
+                      f="identity", epochs=2, batch_size=8, seed=9)
+    if task == "rating":
+        features = SideInfoMatrix(RNG(n).random((n, 1)), ("a",),
+                                  tuple(range(n)))
+        m1, m2 = (train_rating(train, features, cfg) for _ in range(2))
+        np.testing.assert_array_equal(predict_ratings(m1, train, features),
+                                      predict_ratings(m2, train, features))
+    else:
+        profiles = SideInfoMatrix(RNG(m).random((m, 1)), ("a",),
+                                  tuple(range(m)))
+        btrain = binarize(train, 2.0)
+        r1, r2 = (train_ranking(btrain, profiles, cfg) for _ in range(2))
+        user = data.draw(st.integers(0, m - 1))
+        assert recommend_top_n(r1, btrain, profiles, user, 3) == \
+            recommend_top_n(r2, btrain, profiles, user, 3)

@@ -94,6 +94,29 @@ class TestPrepare:
         assert expected in lines[0]
 
 
+    @pytest.mark.parametrize("field, what", [(0, "user id"), (1, "item id"),
+                                             (3, "timestamp")])
+    @pytest.mark.parametrize("fmt, name", [("ml-100k", "u.data"),
+                                           ("ml-1m", "ratings.dat")])
+    def test_number_past_64_bits_is_a_one_line_error(
+            self, ml100k_dir, ml1m_dir, tmp_path, capsys, fmt, name, field,
+            what):
+        raw = tmp_path / "raw"
+        raw.mkdir()
+        for path in {"ml-100k": ml100k_dir, "ml-1m": ml1m_dir}[fmt].iterdir():
+            (raw / path.name).write_bytes(path.read_bytes())
+        sep = "\t" if fmt == "ml-100k" else "::"
+        fields = ["1", "1", "3", "881250949"]
+        fields[field] = "99999999999999999999"
+        data = (raw / name).read_bytes()
+        line = len(data.splitlines()) + 1
+        (raw / name).write_bytes(data + sep.join(fields).encode() + b"\n")
+        code, _, err = run(capsys, "prepare", "--raw", raw, "--format", fmt,
+                           "--out", tmp_path / "p.json")
+        assert code == 1
+        assert err == (f"error: {raw / name}:{line}: {what} "
+                       f"99999999999999999999 does not fit in 64 bits\n")
+
     def test_repeated_rating_line_names_both_lines(self, ml100k_dir,
                                                    tmp_path, capsys):
         raw = tmp_path / "raw"

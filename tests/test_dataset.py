@@ -2,6 +2,7 @@ import hashlib
 import json
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,13 +10,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from semiae import dataset
 from semiae.dataset import (FORMATS, LAYOUTS, ML100K_GENRES,
                             ML100K_OCCUPATIONS, ParseError, PreparedData,
                             RatingDataset, SideInfoMatrix, align_side_info, binarize, build_vectors,
                             load_raw_directory, located, parse_item_features,
                             parse_ratings, parse_user_profiles, read_prepared,
                             split, write_json, write_prepared)
-from util import built_input, make_random_dataset, reference_input
+from util import (built_input, make_random_dataset, reference_input,
+                  reference_parse_ratings)
 
 RNG = np.random.default_rng
 
@@ -130,6 +133,75 @@ class TestParseRatings:
     def test_unknown_format_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="format"):
             parse_ratings(tmp_path / "u.data", "ml-10m")
+
+
+# fields that make a ratings line other than plain (ASCII digits), or faulty:
+# None drops the field, and "sep" is two fields
+ODD_FIELDS = (None, "sep", "", "007", "+3", " 4", "5 5", "2.5", "3.", "x",
+              ":7", "7:", "\xe9", "\xa03", "4\x85", "1_0", "-2", "0", "6",
+              "999999999999999999", "1000000000000000000",
+              "9223372036854775807", "9223372036854775808",
+              "99999999999999999999", "-9223372036854775809")
+
+
+@st.composite
+def ratings_files(draw):
+    """A format and the text of a ratings file in it: mostly plain lines
+    of ids from 1 to 40 (so some pairs repeat), a few odd fields, blank
+    lines, LF, CRLF or CR endings, and maybe no final newline."""
+    fmt = draw(st.sampled_from(FORMATS))
+    sep = LAYOUTS[fmt]["ratings"][1]
+    rows = draw(st.lists(st.lists(st.integers(1, 40), min_size=4,
+                                  max_size=4), max_size=30))
+    lines = [[str(user), str(item), str(1 + rating % 5), str(stamp * 123456789)]
+             for user, item, rating, stamp in rows]
+    for _ in range(draw(st.integers(0, 3)) if lines else 0):
+        fields = draw(st.sampled_from(lines))
+        k = draw(st.integers(0, len(fields) - 1))
+        odd = draw(st.sampled_from(ODD_FIELDS))
+        if odd is None:
+            del fields[k]
+        else:
+            fields[k] = f"5{sep}5" if odd == "sep" else odd
+    lines = [sep.join(fields) for fields in lines]
+    for k in sorted(draw(st.sets(st.integers(0, len(lines)), max_size=2)),
+                    reverse=True):
+        lines.insert(k, "")
+    text = "".join(line + draw(st.sampled_from(("\n", "\n", "\r\n", "\r")))
+                   for line in lines)
+    return fmt, (text.rstrip("\r\n") if draw(st.booleans()) else text)
+
+
+class TestBlockParse:
+    """parse_ratings, whose blocks are as short as 16 characters here, gives
+    the bits of the line-by-line reference parser of tests/util.py, or its
+    error text."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(file=ratings_files(), block=st.integers(16, 64))
+    @example(("ml-100k", "1\t1\t3\t5\n99999999999999999999\t1\t3\t5\n"), 16)
+    @example(("ml-100k", "1\t2\t3\t9223372036854775807\n"), 16)
+    @example(("ml-1m", "1::2::3::4\r\n2:::2::3::4\r\n"), 16)
+    @example(("ml-1m", "11::2::3::4\r\n2::2::3::4\r\n3::3::1::4"), 16)
+    @example(("ml-100k", "1\t2\t3\t4\n1\t2\t3\t5\n"), 16)
+    @example(("ml-1m", "1 2::3::4\n"), 16)
+    def test_equals_the_line_by_line_reference(self, file, block):
+        fmt, text = file
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / LAYOUTS[fmt]["ratings"][0]
+            path.write_bytes(text.encode("latin-1"))
+            want = reference_parse_ratings(path, LAYOUTS[fmt]["ratings"][1])
+            with mock.patch.object(dataset, "RATINGS_BLOCK", block):
+                if isinstance(want, str):
+                    with pytest.raises(ParseError) as err:
+                        parse_ratings(path, fmt)
+                    assert str(err.value) == want
+                    return
+                ds = parse_ratings(path, fmt)
+        for name, expected in zip(("users", "items", "ratings", "timestamps"),
+                                  want):
+            assert_same_bits(getattr(ds, name), expected)
+        assert (ds.user_ids, ds.item_ids) == want[4:]
 
 
 class TestParseUserProfiles:

@@ -36,9 +36,13 @@ def test_bench_pairs_summary_counts_pairs_won_per_metric():
 
     def run(seed, side, eval_s, loss, correct=True):
         # model_bytes is 3% larger and train_rows_per_s 20% lower in the
-        # change: beyond the first's 2% bound, within the second's 25%
+        # change: beyond the first's 2% bound, within the second's 25%;
+        # the parent's setup_s spreads far wider than its 25% bound, and
+        # every run of the change is faster than every run of the parent
         worse = side == "change"
         metrics = {"eval_s": {"value": eval_s, "unit": "s"},
+                   "setup_s": {"value": 0.05 if worse else seed / 10,
+                               "unit": "s"},
                    "train_loss": {"value": loss, "unit": "loss"},
                    "model_bytes": {"value": 1030 if worse else 1000,
                                    "unit": "bytes"},
@@ -60,15 +64,16 @@ def test_bench_pairs_summary_counts_pairs_won_per_metric():
     lines = tool.summarize(runs, [
         {"name": name, "better": better, "bound": bound}
         for name, better, bound in [
-            ("eval_s", "lower", 0.25), ("train_loss", "lower", 0.25),
+            ("eval_s", "lower", 0.25), ("setup_s", "lower", 0.25),
+            ("train_loss", "lower", 0.25),
             ("total_s", "lower", 0.25), ("model_bytes", "lower", 0.02),
             ("train_rows_per_s", "higher", 0.25)]])
     assert lines[0] == ("ranking-ml100k: failed or incorrect runs parent 1, "
                         "change 1")
     # seed 4 has no change result and seed 5 no correct parent result, so
     # three pairs; total_s has no values
-    assert len(lines) == 5
-    eval_line, loss_line, bytes_line, rows_line = lines[1:]
+    assert len(lines) == 6
+    eval_line, setup_line, loss_line, bytes_line, rows_line = lines[1:]
     assert eval_line.split()[:2] == ["eval_s", "parent"]
     # parent 0.16, 0.18, 0.20, 0.30: median 0.19, inclusive quartiles
     # 0.175 and 0.225; change 0.10, 0.11, 0.12, 0.17: median 0.115
@@ -76,8 +81,13 @@ def test_bench_pairs_summary_counts_pairs_won_per_metric():
     assert "change 0.115 (0.1075-0.1325)" in eval_line
     assert "-39.5%" in eval_line
     assert "change better in 2/3 pairs, equal in 0" in eval_line
+    # the parent's quartiles are 0.05 apart, wider than 25% of 0.19, and
+    # the change's 0.17 is slower than the parent's 0.16
     assert eval_line.endswith("beyond the parent's quartiles: yes; "
-                              "worse beyond the 25% bound: no")
+                              "worse beyond the 25% bound: unresolved")
+    # parent 0.1-0.4 (quartiles 0.175-0.325 around 0.25), change 0.05
+    assert "parent 0.25 (0.175-0.325)" in setup_line
+    assert setup_line.endswith("worse beyond the 25% bound: no")
     assert "change better in 0/3 pairs, equal in 3" in loss_line
     assert loss_line.endswith("beyond the parent's quartiles: no; "
                               "worse beyond the 25% bound: no")

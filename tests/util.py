@@ -320,3 +320,57 @@ def reference_fit(x, targets, mask, cfg):
             weighted += loss * len(idx)
         history.append(weighted / n)
     return theta, history
+
+
+def reference_parse_ratings(path, sep: str):
+    """What ``parse_ratings`` gives for the ratings file at ``path`` with
+    the field separator ``sep``, read one line at a time: the text of its
+    ParseError, or ``(users, items, ratings, timestamps, user_ids,
+    item_ids)``.
+
+    The file is Latin-1 with universal newlines.  A blank line is skipped.
+    On the first faulty line, in this order: a field count other than 4, a
+    non-ASCII field, a rating ``float`` cannot read or outside [1, 5], an
+    id or timestamp ``int`` cannot read, then one outside int64.  With
+    every line read, the first line whose (user, item) pair an earlier line
+    has is an error naming both.  Raw ids map to 0-based indices in
+    ascending order."""
+    rows, first_on = [], {}
+    with open(path, encoding="latin-1") as fh:
+        for number, text in enumerate(fh, start=1):
+            text = text.rstrip("\n")
+            if not text:
+                continue
+            fields = text.split(sep)
+            try:
+                if len(fields) != 4:
+                    raise ValueError(f"expected 4 {sep!r}-separated fields, "
+                                     f"got {len(fields)}")
+                for k, field in enumerate(fields):
+                    if not field.isascii():
+                        raise ValueError(f"non-ASCII character in numeric "
+                                         f"field {k + 1}: {field!r}")
+                rating = float(fields[2])
+                if not 1.0 <= rating <= 5.0:
+                    raise ValueError(f"rating {rating} outside [1, 5]")
+                user, item, stamp = (int(fields[k]) for k in (0, 1, 3))
+                for what, value in (("user id", user), ("item id", item),
+                                    ("timestamp", stamp)):
+                    if not -2 ** 63 <= value < 2 ** 63:
+                        raise ValueError(f"{what} {value} does not fit in "
+                                         f"64 bits")
+            except ValueError as exc:
+                return f"{path}:{number}: {exc}"
+            rows.append((number, user, item, rating, stamp))
+    for number, user, item, _, _ in rows:
+        if (user, item) in first_on:
+            return (f"{path}:{number}: duplicate (user, item) pair ({user}, "
+                    f"{item}), first on line {first_on[user, item]}")
+        first_on[user, item] = number
+    user_ids = sorted({row[1] for row in rows})
+    item_ids = sorted({row[2] for row in rows})
+    return (np.array([user_ids.index(row[1]) for row in rows], np.int32),
+            np.array([item_ids.index(row[2]) for row in rows], np.int32),
+            np.array([row[3] for row in rows], np.float64),
+            np.array([row[4] for row in rows], np.int64),
+            tuple(user_ids), tuple(item_ids))

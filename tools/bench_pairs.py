@@ -20,10 +20,13 @@ line of standard error.
 end-to-end metric, both sides' medians with their quartiles, the change of
 the median relative to the parent's, the pairs in which the change is
 better (and equal), whether the medians lie further apart than the
-parent's quartiles, and the no-regression verdict: whether the change's
-median is worse than the parent's by more than the metric's relative
-``bound``.  Which direction is better, and each bound, come from this
-checkout's ``BENCHMARK.json``.  Only the standard library is used.
+parent's quartiles, and the no-regression verdict: ``yes`` when the
+change's median is worse than the parent's by more than the metric's
+relative ``bound``, else ``unresolved`` when the parent's quartiles lie
+further apart than that bound and not every run of the change is better
+than every run of the parent, else ``no``.  Which direction is better,
+and each bound, come from this checkout's ``BENCHMARK.json``.  Only the
+standard library is used.
 """
 
 from __future__ import annotations
@@ -122,13 +125,22 @@ def summarize(runs: list[dict], metrics: list[dict]) -> list[str]:
                                           for side in (old, new))
             rel = f"{100 * (m1 - m0) / m0:+.1f}%" if m0 else "n/a"
             apart = "yes" if abs(m1 - m0) > b0 - a0 else "no"
-            worse = sign * (m0 - m1) > spec["bound"] * abs(m0)
+            bound = spec["bound"] * abs(m0)
+            if sign * (m0 - m1) > bound:
+                worse = "yes"
+            elif b0 - a0 > bound and (min(sign * v for v in new.values())
+                                      <= max(sign * v for v in old.values())):
+                # the parent's own runs spread wider than the bound, and
+                # some run of the change is no better than some parent run
+                worse = "unresolved"
+            else:
+                worse = "no"
             lines.append(
                 f"  {metric:18s} parent {m0:.6g} ({a0:.6g}-{b0:.6g})  change "
                 f"{m1:.6g} ({a1:.6g}-{b1:.6g})  {rel}  change better in "
                 f"{won}/{len(seeds)} pairs, equal in {tied}; medians apart "
                 f"beyond the parent's quartiles: {apart}; worse beyond the "
-                f"{spec['bound']:.0%} bound: {'yes' if worse else 'no'}")
+                f"{spec['bound']:.0%} bound: {worse}")
     return lines
 
 
