@@ -10,10 +10,10 @@ import numpy as np
 
 from semiae.dataset import (binarize, build_vectors, load_raw_directory,
                             split)
-from semiae.synthetic import write_ml100k_layout
+from semiae.synthetic import write_layout
 
-raw = write_ml100k_layout(Path(tempfile.mkdtemp()) / "ml-100k-mini",
-                          num_users=12, num_items=9, num_ratings=60, seed=5)
+raw = write_layout(Path(tempfile.mkdtemp()) / "ml-100k-mini", "ml-100k",
+                   num_users=12, num_items=9, num_ratings=60, seed=5)
 print("raw files:", sorted(p.name for p in raw.iterdir()))
 
 data = load_raw_directory(raw, "ml-100k")

@@ -8,7 +8,7 @@ import tempfile
 from pathlib import Path
 
 from semiae.cli import main
-from semiae.synthetic import write_ml100k_layout
+from semiae.synthetic import write_layout
 
 real = Path("data/ml-100k")
 work = Path(tempfile.mkdtemp())
@@ -19,8 +19,8 @@ if real.joinpath("u.data").exists():
     print("found data/ml-100k; reproducing the ranking table "
           "(a few minutes per seed)")
 else:
-    raw = write_ml100k_layout(work / "ml-100k-stand-in", num_users=60,
-                              num_items=40, num_ratings=900, seed=1)
+    raw = write_layout(work / "ml-100k-stand-in", "ml-100k", num_users=60,
+                       num_items=40, num_ratings=900, seed=1)
     cfg = work / "short.json"
     cfg.write_text('{"epochs": 50, "binarize_threshold": 3.0}')
     config_args = ["--config", str(cfg)]

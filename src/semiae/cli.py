@@ -400,7 +400,7 @@ def main(argv: list[str] | None = None) -> int:
         if written := args.func(args):
             _write_manifest(args, *written)
         return 0
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

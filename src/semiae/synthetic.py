@@ -1,18 +1,11 @@
-"""Seeded generators for small MovieLens-layout directories.
-
-Useful for demos, smoke tests and pipeline determinism checks when the real
-archives are not on disk.  Ratings follow a two-factor latent model with
-noise so that trained models have genuine structure to pick up.
-"""
-
-from __future__ import annotations
+"""Seeded MovieLens-layout directories, with ratings from latent factors."""
 
 from pathlib import Path
 
 import numpy as np
 
 from .dataset import (ML100K_GENRES, ML100K_OCCUPATIONS, ML1M_AGE_CODES,
-                      ML1M_GENRES)
+                      ML1M_GENRES, _layout)
 
 
 def _sample_interactions(num_users: int, num_items: int, num_ratings: int,
@@ -30,65 +23,57 @@ def _sample_interactions(num_users: int, num_items: int, num_ratings: int,
     return users + 1, items + 1, ratings, stamps  # raw ids are 1-based
 
 
-def write_ml100k_layout(out_dir: str | Path, num_users: int = 30,
-                        num_items: int = 25, num_ratings: int = 400,
-                        seed: int = 0) -> Path:
-    """Write u.data / u.user / u.item with the ml-100k field layout."""
+def _year_and_genres(rng, year_end: int, count: int) -> tuple[int, set]:
+    year = int(rng.integers(1930, year_end))
+    picks = rng.choice(count, size=int(rng.integers(1, 4)), replace=False)
+    return year, set(picks.tolist())
+
+
+# The fields of a user or an item line, id first, each drawn (a list is
+# built left to right) in the order its release has always drawn them
+def _ml100k_user(u: int, rng: np.random.Generator) -> list:
+    return [u, int(rng.integers(12, 70)), "MF"[int(rng.integers(0, 2))],
+            ML100K_OCCUPATIONS[int(rng.integers(0, len(ML100K_OCCUPATIONS)))],
+            int(rng.integers(10000, 99999))]
+
+
+def _ml100k_item(i: int, rng: np.random.Generator) -> list:
+    year, picks = _year_and_genres(rng, 1999, len(ML100K_GENRES))
+    return [i, f"Movie {i} ({year})", f"01-Jan-{year}", "",
+            f"http://example.com/{i}",
+            *(int(k in picks) for k in range(len(ML100K_GENRES)))]
+
+
+def _ml1m_user(u: int, rng: np.random.Generator) -> list:
+    return [u, "MF"[int(rng.integers(0, 2))],
+            ML1M_AGE_CODES[int(rng.integers(0, len(ML1M_AGE_CODES)))],
+            int(rng.integers(0, 21)), int(rng.integers(10000, 99999))]
+
+
+def _ml1m_item(i: int, rng: np.random.Generator) -> list:
+    year, picks = _year_and_genres(rng, 2001, len(ML1M_GENRES))
+    return [i, f"Movie {i} ({year})",
+            "|".join(ML1M_GENRES[k] for k in sorted(picks))]
+
+
+def write_layout(out_dir: str | Path, format: str = "ml-100k",
+                 num_users: int = 30, num_items: int = 25,
+                 num_ratings: int = 400, seed: int = 0) -> Path:
+    """Write the ratings, users and items files of ``format`` into
+    ``out_dir``, named and separated as ``dataset.LAYOUTS`` says."""
+    layout = _layout(format)
+    draw_user, draw_item = {"ml-100k": (_ml100k_user, _ml100k_item),
+                            "ml-1m": (_ml1m_user, _ml1m_item)}[format]
+    rng = np.random.default_rng(seed)
+    # lazy rows, so that the draws follow the order the files are written in
+    rows = {"ratings": zip(*_sample_interactions(num_users, num_items,
+                                                 num_ratings, rng)),
+            "users": (draw_user(u, rng) for u in range(1, num_users + 1)),
+            "items": (draw_item(i, rng) for i in range(1, num_items + 1))}
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    rng = np.random.default_rng(seed)
-    users, items, ratings, stamps = _sample_interactions(
-        num_users, num_items, num_ratings, rng)
-
-    with open(out_dir / "u.data", "w", encoding="ascii") as fh:
-        for u, i, r, t in zip(users, items, ratings, stamps):
-            fh.write(f"{u}\t{i}\t{r}\t{t}\n")
-
-    with open(out_dir / "u.user", "w", encoding="ascii") as fh:
-        for u in range(1, num_users + 1):
-            age = int(rng.integers(12, 70))
-            gender = "MF"[int(rng.integers(0, 2))]
-            occupation = ML100K_OCCUPATIONS[int(rng.integers(0, len(ML100K_OCCUPATIONS)))]
-            fh.write(f"{u}|{age}|{gender}|{occupation}|{int(rng.integers(10000, 99999))}\n")
-
-    with open(out_dir / "u.item", "w", encoding="latin-1") as fh:
-        for i in range(1, num_items + 1):
-            year = int(rng.integers(1930, 1999))
-            flags = np.zeros(len(ML100K_GENRES), int)
-            flags[rng.choice(len(ML100K_GENRES), size=int(rng.integers(1, 4)),
-                             replace=False)] = 1
-            flag_str = "|".join(str(x) for x in flags)
-            fh.write(f"{i}|Movie {i} ({year})|01-Jan-{year}||"
-                     f"http://example.com/{i}|{flag_str}\n")
-    return out_dir
-
-
-def write_ml1m_layout(out_dir: str | Path, num_users: int = 30,
-                      num_items: int = 25, num_ratings: int = 400,
-                      seed: int = 0) -> Path:
-    """Write ratings.dat / users.dat / movies.dat with the ml-1m layout."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    rng = np.random.default_rng(seed)
-    users, items, ratings, stamps = _sample_interactions(
-        num_users, num_items, num_ratings, rng)
-
-    with open(out_dir / "ratings.dat", "w", encoding="latin-1") as fh:
-        for u, i, r, t in zip(users, items, ratings, stamps):
-            fh.write(f"{u}::{i}::{r}::{t}\n")
-
-    with open(out_dir / "users.dat", "w", encoding="latin-1") as fh:
-        for u in range(1, num_users + 1):
-            gender = "MF"[int(rng.integers(0, 2))]
-            age = ML1M_AGE_CODES[int(rng.integers(0, len(ML1M_AGE_CODES)))]
-            occ = int(rng.integers(0, 21))
-            fh.write(f"{u}::{gender}::{age}::{occ}::{int(rng.integers(10000, 99999))}\n")
-
-    with open(out_dir / "movies.dat", "w", encoding="latin-1") as fh:
-        for i in range(1, num_items + 1):
-            year = int(rng.integers(1930, 2001))
-            picks = rng.choice(len(ML1M_GENRES), size=int(rng.integers(1, 4)),
-                               replace=False)
-            names = "|".join(ML1M_GENRES[k] for k in sorted(picks))
-            fh.write(f"{i}::Movie {i} ({year})::{names}\n")
+    for role, lines in rows.items():
+        name, sep, _ = layout[role]
+        with open(out_dir / name, "w", encoding="latin-1") as fh:
+            fh.writelines(sep.join(map(str, row)) + "\n" for row in lines)
     return out_dir

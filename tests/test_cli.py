@@ -12,7 +12,7 @@ from semiae import (TrainConfig, binarize, load_raw_directory, most_popular,
                     split, train_ranking, train_rating)
 from semiae.cli import main, run_cell
 from semiae.dataset import read_prepared
-from semiae.synthetic import write_ml100k_layout
+from semiae.synthetic import write_layout
 
 pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
 
@@ -263,6 +263,20 @@ class TestTrain:
         assert proc.stderr.count("\n") == 1
         assert not out.exists()
 
+    def test_out_of_memory_is_one_stderr_line(self, prepared_path, tmp_path,
+                                              capsys):
+        # 55 x 1e13 float64 weights, 4.4e15 bytes: past the user address
+        # space, so the allocation fails at once, and below 2**63 bytes,
+        # past which numpy raises a ValueError instead
+        cfg = write_config(tmp_path, hidden_dim=10 ** 13, epochs=1)
+        out = tmp_path / "never.json"
+        code, _, err = run(capsys, "train", "--data", prepared_path,
+                           "--task", "ranking", "--config", cfg, "--out", out)
+        assert code == 1
+        assert err == ("error: Unable to allocate 3.91 PiB for an array with "
+                       "shape (55, 10000000000000) and data type float64\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("task", ["rating", "ranking"])
     def test_empty_training_set_is_a_one_line_error(self, ml100k_dir,
                                                     tmp_path, capsys, task):
@@ -453,8 +467,8 @@ class TestModelDataMismatch:
         # side width is ml-100k's); ml-100k: the same side widths with other
         # counts
         raw = (ml1m_dir if layout == "ml-1m" else
-               write_ml100k_layout(tmp_path / "raw", num_users=40,
-                                   num_items=30, num_ratings=400, seed=5))
+               write_layout(tmp_path / "raw", "ml-100k", num_users=40,
+                            num_items=30, num_ratings=400, seed=5))
         other = tmp_path / "other.json"
         code, _, err = run(capsys, "prepare", "--raw", raw, "--format",
                            layout, "--out", other)
@@ -715,7 +729,8 @@ class TestMalformedArtifacts:
                                       "short-item-map", "float-user-count",
                                       "three-entry-scale", "nan-rating",
                                       "infinite-rating", "rating-above-scale",
-                                      "rating-below-scale"])
+                                      "rating-below-scale", "schema-version",
+                                      "user-past-count", "negative-item"])
     def test_malformed_prepared_document(self, ranking_model, prepared_path,
                                          tmp_path, capsys, edit):
         text = prepared_path.read_text()
@@ -743,6 +758,18 @@ class TestMalformedArtifacts:
             doc["triples"][5][2] = float("nan" if edit == "nan-rating" else "inf")
             text = json.dumps(doc)
             expected = "prepared data: ratings must be finite"
+        elif edit == "schema-version":
+            doc["schema_version"] = 99
+            text = json.dumps(doc)
+            expected = "prepared data: unsupported schema version 99"
+        elif edit == "user-past-count":
+            doc["triples"][5][0] = doc["num_users"]
+            text = json.dumps(doc)
+            expected = "prepared data: user index out of range"
+        elif edit == "negative-item":
+            doc["triples"][5][1] = -1
+            text = json.dumps(doc)
+            expected = "prepared data: item index out of range"
         elif edit in ("rating-above-scale", "rating-below-scale"):
             rating = 9.0 if edit == "rating-above-scale" else 0.5
             doc["triples"][5][2] = rating

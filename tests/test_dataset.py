@@ -125,6 +125,13 @@ class TestParseRatings:
                           np.array([2, 2, 2], np.int32), np.ones(3),
                           np.zeros(3, np.int64))
 
+    def test_triple_arrays_of_unequal_length_rejected(self):
+        with pytest.raises(ValueError,
+                           match=r"^triple arrays must have equal length$"):
+            RatingDataset(2, 3, np.array([0, 1], np.int32),
+                          np.array([2], np.int32), np.ones(2),
+                          np.zeros(2, np.int64))
+
     def test_rating_outside_scale_rejected(self, tmp_path):
         path = write_lines(tmp_path / "u.data", ["1\t1\t6\t100"])
         with pytest.raises(ParseError, match=r"\[1, 5\]"):
@@ -382,6 +389,20 @@ class TestSideFileFaults:
         with pytest.raises(ValueError,
                            match=rf"{name}: no side information .*\[1\]"):
             load_raw_directory(raw, "ml-100k")
+
+
+class TestSideInfoMatrix:
+    @pytest.mark.parametrize("rows, labels, ids, message", [
+        (np.zeros(2), ("a",), (1, 2), "rows must be a 2-d matrix"),
+        (np.zeros((2, 2)), ("a",), (1, 2),
+         "column_labels length must match row width"),
+        (np.zeros((2, 1)), ("a",), (1,),
+         "entity_ids length must match row count"),
+        (np.array([[0.0], [np.inf]]), ("a",), (1, 2),
+         "side information entries must be finite")])
+    def test_malformed_matrix_rejected(self, rows, labels, ids, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            SideInfoMatrix(rows, labels, ids)
 
 
 class TestAlignment:

@@ -140,6 +140,14 @@ class TestMostPopular:
         assert most_popular(train, 0, 2) == [2]
         assert most_popular(train, 2, 2) == [0, 2]
 
+    @pytest.mark.parametrize("user, n, message", [
+        (6, 2, "user index 6 out of range"),
+        (-1, 2, "user index -1 out of range"),
+        (0, -1, "n must be >= 0")])
+    def test_bad_user_or_n_rejected(self, user, n, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            most_popular(self.train_counts_3_5_1(), user, n)
+
     def test_identical_across_calls(self):
         train = self.train_counts_3_5_1()
         runs = [most_popular(train, 3, 3) for _ in range(5)]

@@ -200,6 +200,15 @@ class TestLosses:
         target2 = np.array([[5.0, 77.0, 3.0]])
         assert reconstruction_loss(params, x, target2, mask) == 1.0
 
+    @pytest.mark.parametrize("targets, mask, message", [
+        (np.zeros((3, 2)), None, "batch and targets row counts differ"),
+        (np.zeros((2, 2)), np.ones((2, 3), bool),
+         "mask shape must match targets")])
+    def test_misshapen_targets_or_mask_rejected(self, targets, mask, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            reconstruction_loss(make_params(RNG(3)), np.zeros((2, 4)),
+                                targets, mask)
+
     def test_all_true_mask_equals_no_mask(self):
         rng = RNG(11)
         params = make_params(rng)
@@ -468,6 +477,17 @@ class TestParamValidation:
         with pytest.raises(ValueError, match="hidden dims"):
             SemiAEParams(Q=np.zeros((3, 2)), Q1=np.zeros((5, 3)),
                          p=np.zeros(2), p1=np.zeros(3))
+
+    @pytest.mark.parametrize("shapes, message", [
+        (((3,), (2, 2), (2,), (2,)), "Q and Q1 must be matrices"),
+        (((3, 2), (2, 2, 1), (2,), (2,)), "Q and Q1 must be matrices"),
+        (((3, 2), (2, 4), (3,), (4,)), "bias shapes must be (H,) and (D,)"),
+        (((3, 2), (2, 4), (2,), (2,)), "bias shapes must be (H,) and (D,)")])
+    def test_malformed_shapes_rejected(self, shapes, message):
+        q, q1, p, p1 = (np.zeros(shape) for shape in shapes)
+        with pytest.raises(ValueError) as info:
+            SemiAEParams(Q=q, Q1=q1, p=p, p1=p1)
+        assert str(info.value) == message
 
     def test_non_finite_rejected(self):
         q = np.zeros((2, 2))

@@ -1,5 +1,10 @@
 import importlib.util
+import subprocess
 from pathlib import Path
+
+import pytest
+
+from semiae.dataset import FORMATS
 
 TOOLS = Path(__file__).resolve().parents[1] / "tools"
 
@@ -11,13 +16,14 @@ def load_tool(name):
     return module
 
 
-def test_artifact_hashes_repeat_and_cover_every_output():
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_artifact_hashes_repeat_and_cover_every_output(fmt):
     tool = load_tool("artifact_hashes")
-    shape = dict(fmt="ml-100k", num_users=20, num_items=15, num_ratings=150)
+    shape = dict(fmt=fmt, num_users=20, num_items=15, num_ratings=150)
     first = tool.artifact_hashes(**shape)
     assert tool.artifact_hashes(**shape) == first
     names = [line.split("  ", 1)[1] for line in first]
-    for label, _ in tool.commands("ml-100k"):
+    for label, _ in tool.commands(fmt):
         assert f"{label}.stdout" in names and f"{label}.stderr" in names
     for artifact in ("prepared.json", "rating.json", "rating.losses.csv",
                      "rating.eval.json", "ranking.json", "ranking.eval.json",
@@ -29,6 +35,30 @@ def test_artifact_hashes_repeat_and_cover_every_output():
                     "table2/table2.csv"):
         assert f"{written}.manifest.json" in names
     assert all(len(line.split("  ", 1)[0]) == 64 for line in first)
+
+
+def test_artifact_hashes_children_run_at_one_blas_thread(monkeypatch):
+    tool = load_tool("artifact_hashes")
+    for var in tool.THREAD_VARS:
+        monkeypatch.delenv(var, raising=False)
+    # a thread count the caller sets is kept
+    monkeypatch.setenv("OMP_NUM_THREADS", "3")
+    monkeypatch.setenv("SEMIAE_LOG", "info")
+    monkeypatch.setenv("PYTHONPATH", "elsewhere")
+    seen = []
+
+    def fake_run(argv, cwd, env, capture_output):
+        seen.append(env)
+        return subprocess.CompletedProcess(argv, 0, b"", b"")
+
+    monkeypatch.setattr(tool.subprocess, "run", fake_run)
+    tool.artifact_hashes(num_users=5, num_items=4, num_ratings=10)
+    assert len(seen) == len(tool.commands("ml-100k"))
+    for env in seen:
+        assert (env["OPENBLAS_NUM_THREADS"], env["OMP_NUM_THREADS"],
+                env["MKL_NUM_THREADS"]) == ("1", "3", "1")
+        assert env["PYTHONPATH"] == str(tool.SRC)
+        assert "SEMIAE_LOG" not in env
 
 
 def test_bench_pairs_summary_counts_pairs_won_per_metric():

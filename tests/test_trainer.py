@@ -127,6 +127,16 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match="conflict"):
             TrainConfig.from_dict({"task": "ranking"}, task="rating")
 
+    def test_unknown_task_has_no_defaults(self):
+        with pytest.raises(ValueError, match=r"^task must be one of "
+                           r"\('ranking', 'rating'\)$"):
+            TrainConfig.defaults("ratings")
+
+    def test_from_dict_needs_a_task(self):
+        with pytest.raises(ValueError, match=r"^config must name a task "
+                           r"\(or pass one explicitly\)$"):
+            TrainConfig.from_dict({"epochs": 2})
+
     def test_from_dict_merges_over_defaults(self):
         cfg = TrainConfig.from_dict({"epochs": 7}, task="rating")
         assert cfg.epochs == 7
@@ -167,6 +177,15 @@ class TestTrainRanking:
         bad = SideInfoMatrix(np.zeros((5, 2)), ("a", "b"), (1, 2, 3, 4, 5))
         with pytest.raises(ValueError, match="users"):
             train_ranking(train, bad, ranking_cfg(epochs=1))
+
+    @pytest.mark.parametrize("trainer, other_cfg, task", [
+        (train_ranking, rating_cfg, "ranking"),
+        (train_rating, ranking_cfg, "rating")])
+    def test_other_tasks_config_rejected(self, trainer, other_cfg, task):
+        train, profiles = toy_ranking_data()
+        with pytest.raises(ValueError,
+                           match=f"^config task must be '{task}'$"):
+            trainer(train, profiles, other_cfg(epochs=1))
 
     def test_masked_ranking_loss_flag(self):
         train, profiles = toy_ranking_data()
@@ -471,6 +490,18 @@ class TestRecommendTopN:
         model = fixed_score_model([0.2, 0.8, 0.5])
         got = recommend_top_n(model, self.empty_train(), self.profiles(), 0, 99)
         assert got == [1, 2, 0]
+
+    def test_negative_n_rejected(self):
+        model = fixed_score_model([0.1, 0.2, 0.3])
+        with pytest.raises(ValueError, match=r"^n must be >= 0$"):
+            recommend_top_n(model, self.empty_train(), self.profiles(), 0, -1)
+
+    def test_rating_model_gives_no_ranking_scores(self):
+        train, features = toy_rating_data()
+        model = train_rating(train, features, rating_cfg(epochs=1))
+        with pytest.raises(ValueError, match=r"^ranking_scores needs a "
+                           r"ranking-task model$"):
+            ranking_scores(model, train, features, 0)
 
     def test_out_of_range_user_rejected(self):
         model = fixed_score_model([0.1, 0.2, 0.3])

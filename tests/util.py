@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 
-from semiae.dataset import RatingDataset
+from semiae.dataset import LAYOUTS, RatingDataset
 
 
 def make_random_dataset(rng: np.random.Generator, num_users: int,
@@ -74,9 +74,9 @@ def find_real_data(name: str) -> Path | None:
     if env:
         candidates.append(Path(env) / name)
     candidates.append(Path(__file__).resolve().parents[1] / "data" / name)
-    probe = {"ml-100k": "u.data", "ml-1m": "ratings.dat"}[name]
+    ratings_file = LAYOUTS[name]["ratings"][0]
     for cand in candidates:
-        if (cand / probe).exists():
+        if (cand / ratings_file).exists():
             return cand
     return None
 

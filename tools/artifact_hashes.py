@@ -18,6 +18,10 @@ parity between two checkouts is then a diff:
     diff old.txt new.txt
 
 The CLI comes from the ``src/`` of the checkout that holds this script.
+Its processes run at one BLAS and OpenMP thread unless the caller's
+environment sets ``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` or
+``MKL_NUM_THREADS``: trained weights differ between thread counts, so the
+hashes would otherwise depend on the machine's cores.
 """
 
 from __future__ import annotations
@@ -35,9 +39,10 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src"
 sys.path.insert(0, str(SRC))
 
-from semiae.synthetic import write_ml100k_layout, write_ml1m_layout  # noqa: E402
+from semiae.dataset import FORMATS  # noqa: E402
+from semiae.synthetic import write_layout  # noqa: E402
 
-LAYOUTS = {"ml-100k": write_ml100k_layout, "ml-1m": write_ml1m_layout}
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 CONFIGS = {
     # the default H=500, so the rating model's weight matrices span several
     # blocks of the training step's elementwise passes
@@ -103,12 +108,14 @@ def artifact_hashes(fmt: str = "ml-100k", num_users: int = 120,
                     num_items: int = 80, num_ratings: int = 2500,
                     seed: int = 0) -> list[str]:
     """The ``sha256  name`` lines of one pass over the CLI."""
-    env = dict(os.environ, PYTHONPATH=str(SRC))
+    env = {var: "1" for var in THREAD_VARS}  # unless the caller set them
+    env.update(os.environ, PYTHONPATH=str(SRC))
     env.pop("SEMIAE_LOG", None)
     lines = []
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
-        LAYOUTS[fmt](work / "raw", num_users, num_items, num_ratings, seed)
+        write_layout(work / "raw", fmt, num_users, num_items, num_ratings,
+                     seed)
         for task, cfg in CONFIGS.items():
             (work / f"{task}.cfg.json").write_text(json.dumps(cfg))
         for label, argv in commands(fmt):
@@ -127,7 +134,7 @@ def artifact_hashes(fmt: str = "ml-100k", num_users: int = 120,
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--format", choices=sorted(LAYOUTS), default="ml-100k")
+    parser.add_argument("--format", choices=FORMATS, default="ml-100k")
     parser.add_argument("--users", type=int, default=120)
     parser.add_argument("--items", type=int, default=80)
     parser.add_argument("--ratings", type=int, default=2500)

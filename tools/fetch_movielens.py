@@ -14,14 +14,18 @@ import urllib.request
 import zipfile
 from pathlib import Path
 
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
+
+from semiae.dataset import FORMATS, LAYOUTS  # noqa: E402
+
 BASE_URL = "https://files.grouplens.org/datasets/movielens/"
-DATA_DIR = Path(__file__).resolve().parents[1] / "data"
-PROBE = {"ml-100k": "u.data", "ml-1m": "ratings.dat"}
+DATA_DIR = ROOT / "data"
 
 
 def fetch(name: str) -> None:
     target = DATA_DIR / name
-    if (target / PROBE[name]).exists():
+    if (target / LAYOUTS[name]["ratings"][0]).exists():
         print(f"{target} already present, skipping")
         return
     DATA_DIR.mkdir(exist_ok=True)
@@ -39,6 +43,6 @@ def fetch(name: str) -> None:
 if __name__ == "__main__":
     names = sys.argv[1:] or ["ml-100k"]
     for name in names:
-        if name not in PROBE:
-            sys.exit(f"unknown dataset {name!r}; choose from {sorted(PROBE)}")
+        if name not in FORMATS:
+            sys.exit(f"unknown dataset {name!r}; choose from {list(FORMATS)}")
         fetch(name)
