@@ -676,12 +676,12 @@ def write_json(path: str | Path, doc: dict) -> None:
 
 
 def read_json(path: str | Path):
-    """Load a JSON file; a file that is not valid UTF-8 JSON raises
-    ValueError naming it."""
+    """Load a JSON file; a file that is not valid UTF-8 JSON, or nests past
+    the decoder's recursion limit, raises ValueError naming it."""
     with open(path, encoding="utf-8") as fh:
         try:
             return json.load(fh)
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:
             raise ValueError(f"{path}: not a valid JSON file: {exc}") from None
 
 

@@ -16,12 +16,12 @@ over rows, with an L2 penalty on the weight matrices (never the biases).
 Without a mask it measures all D outputs (top-n ranking); with one, only the
 observed target positions (rating prediction).
 
-:func:`loss_and_gradients` gives it with its gradients.  A training
+:func:`loss_and_gradients` gives it with its exact gradients.  A training
 loop hands it one :class:`Workspace`, made once for its batch size, that
-holds the batch input the loop writes and every batch-sized intermediate of
-the step (pre-activations, activations, differences, their squares and the
-hidden layer's gradient), with the block scratch of the L2 term, so that a
-step allocates nothing of the batch's size.
+holds the gradients and every batch-sized intermediate of the step
+(pre-activations, activations, differences, their squares and the hidden
+layer's gradient), with the block scratch of the L2 term, so that a step
+allocates nothing of the batch's size or of a parameter's.
 """
 
 from __future__ import annotations
@@ -103,15 +103,6 @@ ACTIVATIONS = {
 }
 
 
-def activation(name: str) -> Activation:
-    """Look up an activation by name, raising with the valid set on miss."""
-    try:
-        return ACTIVATIONS[name]
-    except KeyError:
-        raise ValueError(f"unknown activation {name!r}; "
-                         f"valid: {sorted(ACTIVATIONS)}") from None
-
-
 @dataclass(frozen=True)
 class SemiAEParams:
     """Weights and biases of one network, plus its activation kinds.
@@ -129,8 +120,10 @@ class SemiAEParams:
     f: str = "identity"
 
     def __post_init__(self) -> None:
-        activation(self.g)
-        activation(self.f)
+        for name in (self.g, self.f):
+            if name not in ACTIVATIONS:
+                raise ValueError(f"unknown activation {name!r}; "
+                                 f"valid: {sorted(ACTIVATIONS)}")
         if self.Q.ndim != 2 or self.Q1.ndim != 2:
             raise ValueError("Q and Q1 must be matrices")
         s, h = self.Q.shape
@@ -169,14 +162,12 @@ class GradientSet:
 
 @dataclass(frozen=True)
 class Workspace:
-    """The buffers of a training step, for batches of up to B rows: the
-    batch input and mask that a training loop writes, and the intermediates
-    that :func:`loss_and_gradients` writes.  A loop makes one with
-    :meth:`for_params` and every step reuses it; a batch of b rows uses the
-    leading b rows of each buffer."""
+    """The buffers that :func:`loss_and_gradients` writes, for batches of
+    up to B rows: the gradients, of the parameters' shapes, and the batch's
+    intermediates.  A loop makes one with :meth:`for_params` and every step
+    reuses it; a batch of b rows uses the leading b rows of each buffer."""
 
-    x: np.ndarray         # (B, S) the batch input
-    mask: np.ndarray      # (B, D) bool, the observed targets
+    grads: GradientSet    # the gradients, C-contiguous
     hidden: np.ndarray    # (B, H) z1, then the hidden activations
     output: np.ndarray    # (B, D) z2, then the output, then dLoss/dz2
     squares: np.ndarray   # (B, D) the squared differences
@@ -187,8 +178,9 @@ class Workspace:
 
     @classmethod
     def for_params(cls, params: SemiAEParams, rows: int) -> Workspace:
-        (s, h), d = params.Q.shape, params.output_dim
-        return cls(np.empty((rows, s)), np.empty((rows, d), bool),
+        theta = (params.Q, params.Q1, params.p, params.p1)
+        h, d = params.Q1.shape
+        return cls(GradientSet(*(np.empty(a.shape) for a in theta)),
                    np.empty((rows, h)), np.empty((rows, d)),
                    np.empty((rows, d)), np.empty((rows, h)),
                    np.empty((rows, h)), np.empty((rows, h), bool),
@@ -231,10 +223,10 @@ def forward_from(params: SemiAEParams, z1: np.ndarray,
     the output is written into ``z2``, or a new array.  Returns ``(h,
     out)``."""
     z1 += params.p
-    hid = activation(params.g).fn(z1, z1, scratch)
+    hid = ACTIVATIONS[params.g].fn(z1, z1, scratch)
     z2 = np.matmul(hid, params.Q1, out=z2)
     z2 += params.p1
-    return hid, activation(params.f).fn(z2, z2)
+    return hid, ACTIVATIONS[params.f].fn(z2, z2)
 
 
 def forward(params: SemiAEParams, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -314,39 +306,29 @@ def _add_scaled(acc: np.ndarray, scale: float, a: np.ndarray,
 
 def loss_and_gradients(params: SemiAEParams, batch_x: np.ndarray,
                        targets: np.ndarray, mask: np.ndarray | None = None,
-                       reg: float = 0.0, out: GradientSet | None = None,
-                       work: Workspace | None = None
+                       reg: float = 0.0, work: Workspace | None = None
                        ) -> tuple[float, GradientSet]:
     """Compute :func:`reconstruction_loss`, summed in floating point rather
     than exactly rounded, and its exact analytic gradients, L2 term included.
 
-    The gradients are written into ``out``, C-contiguous arrays of the
-    parameters' shapes that a training loop reuses for every batch, and
-    ``out`` is returned; without it they go to fresh arrays.  The batch's
-    intermediates are written into ``work``, a :class:`Workspace` of at
-    least the batch's rows, or a fresh one; with both given, a call
-    allocates nothing of the batch's size (a non-identity ``f`` still makes
-    its B x D intermediates).
+    The gradients and the batch's intermediates are written into ``work``,
+    a :class:`Workspace` of at least the batch's rows, or a fresh one, and
+    ``work.grads`` is returned.  With ``work`` given, a call allocates
+    nothing of the batch's size (a non-identity ``f`` still makes its B x D
+    intermediates).
     """
     batch, tgt, m = _check_loss_args(params, batch_x, targets, mask)
-    theta = (params.Q, params.Q1, params.p, params.p1)
-    if out is None:
-        out = GradientSet(*(np.empty(a.shape) for a in theta))
-    elif not all(buf.shape == a.shape and buf.flags.c_contiguous
-                 and buf.flags.writeable for buf, a in zip(
-                     (out.dQ, out.dQ1, out.dp, out.dp1), theta)):
-        raise ValueError("out must hold writable C-contiguous arrays of the "
-                         "parameters' shapes")
     b = batch.shape[0]
     if work is None:
         work = Workspace.for_params(params, b)
+    out = work.grads
     hid, pred = forward_from(
         params, np.matmul(batch, params.Q, out=work.hidden[:b]),
         work.output[:b], (work.slope[:b], work.signs[:b]))
     # both derivatives come from the activations' values; the identity's
     # is 1 and its multiply is skipped
     if params.f != "identity":
-        f_prime = activation(params.f).deriv_at_value(pred)
+        f_prime = ACTIVATIONS[params.f].deriv_at_value(pred)
 
     # the output buffer becomes the difference, then dLoss/dz2
     diff = np.subtract(pred, tgt, out=pred)
@@ -368,7 +350,7 @@ def loss_and_gradients(params: SemiAEParams, batch_x: np.ndarray,
     np.sum(d_z2, axis=0, out=out.dp1)
     d_z1 = np.matmul(d_z2, params.Q1.T, out=work.d_hidden[:b])
     if params.g != "identity":
-        d_z1 *= activation(params.g).deriv_at_value(hid, work.slope[:b])
+        d_z1 *= ACTIVATIONS[params.g].deriv_at_value(hid, work.slope[:b])
     np.matmul(batch.T, d_z1, out=out.dQ)
     np.sum(d_z1, axis=0, out=out.dp)
     if reg != 0.0:

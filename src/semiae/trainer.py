@@ -10,19 +10,19 @@ positions.
 
 Both loops are seed-deterministic: weight init and the per-epoch row
 shuffles are drawn from one generator seeded by the config.  The loop owns
-the parameter buffers, one set of gradient buffers and one
-:class:`~semiae.model.Workspace` of batch-sized buffers.  The dense input is
-never built whole: each batch's input rows and mask are written into the
-workspace by :func:`~semiae.dataset.build_vectors`, from the dataset's
-per-user (or per-item) index, and ``loss_and_gradients`` writes the batch's
-intermediates into it too.  Each batch's gradients are written into the
-same buffers, the optimizer updates the parameters in place from them, and
-the :class:`SemiAEParams` built once over the parameters sees every update.
-A step allocates nothing the size of a parameter or of a dense batch.  A
-non-finite batch loss, or a parameter left non-finite by the last update,
-stops training with a ValueError naming the epoch, the batch, the loss (and
-the last finite one) or the parameter, and the learning rate; numpy's
-floating-point warnings stay quiet meanwhile.
+the parameter buffers, the batch's input rows and mask, and one
+:class:`~semiae.model.Workspace`.  The dense input is never built whole:
+each batch's rows and mask are written by
+:func:`~semiae.dataset.build_vectors`, from the dataset's per-user (or
+per-item) index, and ``loss_and_gradients`` writes the batch's gradients
+and intermediates into the workspace.  The optimizer updates the parameters
+in place from those gradients, and the :class:`SemiAEParams` built once
+over the parameters sees every update.  A step allocates nothing the size
+of a parameter or of a dense batch.  A training set with no triples is an
+error.  A non-finite batch loss, or a parameter left non-finite by the last
+update, stops training with a ValueError naming the epoch, the batch, the
+loss (and the last finite one) or the parameter, and the learning rate;
+numpy's floating-point warnings stay quiet meanwhile.
 """
 
 from __future__ import annotations
@@ -38,8 +38,8 @@ import numpy as np
 from .dataset import (COMPARISONS, RatingDataset, SideInfoMatrix,
                       build_vectors, located)
 from .evaluation import _rank_unconsumed
-from .model import (ACTIVATIONS, GradientSet, SemiAEParams, Workspace,
-                    forward, forward_from, glorot_init, load_params,
+from .model import (ACTIVATIONS, SemiAEParams, Workspace, forward,
+                    forward_from, glorot_init, load_params,
                     loss_and_gradients, save_params)
 from .optim import OPTIMIZER_KINDS, Optimizer, update
 
@@ -171,7 +171,7 @@ def _run_epochs(train: RatingDataset, side: SideInfoMatrix, orientation: str,
     n, output_dim = ((train.num_users, train.num_items)
                      if orientation == "user" else
                      (train.num_items, train.num_users))
-    if not n:
+    if len(train) == 0:
         raise ValueError("cannot train on an empty training set")
     rng = np.random.default_rng(cfg.seed)
     params = glorot_init(output_dim + side.dim, cfg.hidden_dim, output_dim,
@@ -180,8 +180,10 @@ def _run_epochs(train: RatingDataset, side: SideInfoMatrix, orientation: str,
     # updates them in place, and params sees every update
     theta = [a.base for a in (params.Q, params.Q1, params.p, params.p1)]
     state = Optimizer(cfg.optimizer, cfg.learning_rate, theta)
-    grads = GradientSet(*(np.empty_like(a) for a in theta))
-    work = Workspace.for_params(params, min(cfg.batch_size, n))
+    rows = min(cfg.batch_size, n)
+    x = np.empty((rows, params.input_dim))
+    mask = np.empty((rows, output_dim), bool) if masked else None
+    work = Workspace.for_params(params, rows)
     num_batches = -(-n // cfg.batch_size)
     history: list[float] = []
     last_finite = None
@@ -196,12 +198,12 @@ def _run_epochs(train: RatingDataset, side: SideInfoMatrix, orientation: str,
         weighted = 0.0
         for batch, start in enumerate(range(0, n, cfg.batch_size)):
             idx = perm[start:start + cfg.batch_size]
-            batch_x = work.x[:len(idx)]
-            batch_mask = work.mask[:len(idx)] if masked else None
+            batch_x = x[:len(idx)]
+            batch_mask = mask[:len(idx)] if masked else None
             build_vectors(train, side, orientation, idx, batch_x, batch_mask)
-            loss, _ = loss_and_gradients(
+            loss, grads = loss_and_gradients(
                 params, batch_x, batch_x[:, :output_dim], batch_mask,
-                cfg.regularization, out=grads, work=work)
+                cfg.regularization, work=work)
             if not math.isfinite(loss):
                 raise diverged(f"loss {loss}, last finite loss {last_finite}")
             last_finite = loss

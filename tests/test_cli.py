@@ -32,6 +32,13 @@ def prepared_path(ml100k_dir, tmp_path, capsys):
     return out
 
 
+# deeper than the JSON decoder's recursion limit
+DEEPLY_NESTED = "[" * 100_000 + "]" * 100_000
+DEEPLY_NESTED_ERROR = ("not a valid JSON file: maximum recursion depth "
+                       "exceeded while decoding a JSON array from a unicode "
+                       "string")
+
+
 def write_config(tmp_path, name="cfg.json", **kw):
     path = tmp_path / name
     path.write_text(json.dumps(kw))
@@ -277,21 +284,35 @@ class TestTrain:
                        "shape (55, 10000000000000) and data type float64\n")
         assert not out.exists()
 
-    @pytest.mark.parametrize("task", ["rating", "ranking"])
+    @pytest.mark.parametrize("task, case", [
+        ("rating", "no-ratings"), ("ranking", "no-ratings"),
+        ("ranking", "none-above-threshold"), ("rating", "tiny-fraction")],
+        ids=["rating", "ranking", "ranking-none-above-threshold",
+             "rating-tiny-fraction"])
     def test_empty_training_set_is_a_one_line_error(self, ml100k_dir,
-                                                    tmp_path, capsys, task):
-        raw = tmp_path / "raw"
-        raw.mkdir()
-        for path in ml100k_dir.iterdir():
-            (raw / path.name).write_bytes(
-                b"" if path.name == "u.data" else path.read_bytes())
-        prepared = tmp_path / "empty.json"
-        code, stdout, err = run(capsys, "prepare", "--raw", raw,
-                                "--out", prepared)
-        assert code == 0, err
-        assert "M=0 N=0 |Omega|=0" in stdout
+                                                    prepared_path, tmp_path,
+                                                    capsys, task, case):
+        prepared, extra = prepared_path, []
+        if case == "no-ratings":
+            raw = tmp_path / "raw"
+            raw.mkdir()
+            for path in ml100k_dir.iterdir():
+                (raw / path.name).write_bytes(
+                    b"" if path.name == "u.data" else path.read_bytes())
+            prepared = tmp_path / "empty.json"
+            code, stdout, err = run(capsys, "prepare", "--raw", raw,
+                                    "--out", prepared)
+            assert code == 0, err
+            assert "M=0 N=0 |Omega|=0" in stdout
+        elif case == "none-above-threshold":
+            # no rating is above 5, so the binarized half has no triple
+            extra = ["--config", write_config(tmp_path, binarize_threshold=5.0,
+                                              epochs=2)]
+        else:
+            # round(0.001 * 400) = 0 training ratings
+            extra = ["--train-fraction", "0.001"]
         code, _, err = run(capsys, "train", "--data", prepared, "--task",
-                           task, "--out", tmp_path / "never.json")
+                           task, "--out", tmp_path / "never.json", *extra)
         assert code == 1
         assert err.strip() == "error: cannot train on an empty training set"
         assert not (tmp_path / "never.json").exists()
@@ -730,7 +751,8 @@ class TestMalformedArtifacts:
                                       "three-entry-scale", "nan-rating",
                                       "infinite-rating", "rating-above-scale",
                                       "rating-below-scale", "schema-version",
-                                      "user-past-count", "negative-item"])
+                                      "user-past-count", "negative-item",
+                                      "deeply-nested"])
     def test_malformed_prepared_document(self, ranking_model, prepared_path,
                                          tmp_path, capsys, edit):
         text = prepared_path.read_text()
@@ -739,6 +761,8 @@ class TestMalformedArtifacts:
             text, expected = "[]", "not a JSON object"
         elif edit == "truncated":
             text, expected = text[:1000], "not a valid JSON file"
+        elif edit == "deeply-nested":
+            text, expected = DEEPLY_NESTED, DEEPLY_NESTED_ERROR
         elif edit == "short-item-map":
             # the id map and the side rows agree but miss the last item
             doc["id_maps"]["items"].pop()
@@ -791,18 +815,22 @@ class TestMalformedArtifacts:
             code, _, err = run(capsys, *argv)
             self.assert_one_line_error(code, err, "broken_prepared.json",
                                        expected)
+        assert not (tmp_path / "never.json").exists()
 
     @pytest.mark.parametrize("edit", ["truncated", "dims-list", "echo-list",
                                       "echo-orientation", "echo-side-width",
                                       "echo-activation", "echo-hidden-dim",
                                       "echo-fraction-list",
-                                      "echo-fraction-text", "null-config"])
+                                      "echo-fraction-text", "null-config",
+                                      "deeply-nested"])
     def test_malformed_model_file(self, ranking_model, prepared_path,
                                   tmp_path, capsys, edit):
         text = ranking_model.read_text()
         doc = json.loads(text)
         if edit == "truncated":
             text, expected = text[:1000], "not a valid JSON file"
+        elif edit == "deeply-nested":
+            text, expected = DEEPLY_NESTED, DEEPLY_NESTED_ERROR
         elif edit == "dims-list":
             doc["dims"] = [1, 2, 3]
             text, expected = json.dumps(doc), "model JSON"
@@ -878,6 +906,8 @@ class TestMalformedArtifacts:
         ({"binarize_threshold": -10 ** 400},
          f"binarize_threshold must be finite, got {-10 ** 400}"),
         ([1], "not a flat JSON object"),
+        # written as it is; the error is the file's, not the config's
+        (DEEPLY_NESTED, DEEPLY_NESTED_ERROR),
         # {task} is the task the command requests
         *[({"task": task, "epochs": 2},
            f"config task {task!r} conflicts with requested task {{task!r}}")
@@ -887,12 +917,13 @@ class TestMalformedArtifacts:
              "binarize_comparison", "binarize_threshold-nan",
              "learning_rate-inf", "regularization-minus-inf",
              "learning_rate-huge-int", "binarize_threshold-minus-huge-int",
-             "top-level-list", "task-false", "task-empty", "task-zero",
-             "task-null"])
+             "top-level-list", "deeply-nested", "task-false", "task-empty",
+             "task-zero", "task-null"])
     def test_malformed_config(self, ml100k_dir, prepared_path, tmp_path,
                               capsys, doc, expected):
         cfg = tmp_path / "bad_cfg.json"
-        cfg.write_text(json.dumps(doc))
+        where = "" if isinstance(doc, str) else "config: "
+        cfg.write_text(json.dumps(doc) if where else doc)
         for task, argv in (
                 ("rating", ["train", "--data", prepared_path, "--task", "rating",
                             "--config", cfg, "--out", tmp_path / "never.json"]),
@@ -901,7 +932,8 @@ class TestMalformedArtifacts:
                              "--out-dir", tmp_path / "never"])):
             code, _, err = run(capsys, *argv)
             assert (code, err) == (
-                1, f"error: {cfg}: config: {expected.format(task=task)}\n")
+                1, f"error: {cfg}: {where}{expected.format(task=task)}\n")
+        assert not (tmp_path / "never.json").exists()
 
 
 class TestRunCell:

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from semiae.dataset import RatingDataset, SideInfoMatrix, read_json, write_json
-from semiae.model import (ACTIVATIONS, BLOCK, GradientSet, SemiAEParams,
-                          Workspace, activation, forward, glorot_init,
-                          load_params, loss_and_gradients,
-                          reconstruction_loss, save_params)
+from semiae.model import (ACTIVATIONS, BLOCK, SemiAEParams, Workspace,
+                          forward, glorot_init, load_params,
+                          loss_and_gradients, reconstruction_loss,
+                          save_params)
 from util import (brute_force_masked_loss, built_input, classical_autoencoder,
                   finite_difference_grads, gradcheck_error,
                   make_random_dataset, reference_loss_and_gradients,
@@ -18,6 +18,16 @@ RNG = np.random.default_rng
 
 def make_params(rng, s=4, h=3, d=2, g="sigmoid", f="identity"):
     return glorot_init(s, h, d, g, f, rng)
+
+
+def nan_workspace(params, rows):
+    """A workspace whose buffers start as NaN (bool ones as True), so that a
+    read before a write shows."""
+    work = Workspace.for_params(params, rows)
+    for buf in (*vars(work).values(), *vars(work.grads).values()):
+        if buf is not work.grads:
+            buf.fill(np.nan if buf.dtype == np.float64 else True)
+    return work
 
 
 def zero_params(s, h, d, p1=None, g="identity", f="identity"):
@@ -69,8 +79,11 @@ class TestActivations:
                                    atol=1e-7)
 
     def test_unknown_kind_lists_valid_names(self):
-        with pytest.raises(ValueError, match="sigmoid"):
-            activation("softmax")
+        for layer in ("g", "f"):
+            with pytest.raises(ValueError, match=(
+                    r"^unknown activation 'softmax'; valid: \['identity', "
+                    r"'relu', 'sigmoid', 'tanh'\]$")):
+                make_params(RNG(0), **{layer: "softmax"})
 
 
 def one_user_input(ratings, profile):
@@ -272,40 +285,31 @@ class TestBackward:
         mask = rng.random((5, 290)) < 0.3 if masked else None
         want_loss, want = reference_loss_and_gradients(params, x, t, mask,
                                                        0.3)
-        out = GradientSet(*(np.full(a.shape, np.nan) for a in (
-            params.Q, params.Q1, params.p, params.p1)))
+        work = nan_workspace(params, 5)
         for _ in range(2):  # the second call writes over the first's
-            loss, got = loss_and_gradients(params, x, t, mask, 0.3, out=out)
-            assert got is out
+            loss, got = loss_and_gradients(params, x, t, mask, 0.3, work=work)
+            assert got is work.grads
             assert loss == want_loss
             for ours, ref in zip((got.dQ, got.dQ1, got.dp, got.dp1), want):
                 assert ours.tobytes() == ref.tobytes()
         fresh_loss, fresh = loss_and_gradients(params, x, t, mask, 0.3)
+        assert fresh is not work.grads
         assert fresh_loss == want_loss
         assert fresh.dQ.tobytes() == want[0].tobytes()
 
-    def test_into_out_allocates_less_than_one_q(self):
+    def test_into_a_workspace_allocates_less_than_one_q(self):
         rng = RNG(29)
         params = make_params(rng, s=600, h=200, d=500)
         x = rng.normal(size=(8, 600))
-        out = GradientSet(*(np.empty_like(a) for a in (
-            params.Q, params.Q1, params.p, params.p1)))
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
-            loss_and_gradients(params, x, x[:, :500], x[:, :500] > 0, 0.1,
-                               out=out)
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            tracemalloc.stop()
+        work = Workspace.for_params(params, 8)
+        _, peak = traced_peak(loss_and_gradients, params, x, x[:, :500],
+                              x[:, :500] > 0, 0.1, work)
         assert peak < params.Q.nbytes
 
     @pytest.mark.parametrize("masked", [False, True])
     @pytest.mark.parametrize("g", ["sigmoid", "tanh", "relu"])
     def test_into_a_workspace_equals_the_reference(self, g, masked):
-        # a 5-row batch in the leading rows of a 7-row workspace that
-        # starts as NaN, so that a read before a write shows
+        # a 5-row batch in the leading rows of a 7-row workspace
         rng = RNG(37)
         params = make_params(rng, s=30, h=6, d=25, g=g)
         x = rng.normal(size=(5, 30))
@@ -313,14 +317,10 @@ class TestBackward:
         mask = rng.random((5, 25)) < 0.3 if masked else None
         want_loss, want = reference_loss_and_gradients(params, x, t, mask,
                                                        0.3)
-        work = Workspace.for_params(params, 7)
-        for buf in vars(work).values():
-            buf.fill(np.nan if buf.dtype == np.float64 else True)
-        out = GradientSet(*(np.empty_like(a) for a in (
-            params.Q, params.Q1, params.p, params.p1)))
+        work = nan_workspace(params, 7)
         for _ in range(2):
-            loss, got = loss_and_gradients(params, x, t, mask, 0.3, out=out,
-                                           work=work)
+            loss, got = loss_and_gradients(params, x, t, mask, 0.3, work=work)
+            assert got is work.grads
             assert loss == want_loss
             for ours, ref in zip((got.dQ, got.dQ1, got.dp, got.dp1), want):
                 assert ours.tobytes() == ref.tobytes()
@@ -331,31 +331,15 @@ class TestBackward:
         params = make_params(rng, s=1712, h=10, d=1682)
         x = (rng.random((64, 1712)) < 0.05).astype(float)
         work = Workspace.for_params(params, 64)
-        out = GradientSet(*(np.empty_like(a) for a in (
-            params.Q, params.Q1, params.p, params.p1)))
 
         def step():
             return loss_and_gradients(params, x, x[:, :1682], None, 0.1,
-                                      out=out, work=work)
+                                      work=work)
 
-        step()
-        _, peak = traced_peak(step)
+        _, first = step()
+        (_, again), peak = traced_peak(step)
+        assert first is again is work.grads
         assert peak < 64 * 1682 * 8 / 4
-
-    @pytest.mark.parametrize("bad", ["shape", "order", "read-only"])
-    def test_unfit_out_buffers_rejected(self, bad):
-        params = make_params(RNG(31))
-        bufs = [np.empty_like(a) for a in (params.Q, params.Q1, params.p,
-                                           params.p1)]
-        if bad == "shape":
-            bufs[1] = np.empty((3, 3))
-        elif bad == "order":
-            bufs[0] = np.empty((3, 4)).T
-        else:
-            bufs[2].flags.writeable = False
-        with pytest.raises(ValueError, match="out must"):
-            loss_and_gradients(params, np.ones((2, 4)), np.ones((2, 2)),
-                               out=GradientSet(*bufs))
 
     @pytest.mark.parametrize("g", ["identity", "sigmoid", "tanh"])
     @pytest.mark.parametrize("f", ["identity", "sigmoid"])

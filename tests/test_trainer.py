@@ -194,6 +194,13 @@ class TestTrainRanking:
                                ranking_cfg(epochs=30, mask_ranking_loss=True))
         assert full.loss_history != masked.loss_history
 
+    def test_training_half_without_triples_rejected(self):
+        # no toy rating is above 5, so binarizing keeps no triple
+        raw, profiles = toy_ranking_data(binarized=False)
+        with pytest.raises(ValueError, match="^cannot train on an empty "
+                                             "training set$"):
+            train_ranking(binarize(raw, 5.0), profiles, ranking_cfg(epochs=1))
+
     def test_ratings_not_binarized_are_warned_about(self, caplog):
         raw, profiles = toy_ranking_data(binarized=False)
         with caplog.at_level("WARNING", logger="semiae.trainer"):

@@ -265,9 +265,9 @@ def reference_update(kind, eta, theta, slots, grads, t, beta1=0.9,
 def reference_loss_and_gradients(params, batch_x, targets, mask, reg):
     """The loss and its gradients as plain expressions, one new array per
     intermediate, multiplying by every activation derivative."""
-    from semiae.model import activation
+    from semiae.model import ACTIVATIONS
 
-    g, f = activation(params.g), activation(params.f)
+    g, f = ACTIVATIONS[params.g], ACTIVATIONS[params.f]
     b = batch_x.shape[0]
     z1 = batch_x @ params.Q + params.p
     hid = g.fn(z1)

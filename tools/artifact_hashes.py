@@ -47,7 +47,10 @@ CONFIGS = {
     # the default H=500, so the rating model's weight matrices span several
     # blocks of the training step's elementwise passes
     "rating": {"epochs": 3, "seed": 1},
-    "ranking": {"epochs": 5, "seed": 1, "binarize_threshold": 3.0},
+    # a sigmoid output layer, so that its derivative in the training step
+    # and its activation in scoring are covered too
+    "ranking": {"epochs": 5, "seed": 1, "binarize_threshold": 3.0,
+                "f": "sigmoid"},
     # rating trains with adam and ranking with sgd; reproduce takes the
     # third optimizer, a tanh hidden layer and the masked ranking loss
     "reproduce": {"epochs": 5, "seed": 1, "binarize_threshold": 3.0,
