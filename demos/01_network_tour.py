@@ -24,7 +24,7 @@ profile = SideInfoMatrix(np.array([[1.0, 0.0, 0.62]]), ("F", "M", "age"),
 # the builder writes the rows it is given (here the one user) into buffers
 # the caller owns
 batch, observed = np.empty((1, 9)), np.empty((1, 6), bool)
-build_vectors(user, profile, "user", [0], batch, observed)
+build_vectors(user, profile, [0], batch, observed)
 x = batch[0]
 print("input length:", len(x), "| output (target) length:", user.num_items)
 print("reconstruction target (the input's prefix):", x[:6])

@@ -49,16 +49,17 @@ print(f"binarized train: {len(btrain)} liked interactions "
 users = np.arange(btrain.num_users)
 x = np.empty((btrain.num_users, btrain.num_items + data.user_side.dim))
 mask = np.empty((btrain.num_users, btrain.num_items), bool)
-build_vectors(btrain, data.user_side, "user", users, x, mask)
+build_vectors(btrain, data.user_side, users, x, mask)
 print(f"\nuser-based input: {x.shape} ({btrain.num_items} items + "
       f"{data.user_side.dim} profile columns) | observed cells:",
       int(mask.sum()))
 batch = np.empty((3, x.shape[1]))
-build_vectors(btrain, data.user_side, "user", [5, 0, 7], batch)
+build_vectors(btrain, data.user_side, [5, 0, 7], batch)
 print("a batch of users 5, 0 and 7 holds their rows of it:",
       np.array_equal(batch, x[[5, 0, 7]]))
+# An item's row is the user row of the transposed dataset, whose users are
+# the items.
 item_x = np.empty((btrain.num_items, btrain.num_users + data.item_side.dim))
-build_vectors(btrain, data.item_side, "item", np.arange(btrain.num_items),
-              item_x)
+build_vectors(btrain.T, data.item_side, np.arange(btrain.num_items), item_x)
 print("item-based rating block is its transpose:",
       np.array_equal(x[:, :btrain.num_items].T, item_x[:, :btrain.num_users]))

@@ -1,10 +1,12 @@
 """Command-line driver: prepare, train, evaluate, recommend, reproduce.
 
-A command returns the files it wrote and its seed.  :func:`main` first makes
-the directory of each output flag (so ``train --log logs/k.csv`` makes
-``logs/``), then writes ``<first output>.manifest.json``: the command, its
-``args`` (every parsed flag with a value, defaults included, as strings), the
-seed and each output's sha256, so re-runs can be checked for identical bytes.
+A command returns the files it wrote and its seed.  :func:`main` first checks
+that no output flag names an input or another output, then makes the
+directory of each output flag (so ``train --log logs/k.csv`` makes
+``logs/``; a failed command removes those still empty), then writes
+``<first output>.manifest.json``: the command, its ``args`` (every parsed
+flag with a value, defaults included, as strings), the seed and each
+output's sha256, so re-runs can be checked for identical bytes.
 ``SEMIAE_LOG`` (debug/info/warning/error) controls log verbosity.
 """
 
@@ -19,6 +21,7 @@ import logging
 import os
 import sys
 import time
+from contextlib import suppress
 from pathlib import Path
 
 import numpy as np
@@ -77,6 +80,21 @@ def _write_manifest(args: argparse.Namespace, outputs: list[Path],
     }
     with open(f"{outputs[0]}.manifest.json", "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
+
+
+def _check_outputs(args: argparse.Namespace) -> None:
+    """No file that a command writes (``--out``, ``--log`` and the manifest
+    of ``--out``) may be named twice, nor be an input."""
+    files = [(f"--{flag} {value}", Path(value).resolve(), flag in OUTPUT_FLAGS)
+             for flag in ("out", "log", "data", "model", "config")
+             if (value := getattr(args, flag, None)) is not None]
+    if (out := getattr(args, "out", None)) is not None:
+        files.append((f"the manifest of --out {out}",
+                      Path(f"{out}.manifest.json").resolve(), True))
+    for k, (what, path, written) in enumerate(files):
+        for other, other_path, other_written in files[k + 1:]:
+            if path == other_path and (written or other_written):
+                raise ValueError(f"{what} and {other} name the same file")
 
 
 def _load_config(config_path: str | None, task: str) -> TrainConfig:
@@ -391,17 +409,24 @@ def main(argv: list[str] | None = None) -> int:
     _configure_logging()
     parser = build_parser()
     args = parser.parse_args(argv)
+    made: list[Path] = []  # output directories that did not exist
     try:
+        _check_outputs(args)
         for flag in OUTPUT_FLAGS:
             if (value := getattr(args, flag, None)) is not None:
-                path = Path(value)
-                (path if flag == "out_dir" else path.parent).mkdir(
-                    parents=True, exist_ok=True)
+                path = Path(value).absolute()
+                directory = path if flag == "out_dir" else path.parent
+                made += [p for p in (directory, *directory.parents)
+                         if not p.exists()]
+                directory.mkdir(parents=True, exist_ok=True)
         if written := args.func(args):
             _write_manifest(args, *written)
         return 0
     except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        for directory in sorted(made, reverse=True):  # children first
+            with suppress(OSError):  # one that is not empty stays
+                directory.rmdir()
         return 1
 
 

@@ -162,29 +162,30 @@ class RatingDataset:
     def __len__(self) -> int:
         return len(self.ratings)
 
-    def _index(self, rows: np.ndarray, cols: np.ndarray, count: int):
-        order = np.argsort(rows, kind="stable")
-        indptr = np.zeros(count + 1, np.int64)
-        np.cumsum(np.bincount(rows, minlength=count), out=indptr[1:])
-        index = (indptr, cols[order], self.ratings[order])
-        for arr in index:
-            arr.flags.writeable = False
-        return index
-
     @cached_property
     def by_user(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Per-user index of the triples, built on first use: ``(indptr,
         items, ratings)``, user ``u``'s items and ratings at
         ``indptr[u]:indptr[u + 1]`` in triple order; read-only, so it
         cannot go stale on this frozen object."""
-        return self._index(self.users, self.items, self.num_users)
+        order = np.argsort(self.users, kind="stable")
+        indptr = np.zeros(self.num_users + 1, np.int64)
+        np.cumsum(np.bincount(self.users, minlength=self.num_users),
+                  out=indptr[1:])
+        index = (indptr, self.items[order], self.ratings[order])
+        for arr in index:
+            arr.flags.writeable = False
+        return index
 
     @cached_property
-    def by_item(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The item-major twin of :attr:`by_user`: ``(indptr, users,
-        ratings)``, item ``i``'s users and ratings at ``indptr[i]:indptr[i +
-        1]``."""
-        return self._index(self.items, self.users, self.num_items)
+    def T(self) -> RatingDataset:
+        """The transposed dataset, built on first use: items become users
+        and users items, so an item's row is the user row of ``T``.  The
+        triple arrays are shared, in the same order."""
+        return replace(self, num_users=self.num_items,
+                       num_items=self.num_users, users=self.items,
+                       items=self.users, user_ids=self.item_ids,
+                       item_ids=self.user_ids)
 
     def user_slice(self, user: int) -> tuple[np.ndarray, np.ndarray]:
         """The items and ratings of ``user``'s triples, from :attr:`by_user`."""
@@ -584,38 +585,31 @@ def binarize(ds: RatingDataset, threshold: float = 4.0,
                    timestamps=ds.timestamps[keep], rating_scale=(0.0, 1.0))
 
 
-def build_vectors(ds: RatingDataset, side: SideInfoMatrix, orientation: str,
-                  rows, x: np.ndarray, mask: np.ndarray | None = None) -> None:
-    """Write the network input ``cat(r; c)`` of the entities ``rows`` into
+def build_vectors(ds: RatingDataset, side: SideInfoMatrix, rows,
+                  x: np.ndarray, mask: np.ndarray | None = None) -> None:
+    """Write the network input ``cat(r; c)`` of the users ``rows`` into
     the rows of ``x`` and, given ``mask``, the mask of their observed
     ratings into it.
 
-    User orientation gives a user its ratings over all items, then its row
-    of ``side``; item orientation gives an item its ratings over all users.
-    ``x`` is ``(len(rows), width + K)``; ``mask`` is ``(len(rows), width)``
+    A user's input is its ratings over all items, then its row of
+    ``side``; an item's is the user row of ``ds.T``.  ``x`` is
+    ``(len(rows), num_items + K)``; ``mask`` is ``(len(rows), num_items)``
     and True exactly at the triples, so an observed rating of 0 stays
-    observed.  The ratings come from the dataset's per-user (or per-item)
-    index, so a batch costs its own triples, and the whole matrix is the
-    call over every row.
+    observed.  The ratings come from the dataset's per-user index, so a
+    batch costs its own triples, and the whole matrix is the call over
+    every row.
     """
-    if orientation == "user":
-        what, index, n, width = ("profiles", ds.by_user, ds.num_users,
-                                 ds.num_items)
-    elif orientation == "item":
-        what, index, n, width = ("features", ds.by_item, ds.num_items,
-                                 ds.num_users)
-    else:
-        raise ValueError("orientation must be 'user' or 'item'")
-    if side.num_entities != n:
-        raise ValueError(f"{what} cover {side.num_entities} {orientation}s, "
-                         f"dataset has {n}")
+    if side.num_entities != ds.num_users:
+        raise ValueError(f"side information has {side.num_entities} rows "
+                         f"for {ds.num_users} rating rows")
+    width = ds.num_items
     rows = np.asarray(rows, np.intp)
     if x.shape != (len(rows), width + side.dim) or (
             mask is not None and mask.shape != (len(rows), width)):
         raise ValueError(f"buffers of shape {x.shape} and "
                          f"{None if mask is None else mask.shape} do not fit "
                          f"{len(rows)} rows of {width} + {side.dim}")
-    indptr, cols, ratings = index
+    indptr, cols, ratings = ds.by_user
     starts = indptr[rows]
     counts = indptr[rows + 1] - starts
     # the k-th triple of the batch is triple src[k] of the index, in row at[k]

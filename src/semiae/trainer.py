@@ -4,20 +4,20 @@ Ranking: one training row per user, ``cat(r_u; profile_u)``, reconstructing
 the binarized interaction vector over every item position (like/dislike is
 meaningful everywhere once ratings are binarized).
 
-Rating: one training row per item, ``cat(r_i; features_i)``, reconstructing
-the explicit rating vector but measuring the loss only at observed user
-positions.
+Rating: one training row per item, the user row ``cat(r_i; features_i)`` of
+the transposed training set ``train.T``, reconstructing the explicit rating
+vector but measuring the loss only at observed user positions.
 
-Both loops are seed-deterministic: weight init and the per-epoch row
-shuffles are drawn from one generator seeded by the config.  The loop owns
+Both tasks run one loop, seed-deterministic: weight init and the per-epoch
+row shuffles are drawn from one generator seeded by the config.  The loop owns
 the parameter buffers, the batch's input rows and mask, and one
 :class:`~semiae.model.Workspace`.  The dense input is never built whole:
 each batch's rows and mask are written by
-:func:`~semiae.dataset.build_vectors`, from the dataset's per-user (or
-per-item) index, and ``loss_and_gradients`` writes the batch's gradients
-and intermediates into the workspace.  The optimizer updates the parameters
-in place from those gradients, and the :class:`SemiAEParams` built once
-over the parameters sees every update.  A step allocates nothing the size
+:func:`~semiae.dataset.build_vectors`, from the dataset's per-user index,
+and ``loss_and_gradients`` writes the batch's gradients and intermediates
+into the workspace.  The optimizer updates the parameters in place from
+those gradients, and the :class:`SemiAEParams` built once over the
+parameters sees every update.  A step allocates nothing the size
 of a parameter or of a dense batch.  A training set with no triples is an
 error.  A non-finite batch loss, or a parameter left non-finite by the last
 update, stops training with a ValueError naming the epoch, the batch, the
@@ -164,13 +164,11 @@ class TrainedModel:
 
 # the loop checks finiteness itself, so numpy's warnings stay quiet
 @np.errstate(all="ignore")
-def _run_epochs(train: RatingDataset, side: SideInfoMatrix, orientation: str,
-                masked: bool, cfg: TrainConfig) -> TrainedModel:
-    # one input row per user (or item): its ratings over every item (or
-    # user), which are also its targets, then its side row
-    n, output_dim = ((train.num_users, train.num_items)
-                     if orientation == "user" else
-                     (train.num_items, train.num_users))
+def _run_epochs(train: RatingDataset, side: SideInfoMatrix, masked: bool,
+                cfg: TrainConfig) -> TrainedModel:
+    # one input row per user: its ratings over every item, which are also
+    # its targets, then its side row
+    n, output_dim = train.num_users, train.num_items
     if len(train) == 0:
         raise ValueError("cannot train on an empty training set")
     rng = np.random.default_rng(cfg.seed)
@@ -200,7 +198,7 @@ def _run_epochs(train: RatingDataset, side: SideInfoMatrix, orientation: str,
             idx = perm[start:start + cfg.batch_size]
             batch_x = x[:len(idx)]
             batch_mask = mask[:len(idx)] if masked else None
-            build_vectors(train, side, orientation, idx, batch_x, batch_mask)
+            build_vectors(train, side, idx, batch_x, batch_mask)
             loss, grads = loss_and_gradients(
                 params, batch_x, batch_x[:, :output_dim], batch_mask,
                 cfg.regularization, work=work)
@@ -233,7 +231,7 @@ def train_ranking(train: RatingDataset, profiles: SideInfoMatrix,
     if train.rating_scale != (0.0, 1.0):
         log.warning("ranking training expects binarized ratings, "
                     "got scale %s", train.rating_scale)
-    return _run_epochs(train, profiles, "user", cfg.mask_ranking_loss, cfg)
+    return _run_epochs(train, profiles, cfg.mask_ranking_loss, cfg)
 
 
 def train_rating(train: RatingDataset, features: SideInfoMatrix,
@@ -245,7 +243,7 @@ def train_rating(train: RatingDataset, features: SideInfoMatrix,
     """
     if cfg.task != "rating":
         raise ValueError("config task must be 'rating'")
-    return _run_epochs(train, features, "item", True, cfg)
+    return _run_epochs(train.T, features, True, cfg)
 
 
 def predict_ratings(model: TrainedModel, train: RatingDataset,
@@ -261,7 +259,7 @@ def predict_ratings(model: TrainedModel, train: RatingDataset,
     if model.task != "rating":
         raise ValueError("predict_ratings needs a rating-task model")
     x = np.empty((train.num_items, train.num_users + features.dim))
-    build_vectors(train, features, "item", np.arange(train.num_items), x)
+    build_vectors(train.T, features, np.arange(train.num_items), x)
     z1 = x @ model.params.Q
     del x
     _, out = forward_from(model.params, z1)

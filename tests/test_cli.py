@@ -659,6 +659,106 @@ class TestManifests:
         assert not model.exists()
 
 
+class TestOutputFlags:
+    """Before a command runs, main rejects an output flag that names an
+    input or another output; a failed command removes the directories main
+    made for it that are still empty, and no other."""
+
+    @pytest.fixture()
+    def files(self, prepared_path, tmp_path, capsys):
+        """A ranking model, its config and the prepared data it reads."""
+        cfg = write_config(tmp_path, epochs=2, binarize_threshold=3.0)
+        model = tmp_path / "model.json"
+        code, _, err = run(capsys, "train", "--data", prepared_path,
+                           "--task", "ranking", "--config", cfg, "--out", model)
+        assert code == 0, err
+        return {"data": prepared_path, "config": cfg, "model": model}
+
+    # (flags, the file two of them name, the two as the error names them);
+    # {name} is a file of the fixture or of tmp_path
+    @pytest.mark.parametrize("command, flags, clash, what", [
+        ("train", {"out": "{m}", "log": "{m}"}, "{m}",
+         "--out {m} and --log {m}"),
+        ("train", {"out": "{m}", "log": "{m}.manifest.json"},
+         "{m}.manifest.json",
+         "--log {m}.manifest.json and the manifest of --out {m}"),
+        ("train", {"out": "{data}"}, "{data}", "--out {data} and --data {data}"),
+        ("train", {"log": "{data}"}, "{data}", "--log {data} and --data {data}"),
+        ("train", {"out": "{config}"}, "{config}",
+         "--out {config} and --config {config}"),
+        ("train", {"log": "{config}"}, "{config}",
+         "--log {config} and --config {config}"),
+        # the same file under another spelling
+        ("train", {"out": "{m}", "log": "{tmp}/sub/../m2.json"}, "{m}",
+         "--out {m} and --log {tmp}/sub/../m2.json"),
+        ("evaluate", {"out": "{model}"}, "{model}",
+         "--out {model} and --model {model}"),
+        ("evaluate", {"out": "{data}"}, "{data}",
+         "--out {data} and --data {data}"),
+    ], ids=["out-is-log", "log-is-out-manifest", "out-is-data", "log-is-data",
+            "out-is-config", "log-is-config", "out-is-log-respelled",
+            "evaluate-out-is-model", "evaluate-out-is-data"])
+    def test_an_output_naming_a_taken_file_is_a_one_line_error(
+            self, files, tmp_path, capsys, command, flags, clash, what):
+        names = {**files, "tmp": tmp_path, "m": tmp_path / "m2.json"}
+        (tmp_path / "m2.json").write_text("an earlier model")
+        (tmp_path / "m2.json.manifest.json").write_text("its manifest")
+        clash = Path(clash.format(**names))
+        before = {p: p.read_bytes() for p in tmp_path.rglob("*")
+                  if p.is_file()}
+        argv = {"train": ["train", "--data", files["data"], "--task",
+                          "ranking", "--config", files["config"]],
+                "evaluate": ["evaluate", "--model", files["model"], "--data",
+                             files["data"], "--train-fraction", "0.8",
+                             "--seed", "0"]}[command]
+        for flag, value in flags.items():
+            argv += [f"--{flag}", value.format(**names)]
+        if command == "train" and "out" not in flags:
+            argv += ["--out", tmp_path / "new" / "m3.json"]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err == f"error: {what.format(**names)} name the same file\n"
+        assert clash in before
+        assert {p: p.read_bytes() for p in tmp_path.rglob("*")
+                if p.is_file()} == before
+        assert not (tmp_path / "new").exists() and not (tmp_path / "sub").exists()
+
+    def test_a_failed_command_removes_only_the_directories_it_made(
+            self, ml100k_dir, prepared_path, tmp_path, capsys):
+        bad = tmp_path / "deep.json"
+        bad.write_text(DEEPLY_NESTED)
+        kept = tmp_path / "kept"
+        (kept / "empty").mkdir(parents=True)
+        for argv in (
+                ["reproduce", "--table", "2", "--raw", ml100k_dir, "--seeds",
+                 "1", "--config", bad, "--out-dir", tmp_path / "never" / "a"],
+                ["reproduce", "--table", "2", "--raw", ml100k_dir, "--seeds",
+                 "1", "--config", bad, "--out-dir", kept / "empty" / "a" / "b"],
+                ["train", "--data", prepared_path, "--task", "rating",
+                 "--config", bad, "--out", tmp_path / "new" / "sub" / "m.json",
+                 "--log", kept / "logs" / "k.csv"],
+                ["train", "--data", prepared_path, "--task", "rating",
+                 "--config", bad, "--out", kept / "empty" / "m.json",
+                 "--log", tmp_path / "new" / "other" / "k.csv"]):
+            code, _, err = run(capsys, *argv)
+            assert (code, err) == (1, f"error: {bad}: {DEEPLY_NESTED_ERROR}\n")
+            assert sorted(p.relative_to(tmp_path)
+                          for p in tmp_path.rglob("*")) == [
+                Path(name) for name in ("deep.json", "kept", "kept/empty",
+                                        "prepared.json",
+                                        "prepared.json.manifest.json")]
+        # a made directory that holds a file stays: the model goes into it,
+        # then the log, to the directory itself, fails
+        cfg = write_config(tmp_path, epochs=2, hidden_dim=4)
+        model = tmp_path / "new" / "m.json"
+        code, _, err = run(capsys, "train", "--data", prepared_path, "--task",
+                           "rating", "--config", cfg, "--out", model,
+                           "--log", model.parent)
+        assert code == 1
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert model.exists()
+
+
 class TestMalformedArtifacts:
     """A malformed model, prepared-data or config file is a one-line error
     naming the file (and a missing entry), not a traceback."""

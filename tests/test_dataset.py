@@ -1,6 +1,7 @@
 import hashlib
 import json
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
@@ -515,10 +516,12 @@ def assert_same_bits(actual, expected):
 
 
 class TestBuildVectors:
-    """build_vectors against the plain construction of tests/util.py."""
+    """build_vectors against the plain construction of tests/util.py: a
+    user's row from the dataset, an item's from its transpose."""
 
     def assert_equals_reference(self, ds, side, orientation, rows=None):
-        x, mask = built_input(ds, side, orientation, rows)
+        x, mask = built_input(ds if orientation == "user" else ds.T, side,
+                              rows)
         expected_x, expected_mask = reference_input(ds, side, orientation)
         if rows is not None:
             expected_x, expected_mask = expected_x[rows], expected_mask[rows]
@@ -529,7 +532,7 @@ class TestBuildVectors:
     def test_single_observation(self):
         ds = RatingDataset(2, 2, np.array([0], np.int32), np.array([0], np.int32),
                            np.array([5.0]), np.array([0], np.int64))
-        x, mask = built_input(ds, side_info(RNG(0), 2, 0), "user")
+        x, mask = built_input(ds, side_info(RNG(0), 2, 0))
         np.testing.assert_array_equal(x, [[5, 0], [0, 0]])
         np.testing.assert_array_equal(mask, [[True, False], [False, False]])
 
@@ -537,15 +540,15 @@ class TestBuildVectors:
         rng = RNG(9)
         for _ in range(20):
             ds = make_random_dataset(rng, 5, 7, 15)
-            by_user = built_input(ds, side_info(rng, 5, 2), "user")
-            by_item = built_input(ds, side_info(rng, 7, 3), "item")
+            by_user = built_input(ds, side_info(rng, 5, 2))
+            by_item = built_input(ds.T, side_info(rng, 7, 3))
             np.testing.assert_array_equal(by_user[0][:, :7].T,
                                           by_item[0][:, :5])
             np.testing.assert_array_equal(by_user[1].T, by_item[1])
 
     def test_fully_observed_mask_all_true(self):
         ds = make_random_dataset(RNG(2), 3, 3, 9)
-        assert built_input(ds, side_info(RNG(1), 3, 2), "user")[1].all()
+        assert built_input(ds, side_info(RNG(1), 3, 2))[1].all()
 
     @pytest.mark.parametrize("orientation", ["user", "item"])
     def test_equals_dense_user_matrix_construction(self, orientation):
@@ -573,15 +576,15 @@ class TestBuildVectors:
         ds = make_random_dataset(RNG(16), 6, 5, 12)
         side = side_info(RNG(17), 6, 2)
         x = np.full((3, 7), np.nan)
-        build_vectors(ds, side, "user", [4, 0, 4], x)
-        assert_same_bits(x, built_input(ds, side, "user", [4, 0, 4])[0])
+        build_vectors(ds, side, [4, 0, 4], x)
+        assert_same_bits(x, built_input(ds, side, [4, 0, 4])[0])
 
     @pytest.mark.parametrize("x_shape, mask_shape", [
         ((2, 7), (3, 5)), ((3, 6), (3, 5)), ((3, 7), (3, 4))])
     def test_buffers_must_fit_the_rows(self, x_shape, mask_shape):
         ds = make_random_dataset(RNG(18), 6, 5, 12)
         with pytest.raises(ValueError, match="do not fit 3 rows of 5 \\+ 2"):
-            build_vectors(ds, side_info(RNG(19), 6, 2), "user", [0, 1, 2],
+            build_vectors(ds, side_info(RNG(19), 6, 2), [0, 1, 2],
                           np.empty(x_shape), np.empty(mask_shape, bool))
 
     @pytest.mark.parametrize("orientation", ["user", "item"])
@@ -616,24 +619,63 @@ class TestBuildVectors:
         assert (x[:, :-1] != 0).sum() == 1
 
     @pytest.mark.parametrize("orientation,expected", [
-        ("user", "profiles cover 2 users, dataset has 3"),
-        ("item", "features cover 2 items, dataset has 4")])
+        ("user", "side information has 2 rows for 3 rating rows"),
+        ("item", "side information has 2 rows for 4 rating rows")])
     def test_side_must_cover_every_row_entity(self, orientation, expected):
         ds = make_random_dataset(RNG(3), 3, 4, 6)
-        with pytest.raises(ValueError, match=expected):
-            built_input(ds, side_info(RNG(3), 2, 1), orientation)
+        with pytest.raises(ValueError, match=f"^{expected}$"):
+            built_input(ds if orientation == "user" else ds.T,
+                        side_info(RNG(3), 2, 1))
 
-    def test_unknown_orientation_rejected(self):
-        ds = make_random_dataset(RNG(3), 3, 4, 6)
-        with pytest.raises(ValueError, match="orientation"):
-            build_vectors(ds, side_info(RNG(3), 3, 1), "rating", [0],
-                          np.empty((1, 5)))
+
+class TestTranspose:
+    """``ds.T`` is the dataset with users and items swapped, sharing its
+    triple arrays: an item's row of ratings is the user row of ``T``."""
+
+    def dataset(self):
+        ds = make_random_dataset(RNG(21), 6, 9, 25)
+        return replace(ds, user_ids=tuple(range(10, 16)),
+                       item_ids=tuple(range(100, 109)), rating_scale=(0, 7))
+
+    def test_swaps_counts_arrays_and_id_maps(self):
+        ds = self.dataset()
+        t = ds.T
+        assert (t.num_users, t.num_items) == (9, 6)
+        assert t.user_ids == ds.item_ids and t.item_ids == ds.user_ids
+        assert t.rating_scale == ds.rating_scale
+        for mine, theirs in ((t.users, ds.items), (t.items, ds.users),
+                             (t.ratings, ds.ratings),
+                             (t.timestamps, ds.timestamps)):
+            assert_same_bits(mine, theirs)
+            assert np.shares_memory(mine, theirs)
+            assert not mine.flags.writeable
+        assert [(i, u, r, s) for u, i, r, s in ds.triples()] == t.triples()
+        assert t is ds.T
+        assert t.T.triples() == ds.triples()
+        assert (t.T.num_users, t.T.user_ids) == (ds.num_users, ds.user_ids)
+
+    def test_user_index_is_the_stable_item_index(self):
+        # the item-major index of ds: the stable argsort of its items
+        for ds in (self.dataset(), make_random_dataset(RNG(22), 40, 10, 300)):
+            perm = RNG(23).permutation(len(ds))
+            shuffled = replace(ds, users=ds.users[perm], items=ds.items[perm],
+                               ratings=ds.ratings[perm],
+                               timestamps=ds.timestamps[perm])
+            for d in (ds, shuffled):
+                order = np.argsort(d.items, kind="stable")
+                indptr = np.concatenate(
+                    [[0], np.cumsum(np.bincount(d.items,
+                                                minlength=d.num_items))])
+                got = d.T.by_user
+                assert_same_bits(got[0], indptr.astype(np.int64))
+                assert_same_bits(got[1], d.users[order])
+                assert_same_bits(got[2], d.ratings[order])
 
 
 class TestPerUserIndex:
-    """Each dataset object indexes its own triples by user and by item:
-    split halves and binarized sets get their own indexes, item counts and
-    popularity orders, read-only."""
+    """Each dataset object indexes its own triples by user, and its
+    transpose by item: split halves and binarized sets get their own
+    indexes, item counts and popularity orders, read-only."""
 
     def assert_indexes_own_triples(self, ds):
         indptr, items, ratings = ds.by_user
@@ -647,8 +689,8 @@ class TestPerUserIndex:
             got_items, got_ratings = ds.user_slice(u)
             assert got_items.tolist() == [i for i, _ in owned]
             assert got_ratings.tolist() == [r for _, r in owned]
-        # and its item-major twin
-        indptr, users, ratings = ds.by_item
+        # and its transpose's, by item
+        indptr, users, ratings = ds.T.by_user
         assert len(indptr) == ds.num_items + 1
         for i in range(ds.num_items):
             owned = [(u, r) for u, ii, r, _ in ds.triples() if ii == i]
@@ -661,11 +703,12 @@ class TestPerUserIndex:
         assert ds.item_counts.tolist() == counts
         assert ds.popularity.tolist() == sorted(range(ds.num_items),
                                                 key=lambda i: (-counts[i], i))
-        for arr in (*ds.by_user, *ds.by_item, ds.item_counts, ds.popularity):
+        for arr in (*ds.by_user, *ds.T.by_user, ds.item_counts,
+                    ds.popularity):
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
                 arr[...] = 0
-        assert ds.by_user is ds.by_user and ds.by_item is ds.by_item
+        assert ds.by_user is ds.by_user and ds.T.by_user is ds.T.by_user
         assert ds.item_counts is ds.item_counts
         assert ds.popularity is ds.popularity
 

@@ -95,7 +95,7 @@ def one_user_input(ratings, profile):
                        np.zeros(len(items), np.int64))
     side = SideInfoMatrix(np.array([profile], float).reshape(1, -1),
                           tuple(map(str, range(len(profile)))), (1,))
-    return built_input(ds, side, "user")[0][0]
+    return built_input(ds, side)[0][0]
 
 
 class TestConcatAndTarget:
@@ -121,12 +121,12 @@ class TestConcatAndTarget:
             r = np.zeros((m, n))
             r[ds.users, ds.items] = ds.ratings
             np.testing.assert_array_equal(
-                built_input(ds, side, "user")[0][:, :n], r)
+                built_input(ds, side)[0][:, :n], r)
 
     def test_batched_concat(self):
         ds = make_random_dataset(RNG(1), 2, 3, 4)
         side = SideInfoMatrix(np.ones((2, 2)), ("a", "b"), (1, 2))
-        assert built_input(ds, side, "user")[0].shape == (2, 5)
+        assert built_input(ds, side)[0].shape == (2, 5)
 
 
 class TestForward:

@@ -175,7 +175,8 @@ class TestTrainRanking:
     def test_profile_count_mismatch_rejected(self):
         train, _ = toy_ranking_data()
         bad = SideInfoMatrix(np.zeros((5, 2)), ("a", "b"), (1, 2, 3, 4, 5))
-        with pytest.raises(ValueError, match="users"):
+        with pytest.raises(ValueError, match="^side information has 5 rows "
+                                             "for 3 rating rows$"):
             train_ranking(train, bad, ranking_cfg(epochs=1))
 
     @pytest.mark.parametrize("trainer, other_cfg, task", [
@@ -433,7 +434,8 @@ class TestPredictRatings:
     def test_features_must_cover_every_item(self):
         model, train, features = self.trained()
         short = SideInfoMatrix(features.rows[:1], ("f",), (1,))
-        with pytest.raises(ValueError, match="features cover 1 items"):
+        with pytest.raises(ValueError, match="^side information has 1 rows "
+                                             "for 2 rating rows$"):
             predict_ratings(model, train, short)
 
 
@@ -541,7 +543,7 @@ class TestRecommendTopN:
             np.testing.assert_array_equal(
                 scores, forward(model.params, x[user])[1].view(np.uint64))
             # the same bits as the user's row built alone, as a one-row batch
-            row, _ = built_input(liked, profiles, "user", [user])
+            row, _ = built_input(liked, profiles, [user])
             np.testing.assert_array_equal(
                 scores, forward(model.params, row)[1][0].view(np.uint64))
 

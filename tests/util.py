@@ -32,18 +32,17 @@ def make_random_dataset(rng: np.random.Generator, num_users: int,
     )
 
 
-def built_input(ds, side, orientation, rows=None):
-    """``build_vectors`` of ``rows`` (every row by default) into new input
-    and mask buffers that start as NaN and True, so that every entry it
-    leaves unwritten shows."""
+def built_input(ds, side, rows=None):
+    """``build_vectors`` of the user rows ``rows`` (every user by default)
+    into new input and mask buffers that start as NaN and True, so that
+    every entry it leaves unwritten shows."""
     from semiae.dataset import build_vectors
 
-    n, width = ((ds.num_users, ds.num_items) if orientation == "user"
-                else (ds.num_items, ds.num_users))
-    rows = np.arange(n) if rows is None else np.asarray(rows, np.intp)
-    x = np.full((len(rows), width + side.dim), np.nan)
-    mask = np.ones((len(rows), width), bool)
-    build_vectors(ds, side, orientation, rows, x, mask)
+    rows = (np.arange(ds.num_users) if rows is None
+            else np.asarray(rows, np.intp))
+    x = np.full((len(rows), ds.num_items + side.dim), np.nan)
+    mask = np.ones((len(rows), ds.num_items), bool)
+    build_vectors(ds, side, rows, x, mask)
     return x, mask
 
 

@@ -5,7 +5,7 @@ In a temporary directory, on a ``semiae.synthetic`` layout, runs each
 command in its own process, as a user would:
 
     prepare; train and evaluate (rating, then ranking); recommend;
-    reproduce --table 2
+    reproduce --table 2; reproduce --table 1
 
 and prints one ``sha256  name`` line for every file the commands wrote and
 for the stdout and stderr of every command.  Manifests are hashed without
@@ -91,6 +91,11 @@ def commands(fmt: str) -> list[tuple[str, list[str]]]:
                        "--format", fmt, "--seeds", "1,2",
                        "--config", "reproduce.cfg.json",
                        "--out-dir", "out/table2"]),
+        # the item rows of the rating model, through the table 1 cells
+        ("reproduce-table1", ["reproduce", "--table", "1", "--raw", "raw",
+                              "--format", fmt, "--seeds", "1",
+                              "--config", "rating.cfg.json",
+                              "--out-dir", "out/table1"]),
     ]
 
 
