@@ -14,13 +14,13 @@ rng = np.random.default_rng(0)
 
 # A user has rated 4 of 6 items (their rating vector) and carries 3 profile
 # values.  The network input is the concatenation, rating block first; the
-# output only reconstructs the rating block.
+# output only reconstructs the rating block.  Row k of the side matrix
+# belongs to user k of the dataset.
 user = RatingDataset(num_users=1, num_items=6, users=np.zeros(4, np.int32),
                      items=np.array([0, 2, 4, 5], np.int32),
                      ratings=np.array([5.0, 3.0, 1.0, 4.0]),
                      timestamps=np.zeros(4, np.int64))
-profile = SideInfoMatrix(np.array([[1.0, 0.0, 0.62]]), ("F", "M", "age"),
-                         entity_ids=(1,))
+profile = SideInfoMatrix(np.array([[1.0, 0.0, 0.62]]), ("F", "M", "age"))
 # the builder writes the rows it is given (here the one user) into buffers
 # the caller owns
 batch, observed = np.empty((1, 9)), np.empty((1, 6), bool)

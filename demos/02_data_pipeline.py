@@ -12,17 +12,20 @@ from semiae.dataset import (binarize, build_vectors, load_raw_directory,
                             split)
 from semiae.synthetic import write_layout
 
-raw = write_layout(Path(tempfile.mkdtemp()) / "ml-100k-mini", "ml-100k",
-                   num_users=12, num_items=9, num_ratings=60, seed=5)
-print("raw files:", sorted(p.name for p in raw.iterdir()))
-
-data = load_raw_directory(raw, "ml-100k")
+with tempfile.TemporaryDirectory() as tmp:
+    raw = write_layout(Path(tmp) / "ml-100k-mini", "ml-100k", num_users=12,
+                       num_items=9, num_ratings=60, seed=5)
+    print("raw files:", sorted(p.name for p in raw.iterdir()))
+    data = load_raw_directory(raw, "ml-100k")
 ds = data.ratings
 print(f"\nparsed: {ds.num_users} users x {ds.num_items} items, "
       f"{len(ds)} observed ratings")
 print("first triple (user, item, rating, timestamp):", ds.triples()[0])
 
-print("\nuser profile encoding:", data.user_side.dim, "columns")
+# The side files are parsed into the dataset's index order: row k of each
+# side matrix belongs to user (or item) k, whose raw id is in the id map.
+print("\nuser profile encoding:", data.user_side.dim, "columns, one row for",
+      f"each of the {ds.num_users} users; row 0 is raw user {ds.user_ids[0]}")
 print("  blocks:", data.user_side.column_labels[:2], "...",
       data.user_side.column_labels[-7:])
 print("  one row:", np.flatnonzero(data.user_side.rows[0]),

@@ -28,10 +28,11 @@ ds = RatingDataset(M, N,
                    np.array([t[1] for t in triples], np.int32),
                    np.array([t[2] for t in triples]),
                    np.zeros(len(triples), np.int64))
+# one side row per user and per item, in the dataset's index order
 profiles = SideInfoMatrix((np.arange(M) % 2).reshape(-1, 1).astype(float),
-                          ("group",), tuple(range(M)))
+                          ("group",))
 features = SideInfoMatrix((np.arange(N) // 20).reshape(-1, 1).astype(float),
-                          ("half",), tuple(range(N)))
+                          ("half",))
 train, test = split(ds, 0.5, seed=2)
 
 print("=== rating prediction (item rows, masked loss) ===")

@@ -82,15 +82,24 @@ def _write_manifest(args: argparse.Namespace, outputs: list[Path],
         json.dump(doc, fh, indent=2, sort_keys=True)
 
 
+def _training_log(args: argparse.Namespace) -> Path:
+    """The loss-history CSV ``train`` writes: ``--log``, or by default
+    ``--out`` with the suffix ``.losses.csv``."""
+    return Path(args.log) if args.log else Path(args.out).with_suffix(".losses.csv")
+
+
 def _check_outputs(args: argparse.Namespace) -> None:
-    """No file that a command writes (``--out``, ``--log`` and the manifest
-    of ``--out``) may be named twice, nor be an input."""
+    """No file that a command writes (``--out``, ``--log`` or its default,
+    and the manifest of ``--out``) may be named twice, nor be an input."""
     files = [(f"--{flag} {value}", Path(value).resolve(), flag in OUTPUT_FLAGS)
              for flag in ("out", "log", "data", "model", "config")
              if (value := getattr(args, flag, None)) is not None]
     if (out := getattr(args, "out", None)) is not None:
         files.append((f"the manifest of --out {out}",
                       Path(f"{out}.manifest.json").resolve(), True))
+    if args.command == "train" and not args.log:
+        log_path = _training_log(args)
+        files.append((f"the default --log {log_path}", log_path.resolve(), True))
     for k, (what, path, written) in enumerate(files):
         for other, other_path, other_written in files[k + 1:]:
             if path == other_path and (written or other_written):
@@ -195,7 +204,7 @@ def cmd_train(args) -> Written:
     model = _fit(prepared, cfg, train)
     out = Path(args.out)
     save_model(out, model, {"train_fraction": args.train_fraction})
-    log_path = Path(args.log) if args.log else out.with_suffix(".losses.csv")
+    log_path = _training_log(args)
     write_training_log(log_path, model.loss_history)
     print(f"trained {cfg.task} model: hidden={cfg.hidden_dim} "
           f"epochs={cfg.epochs} final_loss={model.loss_history[-1]:.6f}")

@@ -18,8 +18,8 @@ fields of ASCII digits, with ratings from 1 to 5 and values below 10**18,
 is converted by one numpy call, and the line reader handles every block
 that is not plain, so both give the same arrays and the same errors.  Raw
 1-based entity ids are remapped to contiguous 0-based indices in ascending
-raw-id order; the mapping is kept on the returned objects so that
-predictions can be reported against the original ids.
+raw-id order; the mapping is kept on the dataset so that predictions can
+be reported against the original ids.
 """
 
 from __future__ import annotations
@@ -217,24 +217,21 @@ class RatingDataset:
 
 @dataclass(frozen=True)
 class SideInfoMatrix:
-    """Dense per-entity side-information vectors (one row per entity).
-
-    ``entity_ids`` carries the raw file id of each row so the matrix can be
-    aligned with a :class:`RatingDataset`'s index order.
-    """
+    """Dense per-entity side-information vectors: row k belongs to entity k
+    of the :class:`RatingDataset` it was made for, whose id maps it shares."""
 
     rows: np.ndarray                 # (num_entities, K) float64
     column_labels: tuple[str, ...]
-    entity_ids: tuple[int, ...]
-    num_missing_year: int = 0
+    num_missing_year: int = 0        # item file lines without a year
 
     def __post_init__(self) -> None:
         if self.rows.ndim != 2:
             raise ValueError("rows must be a 2-d matrix")
         if self.rows.shape[1] != len(self.column_labels):
             raise ValueError("column_labels length must match row width")
-        if self.rows.shape[0] != len(self.entity_ids):
-            raise ValueError("entity_ids length must match row count")
+        if type(self.num_missing_year) is not int or self.num_missing_year < 0:
+            raise ValueError(f"num_missing_year {self.num_missing_year!r} "
+                             f"is not a non-negative integer")
         if self.rows.size and not np.all(np.isfinite(self.rows)):
             raise ValueError("side information entries must be finite")
         store_read_only(self, "rows")
@@ -470,35 +467,44 @@ def parse_ratings(path: str | Path, format: str = "ml-100k") -> RatingDataset:
     return ds
 
 
-def _hot_rows(path: str | Path, layout: dict, role: str, width: int, decode):
-    """One row of ``width`` per line of the ``role`` side file, zero but
-    for a one at each column ``decode(fields)`` lists; also the raw ids,
-    and the second value ``decode`` gives for each line.  A repeated id is
-    an error."""
-    ids: dict[int, None] = {}
+def _hot_rows(path: str | Path, layout: dict, role: str, width: int, decode,
+              raw_ids):
+    """One row of ``width`` for each raw id of ``raw_ids``, in that order:
+    zero but for a one at each column ``decode(fields)`` lists for the id's
+    line of the ``role`` side file; also the second value ``decode`` gives
+    for each line, by raw id.  Every line is decoded and checked, and a
+    repeated id is an error; the lines of other ids are then dropped, and
+    an id of ``raw_ids`` with no line is an error naming the file."""
+    row = {raw: k for k, raw in enumerate(raw_ids)}
+    extras: dict[int, object] = {}
     hot: list[int] = []
-    extras = []
     with _raw_fields(path, layout, role) as lines:
         for f in lines:
-            raw_id, at = int(f[0]), len(ids) * width
-            if raw_id in ids:
+            raw_id = int(f[0])
+            if raw_id in extras:
                 raise ValueError(f"duplicate {role[:-1]} id {raw_id}")
-            ids[raw_id] = None
-            columns, extra = decode(f)
-            hot += [at + c for c in columns]
-            extras.append(extra)
-    matrix = np.zeros((len(ids), width))
+            columns, extras[raw_id] = decode(f)
+            if raw_id in row:
+                hot += [row[raw_id] * width + c for c in columns]
+    missing = [raw for raw in raw_ids if raw not in extras]
+    if missing:
+        raise ValueError(f"{path}: no side information for raw ids {missing[:10]}"
+                         + (" ..." if len(missing) > 10 else ""))
+    matrix = np.zeros((len(row), width))
     matrix.flat[np.asarray(hot, np.intp)] = 1.0
-    return matrix, tuple(ids), extras
+    return matrix, extras
 
 
-def parse_user_profiles(path: str | Path, format: str = "ml-100k") -> SideInfoMatrix:
-    """Encode user profiles as gender(2) ++ occupation(21) ++ age-group(7).
+def parse_user_profiles(path: str | Path, raw_ids,
+                        format: str = "ml-100k") -> SideInfoMatrix:
+    """Encode the profiles of the users ``raw_ids``, one row each in that
+    order, as gender(2) ++ occupation(21) ++ age-group(7).
 
     Both layouts share the schema (K = 30): gender one-hot in (F, M) order,
     occupation one-hot over the dataset's 21-word vocabulary, and a one-hot
     over the seven ml-1m native age groups.  Zip codes are discarded.  A
-    repeated user id is a :class:`ParseError`.
+    malformed line or a repeated user id is a :class:`ParseError`, and a
+    user of ``raw_ids`` with no line a ValueError naming the file.
     """
     layout = _layout(format)
     labels = (("gender=F", "gender=M")
@@ -511,44 +517,30 @@ def parse_user_profiles(path: str | Path, format: str = "ml-100k") -> SideInfoMa
         return (_pick(("F", "M"), gender, "gender"), 2 + occupation,
                 age_at + age), None
 
-    matrix, ids, _ = _hot_rows(path, layout, "users", len(labels), columns)
-    return SideInfoMatrix(matrix, labels, ids)
+    matrix, _ = _hot_rows(path, layout, "users", len(labels), columns, raw_ids)
+    return SideInfoMatrix(matrix, labels)
 
 
-def parse_item_features(path: str | Path, format: str = "ml-100k") -> SideInfoMatrix:
-    """Encode item features as genre multi-hot ++ one normalized year scalar.
+def parse_item_features(path: str | Path, raw_ids,
+                        format: str = "ml-100k") -> SideInfoMatrix:
+    """Encode the features of the items ``raw_ids``, one row each in that
+    order, as genre multi-hot ++ one normalized year scalar.
 
     The year scalar is (year - 1900)/100 clamped to [0, 1]; items without a
-    release year get scalar 0 and are counted in ``num_missing_year``.  A
-    repeated item id is a :class:`ParseError`.
+    release year get scalar 0, and ``num_missing_year`` counts every line
+    of the file without one.  Errors are as in :func:`parse_user_profiles`.
     """
     layout = _layout(format)
     labels = tuple(f"genre={g}" for g in layout["genres"]) + ("year",)
-    matrix, ids, years = _hot_rows(path, layout, "items", len(labels),
-                                   layout["item"])
+    matrix, years = _hot_rows(path, layout, "items", len(labels),
+                              layout["item"], raw_ids)
     matrix[:, -1] = [0.0 if year is None else
                      min(max((year - 1900) / 100.0, 0.0), 1.0)
-                     for year in years]
-    missing_year = years.count(None)
+                     for year in map(years.get, raw_ids)]
+    missing_year = list(years.values()).count(None)
     if missing_year:
         log.warning("%s: %d items without a release year", path, missing_year)
-    return SideInfoMatrix(matrix, labels, ids, missing_year)
-
-
-def align_side_info(side: SideInfoMatrix, raw_ids: tuple[int, ...]) -> SideInfoMatrix:
-    """Reorder side-information rows to follow a dataset's raw-id order.
-
-    Entities present in ``side`` but absent from ``raw_ids`` are dropped;
-    a dataset entity with no side-information row is an error.
-    """
-    pos = {raw: k for k, raw in enumerate(side.entity_ids)}
-    missing = [raw for raw in raw_ids if raw not in pos]
-    if missing:
-        raise ValueError(f"no side information for raw ids {missing[:10]}"
-                         + (" ..." if len(missing) > 10 else ""))
-    order = np.asarray([pos[raw] for raw in raw_ids], np.int64)
-    return SideInfoMatrix(side.rows[order], side.column_labels, tuple(raw_ids),
-                          side.num_missing_year)
+    return SideInfoMatrix(matrix, labels, missing_year)
 
 
 def split(ds: RatingDataset, train_fraction: float, seed: int
@@ -627,7 +619,8 @@ def build_vectors(ds: RatingDataset, side: SideInfoMatrix, rows,
 
 @dataclass(frozen=True)
 class PreparedData:
-    """A parsed dataset bundled with aligned side information."""
+    """A parsed dataset and its side information, whose row k belongs to
+    the dataset's user or item k."""
 
     ratings: RatingDataset
     user_side: SideInfoMatrix
@@ -702,10 +695,9 @@ def _side_to_json(side: SideInfoMatrix) -> dict:
     }
 
 
-def _side_from_json(obj: dict, entity_ids: tuple[int, ...]) -> SideInfoMatrix:
-    rows = np.asarray(obj["rows"], np.float64).reshape(len(entity_ids),
-                                                       obj["dim"])
-    return SideInfoMatrix(rows, tuple(obj["column_labels"]), entity_ids,
+def _side_from_json(obj: dict, num_entities: int) -> SideInfoMatrix:
+    rows = np.asarray(obj["rows"], np.float64).reshape(num_entities, obj["dim"])
+    return SideInfoMatrix(rows, tuple(obj["column_labels"]),
                           obj.get("num_missing_year", 0))
 
 
@@ -767,15 +759,15 @@ def read_prepared(path: str | Path) -> PreparedData:
                              f"[{low}, {high}]")
         return PreparedData(
             ratings=ds,
-            user_side=_side_from_json(doc["user_side_info"], ds.user_ids),
-            item_side=_side_from_json(doc["item_side_info"], ds.item_ids),
+            user_side=_side_from_json(doc["user_side_info"], ds.num_users),
+            item_side=_side_from_json(doc["item_side_info"], ds.num_items),
         )
 
 
 def load_raw_directory(raw_dir: str | Path, format: str = "ml-100k") -> PreparedData:
-    """Parse a raw MovieLens directory and align side info to the ratings;
-    a rated user or item with no side row is an error naming the side
-    file."""
+    """Parse a raw MovieLens directory: the ratings, then the side rows of
+    their users and items in the dataset's index order; a rated user or
+    item with no side row is an error naming the side file."""
     layout = _layout(format)
     paths = {role: Path(raw_dir) / layout[role][0]
              for role in ("ratings", "users", "items")}
@@ -785,12 +777,6 @@ def load_raw_directory(raw_dir: str | Path, format: str = "ml-100k") -> Prepared
                 f"missing {role} file {path} (expected the raw {format} layout: "
                 f"{', '.join(p.name for p in paths.values())})")
     ds = parse_ratings(paths["ratings"], format)
-    sides = []
-    for role, parse, raw_ids in (("users", parse_user_profiles, ds.user_ids),
-                                 ("items", parse_item_features, ds.item_ids)):
-        side = parse(paths[role], format)
-        try:
-            sides.append(align_side_info(side, raw_ids))
-        except ValueError as exc:
-            raise ValueError(f"{paths[role]}: {exc}") from None
-    return PreparedData(ds, *sides)
+    return PreparedData(
+        ds, parse_user_profiles(paths["users"], ds.user_ids, format),
+        parse_item_features(paths["items"], ds.item_ids, format))

@@ -302,7 +302,7 @@ def test_criterion_10c_exclusion_soundness(ds, data):
     params = SemiAEParams(Q=np.zeros((n + 1, 1)), Q1=np.zeros((1, n)),
                           p=np.zeros(1), p1=scores, g="identity", f="identity")
     model = TrainedModel(params, (0.0,), TrainConfig.defaults("ranking"))
-    profiles = SideInfoMatrix(np.ones((m, 1)), ("c",), tuple(range(m)))
+    profiles = SideInfoMatrix(np.ones((m, 1)), ("c",))
     user = data.draw(st.integers(0, m - 1))
     consumed = set(btrain.items[btrain.users == user].tolist())
     for rec in (recommend_top_n(model, btrain, profiles, user, n),
@@ -320,14 +320,12 @@ def test_criterion_10d_no_test_leakage(ds, task, data):
                       regularization=0.0, optimizer="sgd", g="identity",
                       f="identity", epochs=2, batch_size=8, seed=9)
     if task == "rating":
-        features = SideInfoMatrix(RNG(n).random((n, 1)), ("a",),
-                                  tuple(range(n)))
+        features = SideInfoMatrix(RNG(n).random((n, 1)), ("a",))
         m1, m2 = (train_rating(train, features, cfg) for _ in range(2))
         np.testing.assert_array_equal(predict_ratings(m1, train, features),
                                       predict_ratings(m2, train, features))
     else:
-        profiles = SideInfoMatrix(RNG(m).random((m, 1)), ("a",),
-                                  tuple(range(m)))
+        profiles = SideInfoMatrix(RNG(m).random((m, 1)), ("a",))
         btrain = binarize(train, 2.0)
         if len(btrain) == 0:
             # no training rating above 2: the one error, not a model

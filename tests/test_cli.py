@@ -691,26 +691,35 @@ class TestOutputFlags:
         # the same file under another spelling
         ("train", {"out": "{m}", "log": "{tmp}/sub/../m2.json"}, "{m}",
          "--out {m} and --log {tmp}/sub/../m2.json"),
+        # without --log, train writes <out stem>.losses.csv
+        ("train", {"data": "{d}", "out": "{tmp}/d.json"}, "{d}",
+         "--data {d} and the default --log {d}"),
         ("evaluate", {"out": "{model}"}, "{model}",
          "--out {model} and --model {model}"),
         ("evaluate", {"out": "{data}"}, "{data}",
          "--out {data} and --data {data}"),
     ], ids=["out-is-log", "log-is-out-manifest", "out-is-data", "log-is-data",
             "out-is-config", "log-is-config", "out-is-log-respelled",
-            "evaluate-out-is-model", "evaluate-out-is-data"])
+            "default-log-is-data", "evaluate-out-is-model",
+            "evaluate-out-is-data"])
     def test_an_output_naming_a_taken_file_is_a_one_line_error(
             self, files, tmp_path, capsys, command, flags, clash, what):
-        names = {**files, "tmp": tmp_path, "m": tmp_path / "m2.json"}
+        names = {**files, "tmp": tmp_path, "m": tmp_path / "m2.json",
+                 "d": tmp_path / "d.losses.csv"}
         (tmp_path / "m2.json").write_text("an earlier model")
         (tmp_path / "m2.json.manifest.json").write_text("its manifest")
+        # prepared data under the name of a training log
+        (tmp_path / "d.losses.csv").write_bytes(files["data"].read_bytes())
         clash = Path(clash.format(**names))
         before = {p: p.read_bytes() for p in tmp_path.rglob("*")
                   if p.is_file()}
-        argv = {"train": ["train", "--data", files["data"], "--task",
-                          "ranking", "--config", files["config"]],
+        argv = {"train": ["train", "--task", "ranking", "--config",
+                          files["config"]],
                 "evaluate": ["evaluate", "--model", files["model"], "--data",
                              files["data"], "--train-fraction", "0.8",
                              "--seed", "0"]}[command]
+        if command == "train":
+            flags = {"data": "{data}", **flags}
         for flag, value in flags.items():
             argv += [f"--{flag}", value.format(**names)]
         if command == "train" and "out" not in flags:
@@ -852,7 +861,9 @@ class TestMalformedArtifacts:
                                       "infinite-rating", "rating-above-scale",
                                       "rating-below-scale", "schema-version",
                                       "user-past-count", "negative-item",
-                                      "deeply-nested"])
+                                      "deeply-nested", "missing-year-list",
+                                      "negative-missing-year",
+                                      "boolean-missing-year"])
     def test_malformed_prepared_document(self, ranking_model, prepared_path,
                                          tmp_path, capsys, edit):
         text = prepared_path.read_text()
@@ -900,6 +911,14 @@ class TestMalformedArtifacts:
             text = json.dumps(doc)
             expected = (f"prepared data: rating {rating} outside the "
                         f"rating_scale [1.0, 5.0]")
+        elif "missing-year" in edit:
+            count = {"missing-year-list": [1, "x"],
+                     "negative-missing-year": -1,
+                     "boolean-missing-year": True}[edit]
+            doc["item_side_info"]["num_missing_year"] = count
+            text = json.dumps(doc)
+            expected = (f"prepared data: num_missing_year {count!r} is not a "
+                        f"non-negative integer")
         else:
             doc["triples"][5] = doc["triples"][5][:3] if edit == "short-triple" \
                 else "1234"

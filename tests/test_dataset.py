@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 import tempfile
 from dataclasses import replace
 from pathlib import Path
@@ -14,10 +15,11 @@ from hypothesis.extra import numpy as hnp
 from semiae import dataset
 from semiae.dataset import (FORMATS, LAYOUTS, ML100K_GENRES,
                             ML100K_OCCUPATIONS, ParseError, PreparedData,
-                            RatingDataset, SideInfoMatrix, align_side_info, binarize, build_vectors,
-                            load_raw_directory, located, parse_item_features,
-                            parse_ratings, parse_user_profiles, read_prepared,
-                            split, write_json, write_prepared)
+                            RatingDataset, SideInfoMatrix, binarize,
+                            build_vectors, load_raw_directory, located,
+                            parse_item_features, parse_ratings,
+                            parse_user_profiles, read_prepared, split,
+                            write_json, write_prepared)
 from util import (built_input, make_random_dataset, reference_input,
                   reference_parse_ratings)
 
@@ -215,7 +217,7 @@ class TestBlockParse:
 class TestParseUserProfiles:
     def test_ml100k_row_encoding(self, tmp_path):
         path = write_lines(tmp_path / "u.user", ["1|24|M|technician|85711"])
-        side = parse_user_profiles(path, "ml-100k")
+        side = parse_user_profiles(path, (1,), "ml-100k")
         expected = np.zeros(30)
         expected[1] = 1.0                                    # gender=M (F first)
         expected[2 + ML100K_OCCUPATIONS.index("technician")] = 1.0
@@ -228,13 +230,13 @@ class TestParseUserProfiles:
             "1|24|M|technician|85711",
             "2|24|M|technician|99999",
         ])
-        side = parse_user_profiles(path, "ml-100k")
+        side = parse_user_profiles(path, (1, 2), "ml-100k")
         np.testing.assert_array_equal(side.rows[0], side.rows[1])
 
     def test_ml1m_age_code_1_hits_first_bucket(self, tmp_path):
         path = write_lines(tmp_path / "users.dat", ["1::F::1::10::48067"],
                            encoding="latin-1")
-        side = parse_user_profiles(path, "ml-1m")
+        side = parse_user_profiles(path, (1,), "ml-1m")
         age_block = side.rows[0][2 + 21:]
         np.testing.assert_array_equal(age_block,
                                       [1, 0, 0, 0, 0, 0, 0])
@@ -243,22 +245,22 @@ class TestParseUserProfiles:
         rows = [f"{k}|{age}|F|student|11111"
                 for k, age in enumerate([17, 18, 24, 25, 44, 45, 49, 50, 55, 56, 80], 1)]
         side = parse_user_profiles(write_lines(tmp_path / "u.user", rows),
-                                   "ml-100k")
+                                   range(1, 12), "ml-100k")
         buckets = side.rows[:, 2 + 21:].argmax(axis=1)
         assert buckets.tolist() == [0, 1, 1, 2, 3, 4, 4, 5, 5, 6, 6]
 
     def test_unknown_occupation_lists_vocabulary(self, tmp_path):
         path = write_lines(tmp_path / "u.user", ["1|24|M|astronaut|85711"])
         with pytest.raises(ParseError, match="technician"):
-            parse_user_profiles(path, "ml-100k")
+            parse_user_profiles(path, (1,), "ml-100k")
 
     def test_nonpositive_age_rejected(self, tmp_path):
         path = write_lines(tmp_path / "u.user", ["1|0|M|technician|85711"])
         with pytest.raises(ParseError, match="age"):
-            parse_user_profiles(path, "ml-100k")
+            parse_user_profiles(path, (1,), "ml-100k")
 
     def test_every_block_has_exactly_one_hot_entry(self, ml100k_dir):
-        side = parse_user_profiles(ml100k_dir / "u.user", "ml-100k")
+        side = load_raw_directory(ml100k_dir, "ml-100k").user_side
         np.testing.assert_array_equal(side.rows[:, :2].sum(axis=1), 1.0)
         np.testing.assert_array_equal(side.rows[:, 2:2 + 21].sum(axis=1), 1.0)
         np.testing.assert_array_equal(side.rows[:, 2 + 21:].sum(axis=1), 1.0)
@@ -276,7 +278,7 @@ class TestParseItemFeatures:
     def test_genre_flags_and_year_scalar(self, tmp_path):
         path = write_lines(tmp_path / "u.item", [self.item_line(1)],
                            encoding="latin-1")
-        side = parse_item_features(path, "ml-100k")
+        side = parse_item_features(path, (1,), "ml-100k")
         row = side.rows[0]
         assert row[ML100K_GENRES.index("Action")] == 1.0
         assert row[ML100K_GENRES.index("Comedy")] == 1.0
@@ -287,7 +289,7 @@ class TestParseItemFeatures:
         path = write_lines(tmp_path / "u.item",
                            [self.item_line(1, year=None, genres=())],
                            encoding="latin-1")
-        side = parse_item_features(path, "ml-100k")
+        side = parse_item_features(path, (1,), "ml-100k")
         np.testing.assert_array_equal(side.rows[0], np.zeros(20))
         assert side.num_missing_year == 1
 
@@ -296,7 +298,7 @@ class TestParseItemFeatures:
             self.item_line(1, year="1900"),
             self.item_line(2, year="2000"),
         ], encoding="latin-1")
-        side = parse_item_features(path, "ml-100k")
+        side = parse_item_features(path, (1, 2), "ml-100k")
         np.testing.assert_array_equal(side.rows[0][:-1], side.rows[1][:-1])
         assert side.rows[0][-1] == 0.0
         assert side.rows[1][-1] == 1.0
@@ -305,14 +307,14 @@ class TestParseItemFeatures:
         good = write_lines(tmp_path / "movies.dat",
                            ["1::Toy Story (1995)::Animation|Children's|Comedy"],
                            encoding="latin-1")
-        side = parse_item_features(good, "ml-1m")
+        side = parse_item_features(good, (1,), "ml-1m")
         assert side.dim == 19
         assert side.rows[0].sum() == pytest.approx(3 + 0.95)
         bad = write_lines(tmp_path / "movies2.dat",
                           ["1::Oddity (1995)::Mockumentary"],
                           encoding="latin-1")
         with pytest.raises(ParseError, match="unknown genre"):
-            parse_item_features(bad, "ml-1m")
+            parse_item_features(bad, (1,), "ml-1m")
 
 
 class TestSideFileFaults:
@@ -337,16 +339,18 @@ class TestSideFileFaults:
         lineno = len(text.splitlines()) + 1
         with pytest.raises(ParseError,
                            match=rf"{name}:{lineno}: duplicate {kind} id 1$"):
-            parse(path, fmt)
+            parse(path, (), fmt)
 
     @pytest.mark.parametrize("name", ["u.data", "u.user"])
     def test_utf8_bom_names_the_file_and_line_one(self, name, ml100k_dir,
                                                   tmp_path):
         path = tmp_path / name
         path.write_bytes(b"\xef\xbb\xbf" + (ml100k_dir / name).read_bytes())
-        parse = parse_ratings if name == "u.data" else parse_user_profiles
         with pytest.raises(ParseError, match=rf"{name}:1: "):
-            parse(path, "ml-100k")
+            if name == "u.data":
+                parse_ratings(path, "ml-100k")
+            else:
+                parse_user_profiles(path, (), "ml-100k")
 
     # the 1-based numeric fields of each raw file: ids, ages, codes,
     # ratings and timestamps
@@ -367,8 +371,10 @@ class TestSideFileFaults:
         fields[field - 1] = "\xa0" + fields[field - 1]  # a no-break space
         lines[2] = sep.join(fields)
         path = write_lines(tmp_path / name, lines, encoding="latin-1")
-        parse = {"ratings": parse_ratings, "users": parse_user_profiles,
-                 "items": parse_item_features}[role]
+        parse = {"ratings": parse_ratings,
+                 "users": lambda path, fmt: parse_user_profiles(path, (), fmt),
+                 "items": lambda path, fmt: parse_item_features(path, (), fmt)
+                 }[role]
         with pytest.raises(ParseError, match=rf"{name}:3: non-ASCII "
                            rf"character in numeric field {field}: "):
             parse(path, fmt)
@@ -376,7 +382,7 @@ class TestSideFileFaults:
     def test_latin1_bytes_outside_the_numeric_fields_are_read(self, tmp_path):
         path = write_lines(tmp_path / "u.user", ["1|24|M|technician|8571\xe9"],
                            encoding="latin-1")
-        assert parse_user_profiles(path, "ml-100k").entity_ids == (1,)
+        assert parse_user_profiles(path, (1,), "ml-100k").num_entities == 1
 
     @pytest.mark.parametrize("name", ["u.user", "u.item"])
     def test_rated_entity_without_side_row_names_the_side_file(
@@ -393,35 +399,74 @@ class TestSideFileFaults:
 
 
 class TestSideInfoMatrix:
-    @pytest.mark.parametrize("rows, labels, ids, message", [
-        (np.zeros(2), ("a",), (1, 2), "rows must be a 2-d matrix"),
-        (np.zeros((2, 2)), ("a",), (1, 2),
+    BAD_COUNTS = {"negative-count": -1, "float-count": 1.0, "bool-count": True,
+                  "string-count": "1", "list-count": [1, "x"],
+                  "id-tuple-count": (1, 2)}
+
+    @pytest.mark.parametrize("rows, labels, missing_year, message", [
+        (np.zeros(2), ("a",), 0, "rows must be a 2-d matrix"),
+        (np.zeros((2, 2)), ("a",), 0,
          "column_labels length must match row width"),
-        (np.zeros((2, 1)), ("a",), (1,),
-         "entity_ids length must match row count"),
-        (np.array([[0.0], [np.inf]]), ("a",), (1, 2),
-         "side information entries must be finite")])
-    def test_malformed_matrix_rejected(self, rows, labels, ids, message):
-        with pytest.raises(ValueError, match=f"^{message}$"):
-            SideInfoMatrix(rows, labels, ids)
+        (np.array([[0.0], [np.inf]]), ("a",), 0,
+         "side information entries must be finite"),
+        *((np.zeros((2, 1)), ("a",), bad,
+           f"num_missing_year {bad!r} is not a non-negative integer")
+          for bad in BAD_COUNTS.values())],
+        ids=["1-d-rows", "short-labels", "infinite-entry", *BAD_COUNTS])
+    def test_malformed_matrix_rejected(self, rows, labels, missing_year,
+                                       message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            SideInfoMatrix(rows, labels, missing_year)
 
 
-class TestAlignment:
-    def test_rows_follow_dataset_id_order(self, tmp_path):
-        path = write_lines(tmp_path / "u.user", [
-            "5|30|F|artist|11111",
-            "2|50|M|doctor|22222",
-        ])
-        side = parse_user_profiles(path, "ml-100k")
-        aligned = align_side_info(side, (2, 5))
-        assert aligned.entity_ids == (2, 5)
-        np.testing.assert_array_equal(aligned.rows[0], side.rows[1])
+class TestSideRowsInDatasetOrder:
+    """The side parsers give one row per raw id they are asked for, in that
+    order, from a file whose lines may come in any order and may list ids
+    that were never rated."""
 
-    def test_missing_entity_is_an_error(self, tmp_path):
-        path = write_lines(tmp_path / "u.user", ["5|30|F|artist|11111"])
-        side = parse_user_profiles(path, "ml-100k")
-        with pytest.raises(ValueError, match="no side information"):
-            align_side_info(side, (2, 5))
+    USERS = ["5|30|F|artist|11111", "7|20|M|writer|33333",
+             "2|50|M|doctor|22222"]
+
+    def test_rows_follow_the_raw_ids_not_the_file(self, tmp_path):
+        path = write_lines(tmp_path / "u.user", self.USERS)
+        every = parse_user_profiles(path, (5, 7, 2), "ml-100k")
+        side = parse_user_profiles(path, (2, 7, 5), "ml-100k")
+        np.testing.assert_array_equal(side.rows, every.rows[::-1])
+
+    def test_lines_of_other_ids_are_dropped(self, tmp_path):
+        path = write_lines(tmp_path / "u.user", self.USERS)
+        every = parse_user_profiles(path, (5, 7, 2), "ml-100k")
+        side = parse_user_profiles(path, (2, 5), "ml-100k")
+        assert side.num_entities == 2
+        np.testing.assert_array_equal(side.rows, every.rows[[2, 0]])
+
+    def test_year_count_covers_dropped_lines(self, tmp_path):
+        item = TestParseItemFeatures().item_line
+        path = write_lines(tmp_path / "u.item", [
+            item(3, year=None), item(1), item(2, year="1980")],
+            encoding="latin-1")
+        side = parse_item_features(path, (2, 1), "ml-100k")
+        assert side.rows[:, -1].tolist() == [pytest.approx(0.8),
+                                             pytest.approx(0.95)]
+        assert side.num_missing_year == 1
+
+    def test_a_dropped_line_is_still_checked(self, tmp_path):
+        path = write_lines(tmp_path / "u.user",
+                           self.USERS + ["9|40|F|astronaut|44444"])
+        with pytest.raises(ParseError, match=r"u\.user:4: unknown occupation"):
+            parse_user_profiles(path, (5, 2), "ml-100k")
+
+    @pytest.mark.parametrize("parse, name, line", [
+        (parse_user_profiles, "u.user", "5|30|F|artist|11111"),
+        (parse_item_features, "u.item",
+         TestParseItemFeatures().item_line(5))], ids=["users", "items"])
+    def test_missing_id_is_an_error_naming_the_side_file(self, parse, name,
+                                                         line, tmp_path):
+        path = write_lines(tmp_path / name, [line], encoding="latin-1")
+        with pytest.raises(ValueError) as err:
+            parse(path, (2, 5, 8), "ml-100k")
+        assert not isinstance(err.value, ParseError)
+        assert str(err.value) == f"{path}: no side information for raw ids [2, 8]"
 
 
 class TestSplit:
@@ -505,8 +550,7 @@ class TestBinarize:
 def side_info(rng, num_entities, dim):
     """Random side information for ``num_entities`` rows, ``dim`` wide."""
     return SideInfoMatrix(rng.normal(size=(num_entities, dim)),
-                          tuple(f"c{k}" for k in range(dim)),
-                          tuple(range(1, num_entities + 1)))
+                          tuple(f"c{k}" for k in range(dim)))
 
 
 def assert_same_bits(actual, expected):
@@ -747,7 +791,7 @@ class TestPreparedRoundTrip:
         side = raw.user_side
         # and K=0: no profile columns at all
         no_profiles = PreparedData(raw.ratings, SideInfoMatrix(
-            np.empty((side.num_entities, 0)), (), side.entity_ids),
+            np.empty((side.num_entities, 0)), ()),
             raw.item_side)
         for data in (raw, no_profiles):
             p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
@@ -808,8 +852,8 @@ def assert_same_load(got: PreparedData, want: PreparedData):
     for side in ("user_side", "item_side"):
         a, b = getattr(got, side), getattr(want, side)
         assert_same_bits(a.rows, b.rows)
-        assert (a.column_labels, a.entity_ids, a.num_missing_year) == \
-            (b.column_labels, b.entity_ids, b.num_missing_year)
+        assert (a.column_labels, a.num_missing_year) == \
+            (b.column_labels, b.num_missing_year)
 
 
 class TestOneParserUnderMutation:
@@ -976,6 +1020,6 @@ class TestCallersArraysStayWritable:
 
     def test_side_info_matrix(self):
         rows = np.ones((2, 1))
-        side = SideInfoMatrix(rows, ("a",), (1, 2))
+        side = SideInfoMatrix(rows, ("a",))
         assert rows.flags.writeable
         assert not side.rows.flags.writeable

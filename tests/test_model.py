@@ -94,7 +94,7 @@ def one_user_input(ratings, profile):
                        np.asarray(ratings, float)[items],
                        np.zeros(len(items), np.int64))
     side = SideInfoMatrix(np.array([profile], float).reshape(1, -1),
-                          tuple(map(str, range(len(profile)))), (1,))
+                          tuple(map(str, range(len(profile)))))
     return built_input(ds, side)[0][0]
 
 
@@ -116,8 +116,7 @@ class TestConcatAndTarget:
             m, n, k = rng.integers(1, 8, 3)
             ds = make_random_dataset(rng, m, n, rng.integers(0, m * n + 1))
             side = SideInfoMatrix(rng.normal(size=(m, k - 1)),
-                                  tuple(map(str, range(k - 1))),
-                                  tuple(range(m)))
+                                  tuple(map(str, range(k - 1))))
             r = np.zeros((m, n))
             r[ds.users, ds.items] = ds.ratings
             np.testing.assert_array_equal(
@@ -125,7 +124,7 @@ class TestConcatAndTarget:
 
     def test_batched_concat(self):
         ds = make_random_dataset(RNG(1), 2, 3, 4)
-        side = SideInfoMatrix(np.ones((2, 2)), ("a", "b"), (1, 2))
+        side = SideInfoMatrix(np.ones((2, 2)), ("a", "b"))
         assert built_input(ds, side)[0].shape == (2, 5)
 
 

@@ -47,10 +47,14 @@ def test_every_traced_function_exists():
                                         (ROOT / "demos").glob("*.py")))
 def test_demo_runs(demo, tmp_path):
     # from a directory without data/, so the demos use generated stand-ins,
-    # and with their temporary directories under tmp_path
-    env = dict(os.environ, TMPDIR=str(tmp_path), PYTHONPATH=os.pathsep.join(
+    # and with a temporary directory of their own, which they must leave
+    # as they found it
+    tmp = tmp_path / "tmp"
+    tmp.mkdir()
+    env = dict(os.environ, TMPDIR=str(tmp), PYTHONPATH=os.pathsep.join(
         filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, str(ROOT / "demos" / demo)],
                           cwd=tmp_path, env=env, capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+    assert list(tmp.iterdir()) == []

@@ -21,8 +21,7 @@ def toy_ranking_data(binarized=True):
     ratings = np.array([5, 2, 5, 5, 3, 5, 5], np.float64)
     ds = RatingDataset(3, 4, users, items, ratings,
                        np.arange(7, dtype=np.int64))
-    profiles = SideInfoMatrix(RNG(0).normal(size=(3, 2)), ("a", "b"),
-                              (1, 2, 3))
+    profiles = SideInfoMatrix(RNG(0).normal(size=(3, 2)), ("a", "b"))
     return binarize(ds, 4.0) if binarized else ds, profiles
 
 
@@ -32,7 +31,7 @@ def toy_rating_data():
     ratings = np.array([5, 1, 2, 4], np.float64)
     ds = RatingDataset(2, 2, users, items, ratings,
                        np.arange(4, dtype=np.int64))
-    features = SideInfoMatrix(RNG(1).normal(size=(2, 1)), ("f",), (1, 2))
+    features = SideInfoMatrix(RNG(1).normal(size=(2, 1)), ("f",))
     return ds, features
 
 
@@ -174,7 +173,7 @@ class TestTrainRanking:
 
     def test_profile_count_mismatch_rejected(self):
         train, _ = toy_ranking_data()
-        bad = SideInfoMatrix(np.zeros((5, 2)), ("a", "b"), (1, 2, 3, 4, 5))
+        bad = SideInfoMatrix(np.zeros((5, 2)), ("a", "b"))
         with pytest.raises(ValueError, match="^side information has 5 rows "
                                              "for 3 rating rows$"):
             train_ranking(train, bad, ranking_cfg(epochs=1))
@@ -224,14 +223,14 @@ class TestTrainRating:
         items = np.array([0, 0], np.int32)  # item 1 never rated
         ds = RatingDataset(2, 2, users, items, np.array([4.0, 2.0]),
                            np.arange(2, dtype=np.int64))
-        features = SideInfoMatrix(np.ones((2, 1)), ("f",), (1, 2))
+        features = SideInfoMatrix(np.ones((2, 1)), ("f",))
         model = train_rating(ds, features, rating_cfg(epochs=50))
         assert np.all(np.isfinite(model.loss_history))
 
     def test_benchmark_style_config_stays_finite(self):
         ds = make_random_dataset(RNG(3), 12, 10, 60)
         features = SideInfoMatrix(RNG(4).random((10, 3)),
-                                  ("a", "b", "c"), tuple(range(10)))
+                                  ("a", "b", "c"))
         cfg = TrainConfig(task="rating", hidden_dim=8, learning_rate=0.001,
                           regularization=0.1, optimizer="adam", g="sigmoid",
                           f="identity", epochs=40, batch_size=4, seed=0)
@@ -246,10 +245,8 @@ def _param_bytes(model):
 
 def _random_task_data():
     ds = make_random_dataset(RNG(5), 14, 11, 70)
-    profiles = SideInfoMatrix(RNG(6).normal(size=(14, 2)), ("a", "b"),
-                              tuple(range(14)))
-    features = SideInfoMatrix(RNG(7).random((11, 3)), ("a", "b", "c"),
-                              tuple(range(11)))
+    profiles = SideInfoMatrix(RNG(6).normal(size=(14, 2)), ("a", "b"))
+    features = SideInfoMatrix(RNG(7).random((11, 3)), ("a", "b", "c"))
     return ds, profiles, features
 
 
@@ -297,8 +294,7 @@ class TestSameBits:
         # at H=500 the 153x500 Q and 500x150 Q1 span more than two blocks
         # of the step's elementwise passes and end in a partial one
         ds = make_random_dataset(RNG(8), 150, 30, 600)
-        features = SideInfoMatrix(RNG(9).random((30, 3)), ("a", "b", "c"),
-                                  tuple(range(30)))
+        features = SideInfoMatrix(RNG(9).random((30, 3)), ("a", "b", "c"))
         cfg = rating_cfg(optimizer=optimizer, learning_rate=0.01,
                          regularization=0.1, g="sigmoid", hidden_dim=500,
                          epochs=2, batch_size=8, seed=4)
@@ -330,8 +326,7 @@ class TestDivergence:
         ratings = np.array([5, 2, 5, 5, 3, 5, 5, 5], np.float64)
         train = binarize(RatingDataset(4, 4, users, items, ratings,
                                        np.arange(8, dtype=np.int64)), 4.0)
-        profiles = SideInfoMatrix(RNG(0).normal(size=(4, 2)), ("a", "b"),
-                                  (1, 2, 3, 4))
+        profiles = SideInfoMatrix(RNG(0).normal(size=(4, 2)), ("a", "b"))
         # one batch of every user, whose update alone overflows
         cfg = replace(TrainConfig.defaults("ranking"), learning_rate=1e308,
                       epochs=1, batch_size=8)
@@ -380,7 +375,7 @@ class TestPredictRatings:
         items = np.array([0, 0], np.int32)
         ds = RatingDataset(2, 2, users, items, np.array([4.0, 2.0]),
                            np.arange(2, dtype=np.int64))
-        features = SideInfoMatrix(np.ones((2, 1)), ("f",), (1, 2))
+        features = SideInfoMatrix(np.ones((2, 1)), ("f",))
         model = train_rating(ds, features, rating_cfg(epochs=50))
         preds = predict_ratings(model, ds, features)
         np.testing.assert_array_equal(preds[1], 3.0)  # mean of 4 and 2
@@ -405,7 +400,7 @@ class TestPredictRatings:
                               train.ratings[keep], train.timestamps[keep],
                               rating_scale=(-1.0, 4.0))  # clips some, not all
         features = SideInfoMatrix(RNG(6).normal(size=(30, 3)),
-                                  ("a", "b", "c"), tuple(range(1, 31)))
+                                  ("a", "b", "c"))
         params = glorot_init(40 + 3, 7, 40, g, f, RNG(7))
         params = replace(params, p=RNG(8).normal(size=7),
                          p1=RNG(9).normal(size=40) + 3)
@@ -433,7 +428,7 @@ class TestPredictRatings:
 
     def test_features_must_cover_every_item(self):
         model, train, features = self.trained()
-        short = SideInfoMatrix(features.rows[:1], ("f",), (1,))
+        short = SideInfoMatrix(features.rows[:1], ("f",))
         with pytest.raises(ValueError, match="^side information has 1 rows "
                                              "for 2 rating rows$"):
             predict_ratings(model, train, short)
@@ -446,8 +441,7 @@ class TestPeakMemory:
     def data(self):
         # the dense input, 1500 items x 1002, dwarfs a 2-wide network
         ds = make_random_dataset(RNG(11), 1000, 1500, 20000)
-        features = SideInfoMatrix(RNG(12).random((1500, 2)), ("a", "b"),
-                                  tuple(range(1500)))
+        features = SideInfoMatrix(RNG(12).random((1500, 2)), ("a", "b"))
         return ds, features, 1500 * 1002 * 8
 
     def test_training_holds_less_than_the_input(self):
@@ -474,8 +468,7 @@ class TestRecommendTopN:
 
     def profiles(self, num_users=1, dim=2):
         return SideInfoMatrix(np.zeros((num_users, dim)),
-                              tuple(f"c{k}" for k in range(dim)),
-                              tuple(range(num_users)))
+                              tuple(f"c{k}" for k in range(dim)))
 
     def test_scores_sorted_descending(self):
         model = fixed_score_model([0.9, 0.1, 0.5])
@@ -551,7 +544,7 @@ class TestRecommendTopN:
 class TestZeroSideInformation:
     def test_ranking_trains_without_any_profile_columns(self):
         train, _ = toy_ranking_data()
-        no_side = SideInfoMatrix(np.empty((3, 0)), (), (1, 2, 3))
+        no_side = SideInfoMatrix(np.empty((3, 0)), ())
         model = train_ranking(train, no_side, ranking_cfg(epochs=200))
         assert model.side_dim == 0
         assert model.params.input_dim == model.params.output_dim == 4
@@ -559,7 +552,7 @@ class TestZeroSideInformation:
 
     def test_rating_trains_without_any_feature_columns(self):
         train, _ = toy_rating_data()
-        no_side = SideInfoMatrix(np.empty((2, 0)), (), (1, 2))
+        no_side = SideInfoMatrix(np.empty((2, 0)), ())
         model = train_rating(train, no_side, rating_cfg(epochs=300))
         assert model.params.input_dim == model.params.output_dim == 2
         preds = predict_ratings(model, train, no_side)
@@ -571,10 +564,8 @@ class TestNoTestLeakage:
         rng = RNG(11)
         ds = make_random_dataset(rng, 8, 6, 30)
         train, test = split(ds, 0.6, seed=3)
-        features = SideInfoMatrix(rng.random((6, 2)), ("a", "b"),
-                                  tuple(range(6)))
-        profiles = SideInfoMatrix(rng.random((8, 2)), ("a", "b"),
-                                  tuple(range(8)))
+        features = SideInfoMatrix(rng.random((6, 2)), ("a", "b"))
+        profiles = SideInfoMatrix(rng.random((8, 2)), ("a", "b"))
         cfg_rating = rating_cfg(epochs=15, hidden_dim=3)
         m1 = train_rating(train, features, cfg_rating)
         m2 = train_rating(train, features, cfg_rating)  # test half irrelevant
