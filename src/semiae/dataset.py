@@ -674,15 +674,15 @@ def read_json(path: str | Path):
 
 @contextmanager
 def located(path: str | Path, what: str):
-    """Turn a KeyError, TypeError or ValueError raised in the ``with`` body,
-    while reading the ``what`` part of the document at ``path``, into
-    ``ValueError("<path>: <what>: <cause>")``; a missing key reads ``<what>
-    has no '<key>' entry``."""
+    """Turn a KeyError, TypeError, ValueError or OverflowError raised in the
+    ``with`` body, while reading the ``what`` part of the document at
+    ``path``, into ``ValueError("<path>: <what>: <cause>")``; a missing key
+    reads ``<what> has no '<key>' entry``."""
     try:
         yield
     except KeyError as exc:
         raise ValueError(f"{path}: {what} has no {exc} entry") from None
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"{path}: {what}: {exc}") from None
 
 

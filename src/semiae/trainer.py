@@ -61,6 +61,9 @@ _RULES = {"task": ("one of", TASKS), "optimizer": ("one of", OPTIMIZER_KINDS),
           "learning_rate": (">", 0)}
 _PASSES = {"one of": lambda value, vocabulary: value in vocabulary,
            **COMPARISONS}
+# the config fields that a network's weights hold, so a model file's echo
+# leaves them out
+_WEIGHTS_OWN = ("g", "f", "hidden_dim")
 
 
 def _finite(value) -> bool:
@@ -142,8 +145,9 @@ class TrainConfig:
 
 @dataclass(frozen=True)
 class TrainedModel:
-    """A trained network, its per-epoch losses and its config, which give
-    the task, the input rows' orientation and the side-information width."""
+    """A trained network, its per-epoch losses and its config.  The config's
+    task gives the input rows' orientation; the weights' shapes give the
+    side-information width."""
 
     params: SemiAEParams
     loss_history: tuple[float, ...]
@@ -304,50 +308,40 @@ def recommend_top_n(model: TrainedModel, train: RatingDataset,
 
 def save_model(path: str | Path, model: TrainedModel,
                extras: dict | None = None) -> None:
-    """Write the model JSON (weights plus a training-config echo).
+    """Write the model JSON: the weights, then an echo of the loss history
+    and the config, less the activations and hidden width that the weights
+    already hold.
 
     ``extras`` lands in the echo alongside the config: run context such as
     the training fraction that the model file should carry for audit.
     """
-    echo = {
-        "task": model.task,
-        "orientation": model.orientation,
-        "side_dim": model.side_dim,
-        "loss_history": list(model.loss_history),
-        "config": model.config.to_dict(),
-    }
-    if extras:
-        echo.update(extras)
-    save_params(path, model.params, echo)
+    config = {key: value for key, value in model.config.to_dict().items()
+              if key not in _WEIGHTS_OWN}
+    save_params(path, model.params, {"loss_history": list(model.loss_history),
+                                     "config": config, **(extras or {})})
 
 
 def load_model_and_echo(path: str | Path) -> tuple[TrainedModel, dict]:
     """Read a model written by :func:`save_model`, with the echo it carries
     (the config, the loss history and the run context of ``extras``).  The
-    echo's task, orientation and side width must match the model's, its
-    config's activations and hidden width the weights', its loss history
-    one finite number per epoch of its config, and its training fraction, if
-    any, null or a number."""
+    config takes its activations and hidden width from the weights, over any
+    copy the echo holds; the loss history must be one finite number per
+    epoch of the config, and the training fraction, if any, null or a
+    number."""
     params, echo = load_params(path)
     with located(path, "model echo"):
         if not isinstance(echo["config"], dict):
             raise ValueError("'config' is not an object")
-        config = TrainConfig.from_dict(echo["config"])
+        config = TrainConfig.from_dict(
+            {**echo["config"], **{key: getattr(params, key)
+                                  for key in _WEIGHTS_OWN}})
         history = echo["loss_history"]
         if not (isinstance(history, list) and len(history) == config.epochs
-                and all(type(v) is int or type(v) is float and math.isfinite(v)
+                and all(type(v) in (int, float) and _finite(v)
                         for v in history)):
             raise ValueError(f"loss_history must be a list of {config.epochs} "
                              f"finite numbers, one per epoch")
         model = TrainedModel(params, tuple(history), config)
-        copies = [(key, echo[key], getattr(model, key))
-                  for key in ("task", "orientation", "side_dim")]
-        copies += [(f"config {key}", getattr(model.config, key),
-                    getattr(params, key)) for key in ("g", "f", "hidden_dim")]
-        for what, copy, value in copies:
-            if copy != value:
-                raise ValueError(f"{what} {copy!r} disagrees with the "
-                                 f"model's {value!r}")
         fraction = echo.get("train_fraction")
         if isinstance(fraction, bool) or not isinstance(
                 fraction, (int, float, type(None))):

@@ -153,9 +153,10 @@ class TestTrain:
         assert code == 0, err
         doc = json.loads(out.read_text())
         echo = doc["training_config_echo"]["config"]
-        assert echo["hidden_dim"] == 500
+        # the weights hold the activations and the hidden width
+        assert doc["dims"]["H"] == 500
+        assert doc["activations"] == {"g": "sigmoid", "f": "identity"}
         assert echo["optimizer"] == "adam"
-        assert echo["g"] == "sigmoid" and echo["f"] == "identity"
         assert echo["learning_rate"] == 0.001
         assert echo["regularization"] == 0.1
         assert (tmp_path / "model.losses.csv").exists()
@@ -166,9 +167,9 @@ class TestTrain:
         code, _, err = run(capsys, "train", "--data", prepared_path,
                            "--task", "ranking", "--config", cfg, "--out", out)
         assert code == 0, err
-        echo = json.loads(out.read_text())["training_config_echo"]["config"]
-        assert echo["hidden_dim"] == 10
-        assert echo["optimizer"] == "sgd"
+        doc = json.loads(out.read_text())
+        assert doc["dims"]["H"] == 10
+        assert doc["training_config_echo"]["config"]["optimizer"] == "sgd"
 
     def test_invalid_activation_is_reported_with_valid_set(self, prepared_path,
                                                            tmp_path, capsys):
@@ -194,8 +195,9 @@ class TestTrain:
         code, _, err = run(capsys, "train", "--data", prepared_path,
                            "--task", "rating", "--out", out)
         assert code == 0, err
-        echo = json.loads(out.read_text())["training_config_echo"]["config"]
-        assert echo["hidden_dim"] == 500
+        doc = json.loads(out.read_text())
+        echo = doc["training_config_echo"]["config"]
+        assert doc["dims"]["H"] == 500
         assert echo["epochs"] == 500
         assert echo["optimizer"] == "adam"
 
@@ -790,8 +792,8 @@ class TestMalformedArtifacts:
             assert name in lines[0]
 
     @pytest.mark.parametrize("keys", [("Q",), ("dims",),
-                                      ("training_config_echo", "task")],
-                             ids=["Q", "dims", "echo-task"])
+                                      ("training_config_echo", "config")],
+                             ids=["Q", "dims", "echo-config"])
     def test_model_missing_key(self, ranking_model, prepared_path, tmp_path,
                                capsys, keys):
         doc = json.loads(ranking_model.read_text())
@@ -812,7 +814,8 @@ class TestMalformedArtifacts:
     @pytest.mark.parametrize("edit", ["top-level-list", "unknown-config-key",
                                       "loss-history-text",
                                       "loss-history-null-and-text",
-                                      "huge-int-learning-rate"])
+                                      "loss-history-huge-int",
+                                      "huge-int-learning-rate", "huge-int-Q"])
     def test_malformed_model_document(self, ranking_model, prepared_path,
                                       tmp_path, capsys, edit):
         doc = json.loads(ranking_model.read_text())
@@ -825,10 +828,15 @@ class TestMalformedArtifacts:
             # an int past the largest float
             doc["training_config_echo"]["config"]["learning_rate"] = 10 ** 400
             expected = f"model echo: learning_rate must be finite, got {10 ** 400}"
+        elif edit == "huge-int-Q":
+            doc["Q"][0][0] = 10 ** 400
+            expected = "model JSON: int too large to convert to float"
         else:
             # the fixture trains 2 epochs
-            doc["training_config_echo"]["loss_history"] = (
-                "abc" if edit == "loss-history-text" else [1.0, None, "x"])
+            doc["training_config_echo"]["loss_history"] = {
+                "loss-history-text": "abc",
+                "loss-history-null-and-text": [1.0, None, "x"],
+                "loss-history-huge-int": [1.0, 10 ** 400]}[edit]
             expected = ("model echo: loss_history must be a list of 2 finite "
                         "numbers, one per epoch")
         broken = tmp_path / "broken.json"
@@ -863,7 +871,11 @@ class TestMalformedArtifacts:
                                       "user-past-count", "negative-item",
                                       "deeply-nested", "missing-year-list",
                                       "negative-missing-year",
-                                      "boolean-missing-year"])
+                                      "boolean-missing-year",
+                                      "user-past-int32", "user-below-int32",
+                                      "timestamp-past-int64",
+                                      "huge-int-rating", "huge-int-scale",
+                                      "huge-int-user-side"])
     def test_malformed_prepared_document(self, ranking_model, prepared_path,
                                          tmp_path, capsys, edit):
         text = prepared_path.read_text()
@@ -919,6 +931,26 @@ class TestMalformedArtifacts:
             text = json.dumps(doc)
             expected = (f"prepared data: num_missing_year {count!r} is not a "
                         f"non-negative integer")
+        elif edit in ("user-past-int32", "user-below-int32"):
+            user = 2 ** 31 if edit == "user-past-int32" else -2 ** 31 - 1
+            doc["triples"][5][0] = user
+            text = json.dumps(doc)
+            expected = (f"prepared data: Python integer {user} out of bounds "
+                        f"for int32")
+        elif edit == "timestamp-past-int64":
+            doc["triples"][5][3] = 2 ** 63
+            text = json.dumps(doc)
+            expected = "prepared data: Python int too large to convert to C long"
+        elif edit.startswith("huge-int"):
+            # an int past the largest float
+            if edit == "huge-int-rating":
+                doc["triples"][5][2] = 10 ** 400
+            elif edit == "huge-int-scale":
+                doc["rating_scale"][1] = 10 ** 400
+            else:
+                doc["user_side_info"]["rows"][0][0] = 10 ** 400
+            text = json.dumps(doc)
+            expected = "prepared data: int too large to convert to float"
         else:
             doc["triples"][5] = doc["triples"][5][:3] if edit == "short-triple" \
                 else "1234"
@@ -937,8 +969,6 @@ class TestMalformedArtifacts:
         assert not (tmp_path / "never.json").exists()
 
     @pytest.mark.parametrize("edit", ["truncated", "dims-list", "echo-list",
-                                      "echo-orientation", "echo-side-width",
-                                      "echo-activation", "echo-hidden-dim",
                                       "echo-fraction-list",
                                       "echo-fraction-text", "null-config",
                                       "deeply-nested"])
@@ -957,23 +987,8 @@ class TestMalformedArtifacts:
             doc["training_config_echo"] = []
             text, expected = json.dumps(doc), "'training_config_echo'"
         else:
-            # the task, orientation and side width the echo repeats must be
-            # the ones its config and weights give, and the config's
-            # activations and width the weights'
             echo = doc["training_config_echo"]
-            if edit == "echo-orientation":
-                echo["orientation"], expected = "item", "orientation 'item'"
-            elif edit == "echo-side-width":
-                echo["side_dim"] += 1
-                expected = f"side_dim {echo['side_dim']}"
-            elif edit == "echo-activation":
-                # sigmoid H=10 weights
-                echo["config"].update(g="tanh", hidden_dim=500)
-                expected = "config g 'tanh' disagrees with the model's 'sigmoid'"
-            elif edit == "echo-hidden-dim":
-                echo["config"]["hidden_dim"] = 500
-                expected = "config hidden_dim 500 disagrees with the model's 10"
-            elif edit.startswith("echo-fraction"):
+            if edit.startswith("echo-fraction"):
                 echo["train_fraction"] = [1] if edit.endswith("list") else "abc"
                 expected = (f"train_fraction must be null or a number, got "
                             f"{echo['train_fraction']!r}")

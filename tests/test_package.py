@@ -1,14 +1,18 @@
 import importlib
 import importlib.util
+import json
 import os
 import re
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import semiae
+from semiae.cli import main
+from semiae.trainer import load_model
 
 ROOT = Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
@@ -41,6 +45,31 @@ def test_every_traced_function_exists():
                if not callable(getattr(importlib.import_module(home), name,
                                        None))]
     assert missing == []
+
+
+@pytest.mark.parametrize("task", ["rating", "ranking"])
+def test_benchmark_reads_the_model_file(task, ml100k_dir, tmp_path):
+    # perfbench reads a model file without semiae: the weights through
+    # checks.params_from_doc, and two entries of the echo
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_checks", ROOT / "perfbench" / "checks.py")
+    checks = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(checks)
+    prepared, model = tmp_path / "prepared.json", tmp_path / "model.json"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"epochs": 2, "hidden_dim": 4}))
+    for argv in (["prepare", "--raw", ml100k_dir, "--out", prepared],
+                 ["train", "--data", prepared, "--task", task, "--config",
+                  cfg, "--out", model]):
+        assert main([str(a) for a in argv]) == 0
+    doc = json.loads(model.read_text())
+    read = checks.params_from_doc(doc)
+    params = load_model(model).params
+    for name in ("Q", "Q1", "p", "p1", "g", "f"):
+        np.testing.assert_array_equal(read[name], getattr(params, name))
+    echo = doc["training_config_echo"]
+    assert len(echo["loss_history"]) == 2
+    assert echo["config"]["binarize_threshold"] == 4.0
 
 
 @pytest.mark.parametrize("demo", sorted(p.name for p in

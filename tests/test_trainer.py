@@ -1,3 +1,4 @@
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -594,6 +595,53 @@ class TestModelPersistence:
         assert back.side_dim == 2
         assert back.loss_history == model.loss_history
         assert back.config == model.config
+
+    @staticmethod
+    def assert_same_model(back, model):
+        for name in ("Q", "Q1", "p", "p1"):
+            np.testing.assert_array_equal(getattr(back.params, name),
+                                          getattr(model.params, name))
+        assert (back.params.g, back.params.f) == (model.params.g,
+                                                  model.params.f)
+        assert back.loss_history == model.loss_history
+        assert back.config == model.config
+
+    @staticmethod
+    def saved(tmp_path, extras=None):
+        """A trained ranking model, its file and the file's document."""
+        train, profiles = toy_ranking_data()
+        model = train_ranking(train, profiles, ranking_cfg(epochs=3))
+        path = tmp_path / "model.json"
+        save_model(path, model, extras)
+        return model, path, json.loads(path.read_text())
+
+    def test_echo_holds_each_fact_once(self, tmp_path):
+        echo = self.saved(tmp_path, {"train_fraction": 0.8})[2][
+            "training_config_echo"]
+        # the weights hold the activations and the hidden width
+        assert set(echo) == {"loss_history", "config", "train_fraction"}
+        assert not {"g", "f", "hidden_dim"} & set(echo["config"])
+
+    def test_file_with_the_echo_copies_loads(self, tmp_path):
+        # the layout written before the echo dropped its copies: the task,
+        # orientation and side width beside a full config
+        model, path, doc = self.saved(tmp_path)
+        doc["training_config_echo"].update(
+            task="ranking", orientation="user", side_dim=2,
+            config=model.config.to_dict())
+        path.write_text(json.dumps(doc))
+        self.assert_same_model(load_model(path), model)
+
+    def test_weights_own_the_activations_and_width(self, tmp_path):
+        model, path, doc = self.saved(tmp_path)
+        # identity activations, H=3
+        doc["training_config_echo"]["config"].update(g="tanh", f="relu",
+                                                     hidden_dim=500)
+        path.write_text(json.dumps(doc))
+        back = load_model(path)
+        assert (back.config.g, back.config.f, back.config.hidden_dim) == (
+            "identity", "identity", 3)
+        self.assert_same_model(back, model)
 
     def test_training_log_layout(self, tmp_path):
         path = tmp_path / "losses.csv"
