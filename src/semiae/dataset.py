@@ -31,6 +31,7 @@ import math
 import operator
 import re
 from bisect import bisect_right
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -112,7 +113,8 @@ class RatingDataset:
 
     The triples are stored as parallel arrays and are exactly the observed
     set; every (user, item) pair not listed is unobserved.  ``user_ids`` and
-    ``item_ids`` map each contiguous 0-based index back to the raw file id.
+    ``item_ids`` map each contiguous 0-based index back to the raw file id,
+    each a distinct Python int.
     """
 
     num_users: int
@@ -157,6 +159,12 @@ class RatingDataset:
             if ids and len(ids) != count:
                 raise ValueError(f"{kind}_ids has {len(ids)} entries for "
                                  f"{count} {kind}s")
+            if not set(map(type, ids)) <= {int}:
+                odd = next(v for v in ids if type(v) is not int)
+                raise ValueError(f"{kind}_ids holds {odd!r}, not an integer")
+            if len(set(ids)) < len(ids):
+                twice = Counter(ids).most_common(1)[0][0]
+                raise ValueError(f"{kind}_ids holds {twice} more than once")
         store_read_only(self, "users", "items", "ratings", "timestamps")
 
     def __len__(self) -> int:

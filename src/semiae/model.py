@@ -18,10 +18,9 @@ observed target positions (rating prediction).
 
 :func:`loss_and_gradients` gives it with its exact gradients.  A training
 loop hands it one :class:`Workspace`, made once for its batch size, that
-holds the gradients and every batch-sized intermediate of the step
-(pre-activations, activations, differences, their squares and the hidden
-layer's gradient), with the block scratch of the L2 term, so that a step
-allocates nothing of the batch's size or of a parameter's.
+holds the gradients, four batch-sized buffers that each take several of the
+step's intermediates in turn, and the block scratch of the L2 term, so that
+a step allocates nothing of the batch's size or of a parameter's.
 """
 
 from __future__ import annotations
@@ -55,19 +54,17 @@ def _ones(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 
 
 def _sigmoid(z: np.ndarray, out: np.ndarray | None = None,
-             scratch: tuple[np.ndarray, np.ndarray] | None = None
-             ) -> np.ndarray:
-    # two-branch form, 1/(1+exp(-z)) for z >= 0 and exp(z)/(1+exp(z))
-    # below, through a float and a bool scratch: exp only ever sees -|z|
-    d, nonneg = scratch or (np.empty(np.shape(z)), np.empty(np.shape(z), bool))
-    np.greater_equal(z, 0.0, out=nonneg)
+             scratch: np.ndarray | None = None) -> np.ndarray:
+    # two-branch form, 1/(1+e) for z >= 0 and e/(1+e) below, e = exp(-|z|),
+    # as max(sign(z), e)/(1+e), since e <= 1 and e = 1 at z = 0: exp only
+    # ever sees -|z|
+    top = np.sign(z, out=np.empty(np.shape(z)) if scratch is None else scratch)
     e = np.abs(z, out=np.empty(np.shape(z)) if out is None else out)
     np.negative(e, out=e)
     np.exp(e, out=e)
-    np.add(e, 1.0, out=d)
-    e /= d
-    np.divide(1.0, d, out=e, where=nonneg)
-    return e
+    np.maximum(top, e, out=top)
+    e += 1.0
+    return np.divide(top, e, out=e)
 
 
 def _relu(z: np.ndarray, out=None, scratch=None) -> np.ndarray:
@@ -86,8 +83,8 @@ class Activation:
 
     Both give a new array (the identity gives ``z`` itself), or write into
     ``out``: ``fn(z, z, scratch)`` overwrites ``z``, with the sigmoid's
-    ``scratch`` a float and a bool array of its shape (new ones if None),
-    and ``deriv_at_value(a, out)`` fills a float array ``out``."""
+    ``scratch`` a float array of its shape (a new one if None), and
+    ``deriv_at_value(a, out)`` fills a float array ``out``."""
 
     fn: Callable[..., np.ndarray]
     deriv_at_value: Callable[..., np.ndarray]
@@ -164,17 +161,16 @@ class GradientSet:
 class Workspace:
     """The buffers that :func:`loss_and_gradients` writes, for batches of
     up to B rows: the gradients, of the parameters' shapes, and the batch's
-    intermediates.  A loop makes one with :meth:`for_params` and every step
-    reuses it; a batch of b rows uses the leading b rows of each buffer."""
+    intermediates, each buffer holding the ones its comment names in turn.
+    A loop makes one with :meth:`for_params` and every step reuses it; a
+    batch of b rows uses the leading b rows of each buffer."""
 
-    grads: GradientSet    # the gradients, C-contiguous
-    hidden: np.ndarray    # (B, H) z1, then the hidden activations
-    output: np.ndarray    # (B, D) z2, then the output, then dLoss/dz2
-    squares: np.ndarray   # (B, D) the squared differences
-    d_hidden: np.ndarray  # (B, H) dLoss/dz1
-    slope: np.ndarray     # (B, H) the sigmoid's scratch, then g'
-    signs: np.ndarray     # (B, H) bool, the sigmoid's branch
-    block: np.ndarray     # one block, the scratch of the L2 term's passes
+    grads: GradientSet   # the gradients, C-contiguous
+    hidden: np.ndarray   # (B, H) z1, the hidden activations, dLoss/dz1
+    output: np.ndarray   # (B, D) z2, the output, dLoss/dz2
+    squares: np.ndarray  # (B, D) a sigmoid f's scratch, the squared errors
+    slope: np.ndarray    # (B, H) a sigmoid g's scratch, g'
+    block: np.ndarray    # one block, the scratch of the L2 term's passes
 
     @classmethod
     def for_params(cls, params: SemiAEParams, rows: int) -> Workspace:
@@ -183,7 +179,6 @@ class Workspace:
         return cls(GradientSet(*(np.empty(a.shape) for a in theta)),
                    np.empty((rows, h)), np.empty((rows, d)),
                    np.empty((rows, d)), np.empty((rows, h)),
-                   np.empty((rows, h)), np.empty((rows, h), bool),
                    np.empty(min(BLOCK, max(params.Q.size, params.Q1.size))))
 
 
@@ -215,18 +210,22 @@ def _as_batch(x: np.ndarray, dim: int, what: str) -> tuple[np.ndarray, bool]:
 
 
 def forward_from(params: SemiAEParams, z1: np.ndarray,
-                 z2: np.ndarray | None = None, scratch=None
+                 work: Workspace | None = None
                  ) -> tuple[np.ndarray, np.ndarray]:
     """The forward pass of a batch from ``z1 = x @ Q`` on, so that a caller
     can let the input go once that product is formed.  ``z1`` becomes the
-    hidden activations in place (``scratch`` as for :class:`Activation`);
-    the output is written into ``z2``, or a new array.  Returns ``(h,
-    out)``."""
+    hidden activations in place.  Given a :class:`Workspace`, the output is
+    written into ``work.output`` and the activations take their scratch
+    from ``work.slope`` and ``work.squares``; without one, into new arrays.
+    Returns ``(h, out)``."""
+    rows = slice(len(z1))
+    z2, g_scratch, f_scratch = (None,) * 3 if work is None else (
+        work.output[rows], work.slope[rows], work.squares[rows])
     z1 += params.p
-    hid = ACTIVATIONS[params.g].fn(z1, z1, scratch)
+    hid = ACTIVATIONS[params.g].fn(z1, z1, g_scratch)
     z2 = np.matmul(hid, params.Q1, out=z2)
     z2 += params.p1
-    return hid, ACTIVATIONS[params.f].fn(z2, z2)
+    return hid, ACTIVATIONS[params.f].fn(z2, z2, f_scratch)
 
 
 def forward(params: SemiAEParams, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -315,7 +314,7 @@ def loss_and_gradients(params: SemiAEParams, batch_x: np.ndarray,
     a :class:`Workspace` of at least the batch's rows, or a fresh one, and
     ``work.grads`` is returned.  With ``work`` given, a call allocates
     nothing of the batch's size (a non-identity ``f`` still makes its B x D
-    intermediates).
+    derivative).
     """
     batch, tgt, m = _check_loss_args(params, batch_x, targets, mask)
     b = batch.shape[0]
@@ -323,12 +322,12 @@ def loss_and_gradients(params: SemiAEParams, batch_x: np.ndarray,
         work = Workspace.for_params(params, b)
     out = work.grads
     hid, pred = forward_from(
-        params, np.matmul(batch, params.Q, out=work.hidden[:b]),
-        work.output[:b], (work.slope[:b], work.signs[:b]))
-    # both derivatives come from the activations' values; the identity's
+        params, np.matmul(batch, params.Q, out=work.hidden[:b]), work)
+    # both derivatives come from the activations' values; an identity f's
     # is 1 and its multiply is skipped
     if params.f != "identity":
         f_prime = ACTIVATIONS[params.f].deriv_at_value(pred)
+    g_prime = ACTIVATIONS[params.g].deriv_at_value(hid, work.slope[:b])
 
     # the output buffer becomes the difference, then dLoss/dz2
     diff = np.subtract(pred, tgt, out=pred)
@@ -348,9 +347,8 @@ def loss_and_gradients(params: SemiAEParams, batch_x: np.ndarray,
         d_z2 *= f_prime
     np.matmul(hid.T, d_z2, out=out.dQ1)
     np.sum(d_z2, axis=0, out=out.dp1)
-    d_z1 = np.matmul(d_z2, params.Q1.T, out=work.d_hidden[:b])
-    if params.g != "identity":
-        d_z1 *= ACTIVATIONS[params.g].deriv_at_value(hid, work.slope[:b])
+    d_z1 = np.matmul(d_z2, params.Q1.T, out=hid)  # h is used up
+    d_z1 *= g_prime
     np.matmul(batch.T, d_z1, out=out.dQ)
     np.sum(d_z1, axis=0, out=out.dp)
     if reg != 0.0:

@@ -327,7 +327,7 @@ def load_model_and_echo(path: str | Path) -> tuple[TrainedModel, dict]:
     config takes its activations and hidden width from the weights, over any
     copy the echo holds; the loss history must be one finite number per
     epoch of the config, and the training fraction, if any, null or a
-    number."""
+    number in (0, 1), as :func:`~semiae.dataset.split` takes."""
     params, echo = load_params(path)
     with located(path, "model echo"):
         if not isinstance(echo["config"], dict):
@@ -343,10 +343,10 @@ def load_model_and_echo(path: str | Path) -> tuple[TrainedModel, dict]:
                              f"finite numbers, one per epoch")
         model = TrainedModel(params, tuple(history), config)
         fraction = echo.get("train_fraction")
-        if isinstance(fraction, bool) or not isinstance(
-                fraction, (int, float, type(None))):
-            raise ValueError(f"train_fraction must be null or a number, got "
-                             f"{fraction!r}")
+        if fraction is not None and not (type(fraction) in (int, float)
+                                         and 0 < fraction < 1):
+            raise ValueError(f"train_fraction must be null or a number in "
+                             f"(0, 1), got {fraction!r}")
     return model, echo
 
 

@@ -815,7 +815,9 @@ class TestMalformedArtifacts:
                                       "loss-history-text",
                                       "loss-history-null-and-text",
                                       "loss-history-huge-int",
-                                      "huge-int-learning-rate", "huge-int-Q"])
+                                      "huge-int-learning-rate", "huge-int-Q",
+                                      "fraction-above-one",
+                                      "huge-int-fraction"])
     def test_malformed_model_document(self, ranking_model, prepared_path,
                                       tmp_path, capsys, edit):
         doc = json.loads(ranking_model.read_text())
@@ -831,6 +833,12 @@ class TestMalformedArtifacts:
         elif edit == "huge-int-Q":
             doc["Q"][0][0] = 10 ** 400
             expected = "model JSON: int too large to convert to float"
+        elif edit in ("fraction-above-one", "huge-int-fraction"):
+            # split takes a fraction in (0, 1) only
+            fraction = 1.5 if edit == "fraction-above-one" else 10 ** 400
+            doc["training_config_echo"]["train_fraction"] = fraction
+            expected = (f"model echo: train_fraction must be null or a number "
+                        f"in (0, 1), got {fraction}")
         else:
             # the fixture trains 2 epochs
             doc["training_config_echo"]["loss_history"] = {
@@ -875,7 +883,8 @@ class TestMalformedArtifacts:
                                       "user-past-int32", "user-below-int32",
                                       "timestamp-past-int64",
                                       "huge-int-rating", "huge-int-scale",
-                                      "huge-int-user-side"])
+                                      "huge-int-user-side",
+                                      "repeated-user-id", "text-item-id"])
     def test_malformed_prepared_document(self, ranking_model, prepared_path,
                                          tmp_path, capsys, edit):
         text = prepared_path.read_text()
@@ -886,6 +895,15 @@ class TestMalformedArtifacts:
             text, expected = text[:1000], "not a valid JSON file"
         elif edit == "deeply-nested":
             text, expected = DEEPLY_NESTED, DEEPLY_NESTED_ERROR
+        elif edit == "repeated-user-id":
+            users = doc["id_maps"]["users"]
+            users[3] = users[1]
+            text = json.dumps(doc)
+            expected = f"prepared data: user_ids holds {users[1]} more than once"
+        elif edit == "text-item-id":
+            doc["id_maps"]["items"][2] = "x"
+            text = json.dumps(doc)
+            expected = "prepared data: item_ids holds 'x', not an integer"
         elif edit == "short-item-map":
             # the id map and the side rows agree but miss the last item
             doc["id_maps"]["items"].pop()
@@ -990,8 +1008,8 @@ class TestMalformedArtifacts:
             echo = doc["training_config_echo"]
             if edit.startswith("echo-fraction"):
                 echo["train_fraction"] = [1] if edit.endswith("list") else "abc"
-                expected = (f"train_fraction must be null or a number, got "
-                            f"{echo['train_fraction']!r}")
+                expected = (f"train_fraction must be null or a number in "
+                            f"(0, 1), got {echo['train_fraction']!r}")
             else:
                 echo["config"], expected = None, "'config' is not an object"
             text, expected = json.dumps(doc), f"model echo: {expected}"

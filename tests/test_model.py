@@ -21,12 +21,12 @@ def make_params(rng, s=4, h=3, d=2, g="sigmoid", f="identity"):
 
 
 def nan_workspace(params, rows):
-    """A workspace whose buffers start as NaN (bool ones as True), so that a
-    read before a write shows."""
+    """A workspace whose buffers start as NaN, so that a read before a
+    write shows."""
     work = Workspace.for_params(params, rows)
     for buf in (*vars(work).values(), *vars(work.grads).values()):
         if buf is not work.grads:
-            buf.fill(np.nan if buf.dtype == np.float64 else True)
+            buf.fill(np.nan)
     return work
 
 
@@ -58,13 +58,21 @@ class TestActivations:
                  36.7, -36.7, 709.8, -745.2, np.inf, -np.inf]
         z = np.concatenate([edges, rng.normal(0, 1, 2000),
                             rng.normal(0, 40, 2002)]).reshape(-1, 8)
+        want = reference_sigmoid(z).tobytes()
         before = z.copy()
-        s = ACTIVATIONS["sigmoid"].fn(z)
-        assert s.tobytes() == reference_sigmoid(z).tobytes()
-        assert z.tobytes() == before.tobytes()
+        fn = ACTIVATIONS["sigmoid"].fn
+        # into a new array, and into another through a scratch
+        for out, scratch in ((None, None),
+                             (np.empty_like(z), np.empty_like(z))):
+            s = fn(z, out, scratch)
+            assert s.tobytes() == want
+            assert out is None or s is out
+            assert z.tobytes() == before.tobytes()
+        # in place, as both layers of a training step are
+        s = fn(z, z, np.empty_like(z))
+        assert s is z and s.tobytes() == want
         for scalar in (-2.0, 0.0, 3.5):
-            assert ACTIVATIONS["sigmoid"].fn(scalar) == \
-                reference_sigmoid(scalar)
+            assert fn(scalar) == reference_sigmoid(scalar)
 
     @pytest.mark.parametrize("name", sorted(ACTIVATIONS))
     def test_derivative_matches_finite_difference(self, name):

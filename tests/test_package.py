@@ -12,7 +12,10 @@ import pytest
 
 import semiae
 from semiae.cli import main
-from semiae.trainer import load_model
+from semiae.dataset import binarize, load_raw_directory
+from semiae.model import loss_and_gradients
+from semiae.trainer import (TrainConfig, load_model, train_ranking,
+                            train_rating)
 
 ROOT = Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
@@ -70,6 +73,33 @@ def test_benchmark_reads_the_model_file(task, ml100k_dir, tmp_path):
     echo = doc["training_config_echo"]
     assert len(echo["loss_history"]) == 2
     assert echo["config"]["binarize_threshold"] == 4.0
+
+
+@pytest.mark.parametrize("task", ["rating", "ranking"])
+def test_benchmark_reads_the_library(task, ml100k_dir):
+    # perfbench/workloads.py calls the library by these names, positionally;
+    # a rename or a new required argument would break only the benchmark
+    cfg = TrainConfig.from_dict({"epochs": 1, "seed": 1}, task)
+    assert cfg.epochs == 1
+    for name in ("binarize_threshold", "binarize_comparison",
+                 "mask_ranking_loss", "regularization"):
+        assert hasattr(cfg, name)
+    prepared = load_raw_directory(ml100k_dir, "ml-100k")
+    if task == "rating":
+        model = train_rating(prepared.ratings, prepared.item_side, cfg)
+    else:
+        model = train_ranking(binarize(prepared.ratings, cfg.binarize_threshold,
+                                       cfg.binarize_comparison),
+                              prepared.user_side, cfg)
+    assert model.orientation == ("item" if task == "rating" else "user")
+    assert len(model.loss_history) == model.config.epochs == 1
+    params = model.params
+    x = np.random.default_rng(1).random((3, params.input_dim))
+    targets = x[:, :params.output_dim]
+    _, grads = loss_and_gradients(params, x, targets, targets > 0.5,
+                                  model.config.regularization)
+    for name in ("Q", "Q1", "p", "p1"):
+        assert getattr(grads, "d" + name).shape == getattr(params, name).shape
 
 
 @pytest.mark.parametrize("demo", sorted(p.name for p in
