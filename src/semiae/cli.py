@@ -109,10 +109,7 @@ def _check_outputs(args: argparse.Namespace) -> None:
 def _load_config(config_path: str | None, task: str) -> TrainConfig:
     if config_path is None:
         return TrainConfig.defaults(task)
-    doc = ds_mod.read_json(config_path)
-    with ds_mod.located(config_path, "config"):
-        if not isinstance(doc, dict):
-            raise ValueError("not a flat JSON object")
+    with ds_mod.json_object(config_path, "config") as doc:
         return TrainConfig.from_dict(doc, task)
 
 

@@ -35,6 +35,7 @@ from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from functools import cached_property
+from itertools import chain
 from operator import itemgetter
 from pathlib import Path
 
@@ -670,16 +671,6 @@ def write_json(path: str | Path, doc: dict) -> None:
         fh.writelines(_json_chunks(doc))
 
 
-def read_json(path: str | Path):
-    """Load a JSON file; a file that is not valid UTF-8 JSON, or nests past
-    the decoder's recursion limit, raises ValueError naming it."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        except (ValueError, RecursionError) as exc:
-            raise ValueError(f"{path}: not a valid JSON file: {exc}") from None
-
-
 @contextmanager
 def located(path: str | Path, what: str):
     """Turn a KeyError, TypeError, ValueError or OverflowError raised in the
@@ -694,6 +685,48 @@ def located(path: str | Path, what: str):
         raise ValueError(f"{path}: {what}: {exc}") from None
 
 
+@contextmanager
+def json_object(path: str | Path, what: str, version: int | None = None):
+    """Give the object in the JSON file at ``path``, read as its ``what``
+    part inside :func:`located`; given ``version``, its ``schema_version``
+    must be that integer.  Text that is not UTF-8 JSON, or nests past the
+    decoder's recursion limit, is ``<path>: not a valid JSON file: ...``."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            doc = json.load(fh)
+        except (ValueError, RecursionError) as exc:
+            raise ValueError(f"{path}: not a valid JSON file: {exc}") from None
+    with located(path, what):
+        if not isinstance(doc, dict):
+            raise ValueError("not a JSON object")
+        found = doc.get("schema_version")
+        if version is not None and (type(found), found) != (int, version):
+            raise ValueError(f"unsupported schema version {found!r}")
+        yield doc
+
+
+def json_numbers(value, dtype, name: str) -> np.ndarray:
+    """``value``, JSON numbers nested in JSON arrays, as an array of
+    ``dtype``.  A string, boolean or null among them, or for an integer
+    dtype a number written with a fraction or exponent (``4.0`` too), is a
+    ValueError naming ``name``; NaN and Infinity convert, for the caller's
+    finiteness check."""
+    array = np.asarray(value, dtype)
+
+    def leaves():  # numpy found array.ndim levels of lists
+        level = [value]
+        for _ in range(array.ndim):
+            level = chain.from_iterable(level)
+        return level
+
+    numbers = (int,) if np.issubdtype(dtype, np.integer) else (int, float)
+    if odd := set(map(type, leaves())).difference(numbers):
+        first = next(v for v in leaves() if type(v) in odd)
+        kind = "a number" if float in numbers else "an integer"
+        raise ValueError(f"{name}: {first!r} is not {kind}")
+    return array
+
+
 def _side_to_json(side: SideInfoMatrix) -> dict:
     return {
         "dim": side.dim,
@@ -703,14 +736,9 @@ def _side_to_json(side: SideInfoMatrix) -> dict:
     }
 
 
-def _side_from_json(obj: dict, num_entities: int) -> SideInfoMatrix:
-    rows = np.asarray(obj["rows"], np.float64).reshape(num_entities, obj["dim"])
-    return SideInfoMatrix(rows, tuple(obj["column_labels"]),
-                          obj.get("num_missing_year", 0))
-
-
 def write_prepared(path: str | Path, data: PreparedData) -> None:
-    """Serialize a prepared dataset as versioned JSON (deterministic bytes)."""
+    """Serialize a prepared dataset as versioned JSON (deterministic bytes).
+    A dataset built without ids gets the identity maps, index = id."""
     ds = data.ratings
     doc = {
         "schema_version": PREPARED_SCHEMA_VERSION,
@@ -720,7 +748,8 @@ def write_prepared(path: str | Path, data: PreparedData) -> None:
         "triples": ds.triples(),  # tuples encode as JSON lists
         "user_side_info": _side_to_json(data.user_side),
         "item_side_info": _side_to_json(data.item_side),
-        "id_maps": {"users": list(ds.user_ids), "items": list(ds.item_ids)},
+        "id_maps": {"users": list(ds.user_ids or range(ds.num_users)),
+                    "items": list(ds.item_ids or range(ds.num_items))},
     }
     write_json(path, doc)
 
@@ -732,22 +761,18 @@ def _triple_columns(triples) -> list[np.ndarray]:
         raise ValueError("'triples' must be a list of [user, item, rating, "
                          "timestamp] entries")
     # one column's list at a time
-    return [np.asarray(list(map(itemgetter(k), triples)), dtype)
-            for k, dtype in enumerate((np.int32, np.int32, np.float64,
-                                       np.int64))]
+    return [json_numbers(list(map(itemgetter(k), triples)), dtype,
+                         f"triple {column}")
+            for k, (column, dtype) in enumerate((
+                ("user", np.int32), ("item", np.int32),
+                ("rating", np.float64), ("timestamp", np.int64)))]
 
 
 def read_prepared(path: str | Path) -> PreparedData:
     """Load a prepared dataset written by :func:`write_prepared`; a malformed
     file raises ValueError naming the file and, for a missing entry, the
-    entry."""
-    doc = read_json(path)
-    with located(path, "prepared data"):
-        if not isinstance(doc, dict):
-            raise ValueError("not a JSON object")
-        if doc.get("schema_version") != PREPARED_SCHEMA_VERSION:
-            raise ValueError(f"unsupported schema version "
-                             f"{doc.get('schema_version')}")
+    entry.  Its id maps must hold an id for every user and item."""
+    with json_object(path, "prepared data", PREPARED_SCHEMA_VERSION) as doc:
         users, items, ratings, stamps = _triple_columns(doc["triples"])
         ds = RatingDataset(
             num_users=doc["num_users"],
@@ -765,11 +790,20 @@ def read_prepared(path: str | Path) -> PreparedData:
         if len(outside):
             raise ValueError(f"rating {outside[0]} outside the rating_scale "
                              f"[{low}, {high}]")
-        return PreparedData(
-            ratings=ds,
-            user_side=_side_from_json(doc["user_side_info"], ds.num_users),
-            item_side=_side_from_json(doc["item_side_info"], ds.num_items),
-        )
+        sides = []
+        for kind, ids, count in (("user", ds.user_ids, ds.num_users),
+                                 ("item", ds.item_ids, ds.num_items)):
+            # RatingDataset lets an empty map stand for no ids; a file has ids
+            if len(ids) != count:
+                raise ValueError(f"{kind}_ids has {len(ids)} entries for "
+                                 f"{count} {kind}s")
+            side = doc[f"{kind}_side_info"]
+            rows = json_numbers(side["rows"], np.float64,
+                                f"{kind}_side_info rows")
+            sides.append(SideInfoMatrix(rows.reshape(count, side["dim"]),
+                                        tuple(side["column_labels"]),
+                                        side.get("num_missing_year", 0)))
+        return PreparedData(ds, *sides)
 
 
 def load_raw_directory(raw_dir: str | Path, format: str = "ml-100k") -> PreparedData:

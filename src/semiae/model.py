@@ -32,7 +32,7 @@ from typing import Callable
 
 import numpy as np
 
-from .dataset import located, read_json, store_read_only, write_json
+from .dataset import json_numbers, json_object, store_read_only, write_json
 
 MODEL_SCHEMA_VERSION = 1
 
@@ -377,19 +377,13 @@ def save_params(path: str | Path, params: SemiAEParams,
 def load_params(path: str | Path) -> tuple[SemiAEParams, dict]:
     """Read a model JSON written by :func:`save_params`; returns (params,
     config echo).  A malformed file raises ValueError naming it."""
-    doc = read_json(path)
-    with located(path, "model JSON"):
-        if not isinstance(doc, dict):
-            raise ValueError("not an object")
-        if doc.get("schema_version") != MODEL_SCHEMA_VERSION:
-            raise ValueError(f"unsupported schema version "
-                             f"{doc.get('schema_version')}")
+    with json_object(path, "model JSON", MODEL_SCHEMA_VERSION) as doc:
         dims = doc["dims"]
+        shapes = {"Q": (dims["S"], dims["H"]), "Q1": (dims["H"], dims["D"]),
+                  "p": dims["H"], "p1": dims["D"]}
         params = SemiAEParams(
-            Q=np.asarray(doc["Q"], np.float64).reshape(dims["S"], dims["H"]),
-            Q1=np.asarray(doc["Q1"], np.float64).reshape(dims["H"], dims["D"]),
-            p=np.asarray(doc["p"], np.float64).reshape(dims["H"]),
-            p1=np.asarray(doc["p1"], np.float64).reshape(dims["D"]),
+            **{key: json_numbers(doc[key], np.float64, key).reshape(shape)
+               for key, shape in shapes.items()},
             g=doc["activations"]["g"],
             f=doc["activations"]["f"],
         )

@@ -817,12 +817,13 @@ class TestMalformedArtifacts:
                                       "loss-history-huge-int",
                                       "huge-int-learning-rate", "huge-int-Q",
                                       "fraction-above-one",
-                                      "huge-int-fraction"])
+                                      "huge-int-fraction", "text-Q",
+                                      "boolean-p1"])
     def test_malformed_model_document(self, ranking_model, prepared_path,
                                       tmp_path, capsys, edit):
         doc = json.loads(ranking_model.read_text())
         if edit == "top-level-list":
-            doc, expected = [doc], "not an object"
+            doc, expected = [doc], "not a JSON object"
         elif edit == "unknown-config-key":
             doc["training_config_echo"]["config"]["momentum"] = 0.9
             expected = "momentum"
@@ -833,6 +834,13 @@ class TestMalformedArtifacts:
         elif edit == "huge-int-Q":
             doc["Q"][0][0] = 10 ** 400
             expected = "model JSON: int too large to convert to float"
+        elif edit == "text-Q":
+            # a string that numpy would read as the number
+            doc["Q"][0][0] = text = repr(doc["Q"][0][0])
+            expected = f"model JSON: Q: {text!r} is not a number"
+        elif edit == "boolean-p1":
+            doc["p1"][0] = True
+            expected = "model JSON: p1: True is not a number"
         elif edit in ("fraction-above-one", "huge-int-fraction"):
             # split takes a fraction in (0, 1) only
             fraction = 1.5 if edit == "fraction-above-one" else 10 ** 400
@@ -884,7 +892,10 @@ class TestMalformedArtifacts:
                                       "timestamp-past-int64",
                                       "huge-int-rating", "huge-int-scale",
                                       "huge-int-user-side",
-                                      "repeated-user-id", "text-item-id"])
+                                      "repeated-user-id", "text-item-id",
+                                      "empty-item-map", "fractional-user",
+                                      "fractional-timestamp",
+                                      "boolean-rating", "text-user-side"])
     def test_malformed_prepared_document(self, ranking_model, prepared_path,
                                          tmp_path, capsys, edit):
         text = prepared_path.read_text()
@@ -904,6 +915,30 @@ class TestMalformedArtifacts:
             doc["id_maps"]["items"][2] = "x"
             text = json.dumps(doc)
             expected = "prepared data: item_ids holds 'x', not an integer"
+        elif edit == "empty-item-map":
+            # an empty map stands for no ids only in library data
+            doc["id_maps"]["items"] = []
+            text = json.dumps(doc)
+            expected = "prepared data: item_ids has 0 entries for 25 items"
+        elif edit == "fractional-user":
+            # numpy would read the index as its whole part
+            doc["triples"][0][0] += 0.5
+            text = json.dumps(doc)
+            expected = (f"prepared data: triple user: {doc['triples'][0][0]} "
+                        f"is not an integer")
+        elif edit == "fractional-timestamp":
+            doc["triples"][1][3] = float(doc["triples"][1][3])
+            text = json.dumps(doc)
+            expected = (f"prepared data: triple timestamp: "
+                        f"{doc['triples'][1][3]} is not an integer")
+        elif edit == "boolean-rating":
+            doc["triples"][5][2] = True
+            text = json.dumps(doc)
+            expected = "prepared data: triple rating: True is not a number"
+        elif edit == "text-user-side":
+            doc["user_side_info"]["rows"][0][0] = "1"
+            text = json.dumps(doc)
+            expected = "prepared data: user_side_info rows: '1' is not a number"
         elif edit == "short-item-map":
             # the id map and the side rows agree but miss the last item
             doc["id_maps"]["items"].pop()
@@ -1022,6 +1057,37 @@ class TestMalformedArtifacts:
             code, _, err = run(capsys, *argv)
             self.assert_one_line_error(code, err, "broken.json", expected)
 
+    # a config has no schema version
+    @pytest.mark.parametrize("flag, fault", [
+        (flag, fault) for flag in ("--data", "--model", "--config")
+        for fault in ("not-json", "top-level-list", "deeply-nested",
+                      "schema-version")
+        if (flag, fault) != ("--config", "schema-version")])
+    def test_every_json_input_reads_through_one_envelope(
+            self, ranking_model, prepared_path, tmp_path, capsys, flag, fault):
+        part = {"--data": "prepared data", "--model": "model JSON",
+                "--config": "config"}[flag]
+        text, expected = {
+            "not-json": ("{'epochs': 2}", "not a valid JSON file: Expecting "
+                         "property name enclosed in double quotes: line 1 "
+                         "column 2 (char 1)"),
+            "top-level-list": ("[]", f"{part}: not a JSON object"),
+            "deeply-nested": (DEEPLY_NESTED, DEEPLY_NESTED_ERROR),
+            "schema-version": ('{"schema_version": true}',
+                               f"{part}: unsupported schema version True"),
+        }[fault]
+        broken = tmp_path / "broken.json"
+        broken.write_text(text)
+        if flag == "--config":
+            argv = ["train", "--data", prepared_path, "--task", "ranking",
+                    "--config", broken, "--out", tmp_path / "never.json"]
+        else:
+            argv = ["evaluate", "--train-fraction", "0.8", "--seed", "0",
+                    "--model", broken if flag == "--model" else ranking_model,
+                    "--data", broken if flag == "--data" else prepared_path]
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (1, "", f"error: {broken}: {expected}\n")
+
     def test_truncated_config_names_the_file(self, prepared_path, tmp_path,
                                              capsys):
         cfg = tmp_path / "cut.json"
@@ -1057,7 +1123,7 @@ class TestMalformedArtifacts:
          f"learning_rate must be finite, got {10 ** 400}"),
         ({"binarize_threshold": -10 ** 400},
          f"binarize_threshold must be finite, got {-10 ** 400}"),
-        ([1], "not a flat JSON object"),
+        ([1], "not a JSON object"),
         # written as it is; the error is the file's, not the config's
         (DEEPLY_NESTED, DEEPLY_NESTED_ERROR),
         # {task} is the task the command requests

@@ -16,8 +16,8 @@ from semiae import dataset
 from semiae.dataset import (FORMATS, LAYOUTS, ML100K_GENRES,
                             ML100K_OCCUPATIONS, ParseError, PreparedData,
                             RatingDataset, SideInfoMatrix, binarize,
-                            build_vectors, load_raw_directory, located,
-                            parse_item_features, parse_ratings,
+                            build_vectors, json_numbers, load_raw_directory,
+                            located, parse_item_features, parse_ratings,
                             parse_user_profiles, read_prepared, split,
                             write_json, write_prepared)
 from util import (built_input, make_random_dataset, reference_input,
@@ -810,6 +810,19 @@ class TestPreparedRoundTrip:
             np.testing.assert_array_equal(back.item_side.rows,
                                           data.item_side.rows)
 
+    def test_dataset_without_ids_reads_back_with_the_identity_maps(
+            self, tmp_path):
+        ds = RatingDataset(2, 3, np.array([0, 1], np.int32),
+                           np.array([2, 0], np.int32), np.array([4.0, 2.0]),
+                           np.zeros(2, np.int64))
+        path = tmp_path / "p.json"
+        write_prepared(path, PreparedData(
+            ds, SideInfoMatrix(np.empty((2, 0)), ()),
+            SideInfoMatrix(np.ones((3, 1)), ("year",))))
+        back = read_prepared(path).ratings
+        assert (back.user_ids, back.item_ids) == ((0, 1), (0, 1, 2))
+        assert back.triples() == ds.triples()
+
     def test_ml1m_directory_loads(self, ml1m_dir):
         data = load_raw_directory(ml1m_dir, "ml-1m")
         assert data.user_side.dim == 30
@@ -1002,6 +1015,29 @@ class TestLocated:
         with pytest.raises(FileNotFoundError):
             with located("m.json", "model JSON"):
                 raise FileNotFoundError("m.json")
+
+
+class TestJsonNumbers:
+    @pytest.mark.parametrize("value, dtype", [
+        ([[1, 2.5], [float("nan"), -0.0]], np.float64), ([], np.float64),
+        ([[], []], np.float64), (3, np.float64), ([7, -2 ** 31], np.int32),
+        ([2 ** 63 - 1], np.int64)])
+    def test_numbers_convert_as_numpy_converts_them(self, value, dtype):
+        got = json_numbers(value, dtype, "x")
+        np.testing.assert_array_equal(got, np.asarray(value, dtype))
+        assert got.dtype == dtype
+
+    @pytest.mark.parametrize("value, dtype, message", [
+        ([[1.0, "2"]], np.float64, "x: '2' is not a number"),
+        ([1.0, True], np.float64, "x: True is not a number"),
+        ([[0.5], [None]], np.float64, "x: None is not a number"),
+        ("1.5", np.float64, "x: '1.5' is not a number"),
+        ([4, 4.0], np.int32, "x: 4.0 is not an integer"),
+        ([False], np.int64, "x: False is not an integer")])
+    def test_anything_else_is_refused(self, value, dtype, message):
+        with pytest.raises(ValueError) as info:
+            json_numbers(value, dtype, "x")
+        assert str(info.value) == message
 
 
 class TestCallersArraysStayWritable:

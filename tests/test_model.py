@@ -1,9 +1,10 @@
+import json
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from semiae.dataset import RatingDataset, SideInfoMatrix, read_json, write_json
+from semiae.dataset import RatingDataset, SideInfoMatrix, write_json
 from semiae.model import (ACTIVATIONS, BLOCK, SemiAEParams, Workspace,
                           forward, glorot_init, load_params,
                           loss_and_gradients, reconstruction_loss,
@@ -448,7 +449,7 @@ class TestSerialization:
     def test_schema_fields_present(self, tmp_path):
         path = tmp_path / "model.json"
         save_params(path, make_params(RNG(41)))
-        doc = read_json(path)
+        doc = json.loads(path.read_text())
         assert doc["schema_version"] == 1
         assert doc["dims"] == {"S": 4, "H": 3, "D": 2}
         assert set(doc["activations"]) == {"g", "f"}
@@ -456,7 +457,7 @@ class TestSerialization:
     def test_wrong_schema_version_rejected(self, tmp_path):
         path = tmp_path / "model.json"
         save_params(path, make_params(RNG(43)))
-        doc = read_json(path)
+        doc = json.loads(path.read_text())
         doc["schema_version"] = 99
         write_json(path, doc)
         with pytest.raises(ValueError, match="schema"):

@@ -1,4 +1,5 @@
 import importlib.util
+import statistics
 import subprocess
 from pathlib import Path
 
@@ -127,3 +128,32 @@ def test_bench_pairs_summary_counts_pairs_won_per_metric():
     assert "-20.0%" in rows_line
     assert rows_line.endswith("worse beyond the 25% bound: no")
     assert tool.seed_range("1501-1503,1507") == [1501, 1502, 1503, 1507]
+
+
+def test_bench_pairs_summary_counts_pairs_whose_rounds_agree():
+    tool = load_tool("bench_pairs")
+    loss = 255.6213562950183
+    # the same value every round, yet its mean over 3 rounds and over 4
+    # differ in the last digit
+    parent_mean, change_mean = (statistics.fmean([loss] * k) for k in (3, 4))
+    assert parent_mean != change_mean
+
+    def run(side, value, rounds):
+        metrics = {"train_loss": {"value": value, "unit": "loss"},
+                   "model_bytes": {"value": 1000, "unit": "bytes"}}
+        return {"workload": "cli-ml100k", "seed": 1, "side": side,
+                "ran_first_in_pair": "parent", "trace": 0, "environment": {},
+                "result": {"correct": True, "attempted": 1, "failed": 0,
+                           "metrics": metrics},
+                "rounds": [{"train_loss": loss, "model_bytes": 1000}] * rounds}
+
+    runs = [run("parent", parent_mean, 3), run("change", change_mean, 4)]
+    specs = [{"name": name, "better": "lower", "bound": 0.02}
+             for name in ("train_loss", "model_bytes")]
+    loss_line, bytes_line = tool.summarize(runs, specs)[1:]
+    assert "equal in 0, rounds equal in 1/1;" in loss_line
+    assert "equal in 1, rounds equal in 1/1;" in bytes_line
+    # a round that differs is no longer equal
+    runs[1]["rounds"] = runs[1]["rounds"][:3] + [{"train_loss": loss + 1,
+                                                   "model_bytes": 1000}]
+    assert "rounds equal in 0/1;" in tool.summarize(runs, specs)[1]

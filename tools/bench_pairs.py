@@ -12,14 +12,18 @@ every workload of ``BENCHMARK.json``, each run as long as its
 odd seeds run the parent first, even seeds the change.
 After each run the result lines are written to ``--out`` as
 ``{"description", "runs": [{workload, seed, side, ran_first_in_pair, trace,
-environment, result}]}``, so that an interrupted series keeps what it ran.
+environment, result, rounds}]}``, where ``rounds`` holds each untraced
+round's own figures, so that an interrupted series keeps what it ran.
 A run that exits non-zero is recorded with ``result: null`` and its last
 line of standard error.
 
 ``summary`` (and ``run``, when done) prints, for each workload and
 end-to-end metric, both sides' medians with their quartiles, the change of
 the median relative to the parent's, the pairs in which the change is
-better (and equal), whether the medians lie further apart than the
+better (and equal), for ``train_loss`` and ``model_bytes`` the pairs
+whose rounds give the same values on both sides (a run reports the mean
+over its rounds, whose last digit can differ between runs of different
+round counts), whether the medians lie further apart than the
 parent's quartiles, and the no-regression verdict: ``yes`` when the
 change's median is worse than the parent's by more than the metric's
 relative ``bound``, else ``unresolved`` when the parent's quartiles lie
@@ -41,6 +45,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
 SIDES = ("parent", "change")
+# metrics that are the same every round of a run, so that equal rounds
+# mean an equal figure
+ROUND_METRICS = ("train_loss", "model_bytes")
 
 
 def seed_range(text: str) -> list[int]:
@@ -54,18 +61,20 @@ def seed_range(text: str) -> list[int]:
 
 def one_run(checkout: Path, workload: str, seed: int) -> dict:
     """One ``perfbench/run.py --trace 0`` from the root of ``checkout``:
-    its environment and result lines, or a null result and the error."""
+    its rounds, environment and result lines, or a null result and the
+    error."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", str(seed), "--seconds", str(BENCHMARK["run_seconds"]),
          "--trace", "0"],
         cwd=checkout, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
-    if proc.returncode != 0 or len(lines) < 2:
+    if proc.returncode != 0 or len(lines) < 3:
         error = (proc.stderr.strip().splitlines() or ["no output"])[-1]
         return {"environment": None, "result": None, "error": error}
     return {"environment": json.loads(lines[-2])["environment"],
-            "result": json.loads(lines[-1])}
+            "result": json.loads(lines[-1]),
+            "rounds": json.loads(lines[-3])["rounds"]}
 
 
 def run_pairs(parent: Path, seeds: list[int], out: Path,
@@ -100,6 +109,7 @@ def summarize(runs: list[dict], metrics: list[dict]) -> list[str]:
     lines = []
     for workload in dict.fromkeys(r["workload"] for r in runs):
         values: dict = {}  # (metric, side) -> {seed: value}
+        rounds: dict = {}  # (metric, side, seed) -> set of round values
         failed = {side: 0 for side in SIDES}
         for r in runs:
             if r["workload"] != workload:
@@ -109,6 +119,9 @@ def summarize(runs: list[dict], metrics: list[dict]) -> list[str]:
                 continue
             for metric, entry in r["result"]["metrics"].items():
                 values.setdefault((metric, r["side"]), {})[r["seed"]] = entry["value"]
+            for metric in ROUND_METRICS if "rounds" in r else ():
+                rounds[metric, r["side"], r["seed"]] = {
+                    figures[metric] for figures in r["rounds"]}
         lines.append(f"{workload}: failed or incorrect runs parent "
                      f"{failed['parent']}, change {failed['change']}")
         for spec in metrics:
@@ -121,6 +134,13 @@ def summarize(runs: list[dict], metrics: list[dict]) -> list[str]:
             sign = 1 if spec["better"] == "higher" else -1
             won = sum(sign * (new[s] - old[s]) > 0 for s in seeds)
             tied = sum(new[s] == old[s] for s in seeds)
+            same = ""
+            if metric in ROUND_METRICS:
+                both = [s for s in seeds
+                        if all((metric, side, s) in rounds for side in SIDES)]
+                equal = sum(rounds[metric, "parent", s]
+                            == rounds[metric, "change", s] for s in both)
+                same = f", rounds equal in {equal}/{len(both)}"
             (m0, a0, b0), (m1, a1, b1) = (_spread(list(side.values()))
                                           for side in (old, new))
             rel = f"{100 * (m1 - m0) / m0:+.1f}%" if m0 else "n/a"
@@ -138,7 +158,7 @@ def summarize(runs: list[dict], metrics: list[dict]) -> list[str]:
             lines.append(
                 f"  {metric:18s} parent {m0:.6g} ({a0:.6g}-{b0:.6g})  change "
                 f"{m1:.6g} ({a1:.6g}-{b1:.6g})  {rel}  change better in "
-                f"{won}/{len(seeds)} pairs, equal in {tied}; medians apart "
+                f"{won}/{len(seeds)} pairs, equal in {tied}{same}; medians apart "
                 f"beyond the parent's quartiles: {apart}; worse beyond the "
                 f"{spec['bound']:.0%} bound: {worse}")
     return lines
