@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import functools
 import hashlib
 import json
 import logging
@@ -144,13 +143,13 @@ def _score(model: TrainedModel, prepared: PreparedData, train: RatingDataset,
     if model.task == "rating":
         preds = predict_ratings(model, train, prepared.item_side)
         return {("semi-autoencoder", "rmse"): rmse(preds, test)}
-    # each method ranks a user's top max(N) once; every N reads that list
+    # every N reads the head of each user's top max(N) list, which the
+    # library ranks once per model and data
     top = max(recall_ns)
-    methods = {"semi-autoencoder": functools.cache(lambda u: recommend_top_n(
-        model, train, prepared.user_side, u, top))}
+    methods = {"semi-autoencoder": lambda u: recommend_top_n(
+        model, train, prepared.user_side, u, top)}
     if baseline:
-        methods["most-popular"] = functools.cache(
-            lambda u: most_popular(train, u, top))
+        methods["most-popular"] = lambda u: most_popular(train, u, top)
     return {(method, f"recall@{n}"): recall_at_n(rec, test, n)
             for method, rec in methods.items() for n in sorted(set(recall_ns))}
 

@@ -771,7 +771,8 @@ def _triple_columns(triples) -> list[np.ndarray]:
 def read_prepared(path: str | Path) -> PreparedData:
     """Load a prepared dataset written by :func:`write_prepared`; a malformed
     file raises ValueError naming the file and, for a missing entry, the
-    entry.  Its id maps must hold an id for every user and item."""
+    entry.  Its id maps must hold an id for every user and item, and each
+    side's rows one row of ``dim`` values for each."""
     with json_object(path, "prepared data", PREPARED_SCHEMA_VERSION) as doc:
         users, items, ratings, stamps = _triple_columns(doc["triples"])
         ds = RatingDataset(
@@ -798,10 +799,13 @@ def read_prepared(path: str | Path) -> PreparedData:
                 raise ValueError(f"{kind}_ids has {len(ids)} entries for "
                                  f"{count} {kind}s")
             side = doc[f"{kind}_side_info"]
-            rows = json_numbers(side["rows"], np.float64,
-                                f"{kind}_side_info rows")
-            sides.append(SideInfoMatrix(rows.reshape(count, side["dim"]),
-                                        tuple(side["column_labels"]),
+            name, shape = f"{kind}_side_info rows", (count, side["dim"])
+            rows = json_numbers(side["rows"], np.float64, name)
+            if rows.shape == (0,) == (count,):  # [] holds no row of any width
+                rows = rows.reshape(shape)
+            if rows.shape != shape:
+                raise ValueError(f"{name}: shape {rows.shape} is not {shape}")
+            sides.append(SideInfoMatrix(rows, tuple(side["column_labels"]),
                                         side.get("num_missing_year", 0)))
         return PreparedData(ds, *sides)
 

@@ -6,7 +6,9 @@ consumed items from it.  The most-popular list takes the first
 makes no pass over the items and costs O(n + |consumed|) per user.  A list
 from scores (the semi-autoencoder's) partitions every score once at the
 ``n + |consumed|``-th best and sorts only the items at or above that
-cut-off.
+cut-off.  Those scores come from :mod:`semiae.trainer`, which runs one
+forward pass per chunk of 256 users and ranks each user once per model,
+data and n, so the Recall@N passes over one model share its lists.
 """
 
 from __future__ import annotations

@@ -376,14 +376,20 @@ def save_params(path: str | Path, params: SemiAEParams,
 
 def load_params(path: str | Path) -> tuple[SemiAEParams, dict]:
     """Read a model JSON written by :func:`save_params`; returns (params,
-    config echo).  A malformed file raises ValueError naming it."""
+    config echo).  A malformed file, or an array not nested to the shape of
+    the file's ``dims``, raises ValueError naming it."""
     with json_object(path, "model JSON", MODEL_SCHEMA_VERSION) as doc:
         dims = doc["dims"]
         shapes = {"Q": (dims["S"], dims["H"]), "Q1": (dims["H"], dims["D"]),
-                  "p": dims["H"], "p1": dims["D"]}
+                  "p": (dims["H"],), "p1": (dims["D"],)}
+        arrays = {key: json_numbers(doc[key], np.float64, key)
+                  for key in shapes}
+        for key, shape in shapes.items():
+            if arrays[key].shape != shape:
+                raise ValueError(f"{key}: shape {arrays[key].shape} is not "
+                                 f"{shape}")
         params = SemiAEParams(
-            **{key: json_numbers(doc[key], np.float64, key).reshape(shape)
-               for key, shape in shapes.items()},
+            **arrays,
             g=doc["activations"]["g"],
             f=doc["activations"]["f"],
         )

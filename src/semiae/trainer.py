@@ -23,6 +23,12 @@ error.  A non-finite batch loss, or a parameter left non-finite by the last
 update, stops training with a ValueError naming the epoch, the batch, the
 loss (and the last finite one) or the parameter, and the learning rate;
 numpy's floating-point warnings stay quiet meanwhile.
+
+Top-n lists are scored ``SCORE_ROWS`` users at a time: each chunk's input
+rows are built by ``build_vectors`` and run as one forward pass, then each
+user's row of scores is ranked.  The first :func:`recommend_top_n` call
+for a (model, train, profiles, n) ranks every user and keeps the lists,
+so a scan over the users, as Recall@N makes, ranks each user once.
 """
 
 from __future__ import annotations
@@ -30,6 +36,7 @@ from __future__ import annotations
 import csv
 import logging
 import math
+import weakref
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
@@ -38,14 +45,17 @@ import numpy as np
 from .dataset import (COMPARISONS, RatingDataset, SideInfoMatrix,
                       build_vectors, located)
 from .evaluation import _rank_unconsumed
-from .model import (ACTIVATIONS, SemiAEParams, Workspace, forward,
-                    forward_from, glorot_init, load_params,
-                    loss_and_gradients, save_params)
+from .model import (ACTIVATIONS, SemiAEParams, Workspace, forward_from,
+                    glorot_init, load_params, loss_and_gradients, save_params)
 from .optim import OPTIMIZER_KINDS, Optimizer, update
 
 log = logging.getLogger(__name__)
 
 TASKS = ("ranking", "rating")
+# users scored per forward pass of the top-n lists
+SCORE_ROWS = 256
+# (weak references to a model, train and profiles, n, their lists)
+_last_lists: tuple = ()
 
 # the values each TrainConfig annotation admits; a bool is no int and no
 # float, although Python makes it an int
@@ -277,19 +287,40 @@ def predict_ratings(model: TrainedModel, train: RatingDataset,
 
 
 def ranking_scores(model: TrainedModel, train: RatingDataset,
-                   profiles: SideInfoMatrix, user: int) -> np.ndarray:
-    """Reconstruction scores over all items for one user (training input only)."""
+                   profiles: SideInfoMatrix, users) -> np.ndarray:
+    """Reconstruction scores over all items for the sequence ``users``, one
+    row each, from one forward pass over their training input rows."""
     if model.task != "ranking":
         raise ValueError("ranking_scores needs a ranking-task model")
-    if not 0 <= user < train.num_users:
-        raise ValueError(f"user index {user} out of range")
-    # the user's row of build_vectors, alone
-    x = np.zeros(train.num_items + profiles.dim)
-    items, ratings = train.user_slice(user)
-    x[items] = ratings
-    x[train.num_items:] = profiles.rows[user]
-    _, out = forward(model.params, x)
-    return out
+    users = np.asarray(users, np.intp)
+    if len(outside := users[(users < 0) | (users >= train.num_users)]):
+        raise ValueError(f"user index {outside[0]} out of range")
+    x = np.empty((len(users), train.num_items + profiles.dim))
+    build_vectors(train, profiles, users, x)
+    z1 = x @ model.params.Q
+    del x
+    return forward_from(model.params, z1)[1]
+
+
+def _top_n_lists(model: TrainedModel, train: RatingDataset,
+                 profiles: SideInfoMatrix, n: int) -> list[list[int]]:
+    """Every user's top-n list, scored ``SCORE_ROWS`` users at a time.  The
+    lists of the last (model, train, profiles, n) stay in ``_last_lists``,
+    which holds the three through weak references and so keeps none of
+    them alive; a freed one never matches a new object."""
+    global _last_lists
+    key, last = (model, train, profiles), _last_lists  # one read of the slot
+    if last and last[1] == n and all(ref() is obj
+                                     for ref, obj in zip(last[0], key)):
+        return last[2]
+    lists: list[list[int]] = []
+    for start in range(0, train.num_users, SCORE_ROWS):
+        users = range(start, min(start + SCORE_ROWS, train.num_users))
+        scores = ranking_scores(model, train, profiles, users)
+        lists.extend(_rank_unconsumed(row, train, user, n)
+                     for user, row in zip(users, scores))
+    _last_lists = (tuple(map(weakref.ref, key)), n, lists)
+    return lists
 
 
 def recommend_top_n(model: TrainedModel, train: RatingDataset,
@@ -298,12 +329,15 @@ def recommend_top_n(model: TrainedModel, train: RatingDataset,
 
     Items the user already interacted with in training are excluded; ties
     break toward the lower item index.  Asking for more items than exist
-    returns every candidate, ranked.
+    returns every candidate, ranked.  The first call for a (model, train,
+    profiles, n) ranks every user, so a scan over the users costs one
+    ranking each; the list returned is the caller's own.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    scores = ranking_scores(model, train, profiles, user)
-    return _rank_unconsumed(scores, train, user, n)
+    if not 0 <= user < train.num_users:
+        raise ValueError(f"user index {user} out of range")
+    return list(_top_n_lists(model, train, profiles, n)[user])
 
 
 def save_model(path: str | Path, model: TrainedModel,

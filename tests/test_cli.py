@@ -818,7 +818,8 @@ class TestMalformedArtifacts:
                                       "huge-int-learning-rate", "huge-int-Q",
                                       "fraction-above-one",
                                       "huge-int-fraction", "text-Q",
-                                      "boolean-p1"])
+                                      "boolean-p1", "flat-Q",
+                                      "over-nested-Q1"])
     def test_malformed_model_document(self, ranking_model, prepared_path,
                                       tmp_path, capsys, edit):
         doc = json.loads(ranking_model.read_text())
@@ -841,6 +842,15 @@ class TestMalformedArtifacts:
         elif edit == "boolean-p1":
             doc["p1"][0] = True
             expected = "model JSON: p1: True is not a number"
+        elif edit == "flat-Q":
+            # the numbers of Q, row after row, in one list
+            doc["Q"] = [v for row in doc["Q"] for v in row]
+            s, h = doc["dims"]["S"], doc["dims"]["H"]
+            expected = f"model JSON: Q: shape ({s * h},) is not ({s}, {h})"
+        elif edit == "over-nested-Q1":
+            doc["Q1"] = [doc["Q1"]]
+            h, d = doc["dims"]["H"], doc["dims"]["D"]
+            expected = f"model JSON: Q1: shape (1, {h}, {d}) is not ({h}, {d})"
         elif edit in ("fraction-above-one", "huge-int-fraction"):
             # split takes a fraction in (0, 1) only
             fraction = 1.5 if edit == "fraction-above-one" else 10 ** 400
@@ -895,7 +905,9 @@ class TestMalformedArtifacts:
                                       "repeated-user-id", "text-item-id",
                                       "empty-item-map", "fractional-user",
                                       "fractional-timestamp",
-                                      "boolean-rating", "text-user-side"])
+                                      "boolean-rating", "text-user-side",
+                                      "flat-user-side", "over-nested-item-side",
+                                      "short-user-side"])
     def test_malformed_prepared_document(self, ranking_model, prepared_path,
                                          tmp_path, capsys, edit):
         text = prepared_path.read_text()
@@ -939,6 +951,24 @@ class TestMalformedArtifacts:
             doc["user_side_info"]["rows"][0][0] = "1"
             text = json.dumps(doc)
             expected = "prepared data: user_side_info rows: '1' is not a number"
+        elif edit in ("flat-user-side", "over-nested-item-side",
+                      "short-user-side"):
+            kind = edit.split("-")[-2]
+            side = doc[f"{kind}_side_info"]
+            count, dim = len(side["rows"]), side["dim"]
+            if edit == "flat-user-side":
+                side["rows"] = [v for row in side["rows"] for v in row]
+                got = f"({count * dim},)"
+            elif edit == "over-nested-item-side":
+                side["rows"] = [[row] for row in side["rows"]]
+                got = f"({count}, 1, {dim})"
+            else:
+                # each row one entry short, so the side is one column narrower
+                side["rows"] = [row[:-1] for row in side["rows"]]
+                got = f"({count}, {dim - 1})"
+            text = json.dumps(doc)
+            expected = (f"prepared data: {kind}_side_info rows: shape {got} "
+                        f"is not ({count}, {dim})")
         elif edit == "short-item-map":
             # the id map and the side rows agree but miss the last item
             doc["id_maps"]["items"].pop()
@@ -1184,17 +1214,15 @@ class TestRunCell:
                     for method, rec in recommenders.items() for n in (5, 10)}
         assert run_cell(prepared, cfg, 0.3, 2) == expected
 
-    def test_each_recommender_runs_once_per_user(self, ml100k_dir,
-                                                 monkeypatch):
-        import semiae.cli as cli
-        calls = []
-        for name in ("recommend_top_n", "most_popular"):
-            original = getattr(cli, name)
+    def test_each_user_is_ranked_once_per_cell(self, ml100k_dir, monkeypatch):
+        import semiae.trainer as trainer
+        ranked = []
+        original = trainer._rank_unconsumed
 
-            def counted(*args, _name=name, _original=original):
-                calls.append((_name, args[-2], args[-1]))
-                return _original(*args)
-            monkeypatch.setattr(cli, name, counted)
+        def counted(scores, train, user, n):
+            ranked.append((user, n))
+            return original(scores, train, user, n)
+        monkeypatch.setattr(trainer, "_rank_unconsumed", counted)
         prepared = load_raw_directory(ml100k_dir, "ml-100k")
         cfg = TrainConfig.from_dict({"epochs": 2, "seed": 2,
                                      "binarize_threshold": 3.0},
@@ -1202,7 +1230,5 @@ class TestRunCell:
         metrics = run_cell(prepared, cfg, 0.3, 2)
         assert set(metrics) == {(m, f"recall@{n}") for n in (5, 10)
                                 for m in ("semi-autoencoder", "most-popular")}
-        test = binarize(split(prepared.ratings, 0.3, 2)[1], 3.0)
-        assert calls == [(name, u, 10) for name in ("recommend_top_n",
-                                                   "most_popular")
-                         for u in sorted(set(test.users.tolist()))]
+        # both Recall@N read each user's top-10 list, ranked once
+        assert ranked == [(u, 10) for u in range(prepared.ratings.num_users)]

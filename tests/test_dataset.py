@@ -823,6 +823,19 @@ class TestPreparedRoundTrip:
         assert (back.user_ids, back.item_ids) == ((0, 1), (0, 1, 2))
         assert back.triples() == ds.triples()
 
+    def test_dataset_without_users_reads_back(self, tmp_path):
+        # the empty user side is written as [], which holds no row of width 2
+        ds = RatingDataset(0, 1, np.empty(0, np.int32), np.empty(0, np.int32),
+                           np.empty(0), np.empty(0, np.int64))
+        path = tmp_path / "p.json"
+        write_prepared(path, PreparedData(
+            ds, SideInfoMatrix(np.empty((0, 2)), ("a", "b")),
+            SideInfoMatrix(np.ones((1, 1)), ("year",))))
+        assert json.loads(path.read_text())["user_side_info"]["rows"] == []
+        back = read_prepared(path)
+        assert back.user_side.rows.shape == (0, 2)
+        assert back.item_side.rows.shape == (1, 1)
+
     def test_ml1m_directory_loads(self, ml1m_dir):
         data = load_raw_directory(ml1m_dir, "ml-1m")
         assert data.user_side.dim == 30

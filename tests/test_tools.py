@@ -157,3 +157,36 @@ def test_bench_pairs_summary_counts_pairs_whose_rounds_agree():
     runs[1]["rounds"] = runs[1]["rounds"][:3] + [{"train_loss": loss + 1,
                                                    "model_bytes": 1000}]
     assert "rounds equal in 0/1;" in tool.summarize(runs, specs)[1]
+
+
+def test_bench_pairs_summary_shows_each_eval_part():
+    tool = load_tool("bench_pairs")
+
+    def run(seed, side, recall, popular, correct=True):
+        # two rounds; a part's figure is its fastest sample in either
+        rounds = [{"eval_s": {"semi-ae Recall@5": [recall + 0.5],
+                              "most-popular Recall@5": [popular, 9.0]}},
+                  {"eval_s": {"semi-ae Recall@5": [recall],
+                              "most-popular Recall@5": [popular + 1.0]}}]
+        for figures in rounds:
+            figures.update(train_loss=1.0, model_bytes=1000)
+        return {"workload": "ranking-ml100k", "seed": seed, "side": side,
+                "ran_first_in_pair": "parent", "trace": 0, "environment": {},
+                "result": {"correct": correct, "attempted": 1, "failed": 0,
+                           "metrics": {"eval_s": {"value": recall + popular,
+                                                  "unit": "s"}}},
+                "rounds": rounds}
+
+    runs = [run(1, "parent", 0.10, 0.010), run(1, "change", 0.05, 0.011),
+            run(2, "parent", 0.12, 0.012), run(2, "change", 0.04, 0.010),
+            run(3, "parent", 0.08, 0.008), run(3, "change", 0.06, 0.009),
+            # an incorrect run's parts are left out, as its figures are
+            run(4, "parent", 0.01, 0.001), run(4, "change", 5.0, 5.0,
+                                               correct=False)]
+    lines = tool.summarize(runs, [{"name": "eval_s", "better": "lower",
+                                   "bound": 0.25}])
+    assert lines[2:] == [
+        "  eval_s part 'semi-ae Recall@5': parent 0.1  change 0.05  -50.0%  "
+        "change faster in 3/3 pairs",
+        "  eval_s part 'most-popular Recall@5': parent 0.01  change 0.01  "
+        "+0.0%  change faster in 1/3 pairs"]

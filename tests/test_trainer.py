@@ -1,17 +1,22 @@
+import gc
 import json
+import weakref
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from semiae.dataset import RatingDataset, SideInfoMatrix, binarize, split
+from semiae import trainer as trainer_module
+from semiae.dataset import (RatingDataset, SideInfoMatrix, binarize,
+                            load_raw_directory, split)
+from semiae.evaluation import _rank_unconsumed
 from semiae.model import BLOCK, SemiAEParams, forward, glorot_init
-from semiae.trainer import (TrainConfig, TrainedModel, load_model,
+from semiae.trainer import (SCORE_ROWS, TrainConfig, TrainedModel, load_model,
                             predict_ratings, ranking_scores, recommend_top_n,
                             save_model, train_ranking, train_rating,
                             write_training_log)
-from util import (built_input, make_random_dataset, reference_fit,
-                  reference_input, traced_peak)
+from util import (make_random_dataset, reference_fit, reference_input,
+                  traced_peak)
 
 RNG = np.random.default_rng
 
@@ -504,7 +509,7 @@ class TestRecommendTopN:
         model = train_rating(train, features, rating_cfg(epochs=1))
         with pytest.raises(ValueError, match=r"^ranking_scores needs a "
                            r"ranking-task model$"):
-            ranking_scores(model, train, features, 0)
+            ranking_scores(model, train, features, [0])
 
     def test_out_of_range_user_rejected(self):
         model = fixed_score_model([0.1, 0.2, 0.3])
@@ -523,23 +528,150 @@ class TestRecommendTopN:
         train, profiles = toy_ranking_data()
         model = train_ranking(train, profiles, ranking_cfg(epochs=40))
         empty = self.empty_train(num_users=3, num_items=4)
-        scores = ranking_scores(model, empty, profiles, 0)
-        assert scores.shape == (4,)
+        scores = ranking_scores(model, empty, profiles, [0])
+        assert scores.shape == (1, 4)
         assert np.all(np.isfinite(scores))
 
     def test_scores_are_the_forward_pass_of_the_users_input_row(self):
-        ds, profiles, _ = _random_task_data()
+        # two chunks of the top-n lists, the second one short
+        ds = make_random_dataset(RNG(5), SCORE_ROWS + 14, 11, 1500)
+        profiles = SideInfoMatrix(RNG(6).normal(size=(ds.num_users, 2)),
+                                  ("a", "b"))
         liked = binarize(ds)
         model = train_ranking(liked, profiles, ranking_cfg(epochs=3))
         x, _ = reference_input(liked, profiles, "user")
-        for user in range(liked.num_users):
-            scores = ranking_scores(model, liked, profiles, user).view(np.uint64)
+        for start in range(0, liked.num_users, SCORE_ROWS):
+            chunk = np.arange(start, min(start + SCORE_ROWS, liked.num_users))
+            scores = ranking_scores(model, liked, profiles, chunk)
+            # the bits of the chunk's rows run as one batch
             np.testing.assert_array_equal(
-                scores, forward(model.params, x[user])[1].view(np.uint64))
-            # the same bits as the user's row built alone, as a one-row batch
-            row, _ = built_input(liked, profiles, [user])
-            np.testing.assert_array_equal(
-                scores, forward(model.params, row)[1][0].view(np.uint64))
+                scores.view(np.uint64),
+                forward(model.params, x[chunk])[1].view(np.uint64))
+
+    def test_scores_any_set_of_users(self):
+        train, profiles = toy_ranking_data()
+        model = train_ranking(train, profiles, ranking_cfg(epochs=3))
+        x, _ = reference_input(train, profiles, "user")
+        np.testing.assert_array_equal(
+            ranking_scores(model, train, profiles, [2, 0, 2]),
+            forward(model.params, x[[2, 0, 2]])[1])
+        assert ranking_scores(model, train, profiles, []).shape == (0, 4)
+        with pytest.raises(ValueError, match=r"^user index 3 out of range$"):
+            ranking_scores(model, train, profiles, [0, 3])
+
+
+def _reference_lists(model, train, profiles, n):
+    """Every user's top-n list from one forward pass over every user."""
+    x, _ = reference_input(train, profiles, "user")
+    scores = forward(model.params, x)[1]
+    return [_rank_unconsumed(scores[user], train, user, n)
+            for user in range(train.num_users)]
+
+
+def _ranking_data(num_users, seed, cold=()):
+    """Binarized random likes of ``num_users`` users over 30 items, with no
+    training like for the users ``cold``, and their random profiles."""
+    liked = binarize(make_random_dataset(RNG(seed), num_users, 30,
+                                         num_users * 6), 3.0)
+    keep = ~np.isin(liked.users, cold)
+    liked = replace(liked, users=liked.users[keep], items=liked.items[keep],
+                    ratings=liked.ratings[keep],
+                    timestamps=liked.timestamps[keep])
+    profiles = SideInfoMatrix(RNG(seed + 1).normal(size=(num_users, 3)),
+                              ("a", "b", "c"))
+    return liked, profiles
+
+
+class TestTopNLists:
+    """``recommend_top_n`` reads every user's list from ``_top_n_lists``,
+    which scores ``SCORE_ROWS`` users per forward pass."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_lists_equal_one_forward_pass_over_every_user(self, ml100k_dir,
+                                                          seed):
+        prepared = load_raw_directory(ml100k_dir, "ml-100k")
+        train = binarize(split(prepared.ratings, 0.5, seed)[0], 3.0)
+        model = train_ranking(train, prepared.user_side,
+                              ranking_cfg(epochs=5, seed=seed))
+        want = _reference_lists(model, train, prepared.user_side, 10)
+        assert [recommend_top_n(model, train, prepared.user_side, user, 10)
+                for user in range(train.num_users)] == want
+
+    @pytest.mark.parametrize("num_users", [SCORE_ROWS - 56, 2 * SCORE_ROWS,
+                                           2 * SCORE_ROWS + 3])
+    def test_chunk_edges_and_a_cold_user(self, num_users):
+        cold = num_users // 2
+        train, profiles = _ranking_data(num_users, num_users, cold=[cold])
+        assert train.user_slice(cold)[0].size == 0
+        model = train_ranking(train, profiles, ranking_cfg(epochs=2))
+        want = _reference_lists(model, train, profiles, 5)
+        users = {0, SCORE_ROWS - 1, SCORE_ROWS, num_users - 1, cold}
+        for user in sorted(u for u in users if u < num_users):
+            got = recommend_top_n(model, train, profiles, user, 5)
+            assert got == want[user] and len(got) == 5
+
+    def test_two_models_alternating(self):
+        train, profiles = _ranking_data(40, 8)
+        a = train_ranking(train, profiles, ranking_cfg(epochs=2, seed=1))
+        b = train_ranking(train, profiles, ranking_cfg(epochs=2, seed=2))
+        want = [_reference_lists(model, train, profiles, 4) for model in (a, b)]
+        assert want[0] != want[1]
+        for user in range(train.num_users):
+            for model, lists in zip((a, b), want):
+                assert recommend_top_n(model, train, profiles, user, 4) == \
+                    lists[user]
+
+    def test_a_new_n_ranks_again(self):
+        train, profiles = _ranking_data(40, 9)
+        model = train_ranking(train, profiles, ranking_cfg(epochs=2))
+        for n in (3, 7, 0, 3):
+            want = _reference_lists(model, train, profiles, n)
+            assert [recommend_top_n(model, train, profiles, user, n)
+                    for user in range(train.num_users)] == want
+
+    def test_each_user_is_ranked_once_per_model_data_and_n(self,
+                                                            monkeypatch):
+        train, profiles = _ranking_data(SCORE_ROWS + 10, 10)
+        model = train_ranking(train, profiles, ranking_cfg(epochs=2))
+        ranked = []
+        original = trainer_module._rank_unconsumed
+
+        def counted(scores, ds, user, n):
+            ranked.append(user)
+            return original(scores, ds, user, n)
+        monkeypatch.setattr(trainer_module, "_rank_unconsumed", counted)
+        for _ in range(3):
+            for user in range(train.num_users):
+                recommend_top_n(model, train, profiles, user, 6)
+        assert ranked == list(range(train.num_users))
+
+    def test_a_caller_cannot_change_a_kept_list(self):
+        train, profiles = _ranking_data(20, 11)
+        model = train_ranking(train, profiles, ranking_cfg(epochs=2))
+        want = recommend_top_n(model, train, profiles, 4, 5)
+        got = recommend_top_n(model, train, profiles, 4, 5)
+        got.reverse()
+        got.append(99)
+        assert recommend_top_n(model, train, profiles, 4, 5) == want
+        assert len(want) == 5
+
+    def test_kept_lists_keep_no_model_or_data_alive(self):
+        train, profiles = _ranking_data(20, 12)
+        model = train_ranking(train, profiles, ranking_cfg(epochs=2))
+        recommend_top_n(model, train, profiles, 0, 5)
+        refs = [weakref.ref(obj) for obj in (model, train, profiles)]
+        del model, train, profiles
+        gc.collect()
+        assert [ref() for ref in refs] == [None, None, None]
+
+    def test_out_of_range_user_is_refused_after_the_lists_exist(self):
+        train, profiles = _ranking_data(20, 13)
+        model = train_ranking(train, profiles, ranking_cfg(epochs=2))
+        recommend_top_n(model, train, profiles, 0, 5)
+        for user in (-1, 20):
+            with pytest.raises(ValueError,
+                               match=rf"^user index {user} out of range$"):
+                recommend_top_n(model, train, profiles, user, 5)
 
 
 class TestZeroSideInformation:

@@ -4,8 +4,8 @@
 In a temporary directory, on a ``semiae.synthetic`` layout, runs each
 command in its own process, as a user would:
 
-    prepare; train and evaluate (rating, then ranking); recommend;
-    reproduce --table 2; reproduce --table 1
+    prepare; train and evaluate (rating, then ranking); recommend for the
+    first and the last user; reproduce --table 2; reproduce --table 1
 
 and prints one ``sha256  name`` line for every file the commands wrote and
 for the stdout and stderr of every command.  Manifests are hashed without
@@ -39,7 +39,7 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src"
 sys.path.insert(0, str(SRC))
 
-from semiae.dataset import FORMATS  # noqa: E402
+from semiae.dataset import FORMATS, LAYOUTS, parse_ratings  # noqa: E402
 from semiae.synthetic import write_layout  # noqa: E402
 
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -60,9 +60,11 @@ CONFIGS = {
 STAMP = re.compile(rb"^\d{4}-\d\d-\d\d \d\d:\d\d:\d\d,\d{3} ", re.MULTILINE)
 
 
-def commands(fmt: str) -> list[tuple[str, list[str]]]:
+def commands(fmt: str, last_user: int = 1) -> list[tuple[str, list[str]]]:
     """(label, CLI arguments) of the pass, in order; raw user id 1 exists
-    in every synthetic layout."""
+    in every synthetic layout, and ``last_user`` is the raw id of the
+    layout's last rated user."""
+    recommend = ["--n", "10", "--train-fraction", "0.5", "--seed", "1"]
     return [
         ("prepare", ["prepare", "--raw", "raw", "--format", fmt,
                      "--out", "out/prepared.json"]),
@@ -85,8 +87,12 @@ def commands(fmt: str) -> list[tuple[str, list[str]]]:
                               "--out", "out/ranking.eval.json"]),
         ("recommend", ["recommend", "--model", "out/ranking.json",
                        "--data", "out/prepared.json", "--user", "1",
-                       "--n", "10", "--train-fraction", "0.5",
-                       "--seed", "1"]),
+                       *recommend]),
+        # past the first scoring chunk of the top-n lists, on the default
+        # layout
+        ("recommend-last", ["recommend", "--model", "out/ranking.json",
+                            "--data", "out/prepared.json",
+                            "--user", str(last_user), *recommend]),
         ("reproduce", ["reproduce", "--table", "2", "--raw", "raw",
                        "--format", fmt, "--seeds", "1,2",
                        "--config", "reproduce.cfg.json",
@@ -112,8 +118,8 @@ def _file_digest(path: Path) -> str:
     return _digest(path.read_bytes())
 
 
-def artifact_hashes(fmt: str = "ml-100k", num_users: int = 120,
-                    num_items: int = 80, num_ratings: int = 2500,
+def artifact_hashes(fmt: str = "ml-100k", num_users: int = 300,
+                    num_items: int = 80, num_ratings: int = 6000,
                     seed: int = 0) -> list[str]:
     """The ``sha256  name`` lines of one pass over the CLI."""
     env = {var: "1" for var in THREAD_VARS}  # unless the caller set them
@@ -126,7 +132,9 @@ def artifact_hashes(fmt: str = "ml-100k", num_users: int = 120,
                      seed)
         for task, cfg in CONFIGS.items():
             (work / f"{task}.cfg.json").write_text(json.dumps(cfg))
-        for label, argv in commands(fmt):
+        ratings = work / "raw" / LAYOUTS[fmt]["ratings"][0]
+        last_user = parse_ratings(ratings, fmt).user_ids[-1]
+        for label, argv in commands(fmt, last_user):
             run = subprocess.run([sys.executable, "-m", "semiae.cli", *argv],
                                  cwd=work, env=env, capture_output=True)
             if run.returncode != 0:
@@ -143,9 +151,10 @@ def artifact_hashes(fmt: str = "ml-100k", num_users: int = 120,
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--format", choices=FORMATS, default="ml-100k")
-    parser.add_argument("--users", type=int, default=120)
+    # more users than one scoring chunk of the top-n lists (256)
+    parser.add_argument("--users", type=int, default=300)
     parser.add_argument("--items", type=int, default=80)
-    parser.add_argument("--ratings", type=int, default=2500)
+    parser.add_argument("--ratings", type=int, default=6000)
     parser.add_argument("--seed", type=int, default=0,
                         help="seed of the synthetic layout")
     args = parser.parse_args(argv)

@@ -28,7 +28,10 @@ parent's quartiles, and the no-regression verdict: ``yes`` when the
 change's median is worse than the parent's by more than the metric's
 relative ``bound``, else ``unresolved`` when the parent's quartiles lie
 further apart than that bound and not every run of the change is better
-than every run of the parent, else ``no``.  Which direction is better,
+than every run of the parent, else ``no``.  Then, for each part of
+``eval_s`` in the rounds (``semi-ae Recall@5``, ...), both sides' median
+over runs of the run's fastest sample of that part, and the pairs in which
+the change is faster, so that a claim shows which part moved.  Which direction is better,
 and each bound, come from this checkout's ``BENCHMARK.json``.  Only the
 standard library is used.
 """
@@ -37,6 +40,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import statistics
 import subprocess
 import sys
@@ -110,6 +114,7 @@ def summarize(runs: list[dict], metrics: list[dict]) -> list[str]:
     for workload in dict.fromkeys(r["workload"] for r in runs):
         values: dict = {}  # (metric, side) -> {seed: value}
         rounds: dict = {}  # (metric, side, seed) -> set of round values
+        parts: dict = {}  # eval_s part -> side -> {seed: fastest sample}
         failed = {side: 0 for side in SIDES}
         for r in runs:
             if r["workload"] != workload:
@@ -122,6 +127,11 @@ def summarize(runs: list[dict], metrics: list[dict]) -> list[str]:
             for metric in ROUND_METRICS if "rounds" in r else ():
                 rounds[metric, r["side"], r["seed"]] = {
                     figures[metric] for figures in r["rounds"]}
+            for figures in r.get("rounds", ()):
+                for part, samples in figures.get("eval_s", {}).items():
+                    seen = parts.setdefault(part, {}).setdefault(r["side"], {})
+                    seen[r["seed"]] = min(min(samples),
+                                          seen.get(r["seed"], math.inf))
         lines.append(f"{workload}: failed or incorrect runs parent "
                      f"{failed['parent']}, change {failed['change']}")
         for spec in metrics:
@@ -161,6 +171,18 @@ def summarize(runs: list[dict], metrics: list[dict]) -> list[str]:
                 f"{won}/{len(seeds)} pairs, equal in {tied}{same}; medians apart "
                 f"beyond the parent's quartiles: {apart}; worse beyond the "
                 f"{spec['bound']:.0%} bound: {worse}")
+        for part, sides in parts.items():
+            old, new = (sides.get(side, {}) for side in SIDES)
+            seeds = sorted(set(old) & set(new))
+            if not seeds:
+                continue
+            m0, m1 = (statistics.median(side[s] for s in seeds)
+                      for side in (old, new))
+            rel = f"{100 * (m1 - m0) / m0:+.1f}%" if m0 else "n/a"
+            faster = sum(new[s] < old[s] for s in seeds)
+            lines.append(f"  eval_s part {part!r}: parent {m0:.6g}  change "
+                         f"{m1:.6g}  {rel}  change faster in "
+                         f"{faster}/{len(seeds)} pairs")
     return lines
 
 
