@@ -154,22 +154,6 @@ def _score(model: TrainedModel, prepared: PreparedData, train: RatingDataset,
             for method, rec in methods.items() for n in sorted(set(recall_ns))}
 
 
-def _check_fits(model: TrainedModel, model_path: str,
-                prepared: PreparedData, data_path: str) -> None:
-    """A model only reads rows of the shape it was trained on: its output
-    width and side width must be the data's."""
-    ds = prepared.ratings
-    width, side = ((ds.num_items, prepared.user_side.dim)
-                   if model.orientation == "user" else
-                   (ds.num_users, prepared.item_side.dim))
-    if (model.params.output_dim, model.side_dim) != (width, side):
-        raise ValueError(
-            f"model {model_path} reads {model.orientation} rows of "
-            f"{model.params.output_dim} ratings + {model.side_dim} side "
-            f"values, but data {data_path} has {model.orientation} rows of "
-            f"{width} ratings + {side} side values")
-
-
 def run_cell(prepared: PreparedData, cfg: TrainConfig, fraction: float,
              seed: int) -> dict[tuple[str, str], float]:
     """One cell of a results table: split once with ``seed``, fit ``cfg``
@@ -228,8 +212,6 @@ def _warn_on_split_mismatch(echo: dict, model: TrainedModel,
 def cmd_evaluate(args) -> Written:
     model, echo = load_model_and_echo(args.model)
     prepared = read_prepared(args.data)
-    _check_fits(model, args.model, prepared, args.data)
-    _warn_on_split_mismatch(echo, model, args.train_fraction, args.seed)
     recall_ns = RECALL_NS
     if args.recall:
         recall_ns = _parse_ints(args.recall)
@@ -242,6 +224,8 @@ def cmd_evaluate(args) -> Written:
             raise ValueError(f"--recall values must be >= 0, got {args.recall}")
     train, test = _split(prepared, model.config, args.train_fraction, args.seed)
     metrics = _score(model, prepared, train, test, recall_ns)
+    # after scoring, so that a model refused by the data warns of nothing
+    _warn_on_split_mismatch(echo, model, args.train_fraction, args.seed)
     report = {"task": model.task,
               "num_evaluated_users": len(np.unique(test.users)),
               "config_echo": {"train_fraction": args.train_fraction,
@@ -263,7 +247,6 @@ def cmd_recommend(args) -> Written:
     if model.task != "ranking":
         raise ValueError("recommend needs a ranking-task model")
     prepared = read_prepared(args.data)
-    _check_fits(model, args.model, prepared, args.data)
     ds = prepared.ratings
     try:
         user_index = ds.user_ids.index(args.user)
@@ -386,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--train-fraction", type=float,
                    help="restrict the input interactions to the seeded split "
                         "train made with this fraction, in (0, 1); omit it to "
-                        "train on every rating")
+                        "use every rating")
     p.add_argument("--seed", type=int)
     p.set_defaults(func=cmd_recommend)
 

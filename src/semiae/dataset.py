@@ -561,6 +561,8 @@ def split(ds: RatingDataset, train_fraction: float, seed: int
     """
     if not 0.0 < train_fraction < 1.0:
         raise ValueError(f"train_fraction {train_fraction} outside (0, 1)")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     n = len(ds)
     if n < 2:
         raise ValueError(f"need at least 2 ratings to split, have {n}")

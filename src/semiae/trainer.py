@@ -24,11 +24,13 @@ update, stops training with a ValueError naming the epoch, the batch, the
 loss (and the last finite one) or the parameter, and the learning rate;
 numpy's floating-point warnings stay quiet meanwhile.
 
-Top-n lists are scored ``SCORE_ROWS`` users at a time: each chunk's input
-rows are built by ``build_vectors`` and run as one forward pass, then each
-user's row of scores is ranked.  The first :func:`recommend_top_n` call
-for a (model, train, profiles, n) ranks every user and keeps the lists,
-so a scan over the users, as Recall@N makes, ranks each user once.
+Inference for both tasks is :func:`score_rows`: the model's rows (users
+for ranking, items for rating) of data of the model's row shape, built by
+``build_vectors`` and run as one forward pass.  Rating prediction scores
+every item at once; top-n lists score ``SCORE_ROWS`` users at a time and
+rank each user's row.  The first :func:`recommend_top_n` call for a (model,
+train, profiles, n) ranks every user and keeps the lists, so a scan over
+the users, as Recall@N makes, ranks each user once.
 """
 
 from __future__ import annotations
@@ -260,23 +262,45 @@ def train_rating(train: RatingDataset, features: SideInfoMatrix,
     return _run_epochs(train.T, features, True, cfg)
 
 
+def score_rows(model: TrainedModel, train: RatingDataset,
+               side: SideInfoMatrix, rows) -> np.ndarray:
+    """Reconstruction scores of the model's input rows ``rows``, one output
+    row each, from one forward pass: users of ``train`` for a ranking model,
+    items (the user rows of ``train.T``) for a rating model.
+
+    Data whose rows differ from the model's in ratings or side values is
+    refused.  The rows' input goes as soon as its product with ``Q`` is
+    formed, before the activation and the output layer.
+    """
+    ds = train if model.orientation == "user" else train.T
+    if (ds.num_items, side.dim) != (model.params.output_dim, model.side_dim):
+        raise ValueError(
+            f"model reads {model.orientation} rows of "
+            f"{model.params.output_dim} ratings + {model.side_dim} side "
+            f"values, but data has {model.orientation} rows of "
+            f"{ds.num_items} ratings + {side.dim} side values")
+    rows = np.asarray(rows, np.intp)
+    if len(outside := rows[(rows < 0) | (rows >= ds.num_users)]):
+        raise ValueError(f"{model.orientation} index {outside[0]} out of range")
+    x = np.empty((len(rows), model.params.input_dim))
+    build_vectors(ds, side, rows, x)
+    z1 = x @ model.params.Q
+    del x
+    return forward_from(model.params, z1)[1]
+
+
 def predict_ratings(model: TrainedModel, train: RatingDataset,
                     features: SideInfoMatrix) -> np.ndarray:
     """Reconstruct the full item-by-user rating matrix from training data.
 
-    Inputs are built from the training triples only.  Items that are
-    unobserved in training fall back to the global training mean; all
-    predictions are clipped to the rating scale.  The whole input goes as
-    soon as its product with ``Q`` is formed, before the activation and the
-    output layer.
+    Inputs are built from the training triples only, as one
+    :func:`score_rows` pass over every item.  Items that are unobserved in
+    training fall back to the global training mean; all predictions are
+    clipped to the rating scale.
     """
     if model.task != "rating":
         raise ValueError("predict_ratings needs a rating-task model")
-    x = np.empty((train.num_items, train.num_users + features.dim))
-    build_vectors(train.T, features, np.arange(train.num_items), x)
-    z1 = x @ model.params.Q
-    del x
-    _, out = forward_from(model.params, z1)
+    out = score_rows(model, train, features, np.arange(train.num_items))
     empty = train.item_counts == 0
     if empty.any():
         if len(train) == 0:
@@ -284,22 +308,6 @@ def predict_ratings(model: TrainedModel, train: RatingDataset,
         out[empty, :] = float(train.ratings.mean())
     lo, hi = train.rating_scale
     return np.clip(out, lo, hi, out=out)
-
-
-def ranking_scores(model: TrainedModel, train: RatingDataset,
-                   profiles: SideInfoMatrix, users) -> np.ndarray:
-    """Reconstruction scores over all items for the sequence ``users``, one
-    row each, from one forward pass over their training input rows."""
-    if model.task != "ranking":
-        raise ValueError("ranking_scores needs a ranking-task model")
-    users = np.asarray(users, np.intp)
-    if len(outside := users[(users < 0) | (users >= train.num_users)]):
-        raise ValueError(f"user index {outside[0]} out of range")
-    x = np.empty((len(users), train.num_items + profiles.dim))
-    build_vectors(train, profiles, users, x)
-    z1 = x @ model.params.Q
-    del x
-    return forward_from(model.params, z1)[1]
 
 
 def _top_n_lists(model: TrainedModel, train: RatingDataset,
@@ -316,7 +324,7 @@ def _top_n_lists(model: TrainedModel, train: RatingDataset,
     lists: list[list[int]] = []
     for start in range(0, train.num_users, SCORE_ROWS):
         users = range(start, min(start + SCORE_ROWS, train.num_users))
-        scores = ranking_scores(model, train, profiles, users)
+        scores = score_rows(model, train, profiles, users)
         lists.extend(_rank_unconsumed(row, train, user, n)
                      for user, row in zip(users, scores))
     _last_lists = (tuple(map(weakref.ref, key)), n, lists)
@@ -333,6 +341,8 @@ def recommend_top_n(model: TrainedModel, train: RatingDataset,
     profiles, n) ranks every user, so a scan over the users costs one
     ranking each; the list returned is the caller's own.
     """
+    if model.task != "ranking":
+        raise ValueError("recommend_top_n needs a ranking-task model")
     if n < 0:
         raise ValueError("n must be >= 0")
     if not 0 <= user < train.num_users:

@@ -223,16 +223,33 @@ class TestTrain:
         assert json.loads(full.read_text())["Q"] != \
             json.loads(part.read_text())["Q"]
 
-    @pytest.mark.parametrize("fraction", ["1.5", "1.0"])
+    # and the split's seed, which evaluate and recommend take as a flag
+    @pytest.mark.parametrize("command, flags, expected", [
+        ("train", ["--train-fraction", "1.5"],
+         "train_fraction 1.5 outside (0, 1)"),
+        ("train", ["--train-fraction", "1.0"],
+         "train_fraction 1.0 outside (0, 1)"),
+        ("evaluate", ["--train-fraction", "0.8", "--seed", "-1"],
+         "seed must be >= 0, got -1"),
+        ("recommend", ["--user", "1", "--n", "2", "--train-fraction", "0.5",
+                       "--seed", "-1"], "seed must be >= 0, got -1")],
+        ids=["1.5", "1.0", "evaluate-seed-negative", "recommend-seed-negative"])
     def test_train_fraction_outside_the_open_interval_rejected(
-            self, prepared_path, tmp_path, capsys, fraction):
+            self, prepared_path, tmp_path, capsys, command, flags, expected):
         cfg = write_config(tmp_path, epochs=2, hidden_dim=4)
         out = tmp_path / "never.json"
-        code, _, err = run(capsys, "train", "--data", prepared_path,
-                           "--task", "rating", "--config", cfg, "--out", out,
-                           "--train-fraction", fraction)
-        assert code == 1
-        assert err == f"error: train_fraction {float(fraction)} outside (0, 1)\n"
+        model = tmp_path / "m.json"
+        if command == "train":
+            flags = ["--task", "rating", "--config", cfg, "--out", out, *flags]
+        else:
+            code, _, err = run(capsys, "train", "--data", prepared_path,
+                               "--task", "ranking", "--config", cfg,
+                               "--out", model)
+            assert code == 0, err
+            flags = ["--model", model, *flags]
+        code, stdout, err = run(capsys, command, "--data", prepared_path,
+                                *flags)
+        assert (code, stdout, err) == (1, "", f"error: {expected}\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("key, value", [("learning_rate", 1),
@@ -474,7 +491,7 @@ class TestRecommend:
 
 class TestModelDataMismatch:
     """A model scored against data of another shape is a one-line error
-    naming both files and both row shapes, for either task."""
+    naming both row shapes, for either task."""
 
     @pytest.mark.parametrize("task, command, layout", [
         ("rating", "evaluate", "ml-100k"), ("ranking", "evaluate", "ml-100k"),
@@ -512,10 +529,37 @@ class TestModelDataMismatch:
         rows = "user" if task == "ranking" else "item"
         (width, side), (width2, side2) = row(prepared_path), row(other)
         assert (width, side) != (width2, side2)
-        assert err == (f"error: model {model} reads {rows} rows of {width} "
-                       f"ratings + {side} side values, but data {other} has "
+        assert err == (f"error: model reads {rows} rows of {width} "
+                       f"ratings + {side} side values, but data has "
                        f"{rows} rows of {width2} ratings + {side2} side "
                        f"values\n")
+
+    def test_a_refused_model_prints_only_its_error(self, prepared_path,
+                                                   tmp_path, capsys):
+        # in a process of its own, where the log reaches stderr; the
+        # model's split (0.8, seed 3) is not the one evaluate asks for
+        cfg = write_config(tmp_path, epochs=2, hidden_dim=3, seed=3)
+        model = tmp_path / "m.json"
+        code, _, err = run(capsys, "train", "--data", prepared_path,
+                           "--task", "rating", "--config", cfg, "--out", model,
+                           "--train-fraction", "0.8")
+        assert code == 0, err
+        raw = write_layout(tmp_path / "raw", "ml-100k", num_users=40,
+                           num_items=30, num_ratings=400, seed=5)
+        other = tmp_path / "other.json"
+        code, _, err = run(capsys, "prepare", "--raw", raw, "--out", other)
+        assert code == 0, err
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, SEMIAE_LOG="warning", PYTHONPATH=os.pathsep.join(
+            filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-m", "semiae.cli", "evaluate", "--model",
+             str(model), "--data", str(other), "--train-fraction", "0.5",
+             "--seed", "9"],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr.startswith("error: model ")
+        assert proc.stderr.count("\n") == 1
 
 
 class TestReproduce:

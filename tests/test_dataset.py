@@ -510,6 +510,11 @@ class TestSplit:
         with pytest.raises(ValueError, match="train_fraction"):
             split(ds, fraction, seed=0)
 
+    def test_negative_seed_rejected_by_name(self):
+        ds = make_random_dataset(RNG(0), 4, 4, 8)
+        with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+            split(ds, 0.5, seed=-1)
+
 
 class TestBinarize:
     def make(self, ratings):

@@ -12,10 +12,11 @@ import pytest
 
 import semiae
 from semiae.cli import main
-from semiae.dataset import binarize, load_raw_directory
+from semiae.dataset import binarize, load_raw_directory, split
+from semiae.evaluation import rmse
 from semiae.model import loss_and_gradients
-from semiae.trainer import (TrainConfig, load_model, train_ranking,
-                            train_rating)
+from semiae.trainer import (TrainConfig, load_model, predict_ratings,
+                            recommend_top_n, train_ranking, train_rating)
 
 ROOT = Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
@@ -37,17 +38,25 @@ def test_readme_library_import_line_works():
 
 
 def test_every_traced_function_exists():
-    # perfbench/spans.py wraps these by name; a rename would silently drop
-    # its span from a traced benchmark run
+    # perfbench/spans.py wraps these by name; a missing one makes a traced
+    # benchmark run fail as its tracer installs
     spec = importlib.util.spec_from_file_location(
         "perfbench_spans", ROOT / "perfbench" / "spans.py")
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
-    missing = [f"{home}.{name}" for home, names in spans.SPANS.values()
-               for name in names
-               if not callable(getattr(importlib.import_module(home), name,
-                                       None))]
+    traced = [(importlib.import_module(home), name)
+              for home, names in spans.SPANS.values() for name in names]
+    missing = [f"{module.__name__}.{name}" for module, name in traced
+               if not callable(getattr(module, name, None))]
     assert missing == []
+    originals = [getattr(module, name) for module, name in traced]
+    tracer = spans.Tracer().install()
+    try:
+        assert all(getattr(module, name).__wrapped__ is original
+                   for (module, name), original in zip(traced, originals))
+    finally:
+        tracer.restore()
+    assert [getattr(module, name) for module, name in traced] == originals
 
 
 @pytest.mark.parametrize("task", ["rating", "ranking"])
@@ -85,12 +94,19 @@ def test_benchmark_reads_the_library(task, ml100k_dir):
                  "mask_ranking_loss", "regularization"):
         assert hasattr(cfg, name)
     prepared = load_raw_directory(ml100k_dir, "ml-100k")
+    ds = prepared.ratings
+    train, test = split(ds, 0.8, 1)
     if task == "rating":
-        model = train_rating(prepared.ratings, prepared.item_side, cfg)
+        model = train_rating(train, prepared.item_side, cfg)
+        pred = predict_ratings(model, train, prepared.item_side)
+        assert pred.shape == (ds.num_items, ds.num_users)
+        assert np.isfinite(rmse(pred, test))
     else:
-        model = train_ranking(binarize(prepared.ratings, cfg.binarize_threshold,
-                                       cfg.binarize_comparison),
-                              prepared.user_side, cfg)
+        btrain = binarize(train, cfg.binarize_threshold,
+                          cfg.binarize_comparison)
+        model = train_ranking(btrain, prepared.user_side, cfg)
+        top = recommend_top_n(model, btrain, prepared.user_side, 0, 10)
+        assert len(top) == 10 and all(0 <= i < ds.num_items for i in top)
     assert model.orientation == ("item" if task == "rating" else "user")
     assert len(model.loss_history) == model.config.epochs == 1
     params = model.params

@@ -12,8 +12,8 @@ from semiae.dataset import (RatingDataset, SideInfoMatrix, binarize,
 from semiae.evaluation import _rank_unconsumed
 from semiae.model import BLOCK, SemiAEParams, forward, glorot_init
 from semiae.trainer import (SCORE_ROWS, TrainConfig, TrainedModel, load_model,
-                            predict_ratings, ranking_scores, recommend_top_n,
-                            save_model, train_ranking, train_rating,
+                            predict_ratings, recommend_top_n, save_model,
+                            score_rows, train_ranking, train_rating,
                             write_training_log)
 from util import (make_random_dataset, reference_fit, reference_input,
                   traced_peak)
@@ -462,7 +462,8 @@ class TestPeakMemory:
         params = glorot_init(1002, 5, 1000, rng=RNG(13))
         model = TrainedModel(params, (0.0,), TrainConfig.defaults("rating"))
         preds, peak = traced_peak(predict_ratings, model, ds, features)
-        assert peak < input_bytes + preds.nbytes
+        # the input is gone before the output exists
+        assert peak < max(input_bytes, preds.nbytes) + input_bytes // 8
 
 
 class TestRecommendTopN:
@@ -504,12 +505,24 @@ class TestRecommendTopN:
         with pytest.raises(ValueError, match=r"^n must be >= 0$"):
             recommend_top_n(model, self.empty_train(), self.profiles(), 0, -1)
 
-    def test_rating_model_gives_no_ranking_scores(self):
+    def test_rating_model_rejected(self):
         train, features = toy_rating_data()
         model = train_rating(train, features, rating_cfg(epochs=1))
-        with pytest.raises(ValueError, match=r"^ranking_scores needs a "
+        with pytest.raises(ValueError, match=r"^recommend_top_n needs a "
                            r"ranking-task model$"):
-            ranking_scores(model, train, features, [0])
+            recommend_top_n(model, train, features, 0, 1)
+
+    def test_rating_model_scores_every_item_as_predict_ratings(self):
+        # every item rated and a scale nothing reaches: predict_ratings
+        # neither falls back nor clips
+        ds = make_random_dataset(RNG(3), 12, 9, 80)
+        ds = replace(ds, rating_scale=(-1e9, 1e9))
+        assert (ds.item_counts > 0).all()
+        features = SideInfoMatrix(RNG(4).normal(size=(9, 2)), ("a", "b"))
+        model = train_rating(ds, features, rating_cfg(epochs=3))
+        np.testing.assert_array_equal(
+            score_rows(model, ds, features, range(9)).view(np.uint64),
+            predict_ratings(model, ds, features).view(np.uint64))
 
     def test_out_of_range_user_rejected(self):
         model = fixed_score_model([0.1, 0.2, 0.3])
@@ -528,7 +541,7 @@ class TestRecommendTopN:
         train, profiles = toy_ranking_data()
         model = train_ranking(train, profiles, ranking_cfg(epochs=40))
         empty = self.empty_train(num_users=3, num_items=4)
-        scores = ranking_scores(model, empty, profiles, [0])
+        scores = score_rows(model, empty, profiles, [0])
         assert scores.shape == (1, 4)
         assert np.all(np.isfinite(scores))
 
@@ -542,7 +555,7 @@ class TestRecommendTopN:
         x, _ = reference_input(liked, profiles, "user")
         for start in range(0, liked.num_users, SCORE_ROWS):
             chunk = np.arange(start, min(start + SCORE_ROWS, liked.num_users))
-            scores = ranking_scores(model, liked, profiles, chunk)
+            scores = score_rows(model, liked, profiles, chunk)
             # the bits of the chunk's rows run as one batch
             np.testing.assert_array_equal(
                 scores.view(np.uint64),
@@ -553,11 +566,35 @@ class TestRecommendTopN:
         model = train_ranking(train, profiles, ranking_cfg(epochs=3))
         x, _ = reference_input(train, profiles, "user")
         np.testing.assert_array_equal(
-            ranking_scores(model, train, profiles, [2, 0, 2]),
+            score_rows(model, train, profiles, [2, 0, 2]),
             forward(model.params, x[[2, 0, 2]])[1])
-        assert ranking_scores(model, train, profiles, []).shape == (0, 4)
+        assert score_rows(model, train, profiles, []).shape == (0, 4)
         with pytest.raises(ValueError, match=r"^user index 3 out of range$"):
-            ranking_scores(model, train, profiles, [0, 3])
+            score_rows(model, train, profiles, [0, 3])
+
+
+class TestModelDataFit:
+    """Both tasks score through ``score_rows``, which refuses data whose
+    rows differ from the model's: 12 ratings + 1 side value against 11 + 2
+    is the same input width, which a matrix product would take."""
+
+    @pytest.mark.parametrize("task", ["ranking", "rating"])
+    def test_data_of_another_row_shape_is_refused(self, task):
+        params = glorot_init(11 + 2, 3, 11, rng=RNG(1))
+        model = TrainedModel(params, (0.0,), TrainConfig.defaults(task))
+        rows = "user" if task == "ranking" else "item"
+        want = (rf"^model reads {rows} rows of 11 ratings \+ 2 side values, "
+                rf"but data has {rows} rows of 12 ratings \+ 1 side values$")
+        if task == "ranking":
+            data = binarize(make_random_dataset(RNG(2), 20, 12, 120), 3.0)
+            profiles = SideInfoMatrix(RNG(3).normal(size=(20, 1)), ("a",))
+            with pytest.raises(ValueError, match=want):
+                recommend_top_n(model, data, profiles, 0, 3)
+        else:
+            data = make_random_dataset(RNG(2), 12, 20, 120)
+            features = SideInfoMatrix(RNG(3).normal(size=(20, 1)), ("a",))
+            with pytest.raises(ValueError, match=want):
+                predict_ratings(model, data, features)
 
 
 def _reference_lists(model, train, profiles, n):
