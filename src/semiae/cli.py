@@ -1,12 +1,12 @@
 """Command-line driver: prepare, train, evaluate, recommend, reproduce.
 
-A command returns the files it wrote and its seed.  :func:`main` first checks
-that no output flag names an input or another output, then makes the
-directory of each output flag (so ``train --log logs/k.csv`` makes
-``logs/``; a failed command removes those still empty), then writes
-``<first output>.manifest.json``: the command, its ``args`` (every parsed
-flag with a value, defaults included, as strings), the seed and each
-output's sha256, so re-runs can be checked for identical bytes.
+A command that writes a file writes one, and returns it and its seed.
+:func:`main` first checks that neither ``--out`` nor its manifest names an
+input, then makes the directory of the output flag (so ``train --out
+models/k.json`` makes ``models/``; a failed command removes those still
+empty), then writes ``<output>.manifest.json``: the command, its ``args``
+(every parsed flag with a value, defaults included, as strings), the seed
+and the output's sha256, so re-runs can be checked for identical bytes.
 ``SEMIAE_LOG`` (debug/info/warning/error) controls log verbosity.
 """
 
@@ -31,7 +31,7 @@ from .dataset import (PreparedData, RatingDataset, binarize, load_raw_directory,
                       read_prepared, split, write_prepared)
 from .evaluation import most_popular, recall_at_n, rmse
 from .trainer import (TrainConfig, TrainedModel, load_model, load_model_and_echo,
-                      predict_ratings, recommend_top_n, save_model, write_training_log)
+                      predict_ratings, recommend_top_n, save_model)
 
 log = logging.getLogger(__name__)
 
@@ -55,7 +55,7 @@ TABLE_COLUMNS = ["dataset", "task", "train_fraction", "seed", "method",
                  "metric", "value"]
 RECALL_NS = (5, 10)
 # the flags naming what a command writes: a file, or (out_dir) a directory
-OUTPUT_FLAGS = ("out", "log", "out_dir")
+OUTPUT_FLAGS = ("out", "out_dir")
 
 
 def _sha256(path: Path) -> str:
@@ -66,39 +66,27 @@ def _sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
-def _write_manifest(args: argparse.Namespace, outputs: list[Path],
+def _write_manifest(args: argparse.Namespace, output: Path,
                     seed: int | None) -> None:
-    doc = {
+    ds_mod.write_json(f"{output}.manifest.json", {
         "command": args.command,
         "args": {k: str(v) for k, v in vars(args).items()
                  if v is not None and k not in ("command", "func")},
         "seed": seed,
-        "output_dir": str(outputs[0].parent.resolve()),
-        "outputs": {str(p): _sha256(p) for p in outputs},
+        "output_dir": str(output.parent.resolve()),
+        "outputs": {str(output): _sha256(output)},
         "created_unix": time.time(),
-    }
-    with open(f"{outputs[0]}.manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-
-
-def _training_log(args: argparse.Namespace) -> Path:
-    """The loss-history CSV ``train`` writes: ``--log``, or by default
-    ``--out`` with the suffix ``.losses.csv``."""
-    return Path(args.log) if args.log else Path(args.out).with_suffix(".losses.csv")
+    })
 
 
 def _check_outputs(args: argparse.Namespace) -> None:
-    """No file that a command writes (``--out``, ``--log`` or its default,
-    and the manifest of ``--out``) may be named twice, nor be an input."""
-    files = [(f"--{flag} {value}", Path(value).resolve(), flag in OUTPUT_FLAGS)
-             for flag in ("out", "log", "data", "model", "config")
+    """Neither the file of ``--out`` nor its manifest may be an input."""
+    files = [(f"--{flag} {value}", Path(value).resolve(), flag == "out")
+             for flag in ("out", "data", "model", "config")
              if (value := getattr(args, flag, None)) is not None]
     if (out := getattr(args, "out", None)) is not None:
         files.append((f"the manifest of --out {out}",
                       Path(f"{out}.manifest.json").resolve(), True))
-    if args.command == "train" and not args.log:
-        log_path = _training_log(args)
-        files.append((f"the default --log {log_path}", log_path.resolve(), True))
     for k, (what, path, written) in enumerate(files):
         for other, other_path, other_written in files[k + 1:]:
             if path == other_path and (written or other_written):
@@ -164,7 +152,7 @@ def run_cell(prepared: PreparedData, cfg: TrainConfig, fraction: float,
     return _score(model, prepared, train, test, baseline=True)
 
 
-Written = tuple[list[Path], int | None] | None  # (files written, seed)
+Written = tuple[Path, int | None] | None  # (the file written, seed)
 
 
 def cmd_prepare(args) -> Written:
@@ -174,7 +162,7 @@ def cmd_prepare(args) -> Written:
     ds = data.ratings
     print(f"M={ds.num_users} N={ds.num_items} |Omega|={len(ds)} "
           f"K_user={data.user_side.dim} K_item={data.item_side.dim}")
-    return [out], None
+    return out, None
 
 
 def cmd_train(args) -> Written:
@@ -184,11 +172,9 @@ def cmd_train(args) -> Written:
     model = _fit(prepared, cfg, train)
     out = Path(args.out)
     save_model(out, model, {"train_fraction": args.train_fraction})
-    log_path = _training_log(args)
-    write_training_log(log_path, model.loss_history)
     print(f"trained {cfg.task} model: hidden={cfg.hidden_dim} "
           f"epochs={cfg.epochs} final_loss={model.loss_history[-1]:.6f}")
-    return [out, log_path], cfg.seed
+    return out, cfg.seed
 
 
 def _warn_on_split_mismatch(echo: dict, model: TrainedModel,
@@ -239,10 +225,13 @@ def cmd_evaluate(args) -> Written:
     print(json.dumps(report, sort_keys=True, indent=2))
     if args.out:
         ds_mod.write_json(args.out, report)
-        return [Path(args.out)], args.seed
+        return Path(args.out), args.seed
 
 
 def cmd_recommend(args) -> Written:
+    if args.seed is not None and args.train_fraction is None:
+        raise ValueError("--seed needs --train-fraction, whose split it "
+                         "seeds")
     model = load_model(args.model)
     if model.task != "ranking":
         raise ValueError("recommend needs a ranking-task model")
@@ -313,12 +302,9 @@ def cmd_reproduce(args) -> Written:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(TABLE_COLUMNS)
         writer.writerows(rows)
-    summary_path = out_dir / f"table{args.table}_summary.txt"
-    with open(summary_path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(summary) + "\n")
     print("\n".join(summary))
     print(f"wrote {csv_path}")
-    return [csv_path, summary_path], None
+    return csv_path, None
 
 
 def _parse_ints(text: str) -> list[int]:
@@ -345,8 +331,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--task", choices=trainer.TASKS, required=True)
     p.add_argument("--config", help="flat JSON config (strict keys)")
     p.add_argument("--out", required=True, help="model JSON path")
-    p.add_argument("--log", help="training-log CSV path "
-                                 "(default: <out>.losses.csv)")
     p.add_argument("--train-fraction", type=float,
                    help="train on a seeded split with this fraction, in (0, 1); "
                         "omit it to train on every rating")
@@ -370,7 +354,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="restrict the input interactions to the seeded split "
                         "train made with this fraction, in (0, 1); omit it to "
                         "use every rating")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=int,
+                   help="seed of that split (default: the model's)")
     p.set_defaults(func=cmd_recommend)
 
     p = sub.add_parser("reproduce", help="rerun the benchmark tables")

@@ -35,7 +35,6 @@ the users, as Recall@N makes, ranks each user once.
 
 from __future__ import annotations
 
-import csv
 import logging
 import math
 import weakref
@@ -397,12 +396,3 @@ def load_model_and_echo(path: str | Path) -> tuple[TrainedModel, dict]:
 def load_model(path: str | Path) -> TrainedModel:
     """Read a model written by :func:`save_model`."""
     return load_model_and_echo(path)[0]
-
-
-def write_training_log(path: str | Path, loss_history) -> None:
-    """Per-epoch training losses as a two-column CSV."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epoch", "loss"])
-        for epoch, loss in enumerate(loss_history, start=1):
-            writer.writerow([epoch, repr(float(loss))])

@@ -10,6 +10,7 @@ import pytest
 from semiae import (TrainConfig, binarize, load_raw_directory, most_popular,
                     predict_ratings, recall_at_n, recommend_top_n, rmse,
                     split, train_ranking, train_rating)
+from semiae import cli
 from semiae.cli import main, run_cell
 from semiae.dataset import read_prepared
 from semiae.synthetic import write_layout
@@ -159,7 +160,15 @@ class TestTrain:
         assert echo["optimizer"] == "adam"
         assert echo["learning_rate"] == 0.001
         assert echo["regularization"] == 0.1
-        assert (tmp_path / "model.losses.csv").exists()
+
+    def test_there_is_no_log_flag(self, prepared_path, tmp_path, capsys):
+        out = tmp_path / "model.json"
+        with pytest.raises(SystemExit) as exc:
+            main(["train", "--data", str(prepared_path), "--task", "rating",
+                  "--out", str(out), "--log", str(tmp_path / "x")])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --log" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_ranking_defaults(self, prepared_path, tmp_path, capsys):
         cfg = write_config(tmp_path, epochs=2)
@@ -232,8 +241,11 @@ class TestTrain:
         ("evaluate", ["--train-fraction", "0.8", "--seed", "-1"],
          "seed must be >= 0, got -1"),
         ("recommend", ["--user", "1", "--n", "2", "--train-fraction", "0.5",
-                       "--seed", "-1"], "seed must be >= 0, got -1")],
-        ids=["1.5", "1.0", "evaluate-seed-negative", "recommend-seed-negative"])
+                       "--seed", "-1"], "seed must be >= 0, got -1"),
+        ("recommend", ["--user", "1", "--n", "2", "--seed", "5"],
+         "--seed needs --train-fraction, whose split it seeds")],
+        ids=["1.5", "1.0", "evaluate-seed-negative", "recommend-seed-negative",
+             "recommend-seed-without-fraction"])
     def test_train_fraction_outside_the_open_interval_rejected(
             self, prepared_path, tmp_path, capsys, command, flags, expected):
         cfg = write_config(tmp_path, epochs=2, hidden_dim=4)
@@ -590,9 +602,10 @@ class TestReproduce:
         lines = (out_dir / "table1.csv").read_text().splitlines()
         # 2 fractions x (2 seeds + mean + std)
         assert len(lines) - 1 == 2 * 4
-        summary = (out_dir / "table1_summary.txt").read_text()
-        assert "published" in summary
-        assert "RMSE" in summary
+        *summary, wrote = stdout.splitlines()
+        assert wrote == f"wrote {out_dir / 'table1.csv'}"
+        assert len(summary) == 2
+        assert all("RMSE" in line and "published" in line for line in summary)
 
     def test_bad_seed_list_rejected(self, ml100k_dir, tmp_path, capsys):
         code, _, err = run(capsys, "reproduce", "--table", "1",
@@ -611,12 +624,12 @@ class TestReproduce:
     def test_table1_on_ml1m_layout(self, ml1m_dir, tmp_path, capsys):
         cfg = write_config(tmp_path, epochs=2, hidden_dim=3)
         out_dir = tmp_path / "t1m"
-        code, _, err = run(capsys, "reproduce", "--table", "1",
-                           "--raw", ml1m_dir, "--format", "ml-1m",
-                           "--seeds", "1", "--config", cfg,
-                           "--out-dir", out_dir)
+        code, stdout, err = run(capsys, "reproduce", "--table", "1",
+                                "--raw", ml1m_dir, "--format", "ml-1m",
+                                "--seeds", "1", "--config", cfg,
+                                "--out-dir", out_dir)
         assert code == 0, err
-        summary = (out_dir / "table1_summary.txt").read_text()
+        summary = "\n".join(stdout.splitlines()[:-1])
         assert "ml-1m" in summary
         assert "0.858" in summary  # published reference rendered alongside
 
@@ -627,11 +640,13 @@ class TestReproduce:
         summaries = {}
         for fmt, raw in (("ml-100k", ml100k_dir), ("ml-1m", ml1m_dir)):
             out_dir = tmp_path / fmt
-            code, _, err = run(capsys, "reproduce", "--table", "2",
-                               "--raw", raw, "--format", fmt, "--seeds", "1",
-                               "--config", cfg, "--out-dir", out_dir)
+            code, stdout, err = run(capsys, "reproduce", "--table", "2",
+                                    "--raw", raw, "--format", fmt,
+                                    "--seeds", "1", "--config", cfg,
+                                    "--out-dir", out_dir)
             assert code == 0, err
-            summaries[fmt] = (out_dir / "table2_summary.txt").read_text()
+            # the summary, without the last line, which names the CSV
+            summaries[fmt] = "\n".join(stdout.splitlines()[:-1])
         assert "(published 9.487)" in summaries["ml-100k"]
         assert "ml-1m ranking" in summaries["ml-1m"]
         assert "published" not in summaries["ml-1m"]
@@ -646,34 +661,58 @@ class TestManifests:
         cfg = write_config(tmp_path, epochs=2, seed=3, binarize_threshold=3.0)
         out = tmp_path / "out"
         prepared, model = out / "prepared.json", out / "model.json"
-        log, report = tmp_path / "logs" / "k.csv", out / "eval" / "report.json"
+        report = out / "eval" / "report.json"
         table = out / "table2" / "table2.csv"
-        runs = [  # (command, flags, the outputs its manifest lists)
+        runs = [  # (command, flags, the output its manifest lists)
             ("prepare", {"raw": ml100k_dir, "format": "ml-100k",
-                         "out": prepared}, [prepared]),
+                         "out": prepared}, prepared),
             ("train", {"data": prepared, "task": "ranking", "config": cfg,
-                       "out": model, "log": log, "train_fraction": 0.8},
-             [model, log]),
+                       "out": model, "train_fraction": 0.8}, model),
             ("evaluate", {"model": model, "data": prepared,
                           "train_fraction": 0.8, "seed": 3, "recall": "5,10",
-                          "out": report}, [report]),
+                          "out": report}, report),
             ("reproduce", {"table": 2, "raw": ml100k_dir, "format": "ml-100k",
                            "seeds": "1", "config": cfg,
-                           "out_dir": table.parent},
-             [table, table.with_name("table2_summary.txt")])]
-        for command, flags, outputs in runs:
+                           "out_dir": table.parent}, table)]
+        for command, flags, output in runs:
             argv = [command]
             for flag, value in flags.items():
                 argv += ["--" + flag.replace("_", "-"), value]
             code, _, err = run(capsys, *argv)
             assert code == 0, err
-            manifest = json.loads(
-                Path(f"{outputs[0]}.manifest.json").read_text())
+            manifest = json.loads(Path(f"{output}.manifest.json").read_text())
             assert manifest["command"] == command
             assert manifest["args"] == {k: str(v) for k, v in flags.items()}
             assert manifest["outputs"] == {
-                str(path): hashlib.sha256(path.read_bytes()).hexdigest()
-                for path in outputs}
+                str(output): hashlib.sha256(output.read_bytes()).hexdigest()}
+
+    @pytest.mark.parametrize("command",
+                             ["prepare", "train", "evaluate", "reproduce"])
+    def test_a_command_leaves_one_file_and_its_manifest(
+            self, ml100k_dir, prepared_path, tmp_path, capsys, command):
+        cfg = write_config(tmp_path, epochs=2, binarize_threshold=3.0)
+        model, new = tmp_path / "model.json", tmp_path / "new"
+        if command == "evaluate":
+            code, _, err = run(capsys, "train", "--data", prepared_path,
+                               "--task", "ranking", "--config", cfg,
+                               "--out", model)
+            assert code == 0, err
+        argv, output = {
+            "prepare": (["--raw", ml100k_dir, "--out", new / "p.json"],
+                        new / "p.json"),
+            "train": (["--data", prepared_path, "--task", "ranking",
+                       "--config", cfg, "--out", new / "m.json"],
+                      new / "m.json"),
+            "evaluate": (["--model", model, "--data", prepared_path,
+                          "--train-fraction", "0.8", "--seed", "0",
+                          "--out", new / "r.json"], new / "r.json"),
+            "reproduce": (["--table", "2", "--raw", ml100k_dir, "--seeds", "1",
+                           "--config", cfg, "--out-dir", new],
+                          new / "table2.csv")}[command]
+        code, _, err = run(capsys, command, *argv)
+        assert code == 0, err
+        assert sorted(new.iterdir()) == [output,
+                                         Path(f"{output}.manifest.json")]
 
     def test_commands_that_write_no_file_write_no_manifest(
             self, prepared_path, tmp_path, capsys):
@@ -692,17 +731,16 @@ class TestManifests:
         assert set(tmp_path.rglob("*")) == before
 
     def test_an_output_directory_that_cannot_be_made_fails_before_training(
-            self, prepared_path, tmp_path, capsys):
-        blocker = tmp_path / "logs"
-        blocker.write_text("a file where the log directory would go")
+            self, prepared_path, tmp_path, capsys, monkeypatch):
+        blocker = tmp_path / "models"
+        blocker.write_text("a file where the model directory would go")
         cfg = write_config(tmp_path, epochs=2, hidden_dim=4)
-        model = tmp_path / "model.json"
+        monkeypatch.setattr(cli, "_fit", lambda *a: pytest.fail("trained"))
         code, _, err = run(capsys, "train", "--data", prepared_path,
-                           "--task", "rating", "--config", cfg, "--out", model,
-                           "--log", blocker / "k.csv")
+                           "--task", "rating", "--config", cfg,
+                           "--out", blocker / "model.json")
         assert code == 1
-        assert err.startswith("error: ") and err.count("\n") == 1
-        assert not model.exists()
+        assert err == f"error: [Errno 17] File exists: '{blocker}'\n"
 
 
 class TestOutputFlags:
@@ -723,39 +761,27 @@ class TestOutputFlags:
     # (flags, the file two of them name, the two as the error names them);
     # {name} is a file of the fixture or of tmp_path
     @pytest.mark.parametrize("command, flags, clash, what", [
-        ("train", {"out": "{m}", "log": "{m}"}, "{m}",
-         "--out {m} and --log {m}"),
-        ("train", {"out": "{m}", "log": "{m}.manifest.json"},
-         "{m}.manifest.json",
-         "--log {m}.manifest.json and the manifest of --out {m}"),
         ("train", {"out": "{data}"}, "{data}", "--out {data} and --data {data}"),
-        ("train", {"log": "{data}"}, "{data}", "--log {data} and --data {data}"),
         ("train", {"out": "{config}"}, "{config}",
          "--out {config} and --config {config}"),
-        ("train", {"log": "{config}"}, "{config}",
-         "--log {config} and --config {config}"),
         # the same file under another spelling
-        ("train", {"out": "{m}", "log": "{tmp}/sub/../m2.json"}, "{m}",
-         "--out {m} and --log {tmp}/sub/../m2.json"),
-        # without --log, train writes <out stem>.losses.csv
+        ("train", {"out": "{tmp}/sub/../prepared.json"}, "{data}",
+         "--out {tmp}/sub/../prepared.json and --data {data}"),
         ("train", {"data": "{d}", "out": "{tmp}/d.json"}, "{d}",
-         "--data {d} and the default --log {d}"),
+         "--data {d} and the manifest of --out {tmp}/d.json"),
         ("evaluate", {"out": "{model}"}, "{model}",
          "--out {model} and --model {model}"),
         ("evaluate", {"out": "{data}"}, "{data}",
          "--out {data} and --data {data}"),
-    ], ids=["out-is-log", "log-is-out-manifest", "out-is-data", "log-is-data",
-            "out-is-config", "log-is-config", "out-is-log-respelled",
-            "default-log-is-data", "evaluate-out-is-model",
+    ], ids=["out-is-data", "out-is-config", "out-is-data-respelled",
+            "out-manifest-is-data", "evaluate-out-is-model",
             "evaluate-out-is-data"])
     def test_an_output_naming_a_taken_file_is_a_one_line_error(
             self, files, tmp_path, capsys, command, flags, clash, what):
-        names = {**files, "tmp": tmp_path, "m": tmp_path / "m2.json",
-                 "d": tmp_path / "d.losses.csv"}
-        (tmp_path / "m2.json").write_text("an earlier model")
-        (tmp_path / "m2.json.manifest.json").write_text("its manifest")
-        # prepared data under the name of a training log
-        (tmp_path / "d.losses.csv").write_bytes(files["data"].read_bytes())
+        names = {**files, "tmp": tmp_path,
+                 "d": tmp_path / "d.json.manifest.json"}
+        # prepared data under the name of a manifest
+        names["d"].write_bytes(files["data"].read_bytes())
         clash = Path(clash.format(**names))
         before = {p: p.read_bytes() for p in tmp_path.rglob("*")
                   if p.is_file()}
@@ -768,8 +794,6 @@ class TestOutputFlags:
             flags = {"data": "{data}", **flags}
         for flag, value in flags.items():
             argv += [f"--{flag}", value.format(**names)]
-        if command == "train" and "out" not in flags:
-            argv += ["--out", tmp_path / "new" / "m3.json"]
         code, out, err = run(capsys, *argv)
         assert (code, out) == (1, "")
         assert err == f"error: {what.format(**names)} name the same file\n"
@@ -779,7 +803,7 @@ class TestOutputFlags:
         assert not (tmp_path / "new").exists() and not (tmp_path / "sub").exists()
 
     def test_a_failed_command_removes_only_the_directories_it_made(
-            self, ml100k_dir, prepared_path, tmp_path, capsys):
+            self, ml100k_dir, prepared_path, tmp_path, capsys, monkeypatch):
         bad = tmp_path / "deep.json"
         bad.write_text(DEEPLY_NESTED)
         kept = tmp_path / "kept"
@@ -790,11 +814,9 @@ class TestOutputFlags:
                 ["reproduce", "--table", "2", "--raw", ml100k_dir, "--seeds",
                  "1", "--config", bad, "--out-dir", kept / "empty" / "a" / "b"],
                 ["train", "--data", prepared_path, "--task", "rating",
-                 "--config", bad, "--out", tmp_path / "new" / "sub" / "m.json",
-                 "--log", kept / "logs" / "k.csv"],
+                 "--config", bad, "--out", tmp_path / "new" / "sub" / "m.json"],
                 ["train", "--data", prepared_path, "--task", "rating",
-                 "--config", bad, "--out", kept / "empty" / "m.json",
-                 "--log", tmp_path / "new" / "other" / "k.csv"]):
+                 "--config", bad, "--out", kept / "empty" / "a" / "m.json"]):
             code, _, err = run(capsys, *argv)
             assert (code, err) == (1, f"error: {bad}: {DEEPLY_NESTED_ERROR}\n")
             assert sorted(p.relative_to(tmp_path)
@@ -803,14 +825,15 @@ class TestOutputFlags:
                                         "prepared.json",
                                         "prepared.json.manifest.json")]
         # a made directory that holds a file stays: the model goes into it,
-        # then the log, to the directory itself, fails
+        # then its manifest fails
+        def no_manifest(*args):
+            raise OSError("no room for the manifest")
+        monkeypatch.setattr(cli, "_write_manifest", no_manifest)
         cfg = write_config(tmp_path, epochs=2, hidden_dim=4)
         model = tmp_path / "new" / "m.json"
         code, _, err = run(capsys, "train", "--data", prepared_path, "--task",
-                           "rating", "--config", cfg, "--out", model,
-                           "--log", model.parent)
-        assert code == 1
-        assert err.startswith("error: ") and err.count("\n") == 1
+                           "rating", "--config", cfg, "--out", model)
+        assert (code, err) == (1, "error: no room for the manifest\n")
         assert model.exists()
 
 

@@ -13,8 +13,7 @@ from semiae.evaluation import _rank_unconsumed
 from semiae.model import BLOCK, SemiAEParams, forward, glorot_init
 from semiae.trainer import (SCORE_ROWS, TrainConfig, TrainedModel, load_model,
                             predict_ratings, recommend_top_n, save_model,
-                            score_rows, train_ranking, train_rating,
-                            write_training_log)
+                            score_rows, train_ranking, train_rating)
 from util import (make_random_dataset, reference_fit, reference_input,
                   traced_peak)
 
@@ -811,11 +810,3 @@ class TestModelPersistence:
         assert (back.config.g, back.config.f, back.config.hidden_dim) == (
             "identity", "identity", 3)
         self.assert_same_model(back, model)
-
-    def test_training_log_layout(self, tmp_path):
-        path = tmp_path / "losses.csv"
-        write_training_log(path, [0.5, 0.25])
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "epoch,loss"
-        assert lines[1].startswith("1,0.5")
-        assert len(lines) == 3
