@@ -1,12 +1,15 @@
 """Command-line driver: prepare, train, evaluate, recommend, reproduce.
 
-A command that writes a file writes one, and returns it and its seed.
-:func:`main` first checks that neither ``--out`` nor its manifest names an
-input, then makes the directory of the output flag (so ``train --out
+A command writes at most one file, which :func:`_output` names from the
+flags: ``--out``, or ``<out-dir>/table{N}.csv`` for reproduce.
+:func:`main` first checks that neither that file nor its manifest is a
+file the command reads, then makes its directory (so ``train --out
 models/k.json`` makes ``models/``; a failed command removes those still
-empty), then writes ``<output>.manifest.json``: the command, its ``args``
-(every parsed flag with a value, defaults included, as strings), the seed
-and the output's sha256, so re-runs can be checked for identical bytes.
+empty), hands it to the command, which writes it whole or not at all and
+returns its seed, then writes ``<output>.manifest.json``: the command, its
+``args`` (every parsed flag with a value, defaults included, as strings),
+the seed and the output's sha256, so re-runs can be checked for identical
+bytes.
 ``SEMIAE_LOG`` (debug/info/warning/error) controls log verbosity.
 """
 
@@ -54,8 +57,6 @@ TABLES = {1: ("rating", (0.8, 0.5)), 2: ("ranking", (0.3, 0.5))}
 TABLE_COLUMNS = ["dataset", "task", "train_fraction", "seed", "method",
                  "metric", "value"]
 RECALL_NS = (5, 10)
-# the flags naming what a command writes: a file, or (out_dir) a directory
-OUTPUT_FLAGS = ("out", "out_dir")
 
 
 def _sha256(path: Path) -> str:
@@ -79,18 +80,32 @@ def _write_manifest(args: argparse.Namespace, output: Path,
     })
 
 
-def _check_outputs(args: argparse.Namespace) -> None:
-    """Neither the file of ``--out`` nor its manifest may be an input."""
-    files = [(f"--{flag} {value}", Path(value).resolve(), flag == "out")
-             for flag in ("out", "data", "model", "config")
+def _output(args: argparse.Namespace) -> tuple[Path, str] | tuple[None, None]:
+    """The command's output file and how its flags name it, or (None, None)."""
+    if args.command == "reproduce":
+        name = f"table{args.table}.csv"
+        return Path(args.out_dir, name), f"{name} in --out-dir {args.out_dir}"
+    out = getattr(args, "out", None)
+    return (None, None) if out is None else (Path(out), f"--out {out}")
+
+
+def _check_outputs(args: argparse.Namespace, output: Path, named: str) -> None:
+    """Neither ``output`` nor its manifest may be a file the command reads:
+    ``--data``, ``--model``, ``--config`` or a raw file of ``--raw``."""
+    reads = [(f"--{flag} {value}", Path(value))
+             for flag in ("data", "model", "config")
              if (value := getattr(args, flag, None)) is not None]
-    if (out := getattr(args, "out", None)) is not None:
-        files.append((f"the manifest of --out {out}",
-                      Path(f"{out}.manifest.json").resolve(), True))
-    for k, (what, path, written) in enumerate(files):
-        for other, other_path, other_written in files[k + 1:]:
-            if path == other_path and (written or other_written):
-                raise ValueError(f"{what} and {other} name the same file")
+    if (raw := getattr(args, "raw", None)) is not None:
+        reads += [(f"{name} in --raw {raw}", Path(raw, name))
+                  for name, *_ in map(ds_mod.LAYOUTS[args.format].get,
+                                      ("ratings", "users", "items"))]
+    manifest = Path(f"{output}.manifest.json").resolve()
+    for what, read in reads:
+        if read.resolve() == output.resolve():
+            raise ValueError(f"{named} and {what} name the same file")
+        if read.resolve() == manifest:
+            raise ValueError(f"{what} and the manifest of {named} name the "
+                             "same file")
 
 
 def _load_config(config_path: str | None, task: str) -> TrainConfig:
@@ -152,29 +167,23 @@ def run_cell(prepared: PreparedData, cfg: TrainConfig, fraction: float,
     return _score(model, prepared, train, test, baseline=True)
 
 
-Written = tuple[Path, int | None] | None  # (the file written, seed)
-
-
-def cmd_prepare(args) -> Written:
+def cmd_prepare(args, out: Path) -> None:
     data = load_raw_directory(args.raw, args.format)
-    out = Path(args.out)
     write_prepared(out, data)
     ds = data.ratings
     print(f"M={ds.num_users} N={ds.num_items} |Omega|={len(ds)} "
           f"K_user={data.user_side.dim} K_item={data.item_side.dim}")
-    return out, None
 
 
-def cmd_train(args) -> Written:
+def cmd_train(args, out: Path) -> int:
     prepared = read_prepared(args.data)
     cfg = _load_config(args.config, args.task)
     train, _ = _split(prepared, cfg, args.train_fraction, cfg.seed)
     model = _fit(prepared, cfg, train)
-    out = Path(args.out)
     save_model(out, model, {"train_fraction": args.train_fraction})
     print(f"trained {cfg.task} model: hidden={cfg.hidden_dim} "
           f"epochs={cfg.epochs} final_loss={model.loss_history[-1]:.6f}")
-    return out, cfg.seed
+    return cfg.seed
 
 
 def _warn_on_split_mismatch(echo: dict, model: TrainedModel,
@@ -195,7 +204,7 @@ def _warn_on_split_mismatch(echo: dict, model: TrainedModel,
                     "--seed %d; the splits differ", model.config.seed, seed)
 
 
-def cmd_evaluate(args) -> Written:
+def cmd_evaluate(args, out: Path | None) -> int:
     model, echo = load_model_and_echo(args.model)
     prepared = read_prepared(args.data)
     recall_ns = RECALL_NS
@@ -223,12 +232,12 @@ def cmd_evaluate(args) -> Written:
         report["recall"] = {str(n): metrics["semi-autoencoder", f"recall@{n}"]
                             for n in sorted(recall_ns)}
     print(json.dumps(report, sort_keys=True, indent=2))
-    if args.out:
-        ds_mod.write_json(args.out, report)
-        return Path(args.out), args.seed
+    if out is not None:
+        ds_mod.write_json(out, report)
+    return args.seed
 
 
-def cmd_recommend(args) -> Written:
+def cmd_recommend(args, out: None) -> None:
     if args.seed is not None and args.train_fraction is None:
         raise ValueError("--seed needs --train-fraction, whose split it "
                          "seeds")
@@ -262,14 +271,13 @@ def _summary_line(dataset: str, task: str, fraction: float, method: str,
     return text + (f" (published {published})" if published is not None else "")
 
 
-def cmd_reproduce(args) -> Written:
+def cmd_reproduce(args, out: Path) -> None:
     seeds = _parse_ints(args.seeds)
     if not seeds:
         raise ValueError("need at least one seed")
     task, fractions = TABLES[args.table]
     prepared = load_raw_directory(args.raw, args.format)
     base = _load_config(args.config, task).to_dict()
-    out_dir = Path(args.out_dir)
     rows: list[list[str]] = []
     summary: list[str] = []
 
@@ -297,14 +305,12 @@ def cmd_reproduce(args) -> Written:
             summary.append(_summary_line(args.format, task, fraction, method,
                                          metric, mean, std))
 
-    csv_path = out_dir / f"table{args.table}.csv"
-    with open(csv_path, "w", encoding="utf-8", newline="") as fh:
+    with ds_mod.write_whole(out) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(TABLE_COLUMNS)
         writer.writerows(rows)
     print("\n".join(summary))
-    print(f"wrote {csv_path}")
-    return csv_path, None
+    print(f"wrote {out}")
 
 
 def _parse_ints(text: str) -> list[int]:
@@ -382,18 +388,16 @@ def main(argv: list[str] | None = None) -> int:
     _configure_logging()
     parser = build_parser()
     args = parser.parse_args(argv)
+    path, named = _output(args)
     made: list[Path] = []  # output directories that did not exist
     try:
-        _check_outputs(args)
-        for flag in OUTPUT_FLAGS:
-            if (value := getattr(args, flag, None)) is not None:
-                path = Path(value).absolute()
-                directory = path if flag == "out_dir" else path.parent
-                made += [p for p in (directory, *directory.parents)
-                         if not p.exists()]
-                directory.mkdir(parents=True, exist_ok=True)
-        if written := args.func(args):
-            _write_manifest(args, *written)
+        if path is not None:
+            _check_outputs(args, path, named)
+            made += [p for p in path.absolute().parents if not p.exists()]
+            path.absolute().parent.mkdir(parents=True, exist_ok=True)
+        seed = args.func(args, path)
+        if path is not None:
+            _write_manifest(args, path, seed)
         return 0
     except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)

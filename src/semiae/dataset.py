@@ -29,10 +29,12 @@ import json
 import logging
 import math
 import operator
+import os
 import re
+import secrets
 from bisect import bisect_right
 from collections import Counter
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import chain
@@ -663,13 +665,41 @@ def _json_chunks(value):
         yield json.dumps(value, sort_keys=True, separators=(",", ":"))
 
 
+@contextmanager
+def write_whole(path: str | Path):
+    """Give a UTF-8 text file, without newline translation, that becomes
+    ``path`` whole when the ``with`` body ends.  It is a fresh file beside
+    ``path``, made with the mode that ``open(path, "w")`` gives a new
+    file, and is ``os.replace``d over ``path`` on success.  On any
+    exception, KeyboardInterrupt included, it is removed, so a failed
+    write leaves no partial file and an earlier ``path`` as it was; an
+    OSError is raised again naming ``path``.  Nothing is fsynced: this
+    guards against a process that fails, not against a power cut."""
+    target = Path(path)
+    temp = target.with_name(f".{target.name}.{secrets.token_hex(4)}.tmp")
+    try:
+        fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        try:
+            with open(fd, "w", encoding="utf-8", newline="") as fh:
+                yield fh
+            os.replace(temp, path)
+        except BaseException:
+            with suppress(OSError):
+                temp.unlink()
+            raise
+    except OSError as exc:
+        if exc.errno is None:
+            raise
+        raise OSError(exc.errno, exc.strerror, os.fspath(path)) from exc
+
+
 def write_json(path: str | Path, doc: dict) -> None:
     """Write ``doc`` with exactly the bytes of ``json.dump(doc, fh,
     sort_keys=True, separators=(",", ":"))``, where numpy arrays among the
-    dict values stand for their ``tolist()``.  The text is streamed to the
-    file in pieces, so neither the document nor an array as nested lists
-    is ever held whole."""
-    with open(path, "w", encoding="utf-8") as fh:
+    dict values stand for their ``tolist()``, through :func:`write_whole`.
+    The text is streamed to the file in pieces, so neither the document
+    nor an array as nested lists is ever held whole."""
+    with write_whole(path) as fh:
         fh.writelines(_json_chunks(doc))
 
 

@@ -1,6 +1,8 @@
+import errno
 import hashlib
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -11,6 +13,7 @@ from semiae import (TrainConfig, binarize, load_raw_directory, most_popular,
                     predict_ratings, recall_at_n, recommend_top_n, rmse,
                     split, train_ranking, train_rating)
 from semiae import cli
+from semiae import dataset as ds_mod
 from semiae.cli import main, run_cell
 from semiae.dataset import read_prepared
 from semiae.synthetic import write_layout
@@ -653,8 +656,8 @@ class TestReproduce:
 
 
 class TestManifests:
-    """main makes the directory of every output flag before the command
-    runs, and writes each manifest from the parsed flags after it."""
+    """main makes the directory of the command's output before the command
+    runs, and writes its manifest from the parsed flags after it."""
 
     def test_each_manifest_holds_every_flag_and_hashes_every_output(
             self, ml100k_dir, tmp_path, capsys):
@@ -744,9 +747,10 @@ class TestManifests:
 
 
 class TestOutputFlags:
-    """Before a command runs, main rejects an output flag that names an
-    input or another output; a failed command removes the directories main
-    made for it that are still empty, and no other."""
+    """Before a command runs, main rejects an output, or its manifest, that
+    is a file the command reads; a failed command leaves an earlier output
+    as it was, no partial file, and none of the directories main made for
+    it that are still empty."""
 
     @pytest.fixture()
     def files(self, prepared_path, tmp_path, capsys):
@@ -773,15 +777,40 @@ class TestOutputFlags:
          "--out {model} and --model {model}"),
         ("evaluate", {"out": "{data}"}, "{data}",
          "--out {data} and --data {data}"),
+        ("reproduce", {"config": "{c}", "out-dir": "{tmp}/o"}, "{c}",
+         "table2.csv in --out-dir {tmp}/o and --config {c}"),
+        ("reproduce", {"config": "{cm}", "out-dir": "{tmp}/o"}, "{cm}",
+         "--config {cm} and the manifest of table2.csv in --out-dir {tmp}/o"),
+        ("prepare", {"raw": "{raw}", "out": "{raw}/u.data"}, "{raw}/u.data",
+         "--out {raw}/u.data and u.data in --raw {raw}"),
+        ("prepare", {"raw": "{raw}", "out": "{raw}/u.item"}, "{raw}/u.item",
+         "--out {raw}/u.item and u.item in --raw {raw}"),
+        ("prepare", {"raw": "{raw1m}", "format": "ml-1m",
+                     "out": "{raw1m}/ratings.dat"}, "{raw1m}/ratings.dat",
+         "--out {raw1m}/ratings.dat and ratings.dat in --raw {raw1m}"),
     ], ids=["out-is-data", "out-is-config", "out-is-data-respelled",
             "out-manifest-is-data", "evaluate-out-is-model",
-            "evaluate-out-is-data"])
+            "evaluate-out-is-data", "reproduce-table-is-config",
+            "reproduce-table-manifest-is-config", "prepare-out-is-ratings",
+            "prepare-out-is-items", "prepare-out-is-ml1m-ratings"])
     def test_an_output_naming_a_taken_file_is_a_one_line_error(
             self, files, tmp_path, capsys, command, flags, clash, what):
         names = {**files, "tmp": tmp_path,
-                 "d": tmp_path / "d.json.manifest.json"}
-        # prepared data under the name of a manifest
+                 "d": tmp_path / "d.json.manifest.json",
+                 "c": tmp_path / "o" / "table2.csv",
+                 "cm": tmp_path / "o" / "table2.csv.manifest.json",
+                 "raw": write_layout(tmp_path / "raw", "ml-100k",
+                                     num_users=20, num_items=15,
+                                     num_ratings=100, seed=3),
+                 "raw1m": write_layout(tmp_path / "raw1m", "ml-1m",
+                                       num_users=20, num_items=15,
+                                       num_ratings=100, seed=3)}
+        # prepared data under the name of a manifest, and a config under
+        # the names of reproduce's table and its manifest
         names["d"].write_bytes(files["data"].read_bytes())
+        names["c"].parent.mkdir()
+        for config in (names["c"], names["cm"]):
+            config.write_bytes(files["config"].read_bytes())
         clash = Path(clash.format(**names))
         before = {p: p.read_bytes() for p in tmp_path.rglob("*")
                   if p.is_file()}
@@ -789,7 +818,10 @@ class TestOutputFlags:
                           files["config"]],
                 "evaluate": ["evaluate", "--model", files["model"], "--data",
                              files["data"], "--train-fraction", "0.8",
-                             "--seed", "0"]}[command]
+                             "--seed", "0"],
+                "reproduce": ["reproduce", "--table", "2", "--raw",
+                              names["raw"], "--seeds", "1"],
+                "prepare": ["prepare"]}[command]
         if command == "train":
             flags = {"data": "{data}", **flags}
         for flag, value in flags.items():
@@ -835,6 +867,73 @@ class TestOutputFlags:
                            "rating", "--config", cfg, "--out", model)
         assert (code, err) == (1, "error: no room for the manifest\n")
         assert model.exists()
+
+    @pytest.mark.parametrize("command",
+                             ["prepare", "train", "evaluate", "reproduce"])
+    def test_a_write_past_the_file_size_limit_keeps_the_earlier_output(
+            self, ml100k_dir, prepared_path, tmp_path, capsys, command):
+        cfg = write_config(tmp_path, epochs=2, seed=0, binarize_threshold=3.0)
+        model = tmp_path / "model.json"
+        code, _, err = run(capsys, "train", "--data", prepared_path, "--task",
+                           "ranking", "--config", cfg, "--out", model,
+                           "--train-fraction", "0.8")
+        assert code == 0, err
+
+        def argv(out_dir: Path) -> tuple[list, Path]:
+            return {
+                "prepare": (["--raw", ml100k_dir, "--out", out_dir / "p.json"],
+                            out_dir / "p.json"),
+                "train": (["--data", prepared_path, "--task", "ranking",
+                           "--config", cfg, "--out", out_dir / "m.json"],
+                          out_dir / "m.json"),
+                "evaluate": (["--model", model, "--data", prepared_path,
+                              "--train-fraction", "0.8", "--seed", "0",
+                              "--out", out_dir / "r.json"], out_dir / "r.json"),
+                "reproduce": (["--table", "2", "--raw", ml100k_dir, "--seeds",
+                               "1", "--config", cfg, "--out-dir", out_dir],
+                              out_dir / "table2.csv")}[command]
+
+        old = tmp_path / "old"
+        flags, output = argv(old)
+        code, _, err = run(capsys, command, *flags)
+        assert code == 0, err
+        before = {p: p.read_bytes() for p in old.iterdir()}
+        assert sorted(before) == [output, Path(f"{output}.manifest.json")]
+        # the limit binds the child only, and half the output exceeds it
+        limit = output.stat().st_size // 2
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+        for out_dir in (old, tmp_path / "new" / "sub"):
+            flags, output = argv(out_dir)
+            proc = subprocess.run(
+                [sys.executable, "-m", "semiae.cli", command,
+                 *map(str, flags)],
+                env=env, capture_output=True, text=True, timeout=120,
+                preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_FSIZE,
+                                                      (limit, limit)))
+            assert (proc.returncode, proc.stderr) == (
+                1, f"error: [Errno 27] File too large: '{output}'\n")
+        assert {p: p.read_bytes() for p in old.iterdir()} == before
+        assert not (tmp_path / "new").exists()
+
+    def test_a_write_failing_after_its_first_piece_keeps_the_earlier_model(
+            self, files, tmp_path, capsys, monkeypatch):
+        model = files["model"]
+        before = {p: p.read_bytes() for p in tmp_path.iterdir()}
+        chunks = ds_mod._json_chunks
+
+        def failing(doc):
+            yield next(chunks(doc))
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        monkeypatch.setattr(ds_mod, "_json_chunks", failing)
+        code, _, err = run(capsys, "train", "--data", files["data"], "--task",
+                           "ranking", "--config", files["config"], "--out",
+                           model)
+        assert (code, err) == (
+            1, f"error: [Errno 28] No space left on device: '{model}'\n")
+        assert {p: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
 class TestMalformedArtifacts:

@@ -1017,6 +1017,25 @@ class TestWriteJson:
         ours, ref = self.written(doc)
         assert ours == ref
 
+    def test_an_interrupted_write_leaves_the_earlier_file(self, tmp_path):
+        path = tmp_path / "doc.json"
+        path.write_text("earlier")
+
+        def interrupted(doc):
+            yield "{"
+            raise KeyboardInterrupt
+        with mock.patch.object(dataset, "_json_chunks", interrupted), \
+                pytest.raises(KeyboardInterrupt):
+            write_json(path, {"a": 1})
+        assert list(tmp_path.iterdir()) == [path]
+        assert path.read_text() == "earlier"
+
+    def test_a_new_file_gets_the_mode_of_open(self, tmp_path):
+        write_json(tmp_path / "ours.json", {})
+        (tmp_path / "ref.json").open("w").close()
+        assert ((tmp_path / "ours.json").stat().st_mode
+                == (tmp_path / "ref.json").stat().st_mode)
+
 
 class TestLocated:
     @pytest.mark.parametrize("exc, message", [
