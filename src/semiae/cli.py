@@ -4,12 +4,13 @@ A command writes at most one file, which :func:`_output` names from the
 flags: ``--out``, or ``<out-dir>/table{N}.csv`` for reproduce.
 :func:`main` first checks that neither that file nor its manifest is a
 file the command reads, then makes its directory (so ``train --out
-models/k.json`` makes ``models/``; a failed command removes those still
-empty), hands it to the command, which writes it whole or not at all and
-returns its seed, then writes ``<output>.manifest.json``: the command, its
-``args`` (every parsed flag with a value, defaults included, as strings),
-the seed and the output's sha256, so re-runs can be checked for identical
-bytes.
+models/k.json`` makes ``models/``; a failed or interrupted command
+removes those still empty), hands it to the command, which writes it whole
+or not at all and returns its seed, then writes ``<output>.manifest.json``:
+the command, its ``args`` (every parsed flag with a value, defaults
+included, as strings), the seed and the output's sha256, so re-runs can be
+checked for identical bytes.  A failure is one ``error:`` line and exit
+code 1; Ctrl-C is ``error: interrupted`` and exit code 130.
 ``SEMIAE_LOG`` (debug/info/warning/error) controls log verbosity.
 """
 
@@ -399,12 +400,14 @@ def main(argv: list[str] | None = None) -> int:
         if path is not None:
             _write_manifest(args, path, seed)
         return 0
-    except (ValueError, OSError, MemoryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, OSError, MemoryError, KeyboardInterrupt) as exc:
+        interrupted = isinstance(exc, KeyboardInterrupt)
+        print(f"error: {'interrupted' if interrupted else exc}",
+              file=sys.stderr)
         for directory in sorted(made, reverse=True):  # children first
             with suppress(OSError):  # one that is not empty stays
                 directory.rmdir()
-        return 1
+        return 130 if interrupted else 1
 
 
 if __name__ == "__main__":

@@ -600,34 +600,43 @@ def build_vectors(ds: RatingDataset, side: SideInfoMatrix, rows,
     ``side``; an item's is the user row of ``ds.T``.  ``x`` is
     ``(len(rows), num_items + K)``; ``mask`` is ``(len(rows), num_items)``
     and True exactly at the triples, so an observed rating of 0 stays
-    observed.  The ratings come from the dataset's per-user index, so a
-    batch costs its own triples, and the whole matrix is the call over
-    every row.
+    observed.  The ratings come from :func:`sparse_rows`, so a batch costs
+    its own triples, and the whole matrix is the call over every row.
     """
-    if side.num_entities != ds.num_users:
-        raise ValueError(f"side information has {side.num_entities} rows "
-                         f"for {ds.num_users} rating rows")
+    at, hit, values, side_rows = sparse_rows(ds, side, rows)
     width = ds.num_items
-    rows = np.asarray(rows, np.intp)
-    if x.shape != (len(rows), width + side.dim) or (
-            mask is not None and mask.shape != (len(rows), width)):
+    if x.shape != (len(side_rows), width + side.dim) or (
+            mask is not None and mask.shape != (len(side_rows), width)):
         raise ValueError(f"buffers of shape {x.shape} and "
                          f"{None if mask is None else mask.shape} do not fit "
-                         f"{len(rows)} rows of {width} + {side.dim}")
-    indptr, cols, ratings = ds.by_user
-    starts = indptr[rows]
-    counts = indptr[rows + 1] - starts
-    # the k-th triple of the batch is triple src[k] of the index, in row at[k]
-    at = np.repeat(np.arange(len(rows)), counts)
-    src = np.arange(len(at)) + np.repeat(starts - np.cumsum(counts) + counts,
-                                         counts)
-    hit = cols[src]
+                         f"{len(side_rows)} rows of {width} + {side.dim}")
     x[...] = 0.0
-    x[at, hit] = ratings[src]
-    x[:, width:] = side.rows[rows]
+    x[at, hit] = values
+    x[:, width:] = side_rows
     if mask is not None:
         mask[...] = False
         mask[at, hit] = True
+
+
+def sparse_rows(ds: RatingDataset, side: SideInfoMatrix, rows
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The network input of the users ``rows``, as :func:`build_vectors`
+    lays it out, in sparse form: ``(at, items, ratings, side_rows)``.  The
+    batch's k-th triple is ``ratings[k]`` at ``items[k]`` of batch row
+    ``at[k]``, so ``at`` ascends; ``side_rows`` is the rows' block of
+    ``side``.  The triples come from the dataset's per-user index."""
+    if side.num_entities != ds.num_users:
+        raise ValueError(f"side information has {side.num_entities} rows "
+                         f"for {ds.num_users} rating rows")
+    rows = np.asarray(rows, np.intp)
+    indptr, cols, ratings = ds.by_user
+    starts = indptr[rows]
+    counts = indptr[rows + 1] - starts
+    # the k-th triple of the batch is triple src[k] of the index
+    at = np.repeat(np.arange(len(rows)), counts)
+    src = np.arange(len(at)) + np.repeat(starts - np.cumsum(counts) + counts,
+                                         counts)
+    return at, cols[src], ratings[src], side.rows[rows]
 
 
 @dataclass(frozen=True)

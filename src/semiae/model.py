@@ -16,11 +16,20 @@ over rows, with an L2 penalty on the weight matrices (never the biases).
 Without a mask it measures all D outputs (top-n ranking); with one, only the
 observed target positions (rating prediction).
 
-:func:`loss_and_gradients` gives it with its exact gradients.  A training
-loop hands it one :class:`Workspace`, made once for its batch size, that
-holds the gradients, four batch-sized buffers that each take several of the
-step's intermediates in turn, and the block scratch of the L2 term, so that
-a step allocates nothing of the batch's size or of a parameter's.
+Two training steps give it with its exact gradients, and share the L2
+term's code:
+
+* :func:`sparse_loss_and_gradients`, for an identity ``f`` without a mask
+  (the ranking default), reads the batch as its nonzero ratings and side
+  rows and densifies nothing: no array of the batch's rows by D or by S.
+* :func:`loss_and_gradients` takes the dense batch, for every other case
+  (rating, a masked loss, a non-identity ``f``).
+
+A training loop hands either one :class:`Workspace`, made once, that holds
+the gradients and the block scratch of the L2 term; the dense step also
+uses its four batch-sized buffers, each taking several of the step's
+intermediates in turn, so that a step allocates nothing of the dense
+batch's size or of a parameter's.
 """
 
 from __future__ import annotations
@@ -163,7 +172,9 @@ class Workspace:
     up to B rows: the gradients, of the parameters' shapes, and the batch's
     intermediates, each buffer holding the ones its comment names in turn.
     A loop makes one with :meth:`for_params` and every step reuses it; a
-    batch of b rows uses the leading b rows of each buffer."""
+    batch of b rows uses the leading b rows of each buffer.
+    :func:`sparse_loss_and_gradients` uses only the gradients and the
+    block, so its loop makes one of 0 rows."""
 
     grads: GradientSet   # the gradients, C-contiguous
     hidden: np.ndarray   # (B, H) z1, the hidden activations, dLoss/dz1
@@ -303,6 +314,25 @@ def _add_scaled(acc: np.ndarray, scale: float, a: np.ndarray,
         acc[part] += term
 
 
+def _penalty(params: SemiAEParams, reg: float, grads: GradientSet) -> float:
+    """The L2 term of a step's loss, summed in floating point.  The
+    weights' squares fill the weight gradients' buffers, which the step
+    writes over next."""
+    if reg == 0.0:
+        return 0.0
+    np.multiply(params.Q, params.Q, out=grads.dQ)
+    np.multiply(params.Q1, params.Q1, out=grads.dQ1)
+    return 0.5 * reg * (float(np.sum(grads.dQ)) + float(np.sum(grads.dQ1)))
+
+
+def _add_penalty_gradient(params: SemiAEParams, reg: float,
+                          work: Workspace) -> None:
+    """Add the L2 term's gradient to the weight gradients in ``work``."""
+    if reg != 0.0:
+        _add_scaled(work.grads.dQ, reg, params.Q, work.block)
+        _add_scaled(work.grads.dQ1, reg, params.Q1, work.block)
+
+
 def loss_and_gradients(params: SemiAEParams, batch_x: np.ndarray,
                        targets: np.ndarray, mask: np.ndarray | None = None,
                        reg: float = 0.0, work: Workspace | None = None
@@ -334,12 +364,7 @@ def loss_and_gradients(params: SemiAEParams, batch_x: np.ndarray,
     if m is not None:
         diff *= m
     loss = float(np.sum(np.multiply(diff, diff, out=work.squares[:b]))) / b
-    if reg != 0.0:
-        # the penalty's squares fill the weight gradients' buffers before
-        # the backward matmuls overwrite them
-        np.multiply(params.Q, params.Q, out=out.dQ)
-        np.multiply(params.Q1, params.Q1, out=out.dQ1)
-        loss += 0.5 * reg * (float(np.sum(out.dQ)) + float(np.sum(out.dQ1)))
+    loss += _penalty(params, reg, out)
 
     d_z2 = diff
     d_z2 *= 2.0 / b
@@ -351,10 +376,108 @@ def loss_and_gradients(params: SemiAEParams, batch_x: np.ndarray,
     d_z1 *= g_prime
     np.matmul(batch.T, d_z1, out=out.dQ)
     np.sum(d_z1, axis=0, out=out.dp)
-    if reg != 0.0:
-        _add_scaled(out.dQ, reg, params.Q, work.block)
-        _add_scaled(out.dQ1, reg, params.Q1, work.block)
+    _add_penalty_gradient(params, reg, work)
     return loss, out
+
+
+def _scatter_rows(acc: np.ndarray, rows: np.ndarray,
+                  values: np.ndarray) -> None:
+    """``acc[rows[k]] += values[k]`` for each k in turn, on a C- or
+    Fortran-contiguous 2-D ``acc``, through its flat memory and flat
+    indices, where ``np.add.at`` is fast."""
+    row_step, col_step = (stride // acc.itemsize for stride in acc.strides)
+    flat = (rows * row_step)[:, None] + np.arange(acc.shape[1]) * col_step
+    np.add.at(acc.ravel(order="K"), flat.ravel(), values.ravel())
+
+
+def sparse_loss_and_gradients(params: SemiAEParams, at: np.ndarray,
+                              cols: np.ndarray, values: np.ndarray,
+                              side_rows: np.ndarray, reg: float = 0.0,
+                              work: Workspace | None = None
+                              ) -> tuple[float, GradientSet]:
+    """:func:`loss_and_gradients` of a network with an identity ``f``,
+    without a mask, on a batch given by its nonzero ratings: batch row
+    ``at[k]`` (``at`` ascending) holds ``values[k]`` at column ``cols[k]``
+    of its first D inputs, which are also its targets T, and ``side_rows``
+    holds the rest of each row.
+
+    No array of the batch's dense shape is made.  With ``out = h Q1 + p1``,
+    ``||out - T||^2 = ||out||^2 - 2<out, T> + ||T||^2``: the first part and
+    the output layer's gradients come from H x H products, and the other
+    parts, ``x @ Q`` and ``x.T @ dLoss/dz1`` from the nonzeros (the exact
+    sparse-target update of Vincent, de Brebisson and Bouthillier, 2015,
+    arXiv:1412.7091).  The sums run in another order than the dense
+    step's, so the two agree to rounding, not bit for bit, and a close fit
+    could lose digits of the loss to the expansion's cancellation.
+
+    The gradients are written into ``work.grads`` (a workspace of any
+    rows, or a fresh one of 0 rows), and the step's other arrays are of
+    the nonzeros' count or of the batch's rows, by H.
+    """
+    if params.f != "identity" or params.input_dim < params.output_dim:
+        raise ValueError("the sparse step needs an identity f and an input "
+                         "that begins with the targets")
+    if work is None:
+        work = Workspace.for_params(params, 0)
+    grads = work.grads
+    dQ, dQ1, dp, dp1 = grads.dQ, grads.dQ1, grads.dp, grads.dp1
+    Q, Q1, p1 = params.Q, params.Q1, params.p1
+    (h, d), b = Q1.shape, len(side_rows)
+    g = ACTIVATIONS[params.g]
+    cols = np.asarray(cols, np.intp)
+    weight = values[:, None]
+
+    # z1 = x Q + p, and T Q1^T: each nonzero adds its value times its Q
+    # row, or its Q1 column, to its batch row
+    z1 = side_rows @ Q[d:]
+    _scatter_rows(z1, at, Q[cols] * weight)
+    z1 += params.p
+    hid = g.fn(z1, z1)
+    t_q1 = np.zeros((b, h))
+    _scatter_rows(t_q1, at, Q1.T[cols] * weight)
+
+    q1_q1 = Q1 @ Q1.T
+    q1_p1 = Q1 @ p1
+    h_sum = hid.sum(axis=0)
+    d_h = hid @ q1_q1
+    # ||out||^2 - 2 <out, T> + ||T||^2
+    loss = (float(np.sum(d_h * hid)) + 2.0 * float(h_sum @ q1_p1)
+            + b * float(p1 @ p1)
+            - 2.0 * (float(np.sum(hid * t_q1)) + float(values @ p1[cols]))
+            + float(values @ values)) / b
+    if math.isnan(loss) and all(np.isfinite(a).all()
+                                for a in (Q, Q1, params.p, p1)):
+        # a sum of squares of finite terms can only overflow, to inf,
+        # where its expansion may take inf - inf or inf * 0
+        loss = math.inf
+    loss += _penalty(params, reg, grads)
+
+    # dLoss/dh = (2/b) (out - T) Q1^T, then dLoss/dz1
+    d_h += q1_p1
+    d_h -= t_q1
+    d_h *= 2.0 / b
+    d_z1 = np.multiply(d_h, g.deriv_at_value(hid), out=d_h)
+    # dQ1 = (2/b) h^T (out - T) = (2/b) (h^T h Q1 + h_sum p1^T - h^T T); the
+    # rank-one part goes through dQ's buffer, which is no smaller than Q1
+    # and is written last
+    rank_one = dQ.reshape(-1)[:Q1.size].reshape(Q1.shape)
+    np.outer(h_sum * (2.0 / b), p1, out=rank_one)
+    np.matmul((hid.T @ hid) * (2.0 / b), Q1, out=dQ1)
+    dQ1 += rank_one
+    minus = values * (-2.0 / b)
+    _scatter_rows(dQ1.T, cols, hid[at] * minus[:, None])
+    # dp1 = (2/b) (h_sum Q1 + b p1 - the column sums of T)
+    np.matmul(h_sum * (2.0 / b), Q1, out=dp1)
+    dp1 += 2.0 * p1
+    np.add.at(dp1, cols, minus)
+    # dQ = x^T dLoss/dz1: the side rows' product, and each nonzero's value
+    # times its row's dLoss/dz1 in its Q row
+    dQ[:d] = 0.0
+    np.matmul(side_rows.T, d_z1, out=dQ[d:])
+    _scatter_rows(dQ, cols, d_z1[at] * weight)
+    np.sum(d_z1, axis=0, out=dp)
+    _add_penalty_gradient(params, reg, work)
+    return loss, grads
 
 
 def save_params(path: str | Path, params: SemiAEParams,

@@ -10,19 +10,27 @@ vector but measuring the loss only at observed user positions.
 
 Both tasks run one loop, seed-deterministic: weight init and the per-epoch
 row shuffles are drawn from one generator seeded by the config.  The loop owns
-the parameter buffers, the batch's input rows and mask, and one
-:class:`~semiae.model.Workspace`.  The dense input is never built whole:
-each batch's rows and mask are written by
-:func:`~semiae.dataset.build_vectors`, from the dataset's per-user index,
-and ``loss_and_gradients`` writes the batch's gradients and intermediates
-into the workspace.  The optimizer updates the parameters in place from
-those gradients, and the :class:`SemiAEParams` built once over the
-parameters sees every update.  A step allocates nothing the size
-of a parameter or of a dense batch.  A training set with no triples is an
-error.  A non-finite batch loss, or a parameter left non-finite by the last
-update, stops training with a ValueError naming the epoch, the batch, the
-loss (and the last finite one) or the parameter, and the learning rate;
-numpy's floating-point warnings stay quiet meanwhile.
+the parameter buffers and one :class:`~semiae.model.Workspace`, and picks
+its step once per run:
+
+* an identity ``f`` with the loss over every output, the ranking default,
+  takes each batch's triples and side rows from
+  :func:`~semiae.dataset.sparse_rows` and steps with
+  ``sparse_loss_and_gradients``, which densifies nothing;
+* every other run (rating, a masked ranking loss, a non-identity ``f``)
+  owns the batch's input rows and mask, written by
+  :func:`~semiae.dataset.build_vectors` from the dataset's per-user index,
+  and steps with ``loss_and_gradients``.
+
+Either writes the batch's gradients into the workspace.  The optimizer
+updates the parameters in place from those gradients, and the
+:class:`SemiAEParams` built once over the parameters sees every update.  A
+step allocates nothing the size of a parameter or of a dense batch.  A
+training set with no triples is an error.  A non-finite batch loss, or a
+parameter left non-finite by the last update, stops training with a
+ValueError naming the epoch, the batch, the loss (and the last finite one)
+or the parameter, and the learning rate; numpy's floating-point warnings
+stay quiet meanwhile.
 
 Inference for both tasks is :func:`score_rows`: the model's rows (users
 for ranking, items for rating) of data of the model's row shape, built by
@@ -44,10 +52,11 @@ from pathlib import Path
 import numpy as np
 
 from .dataset import (COMPARISONS, RatingDataset, SideInfoMatrix,
-                      build_vectors, located)
+                      build_vectors, located, sparse_rows)
 from .evaluation import _rank_unconsumed
 from .model import (ACTIVATIONS, SemiAEParams, Workspace, forward_from,
-                    glorot_init, load_params, loss_and_gradients, save_params)
+                    glorot_init, load_params, loss_and_gradients, save_params,
+                    sparse_loss_and_gradients)
 from .optim import OPTIMIZER_KINDS, Optimizer, update
 
 log = logging.getLogger(__name__)
@@ -194,9 +203,24 @@ def _run_epochs(train: RatingDataset, side: SideInfoMatrix, masked: bool,
     theta = [a.base for a in (params.Q, params.Q1, params.p, params.p1)]
     state = Optimizer(cfg.optimizer, cfg.learning_rate, theta)
     rows = min(cfg.batch_size, n)
-    x = np.empty((rows, params.input_dim))
-    mask = np.empty((rows, output_dim), bool) if masked else None
-    work = Workspace.for_params(params, rows)
+    sparse = cfg.f == "identity" and not masked
+    work = Workspace.for_params(params, 0 if sparse else rows)
+    if sparse:
+        def step(idx: np.ndarray):
+            return sparse_loss_and_gradients(
+                params, *sparse_rows(train, side, idx), cfg.regularization,
+                work)
+    else:
+        x = np.empty((rows, params.input_dim))
+        mask = np.empty((rows, output_dim), bool) if masked else None
+
+        def step(idx: np.ndarray):
+            batch_x = x[:len(idx)]
+            batch_mask = mask[:len(idx)] if masked else None
+            build_vectors(train, side, idx, batch_x, batch_mask)
+            return loss_and_gradients(
+                params, batch_x, batch_x[:, :output_dim], batch_mask,
+                cfg.regularization, work=work)
     num_batches = -(-n // cfg.batch_size)
     history: list[float] = []
     last_finite = None
@@ -211,12 +235,7 @@ def _run_epochs(train: RatingDataset, side: SideInfoMatrix, masked: bool,
         weighted = 0.0
         for batch, start in enumerate(range(0, n, cfg.batch_size)):
             idx = perm[start:start + cfg.batch_size]
-            batch_x = x[:len(idx)]
-            batch_mask = mask[:len(idx)] if masked else None
-            build_vectors(train, side, idx, batch_x, batch_mask)
-            loss, grads = loss_and_gradients(
-                params, batch_x, batch_x[:, :output_dim], batch_mask,
-                cfg.regularization, work=work)
+            loss, grads = step(idx)
             if not math.isfinite(loss):
                 raise diverged(f"loss {loss}, last finite loss {last_finite}")
             last_finite = loss

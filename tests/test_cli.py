@@ -868,6 +868,17 @@ class TestOutputFlags:
         assert (code, err) == (1, "error: no room for the manifest\n")
         assert model.exists()
 
+    def test_ctrl_c_is_one_line_and_removes_the_directories_main_made(
+            self, prepared_path, tmp_path, capsys, monkeypatch):
+        def interrupted(args, path):
+            raise KeyboardInterrupt
+        monkeypatch.setattr(cli, "cmd_train", interrupted)
+        code, out, err = run(capsys, "train", "--data", prepared_path,
+                             "--task", "rating", "--out",
+                             tmp_path / "new" / "sub" / "m.json")
+        assert (code, out, err) == (130, "", "error: interrupted\n")
+        assert not (tmp_path / "new").exists()
+
     @pytest.mark.parametrize("command",
                              ["prepare", "train", "evaluate", "reproduce"])
     def test_a_write_past_the_file_size_limit_keeps_the_earlier_output(

@@ -8,7 +8,7 @@ from semiae.dataset import RatingDataset, SideInfoMatrix, write_json
 from semiae.model import (ACTIVATIONS, BLOCK, SemiAEParams, Workspace,
                           forward, glorot_init, load_params,
                           loss_and_gradients, reconstruction_loss,
-                          save_params)
+                          save_params, sparse_loss_and_gradients)
 from util import (brute_force_masked_loss, built_input, classical_autoencoder,
                   finite_difference_grads, gradcheck_error,
                   make_random_dataset, reference_loss_and_gradients,
@@ -397,6 +397,130 @@ class TestBackward:
         for name in ("dQ", "dQ1", "dp", "dp1"):
             np.testing.assert_array_equal(getattr(base[1], name),
                                           getattr(bumped[1], name))
+
+
+# the sparse step sums in another order than the dense one: its loss and
+# each gradient agree with the reference to this much of the largest entry
+# (5.0e-16 at most in these cases)
+SPARSE_TOL = 1e-12
+
+
+def sparse_batch(targets, side):
+    """The sparse step's arguments for the input rows ``cat(targets;
+    side)``: the nonzeros of ``targets`` row by row, then ``side``."""
+    at, cols = np.nonzero(targets)
+    return at, cols, targets[at, cols], side
+
+
+def close_to_largest(ours, ref):
+    return np.abs(ours - ref).max(initial=0.0) <= SPARSE_TOL * max(
+        np.abs(ref).max(initial=0.0), 1e-300)
+
+
+class TestSparseStep:
+    """``sparse_loss_and_gradients`` against the dense reference, on an
+    identity f without a mask."""
+
+    D, K, H = 40, 3, 6
+
+    def batches(self, rng):
+        """(name, targets, side): 5 rows each unless named otherwise."""
+        d, k = self.D, self.K
+        likes = (rng.random((5, d)) < 0.2).astype(float)
+        no_likes = likes.copy()
+        no_likes[[0, 3]] = 0.0
+        every_item = likes.copy()
+        every_item[2] = 1.0
+        valued = likes * rng.uniform(-3.0, 5.0, likes.shape)
+        side = rng.normal(size=(5, k))
+        return [("rows with no likes", no_likes, side),
+                ("a user who liked every item", every_item, side),
+                ("values other than 1", valued, side),
+                ("side width 0", likes, np.empty((5, 0))),
+                ("no like at all", np.zeros((5, d)), side),
+                ("one row", likes[:1], side[:1])]
+
+    @pytest.mark.parametrize("reg", [0.0, 0.1])
+    @pytest.mark.parametrize("g", ["sigmoid", "tanh", "relu"])
+    def test_equals_the_reference_and_the_exact_loss(self, g, reg):
+        rng = RNG(61)
+        for name, targets, side in self.batches(rng):
+            params = make_params(rng, s=self.D + side.shape[1], h=self.H,
+                                 d=self.D, g=g)
+            params = SemiAEParams(params.Q, params.Q1,
+                                  rng.normal(size=self.H),
+                                  rng.normal(size=self.D), g=g)
+            x = np.hstack([targets, side])
+            want_loss, want = reference_loss_and_gradients(
+                params, x, targets, None, reg)
+            loss, got = sparse_loss_and_gradients(
+                params, *sparse_batch(targets, side), reg)
+            exact = reconstruction_loss(params, x, targets, reg=reg)
+            assert abs(loss - want_loss) <= SPARSE_TOL * want_loss, name
+            assert abs(loss - exact) <= SPARSE_TOL * exact, name
+            for ours, ref in zip((got.dQ, got.dQ1, got.dp, got.dp1), want):
+                assert close_to_largest(ours, ref), name
+
+    def test_a_ragged_last_batch_reuses_the_workspace(self):
+        # a 4-row batch, then the 2 rows left, into one workspace whose
+        # gradients start as NaN
+        rng = RNG(43)
+        params = make_params(rng, s=self.D + self.K, h=self.H, d=self.D)
+        targets = (rng.random((6, self.D)) < 0.3).astype(float)
+        side = rng.normal(size=(6, self.K))
+        work = nan_workspace(params, 0)
+        for rows in (slice(0, 4), slice(4, 6)):
+            x = np.hstack([targets[rows], side[rows]])
+            want_loss, want = reference_loss_and_gradients(
+                params, x, targets[rows], None, 0.1)
+            loss, got = sparse_loss_and_gradients(
+                params, *sparse_batch(targets[rows], side[rows]), 0.1, work)
+            assert got is work.grads
+            assert abs(loss - want_loss) <= SPARSE_TOL * want_loss
+            for ours, ref in zip((got.dQ, got.dQ1, got.dp, got.dp1), want):
+                assert close_to_largest(ours, ref)
+
+    def test_the_ranking_shape_allocates_nothing_of_a_dense_batch(self):
+        # B=64 users, S=1712 inputs, H=10, D=1682 items, 0.3 % liked, as
+        # in the benchmark's ml-100k batches (about 340 likes each)
+        rng = RNG(47)
+        params = make_params(rng, s=1712, h=10, d=1682)
+        targets = (rng.random((64, 1682)) < 0.003).astype(float)
+        batch = sparse_batch(targets, rng.normal(size=(64, 30)))
+        work = Workspace.for_params(params, 0)
+
+        def step():
+            return sparse_loss_and_gradients(params, *batch, 0.1, work)
+
+        step()
+        (_, grads), peak = traced_peak(step)
+        assert grads is work.grads
+        assert peak < 64 * 1682 * 8 / 4
+
+    def test_an_overflowing_loss_is_inf_as_in_the_dense_step(self):
+        # finite weights whose outputs' squares overflow: the expansion
+        # meets inf - inf, the dense sum of squares gives inf
+        rng = RNG(59)
+        params = make_params(rng, s=self.D, h=self.H, d=self.D)
+        params = SemiAEParams(params.Q, np.sign(params.Q1) * 1e200,
+                              params.p, params.p1)
+        targets = (rng.random((5, self.D)) < 0.2).astype(float)
+        side = np.empty((5, 0))
+        with np.errstate(over="ignore", invalid="ignore"):
+            dense, _ = loss_and_gradients(params, targets, targets)
+            loss, _ = sparse_loss_and_gradients(params,
+                                                *sparse_batch(targets, side))
+        assert dense == loss == np.inf
+
+    @pytest.mark.parametrize("s,f", [(40, "sigmoid"), (30, "identity")])
+    def test_needs_an_identity_f_and_the_targets_as_inputs(self, s, f):
+        params = make_params(RNG(53), s=s, h=3, d=40, f=f)
+        with pytest.raises(ValueError, match="^the sparse step needs an "
+                                             "identity f and an input that "
+                                             "begins with the targets$"):
+            sparse_loss_and_gradients(params, np.zeros(0, np.intp),
+                                      np.zeros(0, np.intp), np.zeros(0),
+                                      np.zeros((1, 0)))
 
 
 class TestDegenerateEquivalence:

@@ -29,8 +29,8 @@ def test_artifact_hashes_repeat_and_cover_every_output(fmt):
                for stream in ("stdout", "stderr")]
     # every command that writes a file writes one, and a manifest beside it
     written = ("prepared.json", "rating.json", "rating.eval.json",
-               "ranking.json", "ranking.eval.json", "table2/table2.csv",
-               "table1/table1.csv")
+               "ranking.json", "ranking-default.json", "ranking.eval.json",
+               "table2/table2.csv", "table1/table1.csv")
     assert names[:len(streams)] == streams
     assert sorted(names[len(streams):]) == sorted(
         name for output in written

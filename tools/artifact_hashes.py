@@ -4,8 +4,9 @@
 In a temporary directory, on a ``semiae.synthetic`` layout, runs each
 command in its own process, as a user would:
 
-    prepare; train and evaluate (rating, then ranking); recommend for the
-    first and the last user; reproduce --table 2; reproduce --table 1
+    prepare; train and evaluate (rating, then ranking); train a second
+    ranking model, at the Table 2 defaults; recommend for the first and
+    the last user; reproduce --table 2; reproduce --table 1
 
 and prints one ``sha256  name`` line for every file the commands wrote and
 for the stdout and stderr of every command.  Manifests are hashed without
@@ -51,6 +52,9 @@ CONFIGS = {
     # and its activation in scoring are covered too
     "ranking": {"epochs": 5, "seed": 1, "binarize_threshold": 3.0,
                 "f": "sigmoid"},
+    # the Table 2 defaults, an identity f and the loss over every output,
+    # whose training steps from each batch's triples
+    "ranking-default": {"epochs": 5, "seed": 1, "binarize_threshold": 3.0},
     # rating trains with adam and ranking with sgd; reproduce takes the
     # third optimizer, a tanh hidden layer and the masked ranking loss
     "reproduce": {"epochs": 5, "seed": 1, "binarize_threshold": 3.0,
@@ -80,6 +84,11 @@ def commands(fmt: str, last_user: int = 1) -> list[tuple[str, list[str]]]:
                            "ranking", "--config", "ranking.cfg.json",
                            "--out", "out/ranking.json",
                            "--train-fraction", "0.5"]),
+        ("train-ranking-default", ["train", "--data", "out/prepared.json",
+                                   "--task", "ranking", "--config",
+                                   "ranking-default.cfg.json", "--out",
+                                   "out/ranking-default.json",
+                                   "--train-fraction", "0.5"]),
         ("evaluate-ranking", ["evaluate", "--model", "out/ranking.json",
                               "--data", "out/prepared.json",
                               "--train-fraction", "0.5", "--seed", "1",
