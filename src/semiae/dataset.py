@@ -726,15 +726,58 @@ def located(path: str | Path, what: str):
         raise ValueError(f"{path}: {what}: {exc}") from None
 
 
+class RowDecoder(json.JSONDecoder):
+    """The decoder of ``json.load`` for a document of number matrices: an
+    array, among the top-level object's values, whose first element is an
+    array is read one inner array at a time, and a row of only JSON
+    integers and floats becomes its float64 array at once, so that a
+    matrix's numbers are never all Python floats together.  A row that
+    holds anything else, or that does not convert (``10**400``), stays a
+    list, for :func:`json_numbers` to refuse as it would after a plain
+    ``json.load``.  Only the top-level object is walked in Python; every
+    other value, nested objects included, goes to the stdlib's scanner
+    whole, so nesting limits and error messages stay ``json.load``'s."""
+
+    def __init__(self, **kw) -> None:
+        super().__init__(**kw)
+        whole, skip = self.scan_once, json.decoder.WHITESPACE.match
+
+        def row(s: str, idx: int):
+            value, end = whole(s, idx)
+            if type(value) is list and set(map(type, value)) <= {int, float}:
+                with suppress(OverflowError):
+                    value = np.array(value, np.float64)
+            return value, end
+
+        def value(s: str, idx: int):
+            if s.startswith("[", idx) and s.startswith(
+                    "[", skip(s, idx + 1).end()):
+                return json.decoder.JSONArray((s, idx + 1), row)
+            return whole(s, idx)
+
+        def scan_once(s: str, idx: int):
+            if s.startswith("{", idx):
+                return json.decoder.JSONObject(
+                    (s, idx + 1), self.strict, value, self.object_hook,
+                    self.object_pairs_hook, {})
+            return whole(s, idx)
+
+        self.scan_once = scan_once
+
+
 @contextmanager
-def json_object(path: str | Path, what: str, version: int | None = None):
+def json_object(path: str | Path, what: str, version: int | None = None,
+                decoder: type[json.JSONDecoder] | None = None):
     """Give the object in the JSON file at ``path``, read as its ``what``
     part inside :func:`located`; given ``version``, its ``schema_version``
     must be that integer.  Text that is not UTF-8 JSON, or nests past the
-    decoder's recursion limit, is ``<path>: not a valid JSON file: ...``."""
+    decoder's recursion limit, is ``<path>: not a valid JSON file: ...``.
+    The text is decoded by ``decoder`` (``json.load``'s own if None); with
+    :class:`RowDecoder`, the matrices among the object's values come as
+    lists of float64 rows."""
     with open(path, encoding="utf-8") as fh:
         try:
-            doc = json.load(fh)
+            doc = json.load(fh, cls=decoder)
         except (ValueError, RecursionError) as exc:
             raise ValueError(f"{path}: not a valid JSON file: {exc}") from None
     with located(path, what):
@@ -751,13 +794,15 @@ def json_numbers(value, dtype, name: str) -> np.ndarray:
     ``dtype``.  A string, boolean or null among them, or for an integer
     dtype a number written with a fraction or exponent (``4.0`` too), is a
     ValueError naming ``name``; NaN and Infinity convert, for the caller's
-    finiteness check."""
+    finiteness check.  A float64 array among the lists, a row that
+    :class:`RowDecoder` converted, is a leaf whose numbers are checked."""
     array = np.asarray(value, dtype)
 
     def leaves():  # numpy found array.ndim levels of lists
         level = [value]
         for _ in range(array.ndim):
-            level = chain.from_iterable(level)
+            level = chain.from_iterable(
+                v for v in level if not isinstance(v, np.ndarray))
         return level
 
     numbers = (int,) if np.issubdtype(dtype, np.integer) else (int, float)

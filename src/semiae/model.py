@@ -28,8 +28,9 @@ term's code:
 A training loop hands either one :class:`Workspace`, made once, that holds
 the gradients and the block scratch of the L2 term; the dense step also
 uses its four batch-sized buffers, each taking several of the step's
-intermediates in turn, so that a step allocates nothing of the dense
-batch's size or of a parameter's.
+intermediates in turn, and a fifth for the derivative of a non-identity
+``f``, so that a step allocates nothing of the dense batch's size or of a
+parameter's.
 """
 
 from __future__ import annotations
@@ -41,7 +42,8 @@ from typing import Callable
 
 import numpy as np
 
-from .dataset import json_numbers, json_object, store_read_only, write_json
+from .dataset import (RowDecoder, json_numbers, json_object, store_read_only,
+                      write_json)
 
 MODEL_SCHEMA_VERSION = 1
 
@@ -181,6 +183,7 @@ class Workspace:
     output: np.ndarray   # (B, D) z2, the output, dLoss/dz2
     squares: np.ndarray  # (B, D) a sigmoid f's scratch, the squared errors
     slope: np.ndarray    # (B, H) a sigmoid g's scratch, g'
+    deriv: np.ndarray    # (B, D) f', of 0 rows for an identity f
     block: np.ndarray    # one block, the scratch of the L2 term's passes
 
     @classmethod
@@ -190,6 +193,7 @@ class Workspace:
         return cls(GradientSet(*(np.empty(a.shape) for a in theta)),
                    np.empty((rows, h)), np.empty((rows, d)),
                    np.empty((rows, d)), np.empty((rows, h)),
+                   np.empty((0 if params.f == "identity" else rows, d)),
                    np.empty(min(BLOCK, max(params.Q.size, params.Q1.size))))
 
 
@@ -343,8 +347,7 @@ def loss_and_gradients(params: SemiAEParams, batch_x: np.ndarray,
     The gradients and the batch's intermediates are written into ``work``,
     a :class:`Workspace` of at least the batch's rows, or a fresh one, and
     ``work.grads`` is returned.  With ``work`` given, a call allocates
-    nothing of the batch's size (a non-identity ``f`` still makes its B x D
-    derivative).
+    nothing of the batch's size.
     """
     batch, tgt, m = _check_loss_args(params, batch_x, targets, mask)
     b = batch.shape[0]
@@ -356,7 +359,7 @@ def loss_and_gradients(params: SemiAEParams, batch_x: np.ndarray,
     # both derivatives come from the activations' values; an identity f's
     # is 1 and its multiply is skipped
     if params.f != "identity":
-        f_prime = ACTIVATIONS[params.f].deriv_at_value(pred)
+        f_prime = ACTIVATIONS[params.f].deriv_at_value(pred, work.deriv[:b])
     g_prime = ACTIVATIONS[params.g].deriv_at_value(hid, work.slope[:b])
 
     # the output buffer becomes the difference, then dLoss/dz2
@@ -500,8 +503,12 @@ def save_params(path: str | Path, params: SemiAEParams,
 def load_params(path: str | Path) -> tuple[SemiAEParams, dict]:
     """Read a model JSON written by :func:`save_params`; returns (params,
     config echo).  A malformed file, or an array not nested to the shape of
-    the file's ``dims``, raises ValueError naming it."""
-    with json_object(path, "model JSON", MODEL_SCHEMA_VERSION) as doc:
+    the file's ``dims``, raises ValueError naming it.  ``Q`` and ``Q1`` are
+    decoded one row at a time by :class:`~semiae.dataset.RowDecoder`, so no
+    weight is ever a Python float; what the read holds at its peak is the
+    file's text, twice while it is decoded from UTF-8."""
+    with json_object(path, "model JSON", MODEL_SCHEMA_VERSION,
+                     RowDecoder) as doc:
         dims = doc["dims"]
         shapes = {"Q": (dims["S"], dims["H"]), "Q1": (dims["H"], dims["D"]),
                   "p": (dims["H"],), "p1": (dims["D"],)}

@@ -333,10 +333,12 @@ class TestBackward:
             for ours, ref in zip((got.dQ, got.dQ1, got.dp, got.dp1), want):
                 assert ours.tobytes() == ref.tobytes()
 
-    def test_a_step_into_its_workspace_allocates_nothing_of_batch_size(self):
-        # the ranking shape: B=64 users, S=1712 inputs, H=10, D=1682 items
+    @pytest.mark.parametrize("f", ["identity", "sigmoid", "tanh", "relu"])
+    def test_a_step_into_its_workspace_allocates_nothing_of_batch_size(self, f):
+        # the ranking shape: B=64 users, S=1712 inputs, H=10, D=1682 items;
+        # a non-identity f writes its derivative into the workspace too
         rng = RNG(41)
-        params = make_params(rng, s=1712, h=10, d=1682)
+        params = make_params(rng, s=1712, h=10, d=1682, f=f)
         x = (rng.random((64, 1712)) < 0.05).astype(float)
         work = Workspace.for_params(params, 64)
 
@@ -569,6 +571,70 @@ class TestSerialization:
         finally:
             tracemalloc.stop()
         assert peak < 0.1 * path.stat().st_size
+
+    def test_load_holds_no_python_float_per_weight(self, tmp_path):
+        # the read holds the file's text twice while read() decodes it; a
+        # Python float and its list slot per weight, 32 bytes against about
+        # 21 of its text, would add about 1.5 times the file's size
+        params = make_params(RNG(53), s=300, h=100, d=250)
+        path = tmp_path / "model.json"
+        save_params(path, params)
+        (loaded, _), peak = traced_peak(load_params, path)
+        np.testing.assert_array_equal(loaded.Q1, params.Q1)
+        assert peak < 2.3 * path.stat().st_size
+
+    @pytest.mark.parametrize("key", ["Q", "Q1"])
+    @pytest.mark.parametrize("edit", ["text", "boolean", "null", "huge-int",
+                                      "list", "nan", "ragged", "number"])
+    def test_a_malformed_last_row_gives_the_plain_loads_error(self, tmp_path,
+                                                               key, edit):
+        # the last row is the one read after every other has converted
+        params = make_params(RNG(59), s=6, h=3, d=4)
+        path = tmp_path / "model.json"
+        save_params(path, params)
+        doc = json.loads(path.read_text())
+        shape = getattr(params, key).shape
+        nested = ("setting an array element with a sequence. The requested "
+                  "array has an inhomogeneous shape after {} dimensions. The "
+                  "detected shape was {} + inhomogeneous part.")
+        last = doc[key][-1]
+        if edit == "ragged":
+            last.pop()
+        elif edit == "number":
+            doc[key][-1] = 0.5
+        else:
+            last[-1] = {"text": "x", "boolean": True, "null": None,
+                        "huge-int": 10 ** 400, "list": [1.0],
+                        "nan": float("nan")}[edit]
+        expected = {
+            "text": "could not convert string to float: 'x'",
+            "boolean": f"{key}: True is not a number",
+            "null": f"{key}: None is not a number",
+            "huge-int": "int too large to convert to float",
+            "list": nested.format(2, shape),
+            "nan": "parameters must be finite",
+            "ragged": nested.format(1, shape[:1]),
+            "number": nested.format(1, shape[:1])}[edit]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError) as info:
+            load_params(path)
+        assert str(info.value) == f"{path}: model JSON: {expected}"
+
+    def test_a_deeply_nested_echo_loads(self, tmp_path):
+        # 600 levels fit the stdlib's C decoder, not a decoder that walks
+        # every level in Python
+        echo = inner = {}
+        for _ in range(600):
+            inner["x"] = inner = {}
+        params = make_params(RNG(61))
+        path = tmp_path / "model.json"
+        save_params(path, params)
+        doc = json.loads(path.read_text())
+        doc["training_config_echo"] = echo
+        path.write_text(json.dumps(doc))
+        loaded, got = load_params(path)
+        assert got == echo
+        np.testing.assert_array_equal(loaded.Q, params.Q)
 
     def test_schema_fields_present(self, tmp_path):
         path = tmp_path / "model.json"

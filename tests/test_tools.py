@@ -62,6 +62,18 @@ def test_artifact_hashes_children_run_at_one_blas_thread(monkeypatch):
         assert "SEMIAE_LOG" not in env
 
 
+def test_command_peaks_prints_one_line_per_command(capsys):
+    tool = load_tool("command_peaks")
+    assert tool.main([]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in lines] == [
+        label for label, _ in load_tool("artifact_hashes").commands("ml-100k")]
+    for line in lines:
+        _, exit_word, code, wall, seconds, peak, mib = line.split()
+        assert (exit_word, code, seconds, mib) == ("exit", "0", "s", "MiB")
+        assert float(wall) > 0 and float(peak) > 0
+
+
 def test_bench_pairs_summary_counts_pairs_won_per_metric():
     tool = load_tool("bench_pairs")
 

@@ -127,22 +127,36 @@ def _file_digest(path: Path) -> str:
     return _digest(path.read_bytes())
 
 
+def child_env() -> dict[str, str]:
+    """The environment of the pass's processes: this checkout's ``src/``,
+    one BLAS and OpenMP thread unless the caller set a count, no log."""
+    env = {var: "1" for var in THREAD_VARS}  # unless the caller set them
+    env.update(os.environ, PYTHONPATH=str(SRC))
+    env.pop("SEMIAE_LOG", None)
+    return env
+
+
+def set_up(work: Path, fmt: str, num_users: int, num_items: int,
+           num_ratings: int, seed: int) -> int:
+    """Write the synthetic layout to ``work/raw`` and each of
+    :data:`CONFIGS` to ``work/<name>.cfg.json``; returns the raw id of the
+    layout's last rated user, for :func:`commands`."""
+    write_layout(work / "raw", fmt, num_users, num_items, num_ratings, seed)
+    for task, cfg in CONFIGS.items():
+        (work / f"{task}.cfg.json").write_text(json.dumps(cfg))
+    ratings = work / "raw" / LAYOUTS[fmt]["ratings"][0]
+    return parse_ratings(ratings, fmt).user_ids[-1]
+
+
 def artifact_hashes(fmt: str = "ml-100k", num_users: int = 300,
                     num_items: int = 80, num_ratings: int = 6000,
                     seed: int = 0) -> list[str]:
     """The ``sha256  name`` lines of one pass over the CLI."""
-    env = {var: "1" for var in THREAD_VARS}  # unless the caller set them
-    env.update(os.environ, PYTHONPATH=str(SRC))
-    env.pop("SEMIAE_LOG", None)
+    env = child_env()
     lines = []
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
-        write_layout(work / "raw", fmt, num_users, num_items, num_ratings,
-                     seed)
-        for task, cfg in CONFIGS.items():
-            (work / f"{task}.cfg.json").write_text(json.dumps(cfg))
-        ratings = work / "raw" / LAYOUTS[fmt]["ratings"][0]
-        last_user = parse_ratings(ratings, fmt).user_ids[-1]
+        last_user = set_up(work, fmt, num_users, num_items, num_ratings, seed)
         for label, argv in commands(fmt, last_user):
             run = subprocess.run([sys.executable, "-m", "semiae.cli", *argv],
                                  cwd=work, env=env, capture_output=True)
@@ -157,8 +171,11 @@ def artifact_hashes(fmt: str = "ml-100k", num_users: int = 300,
     return lines
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+def layout_args(description: str, argv: list[str] | None
+                ) -> tuple[str, int, int, int, int]:
+    """The layout of the pass from the command line: format, users, items,
+    ratings and seed."""
+    parser = argparse.ArgumentParser(description=description)
     parser.add_argument("--format", choices=FORMATS, default="ml-100k")
     # more users than one scoring chunk of the top-n lists (256)
     parser.add_argument("--users", type=int, default=300)
@@ -167,8 +184,12 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seed", type=int, default=0,
                         help="seed of the synthetic layout")
     args = parser.parse_args(argv)
-    print("\n".join(artifact_hashes(args.format, args.users, args.items,
-                                    args.ratings, args.seed)))
+    return args.format, args.users, args.items, args.ratings, args.seed
+
+
+def main(argv: list[str] | None = None) -> int:
+    layout = layout_args(__doc__.splitlines()[0], argv)
+    print("\n".join(artifact_hashes(*layout)))
     return 0
 
 
