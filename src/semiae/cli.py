@@ -209,7 +209,7 @@ def cmd_evaluate(args, out: Path | None) -> int:
     model, echo = load_model_and_echo(args.model)
     prepared = read_prepared(args.data)
     recall_ns = RECALL_NS
-    if args.recall:
+    if args.recall is not None:
         recall_ns = _parse_ints(args.recall)
         if not recall_ns:
             raise ValueError("--recall needs at least one N value")

@@ -624,7 +624,10 @@ def sparse_rows(ds: RatingDataset, side: SideInfoMatrix, rows
     lays it out, in sparse form: ``(at, items, ratings, side_rows)``.  The
     batch's k-th triple is ``ratings[k]`` at ``items[k]`` of batch row
     ``at[k]``, so ``at`` ascends; ``side_rows`` is the rows' block of
-    ``side``.  The triples come from the dataset's per-user index."""
+    ``side``.  The triples come from the dataset's per-user index.  The
+    call for a run of consecutive entries of ``rows`` is a slice of this
+    one: the triples whose ``at`` falls in the run, ``at`` counted from the
+    run's first row, and the run's side rows."""
     if side.num_entities != ds.num_users:
         raise ValueError(f"side information has {side.num_entities} rows "
                          f"for {ds.num_users} rating rows")

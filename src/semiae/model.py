@@ -310,7 +310,11 @@ def blocks(size: int) -> list[slice]:
 def _add_scaled(acc: np.ndarray, scale: float, a: np.ndarray,
                 scratch: np.ndarray) -> None:
     """``acc += scale * a`` on contiguous arrays, one block at a time
-    through ``scratch``, of at least one block or ``a.size`` elements."""
+    through ``scratch``, of at least one block or ``a.size`` elements; an
+    array of one block in one pass."""
+    if a.size <= BLOCK:
+        acc += np.multiply(a, scale, out=scratch[:a.size].reshape(a.shape))
+        return
     acc, a = acc.reshape(-1), a.reshape(-1)
     for part in blocks(a.size):
         term = scratch[:part.stop - part.start]
@@ -415,7 +419,12 @@ def sparse_loss_and_gradients(params: SemiAEParams, at: np.ndarray,
 
     The gradients are written into ``work.grads`` (a workspace of any
     rows, or a fresh one of 0 rows), and the step's other arrays are of
-    the nonzeros' count or of the batch's rows, by H.
+    the nonzeros' count or of the batch's rows, by H.  Each scatter adds
+    the nonzeros' terms in their order: ``x @ Q`` and ``T Q1^T`` share one
+    flat index, and ``T Q1^T``, which starts at zero, is its
+    ``np.bincount``, which adds in index order from +0.0 as ``np.add.at``
+    does into zeros, so the result does not depend on which of the two
+    makes it.
     """
     if params.f != "identity" or params.input_dim < params.output_dim:
         raise ValueError("the sparse step needs an identity f and an input "
@@ -429,15 +438,17 @@ def sparse_loss_and_gradients(params: SemiAEParams, at: np.ndarray,
     g = ACTIVATIONS[params.g]
     cols = np.asarray(cols, np.intp)
     weight = values[:, None]
+    # each nonzero's H places in a (b, H) C-array, in its batch row
+    in_row = ((at * h)[:, None] + np.arange(h)).ravel()
 
     # z1 = x Q + p, and T Q1^T: each nonzero adds its value times its Q
     # row, or its Q1 column, to its batch row
     z1 = side_rows @ Q[d:]
-    _scatter_rows(z1, at, Q[cols] * weight)
+    np.add.at(z1.reshape(-1), in_row, (Q[cols] * weight).ravel())
     z1 += params.p
     hid = g.fn(z1, z1)
-    t_q1 = np.zeros((b, h))
-    _scatter_rows(t_q1, at, Q1.T[cols] * weight)
+    t_q1 = np.bincount(in_row, (Q1.T[cols] * weight).ravel(),
+                       minlength=b * h).reshape(b, h)
 
     q1_q1 = Q1 @ Q1.T
     q1_p1 = Q1 @ p1

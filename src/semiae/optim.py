@@ -1,13 +1,16 @@
 """Parameter-update rules: plain gradient descent, RMSProp and Adam.
 
 An :class:`Optimizer` is bound to the parameter buffers it trains (Q, Q1, p,
-p1 in that order).  It allocates its accumulators and two block-sized
-scratch buffers once, and ``update`` overwrites the parameters and
-accumulators in place, one block of :data:`semiae.model.BLOCK` elements at
-a time, so that each block's operands stay in the L2 cache.  Each update
-performs the floating-point operations of the textbook formulas in a fixed
-order, elementwise, so blocking does not change a bit and two runs from the
-same seed are bit-identical.
+p1 in that order).  It allocates its accumulators and, for rmsprop and adam,
+two block-sized scratch buffers once, and ``update`` overwrites the
+parameters and accumulators in place, one block of
+:data:`semiae.model.BLOCK` elements at a time, so that each block's operands
+stay in the L2 cache; a parameter of one block, as every parameter of the
+ranking model at ml-100k shape is, is updated whole.  sgd takes its step in
+the gradients' own buffers instead of a scratch one.  Each update performs
+the floating-point operations of the textbook formulas in a fixed order,
+elementwise, so neither blocking nor the buffer changes a bit, and two runs
+from the same seed are bit-identical.
 """
 
 from __future__ import annotations
@@ -51,22 +54,36 @@ class Optimizer:
                    for theta in self.params):
             raise ValueError("parameters must be writable C-contiguous arrays")
         # two scratch buffers of one block, or of the largest parameter if
-        # that is smaller; per parameter, each block's slice and its views
-        # of the parameter, the accumulators and the scratch, made once
+        # that is smaller, none for sgd.  Per parameter, each block's index
+        # into the gradient and its views of the parameter, the
+        # accumulators and the scratch, made once: a parameter of one block
+        # is indexed whole, by ``...``, with views of its shape, and a
+        # longer one by flat slices
         size = min(BLOCK, max(theta.size for theta in self.params))
-        step, tmp = np.empty(size), np.empty(size)
+        scratch = [np.empty(size)
+                   for _ in range(0 if self.kind == "sgd" else 2)]
         self._blocks = []
         for theta in self.params:
-            accs = [np.zeros(theta.size)
-                    for _ in range(_NUM_ACCUMULATORS[self.kind])]
+            arrays = [theta, *(np.zeros(theta.shape) for _ in
+                               range(_NUM_ACCUMULATORS[self.kind]))]
+            if theta.size <= BLOCK:
+                self._blocks.append([(..., arrays + [
+                    b[:theta.size].reshape(theta.shape) for b in scratch])])
+                continue
+            flat = [a.reshape(-1) for a in arrays]
             self._blocks.append(
-                [(part, theta.reshape(-1)[part], [a[part] for a in accs],
-                  step[:part.stop - part.start], tmp[:part.stop - part.start])
+                [(part, [a[part] for a in flat]
+                  + [b[:part.stop - part.start] for b in scratch])
                  for part in blocks(theta.size)])
 
 
 def update(state: Optimizer, grads: GradientSet) -> None:
-    """Apply one optimizer step to ``state.params`` in place."""
+    """Apply one optimizer step to ``state.params`` in place.
+
+    sgd computes its step, each gradient times the learning rate, in the
+    gradients' own buffers, so they must be writable, and afterwards
+    ``grads`` holds that step; rmsprop and adam only read ``grads``.  A
+    training loop writes the next gradients over them either way."""
     all_grads = (grads.dQ, grads.dQ1, grads.dp, grads.dp1)
     for name, g, theta in zip(_NAMES, all_grads, state.params):
         if g.shape != theta.shape:
@@ -76,22 +93,23 @@ def update(state: Optimizer, grads: GradientSet) -> None:
     state.t += 1
     first = state.t == 1
     for g, parts in zip(all_grads, state._blocks):
-        g = g.reshape(-1)
-        for part, theta, accs, step, tmp in parts:
-            _step(state, g[part], theta, accs, step, tmp, first)
+        if len(parts) > 1:
+            g = g.reshape(-1)
+        for part, views in parts:
+            _step(state, g[part], views, first)
 
 
-def _step(state: Optimizer, g: np.ndarray, theta: np.ndarray,
-          accs: list[np.ndarray], step: np.ndarray, tmp: np.ndarray,
+def _step(state: Optimizer, g: np.ndarray, views: list[np.ndarray],
           first: bool) -> None:
-    """One update of the parameter block ``theta`` and its accumulators'
-    blocks ``accs`` from the gradient block ``g``, through the scratch
-    blocks ``step`` and ``tmp``."""
+    """One update, from the gradient block ``g``, of the blocks ``views``:
+    the parameter's, the accumulators' and then the two scratch blocks
+    ``step`` and ``tmp`` (sgd has neither accumulators nor scratch)."""
     eta = state.learning_rate
     if state.kind == "sgd":
-        np.multiply(g, eta, out=step)
+        theta, step = views[0], g
+        step *= eta
     elif state.kind == "rmsprop":
-        (acc,) = accs
+        theta, acc, step, tmp = views
         np.multiply(g, 1.0 - RHO, out=tmp)
         tmp *= g
         _decay_add(acc, RHO, tmp, first)
@@ -101,7 +119,7 @@ def _step(state: Optimizer, g: np.ndarray, theta: np.ndarray,
         np.multiply(g, eta, out=step)
         step /= tmp
     else:  # adam
-        m, v = accs
+        theta, m, v, step, tmp = views
         np.multiply(g, 1.0 - BETA1, out=tmp)
         _decay_add(m, BETA1, tmp, first)
         np.multiply(g, 1.0 - BETA2, out=tmp)

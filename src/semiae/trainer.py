@@ -14,9 +14,10 @@ the parameter buffers and one :class:`~semiae.model.Workspace`, and picks
 its step once per run:
 
 * an identity ``f`` with the loss over every output, the ranking default,
-  takes each batch's triples and side rows from
-  :func:`~semiae.dataset.sparse_rows` and steps with
-  ``sparse_loss_and_gradients``, which densifies nothing;
+  lays out each epoch's rows once, in the epoch's order, as triples and
+  side rows by :func:`~semiae.dataset.sparse_rows`, and steps with
+  ``sparse_loss_and_gradients`` on each batch's slice of that layout,
+  densifying nothing;
 * every other run (rating, a masked ranking loss, a non-identity ``f``)
   owns the batch's input rows and mask, written by
   :func:`~semiae.dataset.build_vectors` from the dataset's per-user index,
@@ -186,10 +187,28 @@ class TrainedModel:
         return self.params.input_dim - self.params.output_dim
 
 
+def _sparse_batches(ds: RatingDataset, side: SideInfoMatrix,
+                    perm: np.ndarray, batch_size: int):
+    """The :func:`~semiae.dataset.sparse_rows` of each batch of
+    ``batch_size`` consecutive users of ``perm``, the last batch ragged, as
+    slices of the one call over all of ``perm``: the batch's triples, their
+    rows counted from the batch's first, and its side rows."""
+    at, cols, values, side_rows = sparse_rows(ds, side, perm)
+    starts = range(0, len(perm), batch_size)
+    cuts = np.searchsorted(at, [*starts, len(perm)]).tolist()
+    for start, lo, hi in zip(starts, cuts, cuts[1:]):
+        yield (at[lo:hi] - start, cols[lo:hi], values[lo:hi],
+               side_rows[start:start + batch_size])
+
+
 # the loop checks finiteness itself, so numpy's warnings stay quiet
 @np.errstate(all="ignore")
 def _run_epochs(train: RatingDataset, side: SideInfoMatrix, masked: bool,
                 cfg: TrainConfig) -> TrainedModel:
+    """Train on the user rows of ``train`` and ``side``, the loss at the
+    observed ratings alone if ``masked``.  Each epoch is a generator of
+    its batches' steps, sparse or dense as the run picks once, and the
+    loop updates the parameters from each step's gradients."""
     # one input row per user: its ratings over every item, which are also
     # its targets, then its side row
     n, output_dim = train.num_users, train.num_items
@@ -206,21 +225,24 @@ def _run_epochs(train: RatingDataset, side: SideInfoMatrix, masked: bool,
     sparse = cfg.f == "identity" and not masked
     work = Workspace.for_params(params, 0 if sparse else rows)
     if sparse:
-        def step(idx: np.ndarray):
-            return sparse_loss_and_gradients(
-                params, *sparse_rows(train, side, idx), cfg.regularization,
-                work)
+        def steps(perm: np.ndarray):
+            for sparse_batch in _sparse_batches(train, side, perm,
+                                                cfg.batch_size):
+                yield sparse_loss_and_gradients(params, *sparse_batch,
+                                                cfg.regularization, work)
     else:
         x = np.empty((rows, params.input_dim))
         mask = np.empty((rows, output_dim), bool) if masked else None
 
-        def step(idx: np.ndarray):
-            batch_x = x[:len(idx)]
-            batch_mask = mask[:len(idx)] if masked else None
-            build_vectors(train, side, idx, batch_x, batch_mask)
-            return loss_and_gradients(
-                params, batch_x, batch_x[:, :output_dim], batch_mask,
-                cfg.regularization, work=work)
+        def steps(perm: np.ndarray):
+            for start in range(0, n, cfg.batch_size):
+                idx = perm[start:start + cfg.batch_size]
+                batch_x = x[:len(idx)]
+                batch_mask = mask[:len(idx)] if masked else None
+                build_vectors(train, side, idx, batch_x, batch_mask)
+                yield loss_and_gradients(
+                    params, batch_x, batch_x[:, :output_dim], batch_mask,
+                    cfg.regularization, work=work)
     num_batches = -(-n // cfg.batch_size)
     history: list[float] = []
     last_finite = None
@@ -233,14 +255,12 @@ def _run_epochs(train: RatingDataset, side: SideInfoMatrix, masked: bool,
     for epoch in range(cfg.epochs):
         perm = rng.permutation(n)
         weighted = 0.0
-        for batch, start in enumerate(range(0, n, cfg.batch_size)):
-            idx = perm[start:start + cfg.batch_size]
-            loss, grads = step(idx)
+        for batch, (loss, grads) in enumerate(steps(perm)):
             if not math.isfinite(loss):
                 raise diverged(f"loss {loss}, last finite loss {last_finite}")
             last_finite = loss
             update(state, grads)
-            weighted += loss * len(idx)
+            weighted += loss * min(cfg.batch_size, n - batch * cfg.batch_size)
         history.append(weighted / n)
         if (epoch + 1) % 100 == 0 or epoch == 0:
             log.info("epoch %d/%d: loss %.6f", epoch + 1, cfg.epochs, history[-1])

@@ -431,6 +431,19 @@ class TestEvaluate:
         assert stdout == ""
         assert err == "error: --recall needs at least one N value\n"
 
+    @pytest.mark.parametrize("model", ["ranking_model", "rating_model"])
+    def test_an_empty_recall_value_is_an_error(self, model, prepared_path,
+                                               capsys, request):
+        # an empty string is a value given, not the flag left out
+        code, stdout, err = run(capsys, "evaluate", "--model",
+                                request.getfixturevalue(model),
+                                "--data", prepared_path,
+                                "--train-fraction", "0.8", "--seed", "3",
+                                "--recall", "")
+        assert code == 1
+        assert stdout == ""
+        assert err == "error: --recall needs at least one N value\n"
+
     def test_split_mismatch_is_flagged(self, rating_model, prepared_path,
                                        capsys, caplog):
         import logging

@@ -12,7 +12,7 @@ from semiae.model import (ACTIVATIONS, BLOCK, SemiAEParams, Workspace,
 from util import (brute_force_masked_loss, built_input, classical_autoencoder,
                   finite_difference_grads, gradcheck_error,
                   make_random_dataset, reference_loss_and_gradients,
-                  reference_sigmoid, traced_peak)
+                  reference_sigmoid, reference_sparse_step, traced_peak)
 
 RNG = np.random.default_rng
 
@@ -462,6 +462,45 @@ class TestSparseStep:
             assert abs(loss - exact) <= SPARSE_TOL * exact, name
             for ours, ref in zip((got.dQ, got.dQ1, got.dp, got.dp1), want):
                 assert close_to_largest(ours, ref), name
+
+    @pytest.mark.parametrize("reg", [0.0, 0.1])
+    @pytest.mark.parametrize("g", ["sigmoid", "tanh", "relu"])
+    def test_equals_the_reference_step_bit_for_bit(self, g, reg):
+        rng = RNG(67)
+        cases = [(name, sparse_batch(targets, side), self.D, self.H)
+                 for name, targets, side in self.batches(rng)]
+        # the benchmark's ranking shape, and values of -0.0 among the
+        # nonzeros, which np.nonzero leaves out of a dense batch
+        targets = (rng.random((64, 1682)) < 0.004).astype(float)
+        cases.append(("the ranking shape",
+                      sparse_batch(targets, rng.normal(size=(64, 30))),
+                      1682, 10))
+        at, cols, values, side = sparse_batch(*self.batches(rng)[2][1:])
+        values[::3] = -0.0
+        cases.append(("values of -0.0", (at, cols, values, side), self.D,
+                      self.H))
+        for name, batch, d, h in cases:
+            params = make_params(rng, s=d + batch[3].shape[1], h=h, d=d, g=g)
+            params = SemiAEParams(params.Q, params.Q1, rng.normal(size=h),
+                                  rng.normal(size=d), g=g)
+            want_loss, want = reference_sparse_step(params, *batch, reg)
+            loss, got = sparse_loss_and_gradients(params, *batch, reg,
+                                                  nan_workspace(params, 0))
+            assert loss == want_loss, name
+            for ours, ref in zip((got.dQ, got.dQ1, got.dp, got.dp1), want):
+                assert ours.tobytes() == ref.tobytes(), name
+
+    def test_bincount_adds_in_index_order_as_add_at_on_zeros(self):
+        # bin 3 sums to 0.0 in this order (1e16 + 1.0 rounds to 1e16), to
+        # 1.0 in another; bins 0 and 2 get -0.0 alone, which +0.0 absorbs
+        index = np.array([3, 0, 3, 3, 1, 1, 2, 2])
+        weights = np.array([1e16, -0.0, 1.0, -1e16, -0.0, 2.5, -0.0, -0.0])
+        by_add_at = np.zeros(5)
+        np.add.at(by_add_at, index, weights)
+        by_bincount = np.bincount(index, weights, minlength=5)
+        assert by_bincount.tobytes() == by_add_at.tobytes()
+        assert by_bincount.tolist() == [0.0, 2.5, 0.0, 0.0, 0.0]
+        assert not np.signbit(by_bincount).any()
 
     def test_a_ragged_last_batch_reuses_the_workspace(self):
         # a 4-row batch, then the 2 rows left, into one workspace whose

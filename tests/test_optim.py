@@ -149,6 +149,20 @@ class TestUpdateContract:
                 assert ours.tobytes() == ref.tobytes()
 
     @pytest.mark.parametrize("kind", ["sgd", "rmsprop", "adam"])
+    def test_only_sgd_writes_its_step_into_the_gradients(self, kind):
+        # sgd's step is the gradient times the learning rate, in the
+        # gradient's own buffer; rmsprop and adam read the gradients only
+        rng = RNG(3)
+        for shapes in SHAPES.values():
+            params = tuple(rng.normal(size=shape) for shape in shapes)
+            grads = random_grads(rng, params)
+            before = [g.copy() for g in vars(grads).values()]
+            update(Optimizer(kind, 0.02, params), grads)
+            for g, was in zip(vars(grads).values(), before):
+                want = was * 0.02 if kind == "sgd" else was
+                assert g.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("kind", ["sgd", "rmsprop", "adam"])
     def test_allocates_its_accumulators_and_two_blocks(self, kind):
         rng = RNG(4)
         params = tuple(rng.normal(size=shape)

@@ -74,6 +74,30 @@ def test_command_peaks_prints_one_line_per_command(capsys):
         assert float(wall) > 0 and float(peak) > 0
 
 
+def test_step_times_prints_each_part_of_each_task(capsys, monkeypatch):
+    tool = load_tool("step_times")
+    for var in tool.THREAD_VARS:
+        monkeypatch.setenv(var, "1")
+    assert tool.main(["--rating-epochs", "1", "--ranking-epochs", "3"]) == 0
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert [row[:2] for row in rows] == [
+        ["rating", "build_vectors"], ["rating", "loss_and_gradients"],
+        ["rating", "update"], ["rating", "_penalty"],
+        ["rating", "_add_penalty_gradient"], ["rating", "epoch"],
+        ["ranking", "sparse_rows"], ["ranking", "sparse_loss_and_gradients"],
+        ["ranking", "update"], ["ranking", "_penalty"],
+        ["ranking", "_add_penalty_gradient"], ["ranking", "epoch"]]
+    calls = {(task, part): int(count) for task, part, count, *_ in rows}
+    # 80 items in batches of 64, 300 users in 5 batches; the ranking
+    # epoch lays out its rows once
+    assert calls["rating", "loss_and_gradients"] == 2
+    assert calls["ranking", "sparse_loss_and_gradients"] == 15
+    assert calls["ranking", "sparse_rows"] == calls["ranking", "epoch"] == 3
+    for _, _, _, calls_word, per_call, us, total, s in rows:
+        assert (calls_word, us, s) == ("calls", "us", "s")
+        assert float(per_call) > 0 and float(total) >= 0
+
+
 def test_bench_pairs_summary_counts_pairs_won_per_metric():
     tool = load_tool("bench_pairs")
 

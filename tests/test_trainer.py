@@ -8,14 +8,14 @@ import pytest
 
 from semiae import trainer as trainer_module
 from semiae.dataset import (RatingDataset, SideInfoMatrix, binarize,
-                            load_raw_directory, split)
+                            load_raw_directory, sparse_rows, split)
 from semiae.evaluation import _rank_unconsumed
 from semiae.model import BLOCK, SemiAEParams, forward, glorot_init
 from semiae.trainer import (SCORE_ROWS, TrainConfig, TrainedModel, load_model,
                             predict_ratings, recommend_top_n, save_model,
                             score_rows, train_ranking, train_rating)
 from util import (make_random_dataset, reference_fit, reference_input,
-                  traced_peak)
+                  reference_sparse_fit, traced_peak)
 
 RNG = np.random.default_rng
 
@@ -318,6 +318,48 @@ class TestSameBits:
             assert 2 * BLOCK < size and size % BLOCK
         theta, history = reference_fit(x, x[:, :mask.shape[1]], mask, cfg)
         model = train_rating(ds, features, cfg)
+        assert _param_bytes(model) == [a.tobytes() for a in theta]
+        assert list(model.loss_history) == history
+
+
+class TestEpochLayout:
+    """The sparse step's batches are slices of one ``sparse_rows`` call
+    per epoch, and a run from them equals a run that lays out each batch
+    by itself."""
+
+    @pytest.mark.parametrize("batch_size", [3, 4, 14, 64])
+    def test_its_slices_equal_each_batch_laid_out_alone(self, batch_size):
+        # users 0-3 have no like, and the permutation puts them first, so
+        # at batch size 4 one whole batch has none; 14 users leave a ragged
+        # last batch at 3 and 4, and 14 and 64 are one batch of every user
+        ds = binarize(make_random_dataset(RNG(12), 14, 11, 90), 3.0)
+        keep = ds.users >= 4
+        ds = RatingDataset(14, 11, ds.users[keep], ds.items[keep],
+                           ds.ratings[keep], ds.timestamps[keep])
+        side = SideInfoMatrix(RNG(13).normal(size=(14, 2)), ("a", "b"))
+        perm = np.concatenate([RNG(14).permutation(4),
+                               4 + RNG(15).permutation(10)])
+        batches = list(trainer_module._sparse_batches(ds, side, perm,
+                                                      batch_size))
+        starts = range(0, 14, batch_size)
+        assert len(batches) == len(starts)
+        for start, batch in zip(starts, batches):
+            alone = sparse_rows(ds, side, perm[start:start + batch_size])
+            for ours, ref in zip(batch, alone):
+                assert ours.dtype == ref.dtype
+                np.testing.assert_array_equal(ours, ref)
+        if batch_size == 4:
+            assert len(batches[0][0]) == 0
+
+    @pytest.mark.parametrize("batch_size", [4, 64])
+    def test_training_equals_a_run_that_lays_out_each_batch(self,
+                                                            batch_size):
+        ds, profiles, _ = _random_task_data()
+        liked = binarize(ds)
+        cfg = replace(TrainConfig.defaults("ranking"), epochs=4,
+                      batch_size=batch_size, seed=6)
+        theta, history = reference_sparse_fit(liked, profiles, cfg)
+        model = train_ranking(liked, profiles, cfg)
         assert _param_bytes(model) == [a.tobytes() for a in theta]
         assert list(model.loss_history) == history
 

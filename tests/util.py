@@ -288,19 +288,81 @@ def reference_loss_and_gradients(params, batch_x, targets, mask, reg):
     return loss, (d_q, d_q1, d_z1.sum(axis=0), d_z2.sum(axis=0))
 
 
-def reference_fit(x, targets, mask, cfg):
-    """Seeded mini-batch training as a functional fold of
-    :func:`reference_loss_and_gradients` and :func:`reference_update`:
-    the same generator draws, batches and arithmetic as the trainer.
-    Returns ``((Q, Q1, p, p1), loss history)``."""
+def _scatter_rows(acc, rows, values):
+    """``acc[rows[k]] += values[k]`` for each k in turn, on a C- or
+    Fortran-contiguous 2-D ``acc``, through flat indices."""
+    row_step, col_step = (stride // acc.itemsize for stride in acc.strides)
+    flat = (rows * row_step)[:, None] + np.arange(acc.shape[1]) * col_step
+    np.add.at(acc.ravel(order="K"), flat.ravel(), values.ravel())
+
+
+def reference_sparse_step(params, at, cols, values, side_rows, reg):
+    """``sparse_loss_and_gradients`` as it was first written, one new array
+    per gradient: a scatter index built per scatter, ``T Q1^T`` scattered
+    by ``np.add.at`` into zeros, and the L2 gradient added whole.  It does
+    the same floating-point operations in the same order, so the step
+    must equal it bit for bit.  Returns ``(loss, (dQ, dQ1, dp, dp1))``."""
+    import math
+
+    from semiae.model import ACTIVATIONS
+
+    Q, Q1, p1 = params.Q, params.Q1, params.p1
+    (h, d), b = Q1.shape, len(side_rows)
+    g = ACTIVATIONS[params.g]
+    cols = np.asarray(cols, np.intp)
+    weight = values[:, None]
+    z1 = side_rows @ Q[d:]
+    _scatter_rows(z1, at, Q[cols] * weight)
+    z1 += params.p
+    hid = g.fn(z1, z1)
+    t_q1 = np.zeros((b, h))
+    _scatter_rows(t_q1, at, Q1.T[cols] * weight)
+    q1_q1 = Q1 @ Q1.T
+    q1_p1 = Q1 @ p1
+    h_sum = hid.sum(axis=0)
+    d_h = hid @ q1_q1
+    loss = (float(np.sum(d_h * hid)) + 2.0 * float(h_sum @ q1_p1)
+            + b * float(p1 @ p1)
+            - 2.0 * (float(np.sum(hid * t_q1)) + float(values @ p1[cols]))
+            + float(values @ values)) / b
+    if math.isnan(loss) and all(np.isfinite(a).all()
+                                for a in (Q, Q1, params.p, p1)):
+        loss = math.inf
+    if reg != 0.0:
+        loss += 0.5 * reg * (float(np.sum(Q * Q)) + float(np.sum(Q1 * Q1)))
+    d_h += q1_p1
+    d_h -= t_q1
+    d_h *= 2.0 / b
+    d_z1 = d_h * g.deriv_at_value(hid)
+    d_q1 = (hid.T @ hid) * (2.0 / b) @ Q1
+    d_q1 += np.outer(h_sum * (2.0 / b), p1)
+    minus = values * (-2.0 / b)
+    _scatter_rows(d_q1.T, cols, hid[at] * minus[:, None])
+    d_p1 = h_sum * (2.0 / b) @ Q1
+    d_p1 += 2.0 * p1
+    np.add.at(d_p1, cols, minus)
+    d_q = np.zeros(Q.shape)
+    d_q[d:] = side_rows.T @ d_z1
+    _scatter_rows(d_q, cols, d_z1[at] * weight)
+    if reg != 0.0:
+        d_q += reg * Q
+        d_q1 += reg * Q1
+    return loss, (d_q, d_q1, d_z1.sum(axis=0), d_p1)
+
+
+def _reference_fold(input_dim, output_dim, n, cfg, step):
+    """Seeded mini-batch training as a functional fold of ``step(params,
+    rows)``, which gives the loss and gradients of the batch of rows
+    ``rows``, and :func:`reference_update`: the same generator draws,
+    batches and arithmetic as the trainer.  Returns ``((Q, Q1, p, p1),
+    loss history)``."""
     from dataclasses import replace
 
     from semiae.model import glorot_init
 
     rng = np.random.default_rng(cfg.seed)
-    n, input_dim = x.shape
-    params = glorot_init(input_dim, cfg.hidden_dim, targets.shape[1],
-                         cfg.g, cfg.f, rng)
+    params = glorot_init(input_dim, cfg.hidden_dim, output_dim, cfg.g, cfg.f,
+                         rng)
     theta, slots, t = (params.Q, params.Q1, params.p, params.p1), None, 0
     history = []
     for _ in range(cfg.epochs):
@@ -310,15 +372,38 @@ def reference_fit(x, targets, mask, cfg):
             idx = perm[start:start + cfg.batch_size]
             current = replace(params, Q=theta[0], Q1=theta[1], p=theta[2],
                               p1=theta[3])
-            loss, grads = reference_loss_and_gradients(
-                current, x[idx], targets[idx],
-                mask[idx] if mask is not None else None, cfg.regularization)
+            loss, grads = step(current, idx)
             t += 1
             theta, slots = reference_update(cfg.optimizer, cfg.learning_rate,
                                             theta, slots, grads, t)
             weighted += loss * len(idx)
         history.append(weighted / n)
     return theta, history
+
+
+def reference_fit(x, targets, mask, cfg):
+    """The trainer's run on the dense input rows ``x``, as a fold of
+    :func:`reference_loss_and_gradients`."""
+    def step(params, idx):
+        return reference_loss_and_gradients(
+            params, x[idx], targets[idx],
+            mask[idx] if mask is not None else None, cfg.regularization)
+
+    return _reference_fold(x.shape[1], targets.shape[1], len(x), cfg, step)
+
+
+def reference_sparse_fit(train, side, cfg):
+    """The trainer's unmasked run of an identity ``f`` on the user rows of
+    ``train`` and ``side``, as a fold of :func:`reference_sparse_step`, each
+    batch laid out by its own ``sparse_rows`` call."""
+    from semiae.dataset import sparse_rows
+
+    def step(params, idx):
+        return reference_sparse_step(params, *sparse_rows(train, side, idx),
+                                     cfg.regularization)
+
+    return _reference_fold(train.num_items + side.dim, train.num_items,
+                           train.num_users, cfg, step)
 
 
 def reference_parse_ratings(path, sep: str):
