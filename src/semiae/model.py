@@ -21,7 +21,8 @@ term's code:
 
 * :func:`sparse_loss_and_gradients`, for an identity ``f`` without a mask
   (the ranking default), reads the batch as its nonzero ratings and side
-  rows and densifies nothing: no array of the batch's rows by D or by S.
+  rows, with the flat indices of :func:`sparse_index`, and densifies
+  nothing: no array of the batch's rows by D or by S.
 * :func:`loss_and_gradients` takes the dense batch, for every other case
   (rating, a masked loss, a non-identity ``f``).
 
@@ -38,7 +39,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -387,20 +388,51 @@ def loss_and_gradients(params: SemiAEParams, batch_x: np.ndarray,
     return loss, out
 
 
-def _scatter_rows(acc: np.ndarray, rows: np.ndarray,
-                  values: np.ndarray) -> None:
-    """``acc[rows[k]] += values[k]`` for each k in turn, on a C- or
-    Fortran-contiguous 2-D ``acc``, through its flat memory and flat
-    indices, where ``np.add.at`` is fast."""
-    row_step, col_step = (stride // acc.itemsize for stride in acc.strides)
-    flat = (rows * row_step)[:, None] + np.arange(acc.shape[1]) * col_step
-    np.add.at(acc.ravel(order="K"), flat.ravel(), values.ravel())
+class SparseIndex(NamedTuple):
+    """The flat indices by which :func:`sparse_loss_and_gradients`
+    gathers each nonzero's H terms and scatters them, each of shape
+    (nonzeros, H): row k holds nonzero k's H places in the flat memory of a
+    C-contiguous array.
+
+    ``rows`` places it in a (b, H) array at its batch row ``at[k]`` (``z1``,
+    ``T Q1^T`` and the gathers of ``h`` and ``dLoss/dz1``), ``q`` in Q at
+    its item's row ``cols[k]`` (its Q row and the ``dQ`` scatter), and
+    ``q1`` in Q1 at its item's column (its Q1 column and the ``dQ1``
+    scatter).  ``unit`` tells whether every value is 1.0, so that the step
+    skips its multiplies by the values: ``x * 1.0`` is ``x`` bit for bit,
+    -0.0 included."""
+
+    rows: np.ndarray
+    q: np.ndarray
+    q1: np.ndarray
+    unit: bool
+
+    def part(self, lo: int, hi: int) -> SparseIndex:
+        """The index of the nonzeros ``lo:hi``, as views."""
+        return SparseIndex(self.rows[lo:hi], self.q[lo:hi], self.q1[lo:hi],
+                           self.unit)
+
+
+def sparse_index(at: np.ndarray, cols: np.ndarray, values: np.ndarray,
+                 hidden_dim: int, output_dim: int) -> SparseIndex:
+    """The :class:`SparseIndex` of the nonzeros ``values`` at batch rows
+    ``at`` and columns ``cols`` of a network of ``hidden_dim`` hidden units
+    and ``output_dim`` outputs.  A training loop builds it once for an
+    epoch's layout and hands each batch its :meth:`~SparseIndex.part`, with
+    ``at`` counted from the batch's first row."""
+    k = np.arange(hidden_dim)
+    cols = np.asarray(cols, np.intp)
+    return SparseIndex((at * hidden_dim)[:, None] + k,
+                       (cols * hidden_dim)[:, None] + k,
+                       cols[:, None] + k * output_dim,
+                       bool(np.all(values == 1.0)))
 
 
 def sparse_loss_and_gradients(params: SemiAEParams, at: np.ndarray,
                               cols: np.ndarray, values: np.ndarray,
                               side_rows: np.ndarray, reg: float = 0.0,
-                              work: Workspace | None = None
+                              work: Workspace | None = None,
+                              index: SparseIndex | None = None
                               ) -> tuple[float, GradientSet]:
     """:func:`loss_and_gradients` of a network with an identity ``f``,
     without a mask, on a batch given by its nonzero ratings: batch row
@@ -419,12 +451,17 @@ def sparse_loss_and_gradients(params: SemiAEParams, at: np.ndarray,
 
     The gradients are written into ``work.grads`` (a workspace of any
     rows, or a fresh one of 0 rows), and the step's other arrays are of
-    the nonzeros' count or of the batch's rows, by H.  Each scatter adds
-    the nonzeros' terms in their order: ``x @ Q`` and ``T Q1^T`` share one
-    flat index, and ``T Q1^T``, which starts at zero, is its
-    ``np.bincount``, which adds in index order from +0.0 as ``np.add.at``
-    does into zeros, so the result does not depend on which of the two
-    makes it.
+    the nonzeros' count or of the batch's rows, by H.  ``index`` is the
+    batch's :class:`SparseIndex`, which a training loop slices from its
+    epoch's; without one the step makes it by :func:`sparse_index`.  Each
+    scatter adds the nonzeros' terms in their order: ``x @ Q`` and ``T
+    Q1^T`` share one flat index, ``index.rows``, and ``T Q1^T``, which
+    starts at zero, is its ``np.bincount``, which adds in index order from
+    +0.0 as ``np.add.at`` does into zeros, so the result does not depend on
+    which of the two makes it.  With ``index.unit`` no term is multiplied
+    by its value of 1.0, and ``dQ1``'s terms scale ``h`` by ``-2/b`` before
+    it is gathered: the same products, b x H of them in place of nonzeros
+    x H.
     """
     if params.f != "identity" or params.input_dim < params.output_dim:
         raise ValueError("the sparse step needs an identity f and an input "
@@ -437,17 +474,24 @@ def sparse_loss_and_gradients(params: SemiAEParams, at: np.ndarray,
     (h, d), b = Q1.shape, len(side_rows)
     g = ACTIVATIONS[params.g]
     cols = np.asarray(cols, np.intp)
+    if index is None:
+        index = sparse_index(at, cols, values, h, d)
+    in_row = index.rows.reshape(-1)
     weight = values[:, None]
-    # each nonzero's H places in a (b, H) C-array, in its batch row
-    in_row = ((at * h)[:, None] + np.arange(h)).ravel()
 
     # z1 = x Q + p, and T Q1^T: each nonzero adds its value times its Q
     # row, or its Q1 column, to its batch row
+    terms = np.take(Q.reshape(-1), index.q)
+    if not index.unit:
+        terms *= weight
     z1 = side_rows @ Q[d:]
-    np.add.at(z1.reshape(-1), in_row, (Q[cols] * weight).ravel())
+    np.add.at(z1.reshape(-1), in_row, terms.reshape(-1))
     z1 += params.p
     hid = g.fn(z1, z1)
-    t_q1 = np.bincount(in_row, (Q1.T[cols] * weight).ravel(),
+    terms = np.take(Q1.reshape(-1), index.q1)
+    if not index.unit:
+        terms *= weight
+    t_q1 = np.bincount(in_row, terms.reshape(-1),
                        minlength=b * h).reshape(b, h)
 
     q1_q1 = Q1 @ Q1.T
@@ -473,13 +517,19 @@ def sparse_loss_and_gradients(params: SemiAEParams, at: np.ndarray,
     d_z1 = np.multiply(d_h, g.deriv_at_value(hid), out=d_h)
     # dQ1 = (2/b) h^T (out - T) = (2/b) (h^T h Q1 + h_sum p1^T - h^T T); the
     # rank-one part goes through dQ's buffer, which is no smaller than Q1
-    # and is written last
+    # and is written last, a row at a time: np.outer's broadcast takes
+    # twice as long at H=10 and buffers ~100 KB
     rank_one = dQ.reshape(-1)[:Q1.size].reshape(Q1.shape)
-    np.outer(h_sum * (2.0 / b), p1, out=rank_one)
+    for row, scale in zip(rank_one, (h_sum * (2.0 / b)).tolist()):
+        np.multiply(p1, scale, out=row)
     np.matmul((hid.T @ hid) * (2.0 / b), Q1, out=dQ1)
     dQ1 += rank_one
     minus = values * (-2.0 / b)
-    _scatter_rows(dQ1.T, cols, hid[at] * minus[:, None])
+    if index.unit:
+        terms = np.take((hid * (-2.0 / b)).reshape(-1), index.rows)
+    else:
+        terms = np.take(hid.reshape(-1), index.rows) * minus[:, None]
+    np.add.at(dQ1.reshape(-1), index.q1.reshape(-1), terms.reshape(-1))
     # dp1 = (2/b) (h_sum Q1 + b p1 - the column sums of T)
     np.matmul(h_sum * (2.0 / b), Q1, out=dp1)
     dp1 += 2.0 * p1
@@ -488,7 +538,10 @@ def sparse_loss_and_gradients(params: SemiAEParams, at: np.ndarray,
     # times its row's dLoss/dz1 in its Q row
     dQ[:d] = 0.0
     np.matmul(side_rows.T, d_z1, out=dQ[d:])
-    _scatter_rows(dQ, cols, d_z1[at] * weight)
+    terms = np.take(d_z1.reshape(-1), index.rows)
+    if not index.unit:
+        terms *= weight
+    np.add.at(dQ.reshape(-1), index.q.reshape(-1), terms.reshape(-1))
     np.sum(d_z1, axis=0, out=dp)
     _add_penalty_gradient(params, reg, work)
     return loss, grads

@@ -15,7 +15,8 @@ its step once per run:
 
 * an identity ``f`` with the loss over every output, the ranking default,
   lays out each epoch's rows once, in the epoch's order, as triples and
-  side rows by :func:`~semiae.dataset.sparse_rows`, and steps with
+  side rows by :func:`~semiae.dataset.sparse_rows`, with the step's flat
+  indices by :func:`~semiae.model.sparse_index`, and steps with
   ``sparse_loss_and_gradients`` on each batch's slice of that layout,
   densifying nothing;
 * every other run (rating, a masked ranking loss, a non-identity ``f``)
@@ -57,7 +58,7 @@ from .dataset import (COMPARISONS, RatingDataset, SideInfoMatrix,
 from .evaluation import _rank_unconsumed
 from .model import (ACTIVATIONS, SemiAEParams, Workspace, forward_from,
                     glorot_init, load_params, loss_and_gradients, save_params,
-                    sparse_loss_and_gradients)
+                    sparse_index, sparse_loss_and_gradients)
 from .optim import OPTIMIZER_KINDS, Optimizer, update
 
 log = logging.getLogger(__name__)
@@ -188,17 +189,26 @@ class TrainedModel:
 
 
 def _sparse_batches(ds: RatingDataset, side: SideInfoMatrix,
-                    perm: np.ndarray, batch_size: int):
+                    perm: np.ndarray, batch_size: int,
+                    hidden_dim: int | None = None):
     """The :func:`~semiae.dataset.sparse_rows` of each batch of
     ``batch_size`` consecutive users of ``perm``, the last batch ragged, as
     slices of the one call over all of ``perm``: the batch's triples, their
-    rows counted from the batch's first, and its side rows."""
+    rows counted from the batch's first, and its side rows; then, for a
+    network of ``hidden_dim`` hidden units, the batch's part of the one
+    :func:`~semiae.model.sparse_index` of the epoch, or None without
+    ``hidden_dim``.  Each slice is a view."""
     at, cols, values, side_rows = sparse_rows(ds, side, perm)
     starts = range(0, len(perm), batch_size)
     cuts = np.searchsorted(at, [*starts, len(perm)]).tolist()
+    # each triple's row counted from its batch's first, for the whole epoch
+    at %= batch_size
+    index = None if hidden_dim is None else sparse_index(
+        at, cols, values, hidden_dim, ds.num_items)
     for start, lo, hi in zip(starts, cuts, cuts[1:]):
-        yield (at[lo:hi] - start, cols[lo:hi], values[lo:hi],
-               side_rows[start:start + batch_size])
+        yield (at[lo:hi], cols[lo:hi], values[lo:hi],
+               side_rows[start:start + batch_size],
+               None if index is None else index.part(lo, hi))
 
 
 # the loop checks finiteness itself, so numpy's warnings stay quiet
@@ -226,10 +236,12 @@ def _run_epochs(train: RatingDataset, side: SideInfoMatrix, masked: bool,
     work = Workspace.for_params(params, 0 if sparse else rows)
     if sparse:
         def steps(perm: np.ndarray):
-            for sparse_batch in _sparse_batches(train, side, perm,
-                                                cfg.batch_size):
-                yield sparse_loss_and_gradients(params, *sparse_batch,
-                                                cfg.regularization, work)
+            for *batch, index in _sparse_batches(train, side, perm,
+                                                 cfg.batch_size,
+                                                 cfg.hidden_dim):
+                yield sparse_loss_and_gradients(params, *batch,
+                                                cfg.regularization, work,
+                                                index)
     else:
         x = np.empty((rows, params.input_dim))
         mask = np.empty((rows, output_dim), bool) if masked else None

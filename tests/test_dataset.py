@@ -303,6 +303,15 @@ class TestParseItemFeatures:
         assert side.rows[0][-1] == 0.0
         assert side.rows[1][-1] == 1.0
 
+    def test_year_scalar_clamps_beyond_both_ends(self, tmp_path):
+        path = write_lines(tmp_path / "u.item", [
+            self.item_line(1, year="1895"),
+            self.item_line(2, year="2010"),
+        ], encoding="latin-1")
+        side = parse_item_features(path, (1, 2), "ml-100k")
+        assert side.rows[:, -1].tolist() == [0.0, 1.0]
+        assert not np.signbit(side.rows[0][-1])
+
     def test_ml1m_format_and_unknown_genre(self, tmp_path):
         good = write_lines(tmp_path / "movies.dat",
                            ["1::Toy Story (1995)::Animation|Children's|Comedy"],

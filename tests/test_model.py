@@ -333,6 +333,23 @@ class TestBackward:
             for ours, ref in zip((got.dQ, got.dQ1, got.dp, got.dp1), want):
                 assert ours.tobytes() == ref.tobytes()
 
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_equals_the_reference_at_regularization_one(self, masked):
+        # the L2 gradient is the weights times 1.0 here, a term that a step
+        # must add at this value as at any other
+        rng = RNG(39)
+        params = make_params(rng, s=30, h=6, d=25)
+        x = rng.normal(size=(5, 30))
+        t = rng.normal(size=(5, 25))
+        mask = rng.random((5, 25)) < 0.3 if masked else None
+        want_loss, want = reference_loss_and_gradients(params, x, t, mask,
+                                                       1.0)
+        loss, got = loss_and_gradients(params, x, t, mask, 1.0,
+                                       work=nan_workspace(params, 5))
+        assert loss == want_loss
+        for ours, ref in zip((got.dQ, got.dQ1, got.dp, got.dp1), want):
+            assert ours.tobytes() == ref.tobytes()
+
     @pytest.mark.parametrize("f", ["identity", "sigmoid", "tanh", "relu"])
     def test_a_step_into_its_workspace_allocates_nothing_of_batch_size(self, f):
         # the ranking shape: B=64 users, S=1712 inputs, H=10, D=1682 items;
@@ -463,7 +480,7 @@ class TestSparseStep:
             for ours, ref in zip((got.dQ, got.dQ1, got.dp, got.dp1), want):
                 assert close_to_largest(ours, ref), name
 
-    @pytest.mark.parametrize("reg", [0.0, 0.1])
+    @pytest.mark.parametrize("reg", [0.0, 0.1, 1.0])
     @pytest.mark.parametrize("g", ["sigmoid", "tanh", "relu"])
     def test_equals_the_reference_step_bit_for_bit(self, g, reg):
         rng = RNG(67)

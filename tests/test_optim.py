@@ -122,7 +122,10 @@ class TestAdam:
 
 # Q and Q1 of the multi-block set span more than two blocks and end in a
 # partial one; p and p1 fit one
+# one block, two blocks (Q and Q1 of the ranking model at ml-1m shape) and
+# more than two, each 2-D tensor ending in a partial block
 SHAPES = {"one-block": ((4, 3), (3, 5), (3,), (5,)),
+          "two-block": ((3736, 10), (10, 3706), (10,), (3706,)),
           "multi-block": ((300, 257), (257, 301), (257,), (301,))}
 
 
@@ -134,6 +137,8 @@ class TestUpdateContract:
         rng = RNG(2)
         assert all(2 * BLOCK < np.prod(shape) and np.prod(shape) % BLOCK
                    for shape in SHAPES["multi-block"][:2])
+        assert all(BLOCK < np.prod(shape) < 2 * BLOCK
+                   for shape in SHAPES["two-block"][:2])
         for shapes in SHAPES.values():
             params = tuple(rng.normal(size=shape) for shape in shapes)
             state = Optimizer(kind, 0.02, params)

@@ -84,15 +84,17 @@ def test_step_times_prints_each_part_of_each_task(capsys, monkeypatch):
         ["rating", "build_vectors"], ["rating", "loss_and_gradients"],
         ["rating", "update"], ["rating", "_penalty"],
         ["rating", "_add_penalty_gradient"], ["rating", "epoch"],
-        ["ranking", "sparse_rows"], ["ranking", "sparse_loss_and_gradients"],
+        ["ranking", "sparse_rows"], ["ranking", "sparse_index"],
+        ["ranking", "sparse_loss_and_gradients"],
         ["ranking", "update"], ["ranking", "_penalty"],
         ["ranking", "_add_penalty_gradient"], ["ranking", "epoch"]]
     calls = {(task, part): int(count) for task, part, count, *_ in rows}
     # 80 items in batches of 64, 300 users in 5 batches; the ranking
-    # epoch lays out its rows once
+    # epoch lays out its rows, and the step's indices, once
     assert calls["rating", "loss_and_gradients"] == 2
     assert calls["ranking", "sparse_loss_and_gradients"] == 15
-    assert calls["ranking", "sparse_rows"] == calls["ranking", "epoch"] == 3
+    assert (calls["ranking", "sparse_rows"] == calls["ranking", "sparse_index"]
+            == calls["ranking", "epoch"] == 3)
     for _, _, _, calls_word, per_call, us, total, s in rows:
         assert (calls_word, us, s) == ("calls", "us", "s")
         assert float(per_call) > 0 and float(total) >= 0

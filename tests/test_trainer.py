@@ -363,6 +363,21 @@ class TestEpochLayout:
         assert _param_bytes(model) == [a.tobytes() for a in theta]
         assert list(model.loss_history) == history
 
+    def test_unbinarized_ratings_train_as_a_run_that_lays_out_each_batch(
+            self, caplog):
+        # ratings 1-5: the epoch's values are not all 1.0, so each step
+        # multiplies its terms by them
+        ds, profiles, _ = _random_task_data()
+        assert set(ds.ratings.tolist()) - {1.0}
+        cfg = replace(TrainConfig.defaults("ranking"), epochs=3,
+                      batch_size=4, seed=7)
+        theta, history = reference_sparse_fit(ds, profiles, cfg)
+        with caplog.at_level("WARNING", logger="semiae.trainer"):
+            model = train_ranking(ds, profiles, cfg)
+        assert "expects binarized ratings, got scale (1.0, 5.0)" in caplog.text
+        assert _param_bytes(model) == [a.tobytes() for a in theta]
+        assert list(model.loss_history) == history
+
 
 class TestStepChoice:
     """A run picks its step once: an identity f without a mask steps from

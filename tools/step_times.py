@@ -11,7 +11,8 @@ For each task it prints one line per part that ran:
     task  part  calls  microseconds per call  total seconds
 
 then ``epoch``: the epochs run and the training's wall time per epoch.  The
-parts are the batch build (``build_vectors``, ``sparse_rows``), the step
+parts are the batch build (``build_vectors``, ``sparse_rows``), the sparse
+step's flat indices, built once an epoch (``sparse_index``), the step
 (``loss_and_gradients``, ``sparse_loss_and_gradients``), the L2 term
 (``_penalty``, ``_add_penalty_gradient``) and ``update``.  A part's time
 includes the parts it calls: the step's holds the L2 term's.
@@ -45,7 +46,7 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 FORMATS = ("ml-100k", "ml-1m")
 # (module, names) of the timed parts, in the order they are printed
-PARTS = (("semiae.trainer", ("build_vectors", "sparse_rows",
+PARTS = (("semiae.trainer", ("build_vectors", "sparse_rows", "sparse_index",
                              "loss_and_gradients", "sparse_loss_and_gradients",
                              "update")),
          ("semiae.model", ("_penalty", "_add_penalty_gradient")))
