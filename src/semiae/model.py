@@ -20,9 +20,9 @@ Two training steps give it with its exact gradients, and share the L2
 term's code:
 
 * :func:`sparse_loss_and_gradients`, for an identity ``f`` without a mask
-  (the ranking default), reads the batch as its nonzero ratings and side
-  rows, with the flat indices of :func:`sparse_index`, and densifies
-  nothing: no array of the batch's rows by D or by S.
+  (the ranking default), reads the batch as its likes, each of value 1.0,
+  with their flat indices, in one :class:`SparseIndex`, and its side rows,
+  and densifies nothing: no array of the batch's rows by D or by S.
 * :func:`loss_and_gradients` takes the dense batch, for every other case
   (rating, a masked loss, a non-identity ``f``).
 
@@ -389,61 +389,60 @@ def loss_and_gradients(params: SemiAEParams, batch_x: np.ndarray,
 
 
 class SparseIndex(NamedTuple):
-    """The flat indices by which :func:`sparse_loss_and_gradients`
-    gathers each nonzero's H terms and scatters them, each of shape
-    (nonzeros, H): row k holds nonzero k's H places in the flat memory of a
-    C-contiguous array.
+    """A batch's likes as :func:`sparse_loss_and_gradients` reads them:
+    like k is item ``cols[k]``, of value ``values[k]``, 1.0, with the flat
+    indices by which the step gathers its H terms and scatters them, each
+    of shape (likes, H): row k holds like k's H places in the flat memory
+    of a C-contiguous array.
 
-    ``rows`` places it in a (b, H) array at its batch row ``at[k]`` (``z1``,
-    ``T Q1^T`` and the gathers of ``h`` and ``dLoss/dz1``), ``q`` in Q at
-    its item's row ``cols[k]`` (its Q row and the ``dQ`` scatter), and
-    ``q1`` in Q1 at its item's column (its Q1 column and the ``dQ1``
-    scatter).  ``unit`` tells whether every value is 1.0, so that the step
-    skips its multiplies by the values: ``x * 1.0`` is ``x`` bit for bit,
-    -0.0 included."""
+    ``rows`` places it in a (b, H) array at its batch row (``z1``, ``T
+    Q1^T`` and the gathers of ``h`` and ``dLoss/dz1``), ``q`` in Q at its
+    item's row (its Q row and the ``dQ`` scatter), and ``q1`` in Q1 at its
+    item's column (its Q1 column and the ``dQ1`` scatter)."""
 
+    cols: np.ndarray
+    values: np.ndarray
     rows: np.ndarray
     q: np.ndarray
     q1: np.ndarray
-    unit: bool
 
     def part(self, lo: int, hi: int) -> SparseIndex:
-        """The index of the nonzeros ``lo:hi``, as views."""
-        return SparseIndex(self.rows[lo:hi], self.q[lo:hi], self.q1[lo:hi],
-                           self.unit)
+        """The index of the likes ``lo:hi``, as views."""
+        return SparseIndex(*(a[lo:hi] for a in self))
 
 
 def sparse_index(at: np.ndarray, cols: np.ndarray, values: np.ndarray,
                  hidden_dim: int, output_dim: int) -> SparseIndex:
-    """The :class:`SparseIndex` of the nonzeros ``values`` at batch rows
-    ``at`` and columns ``cols`` of a network of ``hidden_dim`` hidden units
-    and ``output_dim`` outputs.  A training loop builds it once for an
-    epoch's layout and hands each batch its :meth:`~SparseIndex.part`, with
-    ``at`` counted from the batch's first row."""
+    """The :class:`SparseIndex` of the likes at batch rows ``at`` and
+    columns ``cols`` of a network of ``hidden_dim`` hidden units and
+    ``output_dim`` outputs.  ``values`` are the likes' values; any other
+    than 1.0 is refused.  A training loop builds it once for an epoch's
+    layout and hands each batch its :meth:`~SparseIndex.part`, with ``at``
+    counted from the batch's first row."""
+    if len(bad := values[values != 1.0]):
+        raise ValueError(f"the sparse step reads likes of value 1.0, got "
+                         f"{bad[0]}")
     k = np.arange(hidden_dim)
     cols = np.asarray(cols, np.intp)
-    return SparseIndex((at * hidden_dim)[:, None] + k,
+    return SparseIndex(cols, values, (at * hidden_dim)[:, None] + k,
                        (cols * hidden_dim)[:, None] + k,
-                       cols[:, None] + k * output_dim,
-                       bool(np.all(values == 1.0)))
+                       cols[:, None] + k * output_dim)
 
 
-def sparse_loss_and_gradients(params: SemiAEParams, at: np.ndarray,
-                              cols: np.ndarray, values: np.ndarray,
+def sparse_loss_and_gradients(params: SemiAEParams, index: SparseIndex,
                               side_rows: np.ndarray, reg: float = 0.0,
-                              work: Workspace | None = None,
-                              index: SparseIndex | None = None
+                              work: Workspace | None = None
                               ) -> tuple[float, GradientSet]:
     """:func:`loss_and_gradients` of a network with an identity ``f``,
-    without a mask, on a batch given by its nonzero ratings: batch row
-    ``at[k]`` (``at`` ascending) holds ``values[k]`` at column ``cols[k]``
-    of its first D inputs, which are also its targets T, and ``side_rows``
-    holds the rest of each row.
+    without a mask, on a batch of likes: ``index``, the batch's
+    :class:`SparseIndex` from :func:`sparse_index`, holds a 1.0 for each
+    like in the first D inputs of its row, which are also its targets T,
+    and ``side_rows`` holds the rest of each row.
 
     No array of the batch's dense shape is made.  With ``out = h Q1 + p1``,
     ``||out - T||^2 = ||out||^2 - 2<out, T> + ||T||^2``: the first part and
     the output layer's gradients come from H x H products, and the other
-    parts, ``x @ Q`` and ``x.T @ dLoss/dz1`` from the nonzeros (the exact
+    parts, ``x @ Q`` and ``x.T @ dLoss/dz1`` from the likes (the exact
     sparse-target update of Vincent, de Brebisson and Bouthillier, 2015,
     arXiv:1412.7091).  The sums run in another order than the dense
     step's, so the two agree to rounding, not bit for bit, and a close fit
@@ -451,17 +450,14 @@ def sparse_loss_and_gradients(params: SemiAEParams, at: np.ndarray,
 
     The gradients are written into ``work.grads`` (a workspace of any
     rows, or a fresh one of 0 rows), and the step's other arrays are of
-    the nonzeros' count or of the batch's rows, by H.  ``index`` is the
-    batch's :class:`SparseIndex`, which a training loop slices from its
-    epoch's; without one the step makes it by :func:`sparse_index`.  Each
-    scatter adds the nonzeros' terms in their order: ``x @ Q`` and ``T
-    Q1^T`` share one flat index, ``index.rows``, and ``T Q1^T``, which
-    starts at zero, is its ``np.bincount``, which adds in index order from
-    +0.0 as ``np.add.at`` does into zeros, so the result does not depend on
-    which of the two makes it.  With ``index.unit`` no term is multiplied
-    by its value of 1.0, and ``dQ1``'s terms scale ``h`` by ``-2/b`` before
-    it is gathered: the same products, b x H of them in place of nonzeros
-    x H.
+    the likes' count or of the batch's rows, by H.  Each scatter adds the
+    likes' terms in their order: ``x @ Q`` and ``T Q1^T`` share one flat
+    index, ``index.rows``, and ``T Q1^T``, which starts at zero, is its
+    ``np.bincount``, which adds in index order from +0.0 as ``np.add.at``
+    does into zeros, so the result does not depend on which of the two
+    makes it.  A like's value of 1.0 multiplies no term, and ``dQ1``'s
+    terms scale ``h`` by ``-2/b`` before it is gathered: b x H products in
+    place of likes x H.
     """
     if params.f != "identity" or params.input_dim < params.output_dim:
         raise ValueError("the sparse step needs an identity f and an input "
@@ -473,24 +469,16 @@ def sparse_loss_and_gradients(params: SemiAEParams, at: np.ndarray,
     Q, Q1, p1 = params.Q, params.Q1, params.p1
     (h, d), b = Q1.shape, len(side_rows)
     g = ACTIVATIONS[params.g]
-    cols = np.asarray(cols, np.intp)
-    if index is None:
-        index = sparse_index(at, cols, values, h, d)
-    in_row = index.rows.reshape(-1)
-    weight = values[:, None]
+    cols, in_row = index.cols, index.rows.reshape(-1)
 
-    # z1 = x Q + p, and T Q1^T: each nonzero adds its value times its Q
-    # row, or its Q1 column, to its batch row
+    # z1 = x Q + p, and T Q1^T: each like adds its Q row, or its Q1
+    # column, to its batch row
     terms = np.take(Q.reshape(-1), index.q)
-    if not index.unit:
-        terms *= weight
     z1 = side_rows @ Q[d:]
     np.add.at(z1.reshape(-1), in_row, terms.reshape(-1))
     z1 += params.p
     hid = g.fn(z1, z1)
     terms = np.take(Q1.reshape(-1), index.q1)
-    if not index.unit:
-        terms *= weight
     t_q1 = np.bincount(in_row, terms.reshape(-1),
                        minlength=b * h).reshape(b, h)
 
@@ -498,11 +486,12 @@ def sparse_loss_and_gradients(params: SemiAEParams, at: np.ndarray,
     q1_p1 = Q1 @ p1
     h_sum = hid.sum(axis=0)
     d_h = hid @ q1_q1
-    # ||out||^2 - 2 <out, T> + ||T||^2
+    # ||out||^2 - 2 <out, T> + ||T||^2, the last the count of likes
     loss = (float(np.sum(d_h * hid)) + 2.0 * float(h_sum @ q1_p1)
             + b * float(p1 @ p1)
-            - 2.0 * (float(np.sum(hid * t_q1)) + float(values @ p1[cols]))
-            + float(values @ values)) / b
+            - 2.0 * (float(np.sum(hid * t_q1))
+                     + float(index.values @ p1[cols]))
+            + float(len(cols))) / b
     if math.isnan(loss) and all(np.isfinite(a).all()
                                 for a in (Q, Q1, params.p, p1)):
         # a sum of squares of finite terms can only overflow, to inf,
@@ -524,23 +513,17 @@ def sparse_loss_and_gradients(params: SemiAEParams, at: np.ndarray,
         np.multiply(p1, scale, out=row)
     np.matmul((hid.T @ hid) * (2.0 / b), Q1, out=dQ1)
     dQ1 += rank_one
-    minus = values * (-2.0 / b)
-    if index.unit:
-        terms = np.take((hid * (-2.0 / b)).reshape(-1), index.rows)
-    else:
-        terms = np.take(hid.reshape(-1), index.rows) * minus[:, None]
+    terms = np.take((hid * (-2.0 / b)).reshape(-1), index.rows)
     np.add.at(dQ1.reshape(-1), index.q1.reshape(-1), terms.reshape(-1))
     # dp1 = (2/b) (h_sum Q1 + b p1 - the column sums of T)
     np.matmul(h_sum * (2.0 / b), Q1, out=dp1)
     dp1 += 2.0 * p1
-    np.add.at(dp1, cols, minus)
-    # dQ = x^T dLoss/dz1: the side rows' product, and each nonzero's value
-    # times its row's dLoss/dz1 in its Q row
+    np.add.at(dp1, cols, -2.0 / b)
+    # dQ = x^T dLoss/dz1: the side rows' product, and each like's row's
+    # dLoss/dz1 in its Q row
     dQ[:d] = 0.0
     np.matmul(side_rows.T, d_z1, out=dQ[d:])
     terms = np.take(d_z1.reshape(-1), index.rows)
-    if not index.unit:
-        terms *= weight
     np.add.at(dQ.reshape(-1), index.q.reshape(-1), terms.reshape(-1))
     np.sum(d_z1, axis=0, out=dp)
     _add_penalty_gradient(params, reg, work)

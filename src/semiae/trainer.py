@@ -14,7 +14,7 @@ the parameter buffers and one :class:`~semiae.model.Workspace`, and picks
 its step once per run:
 
 * an identity ``f`` with the loss over every output, the ranking default,
-  lays out each epoch's rows once, in the epoch's order, as triples and
+  lays out each epoch's rows once, in the epoch's order, as likes and
   side rows by :func:`~semiae.dataset.sparse_rows`, with the step's flat
   indices by :func:`~semiae.model.sparse_index`, and steps with
   ``sparse_loss_and_gradients`` on each batch's slice of that layout,
@@ -28,7 +28,8 @@ Either writes the batch's gradients into the workspace.  The optimizer
 updates the parameters in place from those gradients, and the
 :class:`SemiAEParams` built once over the parameters sees every update.  A
 step allocates nothing the size of a parameter or of a dense batch.  A
-training set with no triples is an error.  A non-finite batch loss, or a
+training set with no triples is an error, and so is a ranking one with a
+rating other than a like's 1.0.  A non-finite batch loss, or a
 parameter left non-finite by the last update, stops training with a
 ValueError naming the epoch, the batch, the loss (and the last finite one)
 or the parameter, and the learning rate; numpy's floating-point warnings
@@ -189,26 +190,21 @@ class TrainedModel:
 
 
 def _sparse_batches(ds: RatingDataset, side: SideInfoMatrix,
-                    perm: np.ndarray, batch_size: int,
-                    hidden_dim: int | None = None):
-    """The :func:`~semiae.dataset.sparse_rows` of each batch of
-    ``batch_size`` consecutive users of ``perm``, the last batch ragged, as
-    slices of the one call over all of ``perm``: the batch's triples, their
-    rows counted from the batch's first, and its side rows; then, for a
-    network of ``hidden_dim`` hidden units, the batch's part of the one
-    :func:`~semiae.model.sparse_index` of the epoch, or None without
-    ``hidden_dim``.  Each slice is a view."""
+                    perm: np.ndarray, batch_size: int, hidden_dim: int):
+    """Each batch of ``batch_size`` consecutive users of ``perm``, the last
+    batch ragged, as ``(index, side_rows)``: its part of the one
+    :func:`~semiae.model.sparse_index` of the epoch's
+    :func:`~semiae.dataset.sparse_rows`, for a network of ``hidden_dim``
+    hidden units, with rows counted from the batch's first, and its side
+    rows.  Each is a view."""
     at, cols, values, side_rows = sparse_rows(ds, side, perm)
     starts = range(0, len(perm), batch_size)
     cuts = np.searchsorted(at, [*starts, len(perm)]).tolist()
-    # each triple's row counted from its batch's first, for the whole epoch
+    # each like's row counted from its batch's first, for the whole epoch
     at %= batch_size
-    index = None if hidden_dim is None else sparse_index(
-        at, cols, values, hidden_dim, ds.num_items)
+    index = sparse_index(at, cols, values, hidden_dim, ds.num_items)
     for start, lo, hi in zip(starts, cuts, cuts[1:]):
-        yield (at[lo:hi], cols[lo:hi], values[lo:hi],
-               side_rows[start:start + batch_size],
-               None if index is None else index.part(lo, hi))
+        yield index.part(lo, hi), side_rows[start:start + batch_size]
 
 
 # the loop checks finiteness itself, so numpy's warnings stay quiet
@@ -236,12 +232,11 @@ def _run_epochs(train: RatingDataset, side: SideInfoMatrix, masked: bool,
     work = Workspace.for_params(params, 0 if sparse else rows)
     if sparse:
         def steps(perm: np.ndarray):
-            for *batch, index in _sparse_batches(train, side, perm,
-                                                 cfg.batch_size,
-                                                 cfg.hidden_dim):
-                yield sparse_loss_and_gradients(params, *batch,
-                                                cfg.regularization, work,
-                                                index)
+            # batches of at most n rows, the same ones for any larger size
+            for index, side_rows in _sparse_batches(train, side, perm, rows,
+                                                    cfg.hidden_dim):
+                yield sparse_loss_and_gradients(params, index, side_rows,
+                                                cfg.regularization, work)
     else:
         x = np.empty((rows, params.input_dim))
         mask = np.empty((rows, output_dim), bool) if masked else None
@@ -287,16 +282,19 @@ def _run_epochs(train: RatingDataset, side: SideInfoMatrix, masked: bool,
 
 def train_ranking(train: RatingDataset, profiles: SideInfoMatrix,
                   cfg: TrainConfig) -> TrainedModel:
-    """Fit the ranking model on binarized user rows with profiles appended.
+    """Fit the ranking model on user rows of likes with profiles appended.
 
-    The loss covers every item position unless ``cfg.mask_ranking_loss`` is
-    set, in which case only observed positions are measured.
+    ``train`` holds likes, each of value 1.0, as
+    :func:`~semiae.dataset.binarize` makes them; any other rating is
+    refused.  The loss covers every item position unless
+    ``cfg.mask_ranking_loss`` is set, in which case only observed positions
+    are measured.
     """
     if cfg.task != "ranking":
         raise ValueError("config task must be 'ranking'")
-    if train.rating_scale != (0.0, 1.0):
-        log.warning("ranking training expects binarized ratings, "
-                    "got scale %s", train.rating_scale)
+    if len(bad := train.ratings[train.ratings != 1.0]):
+        raise ValueError(f"ranking trains on likes of value 1.0, got a "
+                         f"rating of {bad[0]}: binarize the ratings first")
     return _run_epochs(train, profiles, cfg.mask_ranking_loss, cfg)
 
 

@@ -183,6 +183,23 @@ class TestTrain:
         assert doc["dims"]["H"] == 10
         assert doc["training_config_echo"]["config"]["optimizer"] == "sgd"
 
+    def test_a_ranking_batch_size_past_int64_is_one_batch_of_every_user(
+            self, prepared_path, tmp_path, capsys):
+        users = read_prepared(prepared_path).ratings.num_users
+        models = []
+        for size in (10 ** 29, users):
+            cfg = write_config(tmp_path, f"cfg{size}.json", epochs=2,
+                               batch_size=size)
+            out = tmp_path / f"m{size}.json"
+            code, _, err = run(capsys, "train", "--data", prepared_path,
+                               "--task", "ranking", "--config", cfg,
+                               "--out", out)
+            assert code == 0, err
+            doc = json.loads(out.read_text())
+            models.append([doc[key] for key in ("Q", "Q1", "p", "p1")]
+                          + [doc["training_config_echo"]["loss_history"]])
+        assert models[0] == models[1]
+
     def test_invalid_activation_is_reported_with_valid_set(self, prepared_path,
                                                            tmp_path, capsys):
         cfg = write_config(tmp_path, epochs=2, g="softmax")

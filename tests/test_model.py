@@ -8,7 +8,8 @@ from semiae.dataset import RatingDataset, SideInfoMatrix, write_json
 from semiae.model import (ACTIVATIONS, BLOCK, SemiAEParams, Workspace,
                           forward, glorot_init, load_params,
                           loss_and_gradients, reconstruction_loss,
-                          save_params, sparse_loss_and_gradients)
+                          save_params, sparse_index,
+                          sparse_loss_and_gradients)
 from util import (brute_force_masked_loss, built_input, classical_autoencoder,
                   finite_difference_grads, gradcheck_error,
                   make_random_dataset, reference_loss_and_gradients,
@@ -425,10 +426,20 @@ SPARSE_TOL = 1e-12
 
 
 def sparse_batch(targets, side):
-    """The sparse step's arguments for the input rows ``cat(targets;
-    side)``: the nonzeros of ``targets`` row by row, then ``side``."""
+    """The input rows ``cat(targets; side)`` as ``(at, cols, values,
+    side)``: the likes of ``targets`` row by row, then ``side``."""
     at, cols = np.nonzero(targets)
     return at, cols, targets[at, cols], side
+
+
+def sparse_step(params, batch, *args):
+    """``sparse_loss_and_gradients`` of the batch ``(at, cols, values,
+    side)``, with its index by ``sparse_index``; ``args`` are the step's
+    ``reg`` and ``work``."""
+    at, cols, values, side = batch
+    index = sparse_index(at, cols, values, params.hidden_dim,
+                         params.output_dim)
+    return sparse_loss_and_gradients(params, index, side, *args)
 
 
 def close_to_largest(ours, ref):
@@ -450,11 +461,9 @@ class TestSparseStep:
         no_likes[[0, 3]] = 0.0
         every_item = likes.copy()
         every_item[2] = 1.0
-        valued = likes * rng.uniform(-3.0, 5.0, likes.shape)
         side = rng.normal(size=(5, k))
         return [("rows with no likes", no_likes, side),
                 ("a user who liked every item", every_item, side),
-                ("values other than 1", valued, side),
                 ("side width 0", likes, np.empty((5, 0))),
                 ("no like at all", np.zeros((5, d)), side),
                 ("one row", likes[:1], side[:1])]
@@ -472,8 +481,7 @@ class TestSparseStep:
             x = np.hstack([targets, side])
             want_loss, want = reference_loss_and_gradients(
                 params, x, targets, None, reg)
-            loss, got = sparse_loss_and_gradients(
-                params, *sparse_batch(targets, side), reg)
+            loss, got = sparse_step(params, sparse_batch(targets, side), reg)
             exact = reconstruction_loss(params, x, targets, reg=reg)
             assert abs(loss - want_loss) <= SPARSE_TOL * want_loss, name
             assert abs(loss - exact) <= SPARSE_TOL * exact, name
@@ -486,26 +494,32 @@ class TestSparseStep:
         rng = RNG(67)
         cases = [(name, sparse_batch(targets, side), self.D, self.H)
                  for name, targets, side in self.batches(rng)]
-        # the benchmark's ranking shape, and values of -0.0 among the
-        # nonzeros, which np.nonzero leaves out of a dense batch
+        # the benchmark's ranking shape
         targets = (rng.random((64, 1682)) < 0.004).astype(float)
         cases.append(("the ranking shape",
                       sparse_batch(targets, rng.normal(size=(64, 30))),
                       1682, 10))
-        at, cols, values, side = sparse_batch(*self.batches(rng)[2][1:])
-        values[::3] = -0.0
-        cases.append(("values of -0.0", (at, cols, values, side), self.D,
-                      self.H))
         for name, batch, d, h in cases:
             params = make_params(rng, s=d + batch[3].shape[1], h=h, d=d, g=g)
             params = SemiAEParams(params.Q, params.Q1, rng.normal(size=h),
                                   rng.normal(size=d), g=g)
             want_loss, want = reference_sparse_step(params, *batch, reg)
-            loss, got = sparse_loss_and_gradients(params, *batch, reg,
-                                                  nan_workspace(params, 0))
+            loss, got = sparse_step(params, batch, reg,
+                                    nan_workspace(params, 0))
             assert loss == want_loss, name
             for ours, ref in zip((got.dQ, got.dQ1, got.dp, got.dp1), want):
                 assert ours.tobytes() == ref.tobytes(), name
+
+    def test_its_default_is_no_regularization(self):
+        rng = RNG(71)
+        params = make_params(rng, s=self.D + self.K, h=self.H, d=self.D)
+        targets = (rng.random((5, self.D)) < 0.2).astype(float)
+        batch = sparse_batch(targets, rng.normal(size=(5, self.K)))
+        want_loss, want = reference_sparse_step(params, *batch, 0.0)
+        loss, got = sparse_step(params, batch)
+        assert loss == want_loss
+        for ours, ref in zip((got.dQ, got.dQ1, got.dp, got.dp1), want):
+            assert ours.tobytes() == ref.tobytes()
 
     def test_bincount_adds_in_index_order_as_add_at_on_zeros(self):
         # bin 3 sums to 0.0 in this order (1e16 + 1.0 rounds to 1e16), to
@@ -531,8 +545,8 @@ class TestSparseStep:
             x = np.hstack([targets[rows], side[rows]])
             want_loss, want = reference_loss_and_gradients(
                 params, x, targets[rows], None, 0.1)
-            loss, got = sparse_loss_and_gradients(
-                params, *sparse_batch(targets[rows], side[rows]), 0.1, work)
+            loss, got = sparse_step(
+                params, sparse_batch(targets[rows], side[rows]), 0.1, work)
             assert got is work.grads
             assert abs(loss - want_loss) <= SPARSE_TOL * want_loss
             for ours, ref in zip((got.dQ, got.dQ1, got.dp, got.dp1), want):
@@ -548,7 +562,7 @@ class TestSparseStep:
         work = Workspace.for_params(params, 0)
 
         def step():
-            return sparse_loss_and_gradients(params, *batch, 0.1, work)
+            return sparse_step(params, batch, 0.1, work)
 
         step()
         (_, grads), peak = traced_peak(step)
@@ -566,8 +580,7 @@ class TestSparseStep:
         side = np.empty((5, 0))
         with np.errstate(over="ignore", invalid="ignore"):
             dense, _ = loss_and_gradients(params, targets, targets)
-            loss, _ = sparse_loss_and_gradients(params,
-                                                *sparse_batch(targets, side))
+            loss, _ = sparse_step(params, sparse_batch(targets, side))
         assert dense == loss == np.inf
 
     @pytest.mark.parametrize("s,f", [(40, "sigmoid"), (30, "identity")])
@@ -576,9 +589,18 @@ class TestSparseStep:
         with pytest.raises(ValueError, match="^the sparse step needs an "
                                              "identity f and an input that "
                                              "begins with the targets$"):
-            sparse_loss_and_gradients(params, np.zeros(0, np.intp),
-                                      np.zeros(0, np.intp), np.zeros(0),
-                                      np.zeros((1, 0)))
+            sparse_step(params, (np.zeros(0, np.intp), np.zeros(0, np.intp),
+                                 np.zeros(0), np.zeros((1, 0))))
+
+    @pytest.mark.parametrize("value", [5.0, -0.0, np.nan])
+    def test_its_index_refuses_a_value_other_than_a_like(self, value):
+        # one like of 1.0 first, so the value refused is the second's
+        values = np.array([1.0, value])
+        with pytest.raises(ValueError, match=r"^the sparse step reads likes "
+                                             r"of value 1\.0, got "
+                                             rf"{value}$"):
+            sparse_index(np.array([0, 1]), np.array([3, 1]), values,
+                         self.H, self.D)
 
 
 class TestDegenerateEquivalence:

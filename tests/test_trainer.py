@@ -10,7 +10,8 @@ from semiae import trainer as trainer_module
 from semiae.dataset import (RatingDataset, SideInfoMatrix, binarize,
                             load_raw_directory, sparse_rows, split)
 from semiae.evaluation import _rank_unconsumed
-from semiae.model import BLOCK, SemiAEParams, forward, glorot_init
+from semiae.model import (BLOCK, SemiAEParams, forward, glorot_init,
+                          sparse_index)
 from semiae.trainer import (SCORE_ROWS, TrainConfig, TrainedModel, load_model,
                             predict_ratings, recommend_top_n, save_model,
                             score_rows, train_ranking, train_rating)
@@ -206,11 +207,17 @@ class TestTrainRanking:
                                              "training set$"):
             train_ranking(binarize(raw, 5.0), profiles, ranking_cfg(epochs=1))
 
-    def test_ratings_not_binarized_are_warned_about(self, caplog):
+    @pytest.mark.parametrize("kw", [{}, {"mask_ranking_loss": True},
+                                    {"f": "sigmoid"}],
+                             ids=["sparse", "masked", "sigmoid-f"])
+    def test_ratings_other_than_likes_are_refused(self, kw):
+        # on either step: ranking trains on likes, whatever the step
         raw, profiles = toy_ranking_data(binarized=False)
-        with caplog.at_level("WARNING", logger="semiae.trainer"):
-            train_ranking(raw, profiles, ranking_cfg(epochs=1))
-        assert "expects binarized ratings, got scale (1.0, 5.0)" in caplog.text
+        with pytest.raises(ValueError, match=r"^ranking trains on likes of "
+                                             r"value 1\.0, got a rating of "
+                                             r"5\.0: binarize the ratings "
+                                             r"first$"):
+            train_ranking(raw, profiles, ranking_cfg(epochs=1, **kw))
 
 
 class TestTrainRating:
@@ -340,16 +347,18 @@ class TestEpochLayout:
         perm = np.concatenate([RNG(14).permutation(4),
                                4 + RNG(15).permutation(10)])
         batches = list(trainer_module._sparse_batches(ds, side, perm,
-                                                      batch_size))
+                                                      batch_size, 3))
         starts = range(0, 14, batch_size)
         assert len(batches) == len(starts)
-        for start, batch in zip(starts, batches):
-            alone = sparse_rows(ds, side, perm[start:start + batch_size])
-            for ours, ref in zip(batch, alone):
+        for start, (index, side_rows) in zip(starts, batches):
+            *likes, side_alone = sparse_rows(ds, side,
+                                             perm[start:start + batch_size])
+            alone = sparse_index(*likes, 3, 11)
+            for ours, ref in zip((*index, side_rows), (*alone, side_alone)):
                 assert ours.dtype == ref.dtype
                 np.testing.assert_array_equal(ours, ref)
         if batch_size == 4:
-            assert len(batches[0][0]) == 0
+            assert len(batches[0][0].cols) == 0
 
     @pytest.mark.parametrize("batch_size", [4, 64])
     def test_training_equals_a_run_that_lays_out_each_batch(self,
@@ -360,21 +369,6 @@ class TestEpochLayout:
                       batch_size=batch_size, seed=6)
         theta, history = reference_sparse_fit(liked, profiles, cfg)
         model = train_ranking(liked, profiles, cfg)
-        assert _param_bytes(model) == [a.tobytes() for a in theta]
-        assert list(model.loss_history) == history
-
-    def test_unbinarized_ratings_train_as_a_run_that_lays_out_each_batch(
-            self, caplog):
-        # ratings 1-5: the epoch's values are not all 1.0, so each step
-        # multiplies its terms by them
-        ds, profiles, _ = _random_task_data()
-        assert set(ds.ratings.tolist()) - {1.0}
-        cfg = replace(TrainConfig.defaults("ranking"), epochs=3,
-                      batch_size=4, seed=7)
-        theta, history = reference_sparse_fit(ds, profiles, cfg)
-        with caplog.at_level("WARNING", logger="semiae.trainer"):
-            model = train_ranking(ds, profiles, cfg)
-        assert "expects binarized ratings, got scale (1.0, 5.0)" in caplog.text
         assert _param_bytes(model) == [a.tobytes() for a in theta]
         assert list(model.loss_history) == history
 
