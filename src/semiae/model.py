@@ -24,7 +24,7 @@ term's code:
   with their flat indices, in one :class:`SparseIndex`, and its side rows,
   and densifies nothing: no array of the batch's rows by D or by S.
 * :func:`loss_and_gradients` takes the dense batch, for every other case
-  (rating, a masked loss, a non-identity ``f``).
+  (the masked rating loss, a non-identity ``f``).
 
 A training loop hands either one :class:`Workspace`, made once, that holds
 the gradients and the block scratch of the L2 term; the dense step also
@@ -505,14 +505,11 @@ def sparse_loss_and_gradients(params: SemiAEParams, index: SparseIndex,
     d_h *= 2.0 / b
     d_z1 = np.multiply(d_h, g.deriv_at_value(hid), out=d_h)
     # dQ1 = (2/b) h^T (out - T) = (2/b) (h^T h Q1 + h_sum p1^T - h^T T); the
-    # rank-one part goes through dQ's buffer, which is no smaller than Q1
-    # and is written last, a row at a time: np.outer's broadcast takes
+    # rank-one part is added a row at a time: np.outer's broadcast takes
     # twice as long at H=10 and buffers ~100 KB
-    rank_one = dQ.reshape(-1)[:Q1.size].reshape(Q1.shape)
-    for row, scale in zip(rank_one, (h_sum * (2.0 / b)).tolist()):
-        np.multiply(p1, scale, out=row)
     np.matmul((hid.T @ hid) * (2.0 / b), Q1, out=dQ1)
-    dQ1 += rank_one
+    for row, scale in zip(dQ1, (h_sum * (2.0 / b)).tolist()):
+        row += p1 * scale
     terms = np.take((hid * (-2.0 / b)).reshape(-1), index.rows)
     np.add.at(dQ1.reshape(-1), index.q1.reshape(-1), terms.reshape(-1))
     # dp1 = (2/b) (h_sum Q1 + b p1 - the column sums of T)

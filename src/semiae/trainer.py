@@ -19,7 +19,7 @@ its step once per run:
   indices by :func:`~semiae.model.sparse_index`, and steps with
   ``sparse_loss_and_gradients`` on each batch's slice of that layout,
   densifying nothing;
-* every other run (rating, a masked ranking loss, a non-identity ``f``)
+* every other run (rating, whose loss is masked, or a non-identity ``f``)
   owns the batch's input rows and mask, written by
   :func:`~semiae.dataset.build_vectors` from the dataset's per-user index,
   and steps with ``loss_and_gradients``.
@@ -70,9 +70,8 @@ SCORE_ROWS = 256
 # (weak references to a model, train and profiles, n, their lists)
 _last_lists: tuple = ()
 
-# the values each TrainConfig annotation admits; a bool is no int and no
-# float, although Python makes it an int
-_TYPES = {"str": str, "bool": bool, "int": (int, np.integer),
+# each TrainConfig annotation's values; no bool, though Python makes it an int
+_TYPES = {"str": str, "int": (int, np.integer),
           "float": (int, float, np.integer)}
 # what a field's value must satisfy beyond its type: a vocabulary or a bound
 _RULES = {"task": ("one of", TASKS), "optimizer": ("one of", OPTIMIZER_KINDS),
@@ -114,12 +113,13 @@ class TrainConfig:
     seed: int = 0
     binarize_threshold: float = 4.0
     binarize_comparison: str = ">"
-    mask_ranking_loss: bool = False
+    # not a setting: perfbench/workloads.py reads it; ranking is never masked
+    mask_ranking_loss = False
 
     def __post_init__(self) -> None:
         for field in fields(self):
             value = getattr(self, field.name)
-            if (isinstance(value, bool) != (field.type == "bool")
+            if (isinstance(value, bool)
                     or not isinstance(value, _TYPES[field.type])):
                 raise ValueError(f"{field.name} must be of type {field.type}, "
                                  f"got {value!r}")
@@ -147,13 +147,17 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, doc: dict, task: str | None = None) -> "TrainConfig":
-        """Build a config from a flat dict, rejecting unknown keys."""
+        """Build a config from a flat dict, rejecting unknown keys.  A
+        ``mask_ranking_loss`` of false, which older files hold, is dropped."""
+        doc = dict(doc)
+        if doc.pop("mask_ranking_loss", False) is not False:
+            raise ValueError("mask_ranking_loss: the masked ranking loss was "
+                             "removed, and ranking measures every output")
         known = {f.name for f in fields(cls)}
         unknown = sorted(set(doc) - known)
         if unknown:
             raise ValueError(f"unknown config keys {unknown}; "
                              f"valid: {sorted(known)}")
-        doc = dict(doc)
         cfg_task = doc.pop("task", task)
         if task is not None and cfg_task != task:
             raise ValueError(f"config task {cfg_task!r} conflicts with "
@@ -209,11 +213,11 @@ def _sparse_batches(ds: RatingDataset, side: SideInfoMatrix,
 
 # the loop checks finiteness itself, so numpy's warnings stay quiet
 @np.errstate(all="ignore")
-def _run_epochs(train: RatingDataset, side: SideInfoMatrix, masked: bool,
+def _run_epochs(train: RatingDataset, side: SideInfoMatrix,
                 cfg: TrainConfig) -> TrainedModel:
     """Train on the user rows of ``train`` and ``side``, the loss at the
-    observed ratings alone if ``masked``.  Each epoch is a generator of
-    its batches' steps, sparse or dense as the run picks once, and the
+    observed ratings alone for the rating task.  Each epoch is a generator
+    of its batches' steps, sparse or dense as the run picks once, and the
     loop updates the parameters from each step's gradients."""
     # one input row per user: its ratings over every item, which are also
     # its targets, then its side row
@@ -228,6 +232,7 @@ def _run_epochs(train: RatingDataset, side: SideInfoMatrix, masked: bool,
     theta = [a.base for a in (params.Q, params.Q1, params.p, params.p1)]
     state = Optimizer(cfg.optimizer, cfg.learning_rate, theta)
     rows = min(cfg.batch_size, n)
+    masked = cfg.task == "rating"
     sparse = cfg.f == "identity" and not masked
     work = Workspace.for_params(params, 0 if sparse else rows)
     if sparse:
@@ -242,15 +247,15 @@ def _run_epochs(train: RatingDataset, side: SideInfoMatrix, masked: bool,
         mask = np.empty((rows, output_dim), bool) if masked else None
 
         def steps(perm: np.ndarray):
-            for start in range(0, n, cfg.batch_size):
-                idx = perm[start:start + cfg.batch_size]
+            for start in range(0, n, rows):
+                idx = perm[start:start + rows]
                 batch_x = x[:len(idx)]
                 batch_mask = mask[:len(idx)] if masked else None
                 build_vectors(train, side, idx, batch_x, batch_mask)
                 yield loss_and_gradients(
                     params, batch_x, batch_x[:, :output_dim], batch_mask,
                     cfg.regularization, work=work)
-    num_batches = -(-n // cfg.batch_size)
+    num_batches = -(-n // rows)
     history: list[float] = []
     last_finite = None
 
@@ -267,7 +272,7 @@ def _run_epochs(train: RatingDataset, side: SideInfoMatrix, masked: bool,
                 raise diverged(f"loss {loss}, last finite loss {last_finite}")
             last_finite = loss
             update(state, grads)
-            weighted += loss * min(cfg.batch_size, n - batch * cfg.batch_size)
+            weighted += loss * min(rows, n - batch * rows)
         history.append(weighted / n)
         if (epoch + 1) % 100 == 0 or epoch == 0:
             log.info("epoch %d/%d: loss %.6f", epoch + 1, cfg.epochs, history[-1])
@@ -284,18 +289,15 @@ def train_ranking(train: RatingDataset, profiles: SideInfoMatrix,
                   cfg: TrainConfig) -> TrainedModel:
     """Fit the ranking model on user rows of likes with profiles appended.
 
-    ``train`` holds likes, each of value 1.0, as
-    :func:`~semiae.dataset.binarize` makes them; any other rating is
-    refused.  The loss covers every item position unless
-    ``cfg.mask_ranking_loss`` is set, in which case only observed positions
-    are measured.
-    """
+    ``train`` holds likes of value 1.0, as :func:`~semiae.dataset.binarize`
+    makes them; any other rating is refused.  The loss covers every item
+    position."""
     if cfg.task != "ranking":
         raise ValueError("config task must be 'ranking'")
     if len(bad := train.ratings[train.ratings != 1.0]):
         raise ValueError(f"ranking trains on likes of value 1.0, got a "
                          f"rating of {bad[0]}: binarize the ratings first")
-    return _run_epochs(train, profiles, cfg.mask_ranking_loss, cfg)
+    return _run_epochs(train, profiles, cfg)
 
 
 def train_rating(train: RatingDataset, features: SideInfoMatrix,
@@ -307,7 +309,7 @@ def train_rating(train: RatingDataset, features: SideInfoMatrix,
     """
     if cfg.task != "rating":
         raise ValueError("config task must be 'rating'")
-    return _run_epochs(train.T, features, True, cfg)
+    return _run_epochs(train.T, features, cfg)
 
 
 def score_rows(model: TrainedModel, train: RatingDataset,

@@ -1345,8 +1345,7 @@ class TestMalformedArtifacts:
          "learning_rate must be of type float, got '0.1'"),
         ({"binarize_threshold": "4"},
          "binarize_threshold must be of type float, got '4'"),
-        ({"mask_ranking_loss": "no"},
-         "mask_ranking_loss must be of type bool, got 'no'"),
+        ({"epochs": True}, "epochs must be of type int, got True"),
         ({"g": ["tanh"]}, "g must be of type str, got ['tanh']"),
         ({"binarize_comparison": "=="},
          "binarize_comparison must be one of ('>', '>='), got '=='"),
@@ -1368,7 +1367,7 @@ class TestMalformedArtifacts:
            f"config task {task!r} conflicts with requested task {{task!r}}")
           for task in (False, "", 0, None)]],
         ids=["epochs", "hidden_dim", "batch_size", "seed-float", "seed-negative",
-             "learning_rate", "binarize_threshold", "mask_ranking_loss", "g",
+             "learning_rate", "binarize_threshold", "epochs-bool", "g",
              "binarize_comparison", "binarize_threshold-nan",
              "learning_rate-inf", "regularization-minus-inf",
              "learning_rate-huge-int", "binarize_threshold-minus-huge-int",
@@ -1389,6 +1388,68 @@ class TestMalformedArtifacts:
             assert (code, err) == (
                 1, f"error: {cfg}: {where}{expected.format(task=task)}\n")
         assert not (tmp_path / "never.json").exists()
+
+
+class TestRemovedMaskedRankingLoss:
+    """Every config and model file written while the masked ranking loss
+    was a setting holds ``"mask_ranking_loss": false``: that entry is
+    dropped, and any other value is a one-line error."""
+
+    MESSAGE = ("mask_ranking_loss: the masked ranking loss was removed, and "
+               "ranking measures every output")
+
+    @pytest.mark.parametrize("task", ["ranking", "rating"])
+    def test_a_false_entry_trains_and_evaluates_as_before(
+            self, prepared_path, tmp_path, capsys, task):
+        models = {}
+        for name, old in (("new", {}), ("old", {"mask_ranking_loss": False})):
+            cfg = write_config(tmp_path, f"{name}.cfg.json", epochs=2, seed=3,
+                               hidden_dim=4, binarize_threshold=3.0, **old)
+            models[name] = tmp_path / f"{name}.json"
+            code, _, err = run(capsys, "train", "--data", prepared_path,
+                               "--task", task, "--config", cfg,
+                               "--out", models[name], "--train-fraction", "0.8")
+            assert code == 0, err
+        assert models["new"].read_bytes() == models["old"].read_bytes()
+        # a model file as written before the entry went
+        doc = json.loads(models["new"].read_text())
+        doc["training_config_echo"]["config"]["mask_ranking_loss"] = False
+        models["old"].write_text(json.dumps(doc))
+        reports = []
+        for model in models.values():
+            code, out, err = run(capsys, "evaluate", "--model", model,
+                                 "--data", prepared_path,
+                                 "--train-fraction", "0.8", "--seed", "3")
+            assert code == 0, err
+            reports.append(out)
+        assert reports[0] == reports[1]
+        assert "mask_ranking_loss" not in reports[0]
+
+    @pytest.mark.parametrize("value", [True, "no", 1])
+    def test_any_other_value_is_a_one_line_error(
+            self, prepared_path, tmp_path, capsys, value):
+        cfg = write_config(tmp_path, "bad.cfg.json", epochs=2,
+                           mask_ranking_loss=value)
+        never = tmp_path / "never.json"
+        code, out, err = run(capsys, "train", "--data", prepared_path,
+                             "--task", "ranking", "--config", cfg,
+                             "--out", never)
+        assert (code, out, err) == (1, "",
+                                    f"error: {cfg}: config: {self.MESSAGE}\n")
+        assert not never.exists()
+        model = tmp_path / "model.json"
+        code, _, err = run(capsys, "train", "--data", prepared_path,
+                           "--task", "ranking", "--config",
+                           write_config(tmp_path, epochs=2), "--out", model)
+        assert code == 0, err
+        doc = json.loads(model.read_text())
+        doc["training_config_echo"]["config"]["mask_ranking_loss"] = value
+        model.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "evaluate", "--model", model,
+                             "--data", prepared_path,
+                             "--train-fraction", "0.8", "--seed", "0")
+        assert (code, out, err) == (
+            1, "", f"error: {model}: model echo: {self.MESSAGE}\n")
 
 
 class TestRunCell:

@@ -1,7 +1,8 @@
 import gc
 import json
+import logging
 import weakref
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -84,9 +85,16 @@ class TestTrainConfig:
                                     dict(binarize_threshold=float("nan")),
                                     dict(binarize_threshold=float("-inf")),
                                     dict(binarize_threshold="4"),
-                                    dict(mask_ranking_loss="no"),
-                                    dict(mask_ranking_loss=1),
-                                    dict(epochs=True), dict(g=["tanh"]),
+                                    dict(hidden_dim="4"), dict(seed=None),
+                                    # a bool is no number, although Python
+                                    # counts it as an int
+                                    *[{name: value} for value in (True, False)
+                                      for name in ("hidden_dim", "epochs",
+                                                   "batch_size", "seed",
+                                                   "learning_rate",
+                                                   "regularization",
+                                                   "binarize_threshold")],
+                                    dict(g=["tanh"]),
                                     dict(binarize_comparison="=="),
                                     # ints past the largest float
                                     dict(learning_rate=10 ** 400),
@@ -96,6 +104,36 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match=f"^{next(iter(kw))} must be "):
             ranking_cfg(**kw)
 
+    def test_the_masked_ranking_loss_is_no_setting(self):
+        assert len(fields(TrainConfig)) == 12
+        assert "mask_ranking_loss" not in {f.name for f in fields(TrainConfig)}
+        # perfbench/workloads.py reads it from a config
+        assert TrainConfig.mask_ranking_loss is False
+        assert ranking_cfg().mask_ranking_loss is False
+        assert "mask_ranking_loss" not in ranking_cfg().to_dict()
+        with pytest.raises(TypeError, match="mask_ranking_loss"):
+            ranking_cfg(mask_ranking_loss=False)
+
+    def test_a_false_masked_ranking_loss_entry_is_dropped(self):
+        # every model file written before it went holds the entry
+        for task in ("ranking", "rating"):
+            doc = {"epochs": 3, "seed": 2}
+            assert (TrainConfig.from_dict({**doc, "mask_ranking_loss": False},
+                                          task)
+                    == TrainConfig.from_dict(doc, task))
+        old = {**ranking_cfg().to_dict(), "mask_ranking_loss": False}
+        assert TrainConfig.from_dict(old) == ranking_cfg()
+
+    @pytest.mark.parametrize("value", [True, "no", 1, 0, 0.0, None, "false",
+                                       [False], np.bool_(False)])
+    def test_any_other_masked_ranking_loss_entry_is_refused(self, value):
+        with pytest.raises(ValueError, match=r"^mask_ranking_loss: the masked "
+                                             r"ranking loss was removed, and "
+                                             r"ranking measures every "
+                                             r"output$"):
+            TrainConfig.from_dict({"epochs": 3, "mask_ranking_loss": value},
+                                  "ranking")
+
     def test_ints_count_as_floats_and_numpy_ints_as_ints(self):
         cfg = ranking_cfg(learning_rate=1, binarize_threshold=3,
                           epochs=np.int64(2), seed=np.uint8(3))
@@ -104,8 +142,7 @@ class TestTrainConfig:
     def test_numpy_ints_survive_a_model_file(self, tmp_path):
         cfg = TrainConfig.from_dict({"seed": np.int64(3),
                                      "epochs": np.uint8(2)}, "ranking")
-        assert {type(v) for v in cfg.to_dict().values()} <= {str, int, float,
-                                                              bool}
+        assert {type(v) for v in cfg.to_dict().values()} <= {str, int, float}
         train, profiles = toy_ranking_data()
         model = train_ranking(train, profiles, cfg)
         save_model(tmp_path / "m.json", model)
@@ -193,12 +230,17 @@ class TestTrainRanking:
                            match=f"^config task must be '{task}'$"):
             trainer(train, profiles, other_cfg(epochs=1))
 
-    def test_masked_ranking_loss_flag(self):
+    def test_each_epoch_logs_its_loss(self, caplog):
+        # the first and every 100th epoch at INFO, the others at DEBUG
         train, profiles = toy_ranking_data()
-        full = train_ranking(train, profiles, ranking_cfg(epochs=30))
-        masked = train_ranking(train, profiles,
-                               ranking_cfg(epochs=30, mask_ranking_loss=True))
-        assert full.loss_history != masked.loss_history
+        with caplog.at_level(logging.DEBUG, logger="semiae.trainer"):
+            model = train_ranking(train, profiles, ranking_cfg(epochs=201))
+        logged = [(r.levelno, r.getMessage()) for r in caplog.records
+                  if r.name == "semiae.trainer"]
+        assert logged == [
+            (logging.INFO if epoch in (1, 100, 200) else logging.DEBUG,
+             f"epoch {epoch}/201: loss {loss:.6f}")
+            for epoch, loss in enumerate(model.loss_history, 1)]
 
     def test_training_half_without_triples_rejected(self):
         # no toy rating is above 5, so binarizing keeps no triple
@@ -207,9 +249,8 @@ class TestTrainRanking:
                                              "training set$"):
             train_ranking(binarize(raw, 5.0), profiles, ranking_cfg(epochs=1))
 
-    @pytest.mark.parametrize("kw", [{}, {"mask_ranking_loss": True},
-                                    {"f": "sigmoid"}],
-                             ids=["sparse", "masked", "sigmoid-f"])
+    @pytest.mark.parametrize("kw", [{}, {"f": "sigmoid"}],
+                             ids=["sparse", "sigmoid-f"])
     def test_ratings_other_than_likes_are_refused(self, kw):
         # on either step: ranking trains on likes, whatever the step
         raw, profiles = toy_ranking_data(binarized=False)
@@ -288,8 +329,6 @@ class TestSameBits:
         liked = binarize(ds)
         cases = (
             (liked, profiles, ranking_cfg(**kw), train_ranking, "user", False),
-            (liked, profiles, ranking_cfg(mask_ranking_loss=True, **kw),
-             train_ranking, "user", True),
             (ds, features, rating_cfg(**kw), train_rating, "item", True),
         )
         for train, side, cfg, fit, orientation, masked in cases:
@@ -374,29 +413,43 @@ class TestEpochLayout:
 
 
 class TestStepChoice:
-    """A run picks its step once: an identity f without a mask steps from
-    the batch's triples, and any other run densifies its batches."""
+    """A run picks its step once: ranking with an identity f steps from
+    the batch's likes, and any other run densifies its batches."""
 
-    @pytest.mark.parametrize("task,f,masked,dense", [
-        ("ranking", "identity", False, False),
-        ("ranking", "identity", True, True),
-        ("ranking", "sigmoid", False, True),
-        ("rating", "identity", True, True)])
-    def test_only_an_unmasked_identity_f_skips_the_dense_batch(
-            self, monkeypatch, task, f, masked, dense):
+    @pytest.mark.parametrize("task,f,dense", [
+        ("ranking", "identity", False),
+        ("ranking", "sigmoid", True),
+        ("rating", "identity", True)])
+    def test_only_ranking_with_an_identity_f_skips_the_dense_batch(
+            self, monkeypatch, task, f, dense):
         densified = []
         build = trainer_module.build_vectors
         monkeypatch.setattr(trainer_module, "build_vectors",
                             lambda *a: densified.append(a) or build(*a))
         if task == "ranking":
             train, side = toy_ranking_data()
-            cfg = ranking_cfg(f=f, mask_ranking_loss=masked, epochs=2)
+            cfg = ranking_cfg(f=f, epochs=2)
             model = train_ranking(train, side, cfg)
         else:
             train, side = toy_rating_data()
             model = train_rating(train, side, rating_cfg(f=f, epochs=2))
         assert len(model.loss_history) == 2
         assert len(densified) == (2 if dense else 0)
+
+    @pytest.mark.parametrize("task,f", [("ranking", "identity"),
+                                        ("ranking", "sigmoid"),
+                                        ("rating", "identity")])
+    def test_a_batch_past_the_rows_is_one_batch_of_every_row(self, task, f):
+        ds, profiles, features = _random_task_data()
+        train, side, fit, cfg, rows = {
+            "ranking": (binarize(ds), profiles, train_ranking, ranking_cfg,
+                        ds.num_users),
+            "rating": (ds, features, train_rating, rating_cfg, ds.num_items),
+        }[task]
+        a, b = (fit(train, side, cfg(f=f, epochs=3, batch_size=size))
+                for size in (10 ** 29, rows))
+        assert _param_bytes(a) == _param_bytes(b)
+        assert a.loss_history == b.loss_history
 
 
 class TestDivergence:
