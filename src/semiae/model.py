@@ -27,11 +27,11 @@ term's code:
   (the masked rating loss, a non-identity ``f``).
 
 A training loop hands either one :class:`Workspace`, made once, that holds
-the gradients and the block scratch of the L2 term; the dense step also
-uses its four batch-sized buffers, each taking several of the step's
-intermediates in turn, and a fifth for the derivative of a non-identity
-``f``, so that a step allocates nothing of the dense batch's size or of a
-parameter's.
+the gradients, views of one vector, and the block scratch of the L2 term;
+the dense step also uses its four batch-sized buffers, each taking several
+of the step's intermediates in turn, and a fifth for the derivative of a
+non-identity ``f``, so that a step allocates nothing of the dense batch's
+size or of a parameter's.
 """
 
 from __future__ import annotations
@@ -169,17 +169,28 @@ class GradientSet:
     dp1: np.ndarray
 
 
+def tensor_views(vector: np.ndarray, input_dim: int, hidden_dim: int,
+                 output_dim: int) -> tuple[np.ndarray, ...]:
+    """Q, Q1, p and p1 of a network of these widths, in that order, as
+    consecutive views that fill the 1-D ``vector``."""
+    s, h, d = input_dim, hidden_dim, output_dim
+    parts = np.split(vector, [s * h, (s + d) * h, (s + d + 1) * h])
+    return tuple(v.reshape(shape) for v, shape in
+                 zip(parts, ((s, h), (h, d), (h,), (d,))))
+
+
 @dataclass(frozen=True)
 class Workspace:
     """The buffers that :func:`loss_and_gradients` writes, for batches of
-    up to B rows: the gradients, of the parameters' shapes, and the batch's
-    intermediates, each buffer holding the ones its comment names in turn.
-    A loop makes one with :meth:`for_params` and every step reuses it; a
-    batch of b rows uses the leading b rows of each buffer.
-    :func:`sparse_loss_and_gradients` uses only the gradients and the
-    block, so its loop makes one of 0 rows."""
+    up to B rows: one gradient vector, whose :func:`tensor_views` are the
+    gradients, and the batch's intermediates, each buffer holding the ones
+    its comment names in turn.  A loop makes one with :meth:`for_params`
+    and every step reuses it; a batch of b rows uses the leading b rows of
+    each buffer.  :func:`sparse_loss_and_gradients` uses only the
+    gradients and the block, so its loop makes one of 0 rows."""
 
-    grads: GradientSet   # the gradients, C-contiguous
+    gradient: np.ndarray  # the gradients of Q, Q1, p and p1, one vector
+    grads: GradientSet   # the gradients, views of the vector
     hidden: np.ndarray   # (B, H) z1, the hidden activations, dLoss/dz1
     output: np.ndarray   # (B, D) z2, the output, dLoss/dz2
     squares: np.ndarray  # (B, D) a sigmoid f's scratch, the squared errors
@@ -189,9 +200,9 @@ class Workspace:
 
     @classmethod
     def for_params(cls, params: SemiAEParams, rows: int) -> Workspace:
-        theta = (params.Q, params.Q1, params.p, params.p1)
-        h, d = params.Q1.shape
-        return cls(GradientSet(*(np.empty(a.shape) for a in theta)),
+        s, h, d = params.input_dim, params.hidden_dim, params.output_dim
+        gradient = np.empty((s + d + 1) * h + d)
+        return cls(gradient, GradientSet(*tensor_views(gradient, s, h, d)),
                    np.empty((rows, h)), np.empty((rows, d)),
                    np.empty((rows, d)), np.empty((rows, h)),
                    np.empty((0 if params.f == "identity" else rows, d)),
@@ -200,20 +211,24 @@ class Workspace:
 
 def glorot_init(input_dim: int, hidden_dim: int, output_dim: int,
                 g: str = "sigmoid", f: str = "identity",
-                rng: np.random.Generator | None = None) -> SemiAEParams:
-    """Fresh parameters: uniform +-sqrt(6/(fan_in+fan_out)) weights, zero biases."""
+                rng: np.random.Generator | None = None,
+                out: np.ndarray | None = None) -> SemiAEParams:
+    """Fresh parameters: uniform +-sqrt(6/(fan_in+fan_out)) weights, zero
+    biases, as the :func:`tensor_views` of ``out``, a 1-D vector of as
+    many elements, or of a new one.  A weight matrix is drawn a block at a
+    time, the same numbers as one draw of it: a freed draw of its size can
+    stay resident in the heap of a process that trains again."""
     if rng is None:
         rng = np.random.default_rng()
-    lim_q = np.sqrt(6.0 / (input_dim + hidden_dim))
-    lim_q1 = np.sqrt(6.0 / (hidden_dim + output_dim))
-    return SemiAEParams(
-        Q=rng.uniform(-lim_q, lim_q, (input_dim, hidden_dim)),
-        Q1=rng.uniform(-lim_q1, lim_q1, (hidden_dim, output_dim)),
-        p=np.zeros(hidden_dim),
-        p1=np.zeros(output_dim),
-        g=g,
-        f=f,
-    )
+    if out is None:
+        out = np.empty((input_dim + output_dim + 1) * hidden_dim + output_dim)
+    Q, Q1, p, p1 = tensor_views(out, input_dim, hidden_dim, output_dim)
+    for w in (Q, Q1):
+        lim, flat = np.sqrt(6.0 / sum(w.shape)), w.reshape(-1)
+        for part in blocks(w.size):
+            flat[part] = rng.uniform(-lim, lim, part.stop - part.start)
+    p[:] = p1[:] = 0.0
+    return SemiAEParams(Q, Q1, p, p1, g, f)
 
 
 def _as_batch(x: np.ndarray, dim: int, what: str) -> tuple[np.ndarray, bool]:

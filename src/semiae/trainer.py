@@ -10,7 +10,7 @@ vector but measuring the loss only at observed user positions.
 
 Both tasks run one loop, seed-deterministic: weight init and the per-epoch
 row shuffles are drawn from one generator seeded by the config.  The loop owns
-the parameter buffers and one :class:`~semiae.model.Workspace`, and picks
+the parameter vector and one :class:`~semiae.model.Workspace`, and picks
 its step once per run:
 
 * an identity ``f`` with the loss over every output, the ranking default,
@@ -24,9 +24,9 @@ its step once per run:
   :func:`~semiae.dataset.build_vectors` from the dataset's per-user index,
   and steps with ``loss_and_gradients``.
 
-Either writes the batch's gradients into the workspace.  The optimizer
-updates the parameters in place from those gradients, and the
-:class:`SemiAEParams` built once over the parameters sees every update.  A
+Either writes the batch's gradients into the workspace's gradient vector.
+The optimizer updates the parameter vector in place from it, and the
+:class:`SemiAEParams` built once over views of it sees every update.  A
 step allocates nothing the size of a parameter or of a dense batch.  A
 training set with no triples is an error, and so is a ranking one with a
 rating other than a like's 1.0.  A non-finite batch loss, or a
@@ -225,11 +225,11 @@ def _run_epochs(train: RatingDataset, side: SideInfoMatrix,
     if len(train) == 0:
         raise ValueError("cannot train on an empty training set")
     rng = np.random.default_rng(cfg.seed)
-    params = glorot_init(output_dim + side.dim, cfg.hidden_dim, output_dim,
-                         cfg.g, cfg.f, rng)
-    # the writable arrays under params' read-only views: the optimizer
-    # updates them in place, and params sees every update
-    theta = [a.base for a in (params.Q, params.Q1, params.p, params.p1)]
+    s, h = output_dim + side.dim, cfg.hidden_dim
+    # the optimizer updates one vector in place, and params, views of it,
+    # sees every update
+    theta = np.empty((s + output_dim + 1) * h + output_dim)
+    params = glorot_init(s, h, output_dim, cfg.g, cfg.f, rng, theta)
     state = Optimizer(cfg.optimizer, cfg.learning_rate, theta)
     rows = min(cfg.batch_size, n)
     masked = cfg.task == "rating"
@@ -267,19 +267,19 @@ def _run_epochs(train: RatingDataset, side: SideInfoMatrix,
     for epoch in range(cfg.epochs):
         perm = rng.permutation(n)
         weighted = 0.0
-        for batch, (loss, grads) in enumerate(steps(perm)):
+        for batch, (loss, _) in enumerate(steps(perm)):
             if not math.isfinite(loss):
                 raise diverged(f"loss {loss}, last finite loss {last_finite}")
             last_finite = loss
-            update(state, grads)
+            update(state, work.gradient)
             weighted += loss * min(rows, n - batch * rows)
         history.append(weighted / n)
         if (epoch + 1) % 100 == 0 or epoch == 0:
             log.info("epoch %d/%d: loss %.6f", epoch + 1, cfg.epochs, history[-1])
         else:
             log.debug("epoch %d/%d: loss %.6f", epoch + 1, cfg.epochs, history[-1])
-    for name, arr in zip(("Q", "Q1", "p", "p1"), theta):
-        if not np.all(np.isfinite(arr)):
+    for name in ("Q", "Q1", "p", "p1"):
+        if not np.all(np.isfinite(getattr(params, name))):
             raise diverged(f"parameter {name} is not finite after the last "
                            f"update")
     return TrainedModel(params, tuple(history), cfg)

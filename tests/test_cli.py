@@ -323,16 +323,17 @@ class TestTrain:
 
     def test_out_of_memory_is_one_stderr_line(self, prepared_path, tmp_path,
                                               capsys):
-        # 55 x 1e13 float64 weights, 4.4e15 bytes: past the user address
-        # space, so the allocation fails at once, and below 2**63 bytes,
-        # past which numpy raises a ValueError instead
+        # a parameter vector of (55 + 25 + 1) x 1e13 + 25 float64 weights
+        # and biases, 6.5e15 bytes: past the user address space, so the
+        # allocation fails at once, and below 2**63 bytes, past which numpy
+        # raises a ValueError instead
         cfg = write_config(tmp_path, hidden_dim=10 ** 13, epochs=1)
         out = tmp_path / "never.json"
         code, _, err = run(capsys, "train", "--data", prepared_path,
                            "--task", "ranking", "--config", cfg, "--out", out)
         assert code == 1
-        assert err == ("error: Unable to allocate 3.91 PiB for an array with "
-                       "shape (55, 10000000000000) and data type float64\n")
+        assert err == ("error: Unable to allocate 5.76 PiB for an array with "
+                       "shape (810000000000025,) and data type float64\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("task, case", [

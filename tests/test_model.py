@@ -765,6 +765,17 @@ class TestParamValidation:
         np.testing.assert_array_equal(params.p, 0.0)
         np.testing.assert_array_equal(params.p1, 0.0)
 
+    @pytest.mark.parametrize("s,h,d", [(10, 4, 8), (153, 500, 150)])
+    def test_glorot_draws_the_numbers_of_one_draw_per_weight_matrix(self, s,
+                                                                    h, d):
+        # at H=500 Q and Q1 span more than two blocks and end in a partial
+        # one, each drawn a block at a time
+        params = glorot_init(s, h, d, rng=RNG(48))
+        rng = RNG(48)
+        for w, fan in ((params.Q, s + h), (params.Q1, h + d)):
+            lim = np.sqrt(6.0 / fan)
+            assert w.tobytes() == rng.uniform(-lim, lim, w.shape).tobytes()
+
 
 def test_params_store_read_only_views_of_callers_arrays():
     arrays = dict(Q=np.zeros((3, 2)), Q1=np.zeros((2, 3)), p=np.zeros(2),

@@ -100,6 +100,37 @@ def test_step_times_prints_each_part_of_each_task(capsys, monkeypatch):
         assert float(per_call) > 0 and float(total) >= 0
 
 
+def test_step_times_refuses_a_directory_without_semiae(capsys, monkeypatch,
+                                                      tmp_path):
+    tool = load_tool("step_times")
+    for var in tool.THREAD_VARS:
+        monkeypatch.setenv(var, "1")
+    (tmp_path / "src").mkdir()
+    assert tool.main(["--checkout", str(tmp_path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {tmp_path} holds no src/semiae/__init__.py\n"
+
+
+def test_step_times_refuses_a_semiae_of_another_tree(capsys, monkeypatch,
+                                                     tmp_path):
+    # this process has loaded this checkout's semiae, so a checkout at
+    # tmp_path would be timed by this one's code: refused, before any run
+    tool = load_tool("step_times")
+    for var in tool.THREAD_VARS:
+        monkeypatch.setenv(var, "1")
+    package = tmp_path / "src" / "semiae"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text("")
+    monkeypatch.setattr(tool.sys, "path", list(tool.sys.path))
+    monkeypatch.setattr(tool, "step_times", None)
+    assert tool.main(["--checkout", str(tmp_path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (f"error: semiae was loaded from {tool.ROOT / 'src' / 'semiae'}"
+                   f", not from {package}\n")
+
+
 def test_bench_pairs_summary_counts_pairs_won_per_metric():
     tool = load_tool("bench_pairs")
 

@@ -11,8 +11,8 @@ from semiae import trainer as trainer_module
 from semiae.dataset import (RatingDataset, SideInfoMatrix, binarize,
                             load_raw_directory, sparse_rows, split)
 from semiae.evaluation import _rank_unconsumed
-from semiae.model import (BLOCK, SemiAEParams, forward, glorot_init,
-                          sparse_index)
+from semiae.model import (BLOCK, SemiAEParams, Workspace, forward,
+                          glorot_init, sparse_index)
 from semiae.trainer import (SCORE_ROWS, TrainConfig, TrainedModel, load_model,
                             predict_ratings, recommend_top_n, save_model,
                             score_rows, train_ranking, train_rating)
@@ -410,6 +410,66 @@ class TestEpochLayout:
         model = train_ranking(liked, profiles, cfg)
         assert _param_bytes(model) == [a.tobytes() for a in theta]
         assert list(model.loss_history) == history
+
+
+def _laid_out_in(vector, arrays):
+    """Assert that ``arrays`` are views of the 1-D ``vector``, one after
+    the other from its first element to its last."""
+    start = vector.__array_interface__["data"][0]
+    for a in arrays:
+        assert np.shares_memory(a, vector)
+        assert a.__array_interface__["data"][0] == start
+        start += a.nbytes
+    assert start == vector.__array_interface__["data"][0] + vector.nbytes
+
+
+class TestParameterVector:
+    """A run trains one vector of parameters, and the model's arrays and
+    the workspace's gradients are views of a vector each."""
+
+    @pytest.mark.parametrize("task,optimizer", [("ranking", "sgd"),
+                                                ("rating", "adam")])
+    def test_a_trained_models_arrays_are_the_optimizers_vector(
+            self, monkeypatch, task, optimizer):
+        states = []
+        build = trainer_module.Optimizer
+        monkeypatch.setattr(trainer_module, "Optimizer",
+                            lambda *a: states.append(build(*a)) or states[-1])
+        if task == "ranking":
+            train, side = toy_ranking_data()
+            model = train_ranking(train, side,
+                                  ranking_cfg(optimizer=optimizer, epochs=2))
+        else:
+            train, side = toy_rating_data()
+            model = train_rating(train, side,
+                                 rating_cfg(optimizer=optimizer, epochs=2))
+        (state,) = states
+        assert state.t == 2
+        p = model.params
+        _laid_out_in(state.theta, (p.Q, p.Q1, p.p, p.p1))
+
+    def test_fresh_parameters_are_laid_out_in_the_given_vector(self):
+        out = np.full((7 + 5 + 1) * 3 + 5, np.nan)
+        params = glorot_init(7, 3, 5, rng=RNG(0), out=out)
+        arrays = (params.Q, params.Q1, params.p, params.p1)
+        _laid_out_in(out, arrays)
+        # the same numbers as in a vector of their own, biases zeroed
+        alone = glorot_init(7, 3, 5, rng=RNG(0))
+        assert [a.tobytes() for a in arrays] == [
+            a.tobytes() for a in (alone.Q, alone.Q1, alone.p, alone.p1)]
+        np.testing.assert_array_equal(out[-8:], 0.0)
+
+    @pytest.mark.parametrize("rows", [0, 5])
+    def test_a_fresh_workspaces_gradients_are_views_of_its_vector(self,
+                                                                  rows):
+        params = glorot_init(7, 3, 5, rng=RNG(0))
+        work = Workspace.for_params(params, rows)
+        grads = (work.grads.dQ, work.grads.dQ1, work.grads.dp,
+                 work.grads.dp1)
+        assert [g.shape for g in grads] == [
+            a.shape for a in (params.Q, params.Q1, params.p, params.p1)]
+        assert work.gradient.shape == (7 * 3 + 3 * 5 + 3 + 5,)
+        _laid_out_in(work.gradient, grads)
 
 
 class TestStepChoice:

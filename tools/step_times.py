@@ -20,14 +20,17 @@ includes the parts it calls: the step's holds the L2 term's.
 Each part is timed by a wrapper put in place of its name in
 ``semiae.trainer``'s namespace, and the L2 term's in ``semiae.model``'s; a
 name that a checkout lacks is skipped.  So the same script times another
-checkout's ``src/``:
+checkout, given its root, as ``tools/bench_pairs.py run`` takes it:
 
     python3 tools/step_times.py --users 943 --items 1682 --ratings 100000
-    python3 tools/step_times.py --src /path/to/parent/src --users 943 \\
+    python3 tools/step_times.py --checkout /path/to/parent --users 943 \\
         --items 1682 --ratings 100000
 
-Only the standard library and the ``semiae`` under ``--src`` (numpy) are
-used.
+The checkout's ``src/`` goes first on ``sys.path``.  A directory without
+``src/semiae/__init__.py`` is refused, and so is a ``semiae`` already
+loaded from another tree, as in a process that imported this checkout's,
+each with one ``error:`` line.  Only the standard library and the
+checkout's ``semiae`` (numpy) are used.
 """
 
 from __future__ import annotations
@@ -40,9 +43,9 @@ import tempfile
 import time
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
 # artifact_hashes.py's, not imported from it: importing it loads this
-# checkout's semiae, and --src must choose which one is timed
+# checkout's semiae, and --checkout must choose which one is timed
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 FORMATS = ("ml-100k", "ml-1m")
 # (module, names) of the timed parts, in the order they are printed
@@ -120,8 +123,9 @@ def step_times(fmt: str = "ml-100k", num_users: int = 300,
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--src", type=Path, default=SRC,
-                        help="the src/ directory whose semiae is timed")
+    parser.add_argument("--checkout", type=Path, default=ROOT,
+                        help="root of the checkout whose semiae is timed "
+                             "(default: this one)")
     parser.add_argument("--format", choices=FORMATS, default="ml-100k")
     parser.add_argument("--users", type=int, default=300)
     parser.add_argument("--items", type=int, default=80)
@@ -134,7 +138,17 @@ def main(argv: list[str] | None = None) -> int:
     # before numpy is first imported, which reads them
     for var in THREAD_VARS:
         os.environ.setdefault(var, "1")
-    sys.path.insert(0, str(args.src))
+    package = (args.checkout / "src" / "semiae").resolve()
+    if not (package / "__init__.py").is_file():
+        print(f"error: {args.checkout} holds no src/semiae/__init__.py",
+              file=sys.stderr)
+        return 2
+    sys.path.insert(0, str(package.parent))
+    loaded = Path(importlib.import_module("semiae").__file__).resolve()
+    if loaded.parent != package:
+        print(f"error: semiae was loaded from {loaded.parent}, not from "
+              f"{package}", file=sys.stderr)
+        return 2
     for task, part, calls, per_call, total in step_times(
             args.format, args.users, args.items, args.ratings, args.seed,
             {"rating": args.rating_epochs, "ranking": args.ranking_epochs}):
