@@ -1,14 +1,13 @@
 #!/usr/bin/env python3
 # A tour of the semi-autoencoder network itself, away from any dataset:
 # the asymmetric input/output shapes, the prefix reconstruction target,
-# the loss with and without a mask, and a finite-difference check of the
-# analytic gradients.
+# the training step's loss with and without a mask, and a finite-difference
+# check of its analytic gradients against its own loss.
 
 import numpy as np
 
 from semiae.dataset import RatingDataset, SideInfoMatrix, build_vectors
-from semiae.model import (forward, glorot_init, loss_and_gradients,
-                          reconstruction_loss)
+from semiae.model import forward, glorot_init, loss_and_gradients
 
 rng = np.random.default_rng(0)
 
@@ -35,19 +34,24 @@ h, out = forward(params, x)
 print("\nhidden code (bottleneck of 2):", np.round(h, 3))
 print("reconstruction:", np.round(out, 3))
 
+
+def loss(*args, **kwargs):
+    """The loss that a training step returns beside its gradients."""
+    return loss_and_gradients(*args, **kwargs)[0]
+
+
 # The full loss measures every output coordinate; the masked loss only the
 # positions where a rating was actually observed (the builder's mask).
 target = batch[:, :6]
-print("\nfull loss:  ", round(reconstruction_loss(params, batch, target), 4))
-print("masked loss:",
-      round(reconstruction_loss(params, batch, target, observed), 4))
+print("\nfull loss:  ", round(loss(params, batch, target), 4))
+print("masked loss:", round(loss(params, batch, target, observed), 4))
 
 # Perturbing the reconstruction at an unobserved position leaves the masked
 # loss untouched.
 bumped = target.copy()
 bumped[0, 1] = 99.0  # an unobserved coordinate
 print("masked loss with an unobserved target bumped to 99:",
-      round(reconstruction_loss(params, batch, bumped, observed), 4))
+      round(loss(params, batch, bumped, observed), 4))
 
 # Gradient check: analytic gradients vs central finite differences.
 _, grads = loss_and_gradients(params, batch, target, observed, reg=0.1)
@@ -63,10 +67,10 @@ for name in ("Q", "Q1", "p", "p1"):
         plus, minus = base.copy(), base.copy()
         plus[idx] += eps
         minus[idx] -= eps
-        num = (reconstruction_loss(replace(params, **{name: plus}), batch,
-                                   target, observed, reg=0.1)
-               - reconstruction_loss(replace(params, **{name: minus}), batch,
-                                     target, observed, reg=0.1)) / (2 * eps)
+        num = (loss(replace(params, **{name: plus}), batch, target,
+                    observed, reg=0.1)
+               - loss(replace(params, **{name: minus}), batch, target,
+                      observed, reg=0.1)) / (2 * eps)
         worst = max(worst, abs(num - analytic[idx]) /
                     (abs(num) + abs(analytic[idx]) + 1e-3))
 print(f"\ngradient check over all {params.Q.size + params.Q1.size + len(params.p) + len(params.p1)}"

@@ -1,4 +1,4 @@
-"""The semi-autoencoder network: forward pass, losses and exact gradients.
+"""The semi-autoencoder network: forward pass, its loss and exact gradients.
 
 A three-layer net whose output reconstructs only a designated prefix of its
 input.  With input x (length S), hidden h (length H) and output length D:
@@ -11,13 +11,18 @@ coordinates of x, so auxiliary side information concatenated after the
 rating block conditions the reconstruction without being reconstructed
 itself.  With S = D this degenerates to a classical autoencoder.
 
-One objective, :func:`reconstruction_loss`, is the squared error averaged
-over rows, with an L2 penalty on the weight matrices (never the biases).
-Without a mask it measures all D outputs (top-n ranking); with one, only the
-observed target positions (rating prediction).
+One objective, the squared error averaged over the B rows of a batch, plus
+an L2 penalty on the weight matrices (never the biases):
 
-Two training steps give it with its exact gradients, and share the L2
-term's code:
+    loss = (1/B) sum_rows ||mask * (target - out)||^2
+           + (reg/2) (||Q||^2 + ||Q1||^2)
+
+Without a mask it measures all D outputs (top-n ranking); with one, only the
+observed target positions (rating prediction), and a row with an all-false
+mask adds nothing but still counts in B.
+
+Two training steps give it, summed in floating point, with its exact
+gradients, and share the L2 term's code:
 
 * :func:`sparse_loss_and_gradients`, for an identity ``f`` without a mask
   (the ranking default), reads the batch as its likes, each of value 1.0,
@@ -271,50 +276,18 @@ def forward(params: SemiAEParams, x: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return hid, out
 
 
-def _exact_sum(arr: np.ndarray) -> float:
-    # correctly rounded, hence independent of summation order
-    return math.fsum(arr.ravel().tolist())
-
-
-def _weight_penalty(params: SemiAEParams, reg: float) -> float:
-    if reg == 0.0:
-        return 0.0
-    return 0.5 * reg * (_exact_sum(params.Q * params.Q)
-                        + _exact_sum(params.Q1 * params.Q1))
-
-
 def _check_loss_args(params, batch_x, targets, mask):
     batch, _ = _as_batch(batch_x, params.input_dim, "input batch")
     tgt, _ = _as_batch(targets, params.output_dim, "targets")
     if tgt.shape[0] != batch.shape[0]:
         raise ValueError("batch and targets row counts differ")
+    if len(batch) == 0:
+        raise ValueError("a batch needs at least one row")
     if mask is not None:
         mask = np.atleast_2d(np.asarray(mask, bool))
         if mask.shape != tgt.shape:
             raise ValueError("mask shape must match targets")
     return batch, tgt, mask
-
-
-def reconstruction_loss(params: SemiAEParams, batch_x: np.ndarray,
-                        targets: np.ndarray, mask: np.ndarray | None = None,
-                        reg: float = 0.0) -> float:
-    """Mean per-row squared error at the mask-true target positions (all of
-    them without ``mask``), plus the weight penalty:
-    ``(1/B) sum_rows ||mask * (target-out)||^2 + (reg/2)(||Q||^2 + ||Q1||^2)``.
-
-    Rows with an all-false mask contribute nothing (they still count in the
-    row average, mirroring an objective that sums over all rows but only
-    observed coordinates).  The sums are exactly rounded, so the value is a
-    function of the terms alone, comparable against any independent
-    accumulation.
-    """
-    batch, tgt, m = _check_loss_args(params, batch_x, targets, mask)
-    _, out = forward_from(params, batch @ params.Q)
-    diff = out - tgt
-    if m is not None:
-        diff *= m
-    return (_exact_sum(diff * diff) / batch.shape[0]
-            + _weight_penalty(params, reg))
 
 
 def blocks(size: int) -> list[slice]:
@@ -361,8 +334,9 @@ def loss_and_gradients(params: SemiAEParams, batch_x: np.ndarray,
                        targets: np.ndarray, mask: np.ndarray | None = None,
                        reg: float = 0.0, work: Workspace | None = None
                        ) -> tuple[float, GradientSet]:
-    """Compute :func:`reconstruction_loss`, summed in floating point rather
-    than exactly rounded, and its exact analytic gradients, L2 term included.
+    """The objective of a dense batch of B rows, ``(1/B) sum_rows ||mask *
+    (target - out)||^2 + (reg/2)(||Q||^2 + ||Q1||^2)`` (all outputs without
+    ``mask``), summed in floating point, and its exact analytic gradients.
 
     The gradients and the batch's intermediates are written into ``work``,
     a :class:`Workspace` of at least the batch's rows, or a fresh one, and
@@ -477,6 +451,8 @@ def sparse_loss_and_gradients(params: SemiAEParams, index: SparseIndex,
     if params.f != "identity" or params.input_dim < params.output_dim:
         raise ValueError("the sparse step needs an identity f and an input "
                          "that begins with the targets")
+    if len(side_rows) == 0:
+        raise ValueError("a batch needs at least one row")
     if work is None:
         work = Workspace.for_params(params, 0)
     grads = work.grads

@@ -7,11 +7,10 @@ import pytest
 from semiae.dataset import RatingDataset, SideInfoMatrix, write_json
 from semiae.model import (ACTIVATIONS, BLOCK, SemiAEParams, Workspace,
                           forward, glorot_init, load_params,
-                          loss_and_gradients, reconstruction_loss,
-                          save_params, sparse_index,
+                          loss_and_gradients, save_params, sparse_index,
                           sparse_loss_and_gradients)
 from util import (brute_force_masked_loss, built_input, classical_autoencoder,
-                  finite_difference_grads, gradcheck_error,
+                  exact_loss, finite_difference_grads, gradcheck_error,
                   make_random_dataset, reference_loss_and_gradients,
                   reference_sigmoid, reference_sparse_step, traced_peak)
 
@@ -185,30 +184,35 @@ class TestForward:
         np.testing.assert_array_equal(first[1], second[1])
 
 
+def step_loss(*args, **kwargs):
+    """The loss that the dense training step returns."""
+    return loss_and_gradients(*args, **kwargs)[0]
+
+
 class TestLosses:
     def test_perfect_reconstruction_is_zero(self):
         params = zero_params(2, 2, 2, p1=[3.0, 4.0])
         x = np.array([[1.0, 2.0]])
-        assert reconstruction_loss(params, x, np.array([[3.0, 4.0]])) == 0.0
+        assert step_loss(params, x, np.array([[3.0, 4.0]])) == 0.0
 
     def test_unit_errors_sum_to_two(self):
         params = zero_params(2, 2, 2, p1=[1.0, 1.0])
-        loss = reconstruction_loss(params, np.array([[0.0, 0.0]]),
-                                   np.array([[0.0, 0.0]]))
+        loss = step_loss(params, np.array([[0.0, 0.0]]),
+                         np.array([[0.0, 0.0]]))
         assert loss == 2.0
 
     def test_zero_weights_contribute_no_penalty(self):
         params = zero_params(2, 2, 2)
         x = np.array([[1.0, 2.0]])
-        assert reconstruction_loss(params, x, x, reg=5.0) == \
-            reconstruction_loss(params, x, x, reg=0.0)
+        assert step_loss(params, x, x, reg=5.0) == \
+            step_loss(params, x, x, reg=0.0)
 
     def test_penalty_value_is_half_reg_times_squared_norms(self):
         params = make_params(RNG(7))
         x = np.zeros((1, 4))
         t = forward(params, x)[1].reshape(1, -1)  # zero error
         expected = 0.5 * 0.3 * (np.sum(params.Q ** 2) + np.sum(params.Q1 ** 2))
-        assert reconstruction_loss(params, x, t, reg=0.3) == \
+        assert step_loss(params, x, t, reg=0.3) == \
             pytest.approx(expected, rel=1e-12)
 
     def test_masked_positions_are_the_only_ones_measured(self):
@@ -217,10 +221,10 @@ class TestLosses:
         target = np.array([[5.0, 0.0, 3.0]])
         mask = np.array([[True, False, True]])
         # (5-4)^2 + 0
-        assert reconstruction_loss(params, x, target, mask) == 1.0
+        assert step_loss(params, x, target, mask) == 1.0
         # changing the target at a mask-false position changes nothing
         target2 = np.array([[5.0, 77.0, 3.0]])
-        assert reconstruction_loss(params, x, target2, mask) == 1.0
+        assert step_loss(params, x, target2, mask) == 1.0
 
     @pytest.mark.parametrize("targets, mask, message", [
         (np.zeros((3, 2)), None, "batch and targets row counts differ"),
@@ -228,8 +232,12 @@ class TestLosses:
          "mask shape must match targets")])
     def test_misshapen_targets_or_mask_rejected(self, targets, mask, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
-            reconstruction_loss(make_params(RNG(3)), np.zeros((2, 4)),
-                                targets, mask)
+            step_loss(make_params(RNG(3)), np.zeros((2, 4)), targets, mask)
+
+    def test_an_empty_batch_is_refused(self):
+        with pytest.raises(ValueError, match="^a batch needs at least one "
+                                             "row$"):
+            step_loss(make_params(RNG(3)), np.zeros((0, 4)), np.zeros((0, 2)))
 
     def test_all_true_mask_equals_no_mask(self):
         rng = RNG(11)
@@ -237,8 +245,8 @@ class TestLosses:
         x = rng.normal(size=(4, 4))
         t = rng.normal(size=(4, 2))
         mask = np.ones((4, 2), bool)
-        assert reconstruction_loss(params, x, t, mask, reg=0.2) == \
-            reconstruction_loss(params, x, t, reg=0.2)
+        assert step_loss(params, x, t, mask, reg=0.2) == \
+            step_loss(params, x, t, reg=0.2)
 
     def test_losses_are_nonnegative(self):
         rng = RNG(13)
@@ -247,8 +255,8 @@ class TestLosses:
             x = rng.normal(size=(3, 4))
             t = rng.normal(size=(3, 2))
             mask = rng.random((3, 2)) < 0.5
-            assert reconstruction_loss(params, x, t, reg=0.1) >= 0.0
-            assert reconstruction_loss(params, x, t, mask, reg=0.1) >= 0.0
+            assert step_loss(params, x, t, reg=0.1) >= 0.0
+            assert step_loss(params, x, t, mask, reg=0.1) >= 0.0
 
     def test_matches_brute_force_summation_exactly(self):
         rng = RNG(17)
@@ -260,7 +268,7 @@ class TestLosses:
         for reg in (0.0, 0.37):
             expected = brute_force_masked_loss(out, t, mask, params.Q,
                                                params.Q1, reg)
-            assert reconstruction_loss(params, x, t, mask, reg) == expected
+            assert exact_loss(params, x, t, mask, reg) == expected
 
 
 class TestBackward:
@@ -372,7 +380,7 @@ class TestBackward:
     @pytest.mark.parametrize("g", ["identity", "sigmoid", "tanh"])
     @pytest.mark.parametrize("f", ["identity", "sigmoid"])
     def test_gradients_match_finite_differences(self, g, f):
-        rng = RNG(hash((g, f)) % (2 ** 31))
+        rng = RNG([list(ACTIVATIONS).index(name) for name in (g, f)])
         for trial in range(5):
             params = make_params(rng, g=g, f=f)
             x = rng.normal(size=(3, 4))
@@ -482,7 +490,7 @@ class TestSparseStep:
             want_loss, want = reference_loss_and_gradients(
                 params, x, targets, None, reg)
             loss, got = sparse_step(params, sparse_batch(targets, side), reg)
-            exact = reconstruction_loss(params, x, targets, reg=reg)
+            exact = exact_loss(params, x, targets, reg=reg)
             assert abs(loss - want_loss) <= SPARSE_TOL * want_loss, name
             assert abs(loss - exact) <= SPARSE_TOL * exact, name
             for ours, ref in zip((got.dQ, got.dQ1, got.dp, got.dp1), want):
@@ -591,6 +599,13 @@ class TestSparseStep:
                                              "begins with the targets$"):
             sparse_step(params, (np.zeros(0, np.intp), np.zeros(0, np.intp),
                                  np.zeros(0), np.zeros((1, 0))))
+
+    def test_an_empty_batch_is_refused(self):
+        params = make_params(RNG(53), s=43, h=3, d=40)
+        with pytest.raises(ValueError, match="^a batch needs at least one "
+                                             "row$"):
+            sparse_step(params, (np.zeros(0, np.intp), np.zeros(0, np.intp),
+                                 np.zeros(0), np.zeros((0, 3))))
 
     @pytest.mark.parametrize("value", [5.0, -0.0, np.nan])
     def test_its_index_refuses_a_value_other_than_a_like(self, value):

@@ -1,4 +1,6 @@
 import importlib.util
+import io
+import json
 import statistics
 import subprocess
 from pathlib import Path
@@ -129,6 +131,42 @@ def test_step_times_refuses_a_semiae_of_another_tree(capsys, monkeypatch,
     assert out == ""
     assert err == (f"error: semiae was loaded from {tool.ROOT / 'src' / 'semiae'}"
                    f", not from {package}\n")
+
+
+def test_mutants_prints_each_survivor_not_listed_equivalent(tmp_path):
+    tool = load_tool("mutants")
+    (tmp_path / "src" / "semiae").mkdir(parents=True)
+    (tmp_path / "src" / "semiae" / "__init__.py").write_text("")
+    module = tmp_path / "src" / "semiae" / "toy.py"
+    module.write_text("def scale(x):\n    return x * 2 + 1  # four sites\n")
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "test_toy.py").write_text(
+        "from semiae.toy import scale\n\n\n"
+        "def test_scale_of_zero():\n    assert scale(0) == 1\n")
+    # at x = 0, x * 2 and x / 2 agree: listed, so skipped
+    (tmp_path / "tools").mkdir()
+    (tmp_path / "tools" / "equivalent_mutants.json").write_text(json.dumps(
+        [{"file": "src/semiae/toy.py", "function": "scale",
+          "mutant": "x * 2 -> x / 2", "reason": "the test reads x = 0"}]))
+    before = sorted(tmp_path.rglob("*"))
+    out = io.StringIO()
+    assert tool.sweep(tmp_path, "toy", out=out) == [
+        "src/semiae/toy.py:2: x * 2 -> x * 3"]
+    assert out.getvalue().splitlines()[-1] == (
+        "src/semiae/toy.py: 4 sites, 1 listed equivalent, 1 survivors")
+    # + -> - and 1 -> 2 are killed; the checkout is untouched
+    assert sorted(tmp_path.rglob("*")) == before
+    assert module.read_text().endswith("# four sites\n")
+
+
+def test_every_equivalent_mutant_names_a_site_of_today():
+    tool = load_tool("mutants")
+    root = TOOLS.parent
+    for entry in json.loads((root / tool.EQUIVALENTS).read_text()):
+        _, found = tool.sites((root / entry["file"]).read_text())
+        assert (entry["function"], entry["mutant"]) in {
+            (site["function"], site["mutant"]) for site in found}, entry
+        assert entry["reason"]
 
 
 def test_bench_pairs_summary_counts_pairs_won_per_metric():

@@ -113,13 +113,11 @@ def reference_input(ds, side, orientation):
 def finite_difference_grads(params, batch_x, targets, mask=None, reg=0.0,
                             eps=1e-5):
     """Central-difference gradients of the (masked) loss, coordinate by
-    coordinate."""
+    coordinate, from :func:`exact_loss`."""
     from dataclasses import replace
 
-    from semiae.model import reconstruction_loss
-
     def loss_of(p):
-        return reconstruction_loss(p, batch_x, targets, mask, reg)
+        return exact_loss(p, batch_x, targets, mask, reg)
 
     grads = {}
     for name in ("Q", "Q1", "p", "p1"):
@@ -226,6 +224,32 @@ def brute_force_masked_loss(out, targets, mask, Q, Q1, reg):
         sq1 = math.fsum(float(v) * float(v) for row in Q1 for v in row)
         penalty = 0.5 * reg * (sq + sq1)
     return math.fsum(terms) / n_rows + penalty
+
+
+def exact_loss(params, batch_x, targets, mask=None, reg=0.0):
+    """The training objective exactly rounded: the mean per-row squared
+    error at the mask-true target positions (all of them without
+    ``mask``), plus ``(reg/2)(||Q||^2 + ||Q1||^2)``.  The forward pass is
+    plain expressions, and every sum goes through math.fsum, so the value
+    is a function of the terms alone and can be compared with ``==``
+    against any other exact accumulation."""
+    import math
+
+    from semiae.model import ACTIVATIONS
+
+    def fsum(a):
+        return math.fsum(np.ravel(a).tolist())
+
+    g, f = ACTIVATIONS[params.g], ACTIVATIONS[params.f]
+    hid = g.fn(batch_x @ params.Q + params.p)
+    diff = f.fn(hid @ params.Q1 + params.p1) - targets
+    if mask is not None:
+        diff = diff * mask
+    loss = fsum(diff * diff) / len(batch_x)
+    if reg != 0.0:
+        loss += 0.5 * reg * (fsum(params.Q * params.Q)
+                             + fsum(params.Q1 * params.Q1))
+    return loss
 
 
 def reference_update(kind, eta, theta, slots, grads, t, beta1=0.9,
