@@ -143,6 +143,13 @@ class RatingDataset:
                 and scale[0] < scale[1]):
             raise ValueError(f"rating_scale must be two finite numbers, the "
                              f"lower first, got {list(scale)!r}")
+        for name, kinds in (("users", "iu"), ("items", "iu"),
+                            ("ratings", "iuf"), ("timestamps", "iu")):
+            col = getattr(self, name)
+            if not (isinstance(col, np.ndarray) and col.ndim == 1
+                    and col.dtype.kind in kinds):
+                kind = "real" if "f" in kinds else "integer"
+                raise ValueError(f"{name} must be a 1-D {kind} array")
         n = len(self.ratings)
         if not (len(self.users) == len(self.items) == len(self.timestamps) == n):
             raise ValueError("triple arrays must have equal length")

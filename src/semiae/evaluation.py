@@ -94,7 +94,7 @@ def _rank_unconsumed(scores: np.ndarray, train: RatingDataset, user: int,
     k = n + len(consumed)
     # a stable sort keeps equal scores in ascending item order
     if 0 < k < len(neg):
-        cut = np.partition(neg, k - 1)[k - 1]
+        cut = np.partition(neg, kth := k - 1)[kth]
         if not np.isnan(cut):  # a NaN cut-off: fewer than k numbers, sort all
             head = np.flatnonzero(neg <= cut)
             return _unconsumed(head[np.argsort(neg[head], kind="stable")],

@@ -22,7 +22,7 @@ observed target positions (rating prediction), and a row with an all-false
 mask adds nothing but still counts in B.
 
 Two training steps give it, summed in floating point, with its exact
-gradients, and share the L2 term's code:
+gradients, and each ends in the L2 term's one pass over the weights:
 
 * :func:`sparse_loss_and_gradients`, for an identity ``f`` without a mask
   (the ranking default), reads the batch as its likes, each of value 1.0,
@@ -32,7 +32,7 @@ gradients, and share the L2 term's code:
   (the masked rating loss, a non-identity ``f``).
 
 A training loop hands either one :class:`Workspace`, made once, that holds
-the gradients, views of one vector, and the block scratch of the L2 term;
+the gradients, views of one vector, and the L2 term's block scratch;
 the dense step also uses its four batch-sized buffers, each taking several
 of the step's intermediates in turn, and a fifth for the derivative of a
 non-identity ``f``, so that a step allocates nothing of the dense batch's
@@ -201,7 +201,7 @@ class Workspace:
     squares: np.ndarray  # (B, D) a sigmoid f's scratch, the squared errors
     slope: np.ndarray    # (B, H) a sigmoid g's scratch, g'
     deriv: np.ndarray    # (B, D) f', of 0 rows for an identity f
-    block: np.ndarray    # one block, the scratch of the L2 term's passes
+    block: np.ndarray    # one block, the L2 term's scratch
 
     @classmethod
     def for_params(cls, params: SemiAEParams, rows: int) -> Workspace:
@@ -296,38 +296,32 @@ def blocks(size: int) -> list[slice]:
     return [slice(lo, min(lo + BLOCK, size)) for lo in range(0, size, BLOCK)]
 
 
-def _add_scaled(acc: np.ndarray, scale: float, a: np.ndarray,
-                scratch: np.ndarray) -> None:
-    """``acc += scale * a`` on contiguous arrays, one block at a time
-    through ``scratch``, of at least one block or ``a.size`` elements; an
-    array of one block in one pass."""
-    if a.size <= BLOCK:
-        acc += np.multiply(a, scale, out=scratch[:a.size].reshape(a.shape))
-        return
-    acc, a = acc.reshape(-1), a.reshape(-1)
-    for part in blocks(a.size):
-        term = scratch[:part.stop - part.start]
-        np.multiply(a[part], scale, out=term)
-        acc[part] += term
+def _l2_pass(w: np.ndarray, grad: np.ndarray, reg: float,
+             scratch: np.ndarray) -> float:
+    """``grad += reg * w``, and ``np.sum(w * w)`` with its bits, in one pass
+    over flat arrays, through ``scratch`` of ``min(BLOCK, w.size)`` or more.
+    numpy's pairwise sum cuts n elements at ``n // 2 - n // 2 % 8``; a piece
+    over :data:`BLOCK` is cut there, and ``np.add.reduce``, as in ``np.sum``,
+    sums each smaller piece's squares, in the same tree.  A test pins the
+    rule; if numpy changes it, sum W-sized squares, not a looser test."""
+    n = w.size
+    if n > BLOCK:
+        half = n // 2 - n // 2 % 8
+        return (_l2_pass(w[:half], grad[:half], reg, scratch)
+                + _l2_pass(w[half:], grad[half:], reg, scratch))
+    total = float(np.add.reduce(np.multiply(w, w, out=scratch[:n])))
+    grad += np.multiply(w, reg, out=scratch[:n])
+    return total
 
 
-def _penalty(params: SemiAEParams, reg: float, grads: GradientSet) -> float:
-    """The L2 term of a step's loss, summed in floating point.  The
-    weights' squares fill the weight gradients' buffers, which the step
-    writes over next."""
+def _l2(params: SemiAEParams, reg: float, work: Workspace) -> float:
+    """The L2 term ``(reg/2)(||Q||^2 + ||Q1||^2)``; adds its gradient to ``work``'s."""
     if reg == 0.0:
         return 0.0
-    np.multiply(params.Q, params.Q, out=grads.dQ)
-    np.multiply(params.Q1, params.Q1, out=grads.dQ1)
-    return 0.5 * reg * (float(np.sum(grads.dQ)) + float(np.sum(grads.dQ1)))
-
-
-def _add_penalty_gradient(params: SemiAEParams, reg: float,
-                          work: Workspace) -> None:
-    """Add the L2 term's gradient to the weight gradients in ``work``."""
-    if reg != 0.0:
-        _add_scaled(work.grads.dQ, reg, params.Q, work.block)
-        _add_scaled(work.grads.dQ1, reg, params.Q1, work.block)
+    q, q1 = (_l2_pass(w.reshape(-1), grad.reshape(-1), reg, work.block)
+             for w, grad in ((params.Q, work.grads.dQ),
+                             (params.Q1, work.grads.dQ1)))
+    return 0.5 * reg * (q + q1)
 
 
 def loss_and_gradients(params: SemiAEParams, batch_x: np.ndarray,
@@ -361,7 +355,6 @@ def loss_and_gradients(params: SemiAEParams, batch_x: np.ndarray,
     if m is not None:
         diff *= m
     loss = float(np.sum(np.multiply(diff, diff, out=work.squares[:b]))) / b
-    loss += _penalty(params, reg, out)
 
     d_z2 = diff
     d_z2 *= 2.0 / b
@@ -373,8 +366,7 @@ def loss_and_gradients(params: SemiAEParams, batch_x: np.ndarray,
     d_z1 *= g_prime
     np.matmul(batch.T, d_z1, out=out.dQ)
     np.sum(d_z1, axis=0, out=out.dp)
-    _add_penalty_gradient(params, reg, work)
-    return loss, out
+    return loss + _l2(params, reg, work), out
 
 
 class SparseIndex(NamedTuple):
@@ -488,7 +480,6 @@ def sparse_loss_and_gradients(params: SemiAEParams, index: SparseIndex,
         # a sum of squares of finite terms can only overflow, to inf,
         # where its expansion may take inf - inf or inf * 0
         loss = math.inf
-    loss += _penalty(params, reg, grads)
 
     # dLoss/dh = (2/b) (out - T) Q1^T, then dLoss/dz1
     d_h += q1_p1
@@ -514,8 +505,7 @@ def sparse_loss_and_gradients(params: SemiAEParams, index: SparseIndex,
     terms = np.take(d_z1.reshape(-1), index.rows)
     np.add.at(dQ.reshape(-1), index.q.reshape(-1), terms.reshape(-1))
     np.sum(d_z1, axis=0, out=dp)
-    _add_penalty_gradient(params, reg, work)
-    return loss, grads
+    return loss + _l2(params, reg, work), grads
 
 
 def save_params(path: str | Path, params: SemiAEParams,

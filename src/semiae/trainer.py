@@ -329,7 +329,9 @@ def score_rows(model: TrainedModel, train: RatingDataset,
             f"{model.params.output_dim} ratings + {model.side_dim} side "
             f"values, but data has {model.orientation} rows of "
             f"{ds.num_items} ratings + {side.dim} side values")
-    rows = np.asarray(rows, np.intp)
+    rows = np.asarray(rows)  # build_vectors takes them as intp
+    if rows.size and rows.dtype.kind not in "iu":
+        raise ValueError(f"{model.orientation} indices must be integers")
     if len(outside := rows[(rows < 0) | (rows >= ds.num_users)]):
         raise ValueError(f"{model.orientation} index {outside[0]} out of range")
     x = np.empty((len(rows), model.params.input_dim))

@@ -1025,7 +1025,8 @@ class TestMalformedArtifacts:
                                       "loss-history-huge-int",
                                       "huge-int-learning-rate", "huge-int-Q",
                                       "fraction-above-one",
-                                      "huge-int-fraction", "text-Q",
+                                      "huge-int-fraction", "zero-fraction",
+                                      "unit-fraction", "text-Q",
                                       "boolean-p1", "flat-Q",
                                       "over-nested-Q1"])
     def test_malformed_model_document(self, ranking_model, prepared_path,
@@ -1059,9 +1060,11 @@ class TestMalformedArtifacts:
             doc["Q1"] = [doc["Q1"]]
             h, d = doc["dims"]["H"], doc["dims"]["D"]
             expected = f"model JSON: Q1: shape (1, {h}, {d}) is not ({h}, {d})"
-        elif edit in ("fraction-above-one", "huge-int-fraction"):
-            # split takes a fraction in (0, 1) only
-            fraction = 1.5 if edit == "fraction-above-one" else 10 ** 400
+        elif "fraction" in edit:
+            # split takes a fraction in (0, 1) only, both ends excluded
+            fraction = {"fraction-above-one": 1.5,
+                        "huge-int-fraction": 10 ** 400, "zero-fraction": 0,
+                        "unit-fraction": 1.0}[edit]
             doc["training_config_echo"]["train_fraction"] = fraction
             expected = (f"model echo: train_fraction must be null or a number "
                         f"in (0, 1), got {fraction}")

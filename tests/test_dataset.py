@@ -135,6 +135,23 @@ class TestParseRatings:
                           np.array([2], np.int32), np.ones(2),
                           np.zeros(2, np.int64))
 
+    @pytest.mark.parametrize("column, value, kind", [
+        # a fractional user index, kept by split, fails in training
+        ("users", np.array([0.0, 1.5, 1.0]), "integer"),
+        ("users", np.array([[0], [1], [1]]), "integer"),
+        ("ratings", np.array(["4", "2", "5"]), "real"),
+        ("timestamps", [0, 1, 2], "integer")],
+        ids=["fractional-users", "2-d-users", "str-ratings",
+             "list-timestamps"])
+    def test_a_column_of_the_wrong_kind_rejected(self, column, value, kind):
+        arrays = {"users": np.array([0, 1, 1], np.int32),
+                  "items": np.array([2, 0, 1], np.int32),
+                  "ratings": np.ones(3), "timestamps": np.zeros(3, np.int64)}
+        arrays[column] = value
+        with pytest.raises(ValueError,
+                           match=f"^{column} must be a 1-D {kind} array$"):
+            RatingDataset(2, 3, **arrays)
+
     def test_rating_outside_scale_rejected(self, tmp_path):
         path = write_lines(tmp_path / "u.data", ["1\t1\t6\t100"])
         with pytest.raises(ParseError, match=r"\[1, 5\]"):

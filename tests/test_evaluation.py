@@ -222,6 +222,8 @@ class TestRankUnconsumed:
     @example((np.array([2.0, 1.0, 1.0, 1.0, 0.0]), {3}, set(), 2))
     @example((np.array([np.nan, 1.0, np.nan, 0.0]), set(), {0}, 3))
     @example((np.array([-np.inf, np.inf, 0.0]), {1}, set(), 0))
+    # a cut-off one place short drops item 3
+    @example((np.array([9.0, 8.0, 5.0, 4.0, 3.0, 2.0]), {0, 1}, set(), 2))
     def test_equals_full_sort_then_filter(self, case):
         scores, consumed, other, n = case
         pairs = [(0, i) for i in sorted(consumed)] + \

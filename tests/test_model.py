@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from semiae.dataset import RatingDataset, SideInfoMatrix, write_json
-from semiae.model import (ACTIVATIONS, BLOCK, SemiAEParams, Workspace,
+from semiae.model import (ACTIVATIONS, BLOCK, SemiAEParams, Workspace, _l2,
                           forward, glorot_init, load_params,
                           loss_and_gradients, save_params, sparse_index,
                           sparse_loss_and_gradients)
@@ -453,6 +453,43 @@ def sparse_step(params, batch, *args):
 def close_to_largest(ours, ref):
     return np.abs(ours - ref).max(initial=0.0) <= SPARSE_TOL * max(
         np.abs(ref).max(initial=0.0), 1e-300)
+
+
+class TestL2Term:
+    # one element, a pairwise sum's 128-element leaf, one and two blocks,
+    # the benchmark's weights, ml-1m's and random sizes up to 4.2 M: the
+    # pieces that the L2 term's walk cuts and sums
+    SHAPES = [(1,), (127,), (128,), (129,), (BLOCK - 1,), (BLOCK,),
+              (BLOCK + 1,), (2 * BLOCK,), (2 * BLOCK + 1,), (963, 500),
+              (500, 943), (1712, 10), (10, 1682), (6059, 500), (500, 6040),
+              *((n,) for n in RNG(43).integers(BLOCK, 4_200_000, 16))]
+
+    def test_sums_a_weight_as_np_sum_does_and_adds_reg_times_it(self):
+        # numpy's pairwise cuts pinned: if a numpy release changes them,
+        # this fails, and the remedy is a W-sized square before np.sum
+        rng = RNG(41)
+        for k, shape in enumerate(self.SHAPES):
+            w = rng.uniform(-1.0, 1.0, shape).reshape(shape[0], -1)
+            rows, cols = w.shape
+            # w as Q or as Q1, beside a zero weight, whose sum is +0.0
+            q, q1 = ((w, np.zeros((cols, 1))) if k % 2 else
+                     (np.zeros((1, rows)), w))
+            params = SemiAEParams(q, q1, np.zeros(q.shape[1]),
+                                  np.zeros(q1.shape[1]))
+            work = Workspace.for_params(params, 0)
+            work.gradient.fill(0.25)
+            # (2.0 / 2) times the sum is the sum itself
+            assert _l2(params, 2.0, work) == np.sum(w * w), shape
+            for grad, weight in ((work.grads.dQ, q), (work.grads.dQ1, q1)):
+                assert grad.tobytes() == (0.25 + 2.0 * weight).tobytes()
+
+    def test_zero_reg_returns_zero_and_writes_nothing(self):
+        params = make_params(RNG(47))
+        work = Workspace.for_params(params, 0)
+        work.gradient.fill(-0.0)  # -0.0 + 0.0 * W would be +0.0
+        assert _l2(params, 0.0, work) == 0.0
+        assert work.gradient.tobytes() == \
+            np.full(work.gradient.size, -0.0).tobytes()
 
 
 class TestSparseStep:

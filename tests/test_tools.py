@@ -84,12 +84,10 @@ def test_step_times_prints_each_part_of_each_task(capsys, monkeypatch):
     rows = [line.split() for line in capsys.readouterr().out.splitlines()]
     assert [row[:2] for row in rows] == [
         ["rating", "build_vectors"], ["rating", "loss_and_gradients"],
-        ["rating", "update"], ["rating", "_penalty"],
-        ["rating", "_add_penalty_gradient"], ["rating", "epoch"],
+        ["rating", "update"], ["rating", "_l2"], ["rating", "epoch"],
         ["ranking", "sparse_rows"], ["ranking", "sparse_index"],
         ["ranking", "sparse_loss_and_gradients"],
-        ["ranking", "update"], ["ranking", "_penalty"],
-        ["ranking", "_add_penalty_gradient"], ["ranking", "epoch"]]
+        ["ranking", "update"], ["ranking", "_l2"], ["ranking", "epoch"]]
     calls = {(task, part): int(count) for task, part, count, *_ in rows}
     # 80 items in batches of 64, 300 users in 5 batches; the ranking
     # epoch lays out its rows, and the step's indices, once

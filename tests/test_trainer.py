@@ -149,13 +149,22 @@ class TestTrainConfig:
         assert load_model(tmp_path / "m.json").config == model.config
 
     def test_task_defaults(self):
-        rating = TrainConfig.defaults("rating")
-        assert (rating.hidden_dim, rating.optimizer) == (500, "adam")
-        assert (rating.g, rating.f) == ("sigmoid", "identity")
-        assert (rating.learning_rate, rating.regularization) == (0.001, 0.1)
-        ranking = TrainConfig.defaults("ranking")
-        assert (ranking.hidden_dim, ranking.optimizer) == (10, "sgd")
-        assert ranking.binarize_threshold == 4.0
+        common = {"learning_rate": 0.001, "regularization": 0.1,
+                  "g": "sigmoid", "f": "identity", "batch_size": 64,
+                  "seed": 0, "binarize_threshold": 4.0,
+                  "binarize_comparison": ">"}
+        assert TrainConfig.defaults("rating").to_dict() == {
+            "task": "rating", "hidden_dim": 500, "optimizer": "adam",
+            "epochs": 500, **common}
+        assert TrainConfig.defaults("ranking").to_dict() == {
+            "task": "ranking", "hidden_dim": 10, "optimizer": "sgd",
+            "epochs": 1000, **common}
+
+    def test_one_hidden_unit_epoch_and_row_a_batch_train(self):
+        train, profiles = toy_ranking_data()
+        cfg = ranking_cfg(hidden_dim=1, epochs=1, batch_size=1)
+        model = train_ranking(train, profiles, cfg)
+        assert (model.params.hidden_dim, len(model.loss_history)) == (1, 1)
 
     def test_from_dict_rejects_unknown_keys(self):
         with pytest.raises(ValueError, match="momentum"):
@@ -760,6 +769,24 @@ class TestRecommendTopN:
                 scores.view(np.uint64),
                 forward(model.params, x[chunk])[1].view(np.uint64))
 
+    def test_top_n_lists_score_256_users_at_a_time(self, monkeypatch):
+        # a row's product can take other bits in a product of another
+        # row count, so the chunk's size is part of the lists
+        ds = make_random_dataset(RNG(5), 256 + 14, 11, 1500)
+        profiles = SideInfoMatrix(RNG(6).normal(size=(ds.num_users, 2)),
+                                  ("a", "b"))
+        liked = binarize(ds)
+        model = train_ranking(liked, profiles, ranking_cfg(epochs=1))
+        sizes, score = [], trainer_module.score_rows
+
+        def counted(model, train, side, rows):
+            sizes.append(len(rows))
+            return score(model, train, side, rows)
+
+        monkeypatch.setattr(trainer_module, "score_rows", counted)
+        recommend_top_n(model, liked, profiles, 0, 3)
+        assert sizes == [256, 14]
+
     def test_scores_any_set_of_users(self):
         train, profiles = toy_ranking_data()
         model = train_ranking(train, profiles, ranking_cfg(epochs=3))
@@ -770,6 +797,11 @@ class TestRecommendTopN:
         assert score_rows(model, train, profiles, []).shape == (0, 4)
         with pytest.raises(ValueError, match=r"^user index 3 out of range$"):
             score_rows(model, train, profiles, [0, 3])
+        # a fraction would score user 0, a mask users 1, 0 and 1
+        for rows in ([0.7], np.array([True, False, True])):
+            with pytest.raises(ValueError,
+                               match="^user indices must be integers$"):
+                score_rows(model, train, profiles, rows)
 
 
 class TestModelDataFit:

@@ -14,8 +14,8 @@ then ``epoch``: the epochs run and the training's wall time per epoch.  The
 parts are the batch build (``build_vectors``, ``sparse_rows``), the sparse
 step's flat indices, built once an epoch (``sparse_index``), the step
 (``loss_and_gradients``, ``sparse_loss_and_gradients``), the L2 term
-(``_penalty``, ``_add_penalty_gradient``) and ``update``.  A part's time
-includes the parts it calls: the step's holds the L2 term's.
+(``_l2``) and ``update``.  A part's time includes the parts it calls: the
+step's holds the L2 term's.
 
 Each part is timed by a wrapper put in place of its name in
 ``semiae.trainer``'s namespace, and the L2 term's in ``semiae.model``'s; a
@@ -52,7 +52,7 @@ FORMATS = ("ml-100k", "ml-1m")
 PARTS = (("semiae.trainer", ("build_vectors", "sparse_rows", "sparse_index",
                              "loss_and_gradients", "sparse_loss_and_gradients",
                              "update")),
-         ("semiae.model", ("_penalty", "_add_penalty_gradient")))
+         ("semiae.model", ("_l2",)))
 # (task, train fraction) of each training, as Tables 1 and 2 split first
 TASKS = (("rating", 0.8), ("ranking", 0.3))
 
